@@ -16,7 +16,6 @@ from .network import (
     degenerate_modes,
     degenerate_network,
     drift_matrix,
-    jacobi_eigh,
     normal_modes,
     validate_network,
 )
@@ -31,7 +30,7 @@ from .reservoir import (
     correlation_negligible,
     decay_matrix_common,
     decay_matrix_distinct,
-    decay_matrix_from_correlations,
+    decay_matrix_from_couplings,
     default_profile_width,
     renormalized_frequency,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "degenerate_modes",
     "degenerate_decomposition",
     "drift_matrix",
-    "jacobi_eigh",
     "normal_modes",
     "validate_network",
     "ReservoirKind",
@@ -95,7 +93,7 @@ __all__ = [
     "correlation_negligible",
     "decay_matrix_common",
     "decay_matrix_distinct",
-    "decay_matrix_from_correlations",
+    "decay_matrix_from_couplings",
     "default_profile_width",
     "renormalized_frequency",
     "SuperpositionState",

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_MISMATCH = 3
-
-_THREADS_VAR = "RESONET_THREADS"
-
 
 # ---------------------------------------------------------------------------
 # serialisation helpers
@@ -187,7 +183,7 @@ def _run_trajectory(cfg: ScenarioConfig) -> tuple[evolve.Trajectory, str]:
 
 
 def _decay_extremes(decay: reservoir.DecayMatrix) -> tuple[float, float]:
-    values, _ = network.jacobi_eigh(decay.matrix)
+    values = np.linalg.eigvalsh(decay.matrix)
     return float(np.min(values)), float(np.max(values))
 
 
@@ -199,12 +195,11 @@ def _tau_formula(cfg: ScenarioConfig) -> float | None:
     if kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE:
         return evolve.decoherence_time_formula(cfg.rs, cfg.reservoir.sigma, cfg.reservoir.epsilon)
     if kind is reservoir.ReservoirKind.DISTINCT_STRONG_COUPLING:
-        n = cfg.network.n
-        gp, gm = cfg.reservoir.gamma_plus, cfg.reservoir.gamma_minus
-        gamma_eff = (gp + (n - 1) * gm) / n
+        gamma_eff, eps_eff = evolve.distinct_as_common(
+            cfg.network.n, cfg.reservoir.gamma_plus, cfg.reservoir.gamma_minus
+        )
         if gamma_eff <= 0.0:
             return None
-        eps_eff = (gp - gm) / (n * gamma_eff)
         return evolve.decoherence_time_formula(cfg.rs, gamma_eff, eps_eff)
     return None
 
@@ -381,19 +376,6 @@ def _patched(raw: dict, param: str, value: float) -> dict:
     return patched
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(_THREADS_VAR)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_THREADS_VAR} must be a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"{_THREADS_VAR} must be a positive integer, got {raw!r}")
-    return count
-
-
 def _sweep_one(raw: dict, param: str, value: float) -> dict:
     cfg = parse_scenario(_patched(raw, param, value))
     traj, path_name = _run_trajectory(cfg)
@@ -423,21 +405,12 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    results: list[dict | None] = [None] * len(values)
-
-    def run(i: int) -> None:
+    results: list[dict] = []
+    for value in values:
         try:
-            results[i] = _sweep_one(raw, param, values[i])
+            results.append(_sweep_one(raw, param, value))
         except (ConfigError, ModelError, NumericalError) as exc:
-            results[i] = {"value": values[i], "status": "error", "message": str(exc)}
-
-    workers = _worker_count()
-    if workers == 1:
-        for i in range(len(values)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(values))))
+            results.append({"value": value, "status": "error", "message": str(exc)})
 
     cols = (
         "gamma_down",

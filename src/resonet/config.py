@@ -33,7 +33,6 @@ class ScenarioConfig:
     state: SuperpositionState | None
     rs: RSFamilySpec | None
     times: np.ndarray | None
-    oracle_enabled: bool
     oracle_cutoff: int | None
     oracle_threshold: float
     svg: bool
@@ -238,9 +237,6 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
     times = _parse_times(_section(cfg, "evolution", required=False))
 
     osec = _section(cfg, "oracle", required=False) or {}
-    enabled = osec.get("enabled", False)
-    if not isinstance(enabled, bool):
-        raise ConfigError("oracle: 'enabled' must be true or false")
     cutoff = osec.get("cutoff")
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1):
         raise ConfigError("oracle: 'cutoff' must be a positive integer")
@@ -260,7 +256,6 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
         state=state,
         rs=rs,
         times=times,
-        oracle_enabled=enabled,
         oracle_cutoff=cutoff,
         oracle_threshold=float(threshold),
         svg=svg,

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .evolve import decoherence_time_formula, effective_rates
+from .evolve import decoherence_time_formula, distinct_as_common, effective_rates
 from .states import RSFamilySpec, SuperpositionState
 
 __all__ = [
@@ -121,8 +121,7 @@ def classify(
         # Same master-equation structure as the common reservoir with the
         # substitution gamma -> mean diagonal rate, cross rate -> (g+ - g-)/n,
         # for which the split rates are exactly gamma_minus and gamma_plus.
-        gamma_eff = (gamma_plus + (n - 1) * gamma_minus) / n
-        eps_eff = (gamma_plus - gamma_minus) / (gamma_plus + (n - 1) * gamma_minus)
+        gamma_eff, eps_eff = distinct_as_common(n, gamma_plus, gamma_minus)
         collective = n * gamma_minus / gamma_plus < _DISTINCT_RATIO
         rate_slow, rate_fast = gamma_minus, gamma_plus
     else:

@@ -40,6 +40,7 @@ __all__ = [
     "RateSplit",
     "Trajectory",
     "effective_rates",
+    "distinct_as_common",
     "propagator_closed_form",
     "expm",
     "propagator_general",
@@ -105,6 +106,18 @@ def effective_rates(n: int, gamma: float, epsilon: float) -> RateSplit:
         gamma_down=(1.0 - epsilon) * gamma,
         gamma_up=(1.0 + (n - 1) * epsilon) * gamma,
     )
+
+
+def distinct_as_common(n: int, gamma_plus: float, gamma_minus: float) -> tuple[float, float]:
+    """Common-reservoir (gamma, epsilon) with the split rates of distinct reservoirs.
+
+    gamma = (gamma_plus + (n-1) gamma_minus) / n is the mean direct rate and
+    epsilon = (gamma_plus - gamma_minus) / (gamma_plus + (n-1) gamma_minus),
+    for which effective_rates returns gamma_minus and gamma_plus.  When that
+    denominator is zero there is no damping at all and epsilon is reported as 0.
+    """
+    total = gamma_plus + (n - 1) * gamma_minus
+    return total / n, ((gamma_plus - gamma_minus) / total if total > 0.0 else 0.0)
 
 
 def propagator_closed_form(params: EvolutionParams, t: float) -> np.ndarray:

@@ -24,17 +24,11 @@ __all__ = [
     "DriftMatrix",
     "degenerate_network",
     "validate_network",
-    "jacobi_eigh",
     "normal_modes",
     "degenerate_modes",
     "degenerate_decomposition",
     "drift_matrix",
 ]
-
-# Relative off-diagonal mass at which the Jacobi iteration is considered
-# converged, and the hard sweep cap guarding against pathological input.
-_JACOBI_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
 
 # Eigenvalues closer than this (relative) are treated as one degenerate
 # cluster when choosing a deterministic eigenbasis.
@@ -130,73 +124,16 @@ class NormalModeDecomposition:
         return self.frequencies.shape[0]
 
 
-def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (values, vectors) with eigenvectors as columns, unsorted.  The
-    rotation sequence is fixed, so equal inputs give bitwise-equal outputs.
-    Convergence is declared when the off-diagonal Frobenius mass falls below
-    1e-13 of the matrix norm; failure to get there within 100 sweeps raises
-    NumericalError.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ModelError("jacobi_eigh expects a square matrix")
-    v = np.eye(n)
-    norm = np.sqrt(np.sum(a * a))
-    if n == 1 or norm == 0.0:
-        return np.diagonal(a).copy(), v
-
-    idx = np.arange(n)
-    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diagonal(a)))))
-        if off <= _JACOBI_TOL * norm:
-            break
-        if sweep == _JACOBI_MAX_SWEEPS:
-            raise NumericalError(
-                f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-                f"(residual {off:.3e} vs target {_JACOBI_TOL * norm:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Smallest rotation zeroing a[p, q]; the sign choice keeps
-                # |t| <= 1 which is what makes cyclic sweeps converge.
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                rows = idx[(idx != p) & (idx != q)]
-                aip = a[rows, p].copy()
-                aiq = a[rows, q].copy()
-                a[rows, p] = c * aip - s * aiq
-                a[p, rows] = a[rows, p]
-                a[rows, q] = s * aip + c * aiq
-                a[q, rows] = a[rows, q]
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diagonal(a).copy(), v
-
-
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
-    """Flip each row so its largest-magnitude entry (first on ties) is positive."""
+    """Flip each row so its largest-magnitude entry (first on ties) is positive.
+
+    Magnitudes within 1e-12 of the row maximum count as tied, so rounding
+    noise in the eigensolver cannot decide which entry is "first".
+    """
     out = np.array(rows, copy=True)
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0.0:
-            out[i] = -out[i]
+    mags = np.abs(out)
+    first = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-12, axis=1)
+    out[out[np.arange(out.shape[0]), first] < 0.0] *= -1.0
     return out
 
 
@@ -241,10 +178,7 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
     """
     validate_network(spec)
     w = spec.w_matrix()
-    values, vectors = jacobi_eigh(w)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = np.linalg.eigh(w)
     n = spec.n
 
     rows = vectors.T.copy()

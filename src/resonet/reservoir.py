@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = [
     "correlation_coupled",
     "correlation_negligible",
     "decay_matrix_common",
-    "decay_matrix_from_correlations",
+    "decay_matrix_from_couplings",
     "decay_matrix_distinct",
     "renormalized_frequency",
     "default_profile_width",
@@ -212,42 +212,30 @@ def decay_matrix_common(n: int, gamma: float, epsilon: float) -> DecayMatrix:
     return DecayMatrix(g)
 
 
-def decay_matrix_from_correlations(
+def decay_matrix_from_couplings(
     decomp: NormalModeDecomposition,
-    eps: Callable[[int, int, float], float],
+    couplings: np.ndarray,
+    sigma: float,
 ) -> DecayMatrix:
-    """Assemble decay rates from a correlation function sampled at the modes.
+    """Assemble decay rates from reservoir couplings sampled at the modes.
 
-    eps(m, m', mode_frequency) is the reservoir correlation between
-    resonators m and m'.  Entry (m, n) sums eps(m, m', O_k) * C[k, m'] *
-    C[k, n] over all modes k and resonators m', i.e. each channel samples the
-    correlation at its own mode frequency.  The result is symmetrised by
-    averaging; asymmetry beyond 1e-8 of the sampled correlation scale signals
-    an inconsistent correlation model and is rejected, as is any
-    non-positive-semidefinite outcome.
+    couplings[k, m] is resonator m's coupling at mode frequency O_k, so the
+    reservoir correlation of resonators m and m' seen by channel k is
+    sigma * V[k, m] * V[k, m'].  Entry (m, n) sums that correlation times
+    C[k, m'] * C[k, n] over all modes k and resonators m', which separates
+    into g = sigma * V^T diag(s) C with s_k = sum_m' V[k, m'] C[k, m'].  The
+    result is symmetrised by averaging; asymmetry beyond 1e-8 of the sampled
+    correlation scale signals an inconsistent correlation model and is
+    rejected, as is any non-positive-semidefinite outcome.
     """
     c = np.asarray(decomp.transform)
-    n = decomp.n
-    freqs = np.asarray(decomp.frequencies)
-    # eps can depend on the mode frequency, so the full triple loop is kept.
-    g = np.zeros((n, n))
-    sampled = 0.0
-    for m in range(n):
-        for nn in range(n):
-            acc = 0.0
-            for k in range(n):
-                col = c[k, nn]
-                if col == 0.0:
-                    continue
-                omega_mode = freqs[k]
-                s = 0.0
-                for mp in range(n):
-                    e = eps(m, mp, omega_mode)
-                    sampled = max(sampled, abs(e))
-                    s += e * c[k, mp]
-                acc += s * col
-            g[m, nn] = acc
+    v = np.asarray(couplings, dtype=float)
+    if v.shape != c.shape:
+        raise ModelError(f"couplings must be {decomp.n}x{decomp.n}, got {v.shape}")
+    s = np.sum(v * c, axis=1)
+    g = sigma * (v.T * s) @ c
     asym = np.max(np.abs(g - g.T))
+    sampled = sigma * float(np.max(np.abs(v), initial=0.0)) ** 2
     scale = max(np.max(np.abs(g)), sampled, 1e-300)
     if asym > 1e-8 * scale:
         raise ModelError(
@@ -301,8 +289,5 @@ def build_decay_matrix(spec: ReservoirSpec, n: int, decomp: Optional[NormalModeD
     profiles = spec.profiles or ()
     if len(profiles) != n:
         raise ModelError(f"expected {n} coupling profiles, got {len(profiles)}")
-
-    def eps(m: int, mp: int, freq: float) -> float:
-        return spec.sigma * coupling_value(profiles[m], freq) * coupling_value(profiles[mp], freq)
-
-    return decay_matrix_from_correlations(decomp, eps)
+    couplings = np.array([[coupling_value(p, freq) for p in profiles] for freq in decomp.frequencies])
+    return decay_matrix_from_couplings(decomp, couplings, spec.sigma)

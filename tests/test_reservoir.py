@@ -9,6 +9,7 @@ from resonet import (
     CouplingProfile,
     DecayMatrix,
     ModelError,
+    NetworkSpec,
     ReservoirKind,
     ReservoirSpec,
     build_decay_matrix,
@@ -17,7 +18,7 @@ from resonet import (
     coupling_value,
     decay_matrix_common,
     decay_matrix_distinct,
-    decay_matrix_from_correlations,
+    decay_matrix_from_couplings,
     default_profile_width,
     degenerate_decomposition,
     degenerate_network,
@@ -144,11 +145,11 @@ def test_default_profile_width_fwhm():
 
 
 def test_correlations_constant_gives_full_cross_decay():
-    # A frequency-flat, resonator-independent correlation on the symmetric
+    # A frequency-flat, resonator-independent coupling on the symmetric
     # mode basis must reproduce the fully correlated white-noise matrix.
     n, gamma = 4, 0.8
     decomp = degenerate_decomposition(n, 2.0, 0.1)
-    got = decay_matrix_from_correlations(decomp, lambda m, mp, f: gamma)
+    got = decay_matrix_from_couplings(decomp, np.full((n, n), math.sqrt(gamma)), 1.0)
     np.testing.assert_allclose(got.matrix, np.full((n, n), gamma), atol=1e-12)
 
 
@@ -162,13 +163,37 @@ def test_correlations_select_collective_channel():
     decomp = degenerate_decomposition(n, omega0, lam)
 
     def at(freq0):
-        def eps(m, mp, f):
-            return gamma if abs(f - freq0) < 1e-9 else 0.0
-
-        return decay_matrix_from_correlations(decomp, eps).matrix
+        couplings = np.zeros((n, n))
+        couplings[np.abs(decomp.frequencies - freq0) < 1e-9] = math.sqrt(gamma)
+        return decay_matrix_from_couplings(decomp, couplings, 1.0).matrix
 
     np.testing.assert_allclose(at(plus), np.full((n, n), gamma), atol=1e-12)
     np.testing.assert_allclose(at(minus), np.zeros((n, n)), atol=1e-12)
+
+
+def test_couplings_match_mode_sum():
+    # Reference: the definitional sum of sigma V[k,m] V[k,m'] C[k,m'] C[k,n]
+    # over modes k and resonators m'.  Couplings that follow each mode's own
+    # pattern, V[k,m] = h_k C[k,m], keep the result symmetric on any network.
+    rng = np.random.default_rng(17)
+    sigma = 1.7
+    for n in (2, 5, 8):
+        coupling = rng.normal(scale=0.2, size=(n, n))
+        coupling = coupling + coupling.T
+        np.fill_diagonal(coupling, 0.0)
+        decomp = normal_modes(NetworkSpec(omega=rng.uniform(1.0, 4.0, size=n), coupling=coupling))
+        c = decomp.transform
+        v = rng.uniform(0.5, 2.0, size=n)[:, None] * c
+        ref = np.zeros((n, n))
+        for m in range(n):
+            for nn in range(n):
+                for k in range(n):
+                    for mp in range(n):
+                        ref[m, nn] += sigma * v[k, m] * v[k, mp] * c[k, mp] * c[k, nn]
+        got = decay_matrix_from_couplings(decomp, v, sigma).matrix
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+    with pytest.raises(ModelError):
+        decay_matrix_from_couplings(decomp, v[:, :-1], sigma)
 
 
 def test_build_decay_matrix_profiles():
