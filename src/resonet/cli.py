@@ -152,7 +152,7 @@ def _closed_form_applies(cfg: ScenarioConfig) -> bool:
     )
 
 
-def _run_trajectory(cfg: ScenarioConfig) -> tuple[evolve.Trajectory, str]:
+def _run_trajectory(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> tuple[evolve.Trajectory, str]:
     if cfg.state is None:
         raise ConfigError("this command needs a 'state' section in the scenario")
     if cfg.times is None:
@@ -173,7 +173,6 @@ def _run_trajectory(cfg: ScenarioConfig) -> tuple[evolve.Trajectory, str]:
             times=cfg.times,
         )
         return evolve.propagate(cfg.state, params), "closed_form"
-    decay = _decay_for(cfg)
     drift = network.drift_matrix(_effective_network(cfg), decay)
     rate = float(np.max(np.diagonal(decay.matrix), initial=0.0))
     traj = evolve.propagate_with(
@@ -204,8 +203,10 @@ def _tau_formula(cfg: ScenarioConfig) -> float | None:
     return None
 
 
-def _summarize(cfg: ScenarioConfig, traj: evolve.Trajectory, path_name: str) -> dict:
-    gamma_down, gamma_up = _decay_extremes(_decay_for(cfg))
+def _summarize(
+    cfg: ScenarioConfig, traj: evolve.Trajectory, path_name: str, decay: reservoir.DecayMatrix
+) -> dict:
+    gamma_down, gamma_up = _decay_extremes(decay)
     tau_numeric = None
     if traj.num_terms >= 2:
         tau_numeric = evolve.decoherence_time_numeric(traj)
@@ -251,9 +252,10 @@ def _cmd_modes(args) -> int:
 def _cmd_evolve(args) -> int:
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
-    traj, path_name = _run_trajectory(cfg)
+    decay = _decay_for(cfg)
+    traj, path_name = _run_trajectory(cfg, decay)
     _write_text(out / "trajectory.csv", evolve.trajectory_to_csv(traj))
-    _write_json(out / "summary.json", _summarize(cfg, traj, path_name))
+    _write_json(out / "summary.json", _summarize(cfg, traj, path_name, decay))
     if cfg.svg:
         _write_text(out / "occupation.svg", _svg_series(traj.times, traj.total_occupation, "total occupation"))
         _write_text(out / "purity.svg", _svg_series(traj.times, traj.purity, "purity"))
@@ -311,10 +313,10 @@ def _cmd_oracle_compare(args) -> int:
     threshold = args.threshold if args.threshold is not None else cfg.oracle_threshold
     if threshold <= 0.0:
         raise ConfigError("threshold must be positive")
-    traj, _ = _run_trajectory(cfg)
+    decay = _decay_for(cfg)
+    traj, _ = _run_trajectory(cfg, decay)
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
     basis = oracle.FockBasisSpec(n=cfg.network.n, cutoff=cutoff)
-    decay = _decay_for(cfg)
     gen = oracle.build_generator(_effective_network(cfg), decay, basis)
     rho0 = oracle.embed_state(cfg.state, basis)
     rhos = oracle.integrate(rho0, gen, cfg.times)
@@ -378,8 +380,9 @@ def _patched(raw: dict, param: str, value: float) -> dict:
 
 def _sweep_one(raw: dict, param: str, value: float) -> dict:
     cfg = parse_scenario(_patched(raw, param, value))
-    traj, path_name = _run_trajectory(cfg)
-    summary = _summarize(cfg, traj, path_name)
+    decay = _decay_for(cfg)
+    traj, path_name = _run_trajectory(cfg, decay)
+    summary = _summarize(cfg, traj, path_name, decay)
     return {
         "value": value,
         "status": "ok",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ModelError, NumericalError
 from .network import DriftMatrix, _frozen
-from .states import RSFamilySpec, SuperpositionState, gram_matrix
+from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
 
 __all__ = [
     "EvolutionParams",
@@ -54,6 +54,12 @@ __all__ = [
 
 # Trace loss beyond this aborts a propagation as numerically broken.
 _TRACE_ABORT = 1e-6
+
+# Grid points per propagator call in propagate_with.  Memory per block grows
+# as block * n^2 (the Theta stack and its temporaries); at 32 points an
+# n = 50 run peaks no higher than a per-point loop, while the Python overhead
+# is paid once per block instead of once per time point.
+_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,29 +126,38 @@ def distinct_as_common(n: int, gamma_plus: float, gamma_minus: float) -> tuple[f
     return total / n, ((gamma_plus - gamma_minus) / total if total > 0.0 else 0.0)
 
 
-def propagator_closed_form(params: EvolutionParams, t: float) -> np.ndarray:
-    """Label propagator of the degenerate symmetric network at time t."""
+def propagator_closed_form(params: EvolutionParams, t) -> np.ndarray:
+    """Label propagator of the degenerate symmetric network.
+
+    A scalar t gives the (n, n) matrix Theta(t); a 1-D array of T times gives
+    the (T, n, n) stack.
+    """
     n = params.n
+    t = np.asarray(t, dtype=float)
     slow = np.exp(-0.5 * (1.0 - params.epsilon) * params.gamma * t)
     fast = np.exp(-(0.5 * params.epsilon * n * params.gamma + 1j * params.omega_plus) * t)
     rot = np.exp(-1j * params.omega_minus * t)
-    theta = np.full((n, n), (slow / n) * (fast - rot), dtype=complex)
-    theta[np.diag_indices(n)] += slow * rot
+    theta = np.empty(t.shape + (n, n), dtype=complex)
+    theta[...] = ((slow / n) * (fast - rot))[..., None, None]
+    diag = np.arange(n)
+    theta[..., diag, diag] += (slow * rot)[..., None]
     return theta
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor kernel.
 
-    The argument is halved until its 1-norm is at most 0.5, where a
+    The argument is a square matrix or a stack of them (leading axes).  It is
+    halved until the largest 1-norm in the stack is at most 0.5, where a
     20-term Taylor sum is accurate to well below double rounding, then the
-    result is squared back up.  Fully deterministic.
+    result is squared back up; every matrix of a stack gets the same number
+    of squarings.  Fully deterministic.
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ModelError("expm expects a square matrix")
-    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ModelError("expm expects a square matrix or a stack of them")
+    norm = float(np.max(np.sum(np.abs(a), axis=-2), initial=0.0))
     if not math.isfinite(norm):
         raise ModelError("expm argument must be finite")
     squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
@@ -157,9 +172,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def propagator_general(drift: DriftMatrix, t: float) -> np.ndarray:
-    """Label propagator exp(t * drift) for an arbitrary network/reservoir."""
-    return expm(np.asarray(drift.matrix) * t)
+def propagator_general(drift: DriftMatrix, t) -> np.ndarray:
+    """Label propagator exp(t * drift) for an arbitrary network/reservoir.
+
+    A scalar t gives the (n, n) matrix; a 1-D array of T times gives the
+    (T, n, n) stack, exponentiated together.
+    """
+    t = np.asarray(t, dtype=float)
+    return expm(np.asarray(drift.matrix) * t[..., None, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +188,10 @@ class Trajectory:
 
     labels[t, r] is the coherent label of term r at times[t]; coeffs[t] the
     pair-coefficient matrix (entry (r, s) multiplies |zeta_r><zeta_s|).  The
-    observable arrays are aligned with times.  `propagator` re-evaluates
-    Theta at arbitrary times, which the decoherence-time estimate uses for
-    its short-step derivative; gamma_rate is the per-resonator decay rate
-    used to size that step (0 when unknown).
+    observable arrays are aligned with times.  `propagator` maps a 1-D
+    array of times to the (T, n, n) stack of Theta; the decoherence-time
+    estimate uses it for its short-step derivative.  gamma_rate is the
+    per-resonator decay rate used to size that step (0 when unknown).
     """
 
     times: np.ndarray
@@ -182,7 +202,7 @@ class Trajectory:
     purity: np.ndarray
     fidelity: np.ndarray
     state: SuperpositionState
-    propagator: Callable[[float], np.ndarray]
+    propagator: Callable[[np.ndarray], np.ndarray]
     gamma_rate: float
 
     @property
@@ -202,21 +222,32 @@ def propagate(state: SuperpositionState, params: EvolutionParams) -> Trajectory:
 def propagate_with(
     state: SuperpositionState,
     times,
-    propagator: Callable[[float], np.ndarray],
+    propagator: Callable[[np.ndarray], np.ndarray],
     gamma_rate: float = 0.0,
 ) -> Trajectory:
     """Evolve a state with an arbitrary label propagator Theta(t).
 
+    The grid is processed in blocks of _BLOCK consecutive times: the
+    propagator is called once per block with a 1-D array of T times and must
+    return the (T, n, n) stack, and every observable of the block is then
+    evaluated as one batched array operation.  The pair coefficients are
+    built in the log domain,
+    c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
+    so overlaps that underflow on their own still give finite coefficients.
+
     Aborts with NumericalError if the reconstructed trace drifts from 1 by
     more than 1e-6 at any grid time (the exact coefficients keep it at 1, so
-    a drift means overflow or a propagator inconsistent with the labels).
+    a drift means overflow or a propagator inconsistent with the labels);
+    the message names the first such time.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     beta = np.asarray(state.labels)
     terms, n = beta.shape
     weights = np.asarray(state.weights)
     w_outer = state.norm_factor**2 * np.outer(weights, weights.conj())
-    g0 = gram_matrix(beta)
+    # The *_t arrays are transposed Gram matrices: log_g0_t[r, s] = log<beta_s|beta_r>,
+    # and log_gt_t / gt_t hold the same for zeta at each time of a block.
+    log_g0_t = log_gram_matrix(beta).T
 
     nt = times.size
     labels_t = np.empty((nt, terms, n), dtype=complex)
@@ -225,32 +256,35 @@ def propagate_with(
     purity_t = np.empty(nt)
     fid_t = np.empty(nt)
 
-    for i, t in enumerate(times):
-        theta = np.asarray(propagator(float(t)), dtype=complex)
-        if theta.shape != (n, n):
-            raise ModelError(f"propagator returned shape {theta.shape}, expected {(n, n)}")
-        zeta = beta @ theta.T
-        gt = gram_matrix(zeta)
-        # Underflowing overlaps turn the ratio into inf/nan; the trace check
-        # below is the arbiter, so the division may do so silently.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            coeff = w_outer * (g0 / gt).T
-            trace = np.sum(coeff * gt.T)
-        if not np.isfinite(trace.real) or abs(trace - 1.0) > _TRACE_ABORT:
+    for start in range(0, nt, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        tb = times[block]
+        theta = np.asarray(propagator(tb), dtype=complex)
+        if theta.shape != (tb.size, n, n):
+            raise ModelError(f"propagator returned shape {theta.shape}, expected {(tb.size, n, n)}")
+        # zeta and coeff are written straight into the trajectory's arrays.
+        zeta = np.matmul(beta, np.swapaxes(theta, -1, -2), out=labels_t[block])
+        log_gt_t = np.swapaxes(log_gram_matrix(zeta), -1, -2)
+        gt_t = np.exp(log_gt_t)
+        # An exploding propagator overflows the coefficients; the trace check
+        # below is the arbiter, so the arithmetic may do so silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff = np.exp(log_g0_t - log_gt_t, out=coeffs_t[block])
+            coeff *= w_outer
+            m = coeff * gt_t
+            trace = m.sum(axis=(-2, -1))
+        ok = np.abs(trace - 1.0) <= _TRACE_ABORT
+        if not ok.all():
+            i = int(np.argmin(ok))
             raise NumericalError(
-                f"trace left 1 by {abs(trace - 1.0):.3e} at t = {t:g}; "
+                f"trace left 1 by {abs(trace[i] - 1.0):.3e} at t = {tb[i]:g}; "
                 "the label evolution is no longer trustworthy"
             )
-        m = coeff * gt.T
-        occ = np.einsum("rs,sm,rm->m", m, zeta.conj(), zeta)
-        cg = coeff @ gt
-        labels_t[i] = zeta
-        coeffs_t[i] = coeff
-        occ_t[i] = occ.real
-        purity_t[i] = float(np.real(np.sum(cg * cg.T)))
-        gx = gram_matrix(beta, zeta)
-        w_in = state.norm_factor * (weights.conj() @ gx)
-        fid_t[i] = float(np.real(w_in @ (coeff @ w_in.conj())))
+        cg = coeff @ np.swapaxes(gt_t, -1, -2)
+        w_in = state.norm_factor * (weights.conj() @ gram_matrix(beta, zeta))
+        occ_t[block] = (zeta * (m @ zeta.conj())).sum(axis=-2).real
+        purity_t[block] = (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
+        fid_t[block] = (w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
 
     return Trajectory(
         times=_frozen(times),
@@ -307,7 +341,7 @@ def decoherence_time_numeric(traj: Trajectory, r: int = 0, s: int = 1) -> float:
         raise ModelError("the chosen terms carry identical labels")
     first = float(traj.times[1] - traj.times[0])
     h = first if traj.gamma_rate == 0.0 else min(1e-6 / traj.gamma_rate, first)
-    theta = np.asarray(traj.propagator(h), dtype=complex)
+    theta = np.asarray(traj.propagator(np.array([h])), dtype=complex)[0]
     delta_t = theta @ delta0
     # -ln D(h) = (|delta0|^2 - |delta_t|^2) / 2, evaluated from the norms to
     # avoid cancellation inside an exp/log round trip.

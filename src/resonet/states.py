@@ -26,6 +26,7 @@ __all__ = [
     "SuperpositionState",
     "coherent_overlap",
     "gram_matrix",
+    "log_gram_matrix",
     "make_superposition",
     "make_rs_state",
     "swap_resonators",
@@ -46,14 +47,27 @@ def coherent_overlap(a, b) -> complex:
     return complex(np.exp(-0.5 * np.vdot(a, a) - 0.5 * np.vdot(b, b) + np.vdot(a, b)))
 
 
-def gram_matrix(labels_a: np.ndarray, labels_b: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix of overlaps G[r, s] = <a_r|b_s> between two label sets (rows)."""
+def log_gram_matrix(labels_a: np.ndarray, labels_b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logarithms L[..., r, s] = log <a_r|b_s> of the overlaps between two label sets.
+
+    Labels are the rows of the last two axes; leading axes are batch axes and
+    broadcast against each other.  The exponent is returned unevaluated, so
+    overlaps far below the double range (well-separated cats) stay usable.
+    """
     a = np.atleast_2d(np.asarray(labels_a, dtype=complex))
-    b = a if labels_b is None else np.atleast_2d(np.asarray(labels_b, dtype=complex))
-    na = 0.5 * np.sum(np.abs(a) ** 2, axis=1)
-    nb = 0.5 * np.sum(np.abs(b) ** 2, axis=1)
-    cross = a.conj() @ b.T
-    return np.exp(cross - na[:, None] - nb[None, :])
+    na = 0.5 * np.sum(np.abs(a) ** 2, axis=-1)
+    if labels_b is None:
+        b, nb = a, na
+    else:
+        b = np.atleast_2d(np.asarray(labels_b, dtype=complex))
+        nb = 0.5 * np.sum(np.abs(b) ** 2, axis=-1)
+    cross = a.conj() @ np.swapaxes(b, -1, -2)
+    return cross - na[..., :, None] - nb[..., None, :]
+
+
+def gram_matrix(labels_a: np.ndarray, labels_b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix of overlaps G[..., r, s] = <a_r|b_s> between two label sets (rows), over any batch axes."""
+    return np.exp(log_gram_matrix(labels_a, labels_b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resonet
+from resonet import network, reservoir
 from resonet.cli import main
 
 
@@ -70,6 +76,42 @@ def test_evolve_general_path_for_explicit_network(tmp_path):
     assert summary["propagator"] == "general"
     # same physics as the shorthand scenario, so the same decay split
     assert abs(summary["gamma_down"] - 0.5) < 1e-9
+
+
+def test_profile_reservoir_builds_decay_matrix_once_per_command(tmp_path, monkeypatch):
+    calls = {"normal_modes": 0, "build_decay_matrix": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(network, "normal_modes")
+    counted(reservoir, "build_decay_matrix")
+    profile = {"amplitude": 1.0, "centers": [10.5], "widths": [100.0]}
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        reservoir={"kind": "common_profile", "sigma": 1.0, "profiles": [profile, profile]},
+        evolution={"t_max": 0.3, "steps": 3},
+        oracle={"cutoff": 12},
+    )
+    for command in ("evolve", "oracle-compare"):
+        calls.update(normal_modes=0, build_decay_matrix=0)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"normal_modes": 1, "build_decay_matrix": 1}, command
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # Every command pays the import; scipy.linalg alone would add about 0.1 s.
+    env = dict(os.environ, PYTHONPATH=str(Path(resonet.__file__).resolve().parents[1]))
+    code = "import sys, resonet.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_evolve_reruns_are_byte_identical(tmp_path):

@@ -9,6 +9,7 @@ import scipy.linalg
 from resonet import (
     EvolutionParams,
     ModelError,
+    NetworkSpec,
     NumericalError,
     RSFamilySpec,
     decay_matrix_common,
@@ -19,6 +20,7 @@ from resonet import (
     drift_matrix,
     effective_rates,
     expm,
+    gram_matrix,
     make_rs_state,
     make_superposition,
     propagate,
@@ -55,6 +57,46 @@ def test_expm_matches_scipy():
     # large norm exercises the squaring ladder
     b = 40.0 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     np.testing.assert_allclose(expm(b), scipy.linalg.expm(b), atol=1e-8 * np.max(np.abs(scipy.linalg.expm(b))))
+
+
+def test_expm_on_a_stack_with_mixed_norms():
+    # One squaring count serves the whole stack, taken from its largest norm;
+    # the small matrices must not lose accuracy to the extra squarings.
+    rng = np.random.default_rng(23)
+    scales = (0.0, 1e-3, 0.3, 2.0, 9.0, 40.0)
+    stack = np.array([s * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for s in scales])
+    got = expm(stack)
+    assert got.shape == stack.shape
+    for a, g in zip(stack, got):
+        want = scipy.linalg.expm(a)
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(want))))
+    with pytest.raises(ModelError):
+        expm(np.ones((2, 3, 4)))
+
+
+def _random_drift(rng, n):
+    coupling = rng.normal(scale=0.3, size=(n, n))
+    coupling = coupling + coupling.T
+    np.fill_diagonal(coupling, 0.0)
+    spec = NetworkSpec(omega=rng.uniform(1.0, 3.0, size=n), coupling=coupling)
+    a = rng.normal(size=(n, n))
+    return drift_matrix(spec, 0.5 * a @ a.T / n)
+
+
+def test_propagators_accept_a_scalar_or_a_time_array():
+    rng = np.random.default_rng(31)
+    times = np.linspace(0.0, 4.0, 7)
+    p = _params(n=3, gamma=0.7, eps=0.4)
+    d = _random_drift(rng, 3)
+    for one, stack, tol in (
+        (lambda t: propagator_closed_form(p, t), propagator_closed_form(p, times), 1e-15),
+        (lambda t: propagator_general(d, t), propagator_general(d, times), 1e-12),
+    ):
+        assert stack.shape == (times.size, 3, 3)
+        for t, theta in zip(times, stack):
+            single = one(float(t))
+            assert single.shape == (3, 3)
+            np.testing.assert_allclose(theta, single, rtol=0, atol=tol)
 
 
 def test_closed_form_identity_at_zero():
@@ -190,7 +232,80 @@ def test_trace_abort_on_overflowing_propagator():
     # reconstructed trace turns non-finite and the run must abort.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(NumericalError):
-        propagate_with(state, [0.0, 1.0], lambda t: (1.0 + 29.0 * t) * np.eye(2))
+        propagate_with(state, [0.0, 1.0], lambda t: (1.0 + 29.0 * t)[:, None, None] * np.eye(2))
+
+
+def test_trace_abort_names_first_failing_time_inside_a_block():
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    times = np.linspace(0.0, 1.0, 100)
+    bad = times[45]  # second block of 32, neither its first nor its last point
+    with pytest.raises(NumericalError, match=f"at t = {bad:g};"):
+        propagate_with(state, times, lambda t: np.where(t >= bad, 30.0, 1.0)[:, None, None] * np.eye(2))
+
+
+def test_well_separated_cat_keeps_unit_trace():
+    # exp(-1152) underflows to 0, so overlap ratios formed from two Gram
+    # matrices turn into 0/0; the log-domain coefficients stay finite.
+    state = make_rs_state(RSFamilySpec(n=4, r=4, s=0, alpha=12.0))
+    for eps in (0.0, 1.0):
+        traj = propagate(state, _params(n=4, eps=eps, steps=40))
+        trace = np.sum(traj.coeffs * np.swapaxes(gram_matrix(traj.labels), -1, -2), axis=(-2, -1))
+        np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(traj.purity)) and np.all(np.isfinite(traj.fidelity))
+
+
+def _per_point_reference(state, times, propagator_at):
+    """The per-time-point loop the batched propagation replaced, kept as its reference."""
+    beta = np.asarray(state.labels)
+    weights = np.asarray(state.weights)
+    w_outer = state.norm_factor**2 * np.outer(weights, weights.conj())
+    g0 = gram_matrix(beta)
+    labels, coeffs, occ, purity, fid = [], [], [], [], []
+    for t in times:
+        zeta = beta @ propagator_at(float(t)).T
+        gt = gram_matrix(zeta)
+        coeff = w_outer * (g0 / gt).T
+        m = coeff * gt.T
+        cg = coeff @ gt
+        w_in = state.norm_factor * (weights.conj() @ gram_matrix(beta, zeta))
+        labels.append(zeta)
+        coeffs.append(coeff)
+        occ.append(np.einsum("rs,sm,rm->m", m, zeta.conj(), zeta).real)
+        purity.append(np.real(np.sum(cg * cg.T)))
+        fid.append(np.real(w_in @ (coeff @ w_in.conj())))
+    return {
+        "labels": np.array(labels),
+        "coeffs": np.array(coeffs),
+        "occupations": np.array(occ),
+        "purity": np.array(purity),
+        "fidelity": np.array(fid),
+    }
+
+
+@pytest.mark.parametrize("points", [1, 31, 32, 33, 100])
+@pytest.mark.parametrize("path", ["closed_form", "general"])
+def test_batched_propagation_matches_per_point_loop(points, path):
+    rng = np.random.default_rng(1000 * points + len(path))
+    n = int(rng.integers(2, 6))
+    terms = int(rng.integers(3, 9))
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    labels = 0.6 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+    state = make_superposition(weights, labels)
+    assert state.num_terms == terms
+    times = np.linspace(0.0, 2.5, points)
+    if path == "closed_form":
+        plus, minus = degenerate_modes(n, 10.0, 0.5)
+        p = EvolutionParams(
+            n=n, gamma=0.8, epsilon=float(rng.uniform()), omega_plus=plus, omega_minus=minus, times=times
+        )
+        traj = propagate(state, p)
+        ref = _per_point_reference(state, times, lambda t: propagator_closed_form(p, t))
+    else:
+        d = _random_drift(rng, n)
+        traj = propagate_with(state, times, lambda t: propagator_general(d, t))
+        ref = _per_point_reference(state, times, lambda t: propagator_general(d, t))
+    for name, want in ref.items():
+        np.testing.assert_allclose(getattr(traj, name), want, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_time_grid_validation():

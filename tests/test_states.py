@@ -52,6 +52,17 @@ def test_gram_matrix_properties():
             assert abs(gx[r, s] - coherent_overlap(labels[r], other[s])) < 1e-14
 
 
+def test_gram_matrix_broadcasts_over_batch_axes():
+    rng = np.random.default_rng(4)
+    labels = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    stack = rng.normal(size=(5, 2, 3)) + 1j * rng.normal(size=(5, 2, 3))
+    gb = gram_matrix(labels, stack)
+    assert gb.shape == (5, 4, 2)
+    for k in range(5):
+        np.testing.assert_allclose(gb[k], gram_matrix(labels, stack[k]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(gram_matrix(stack)[3], gram_matrix(stack[3]), rtol=0, atol=1e-14)
+
+
 def test_cat_normalization_closed_form():
     # N=2, R=S=1, alpha = 1/sqrt(2): branch overlap exp(-4 alpha^2) = e^-2,
     # so the norm factor is (2 + 2 e^-2)^(-1/2).
