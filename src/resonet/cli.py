@@ -316,6 +316,7 @@ def _cmd_oracle_compare(args) -> int:
     decay = _decay_for(cfg)
     traj, _ = _run_trajectory(cfg, decay)
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
+    oracle.check_working_set(cfg.network.n, cutoff, cfg.times.size, cfg.state.labels)
     basis = oracle.FockBasisSpec(n=cfg.network.n, cutoff=cutoff)
     gen = oracle.build_generator(_effective_network(cfg), decay, basis)
     rho0 = oracle.embed_state(cfg.state, basis)
@@ -327,7 +328,7 @@ def _cmd_oracle_compare(args) -> int:
         lines.append(f"{_fmt(float(t))},{_fmt(float(d))}")
     _write_text(out / "oracle.csv", "\n".join(lines) + "\n")
 
-    tail = max(oracle.max_tail_mass(traj.labels[i], cutoff) for i in range(traj.times.size))
+    tail = oracle.max_tail_mass(traj.labels, cutoff)
     passed = report.max_distance < threshold
     _write_json(
         out / "oracle_summary.json",

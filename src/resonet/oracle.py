@@ -8,12 +8,19 @@ equation
 
 is applied with explicitly constructed mode operators, and time stepping is
 plain fixed-step fourth-order Runge-Kutta with re-hermitisation after every
-step.  Agreement with the analytic trajectory is then measured in trace
-distance.  Slow but independent.
+step, taken in the frame rotating at the mean mode frequency (see
+LindbladGenerator).  Agreement with the analytic trajectory is then measured
+in trace distance.  Slow but independent.
+
+Every dense array here is dim x dim complex, so memory is bounded up front:
+a basis, an integration and a superoperator matrix whose byte estimate
+exceeds _BYTE_BUDGET are rejected with ModelError before anything is
+allocated.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -37,6 +44,8 @@ __all__ = [
     "minimum_cutoff",
     "suggest_cutoff",
     "max_tail_mass",
+    "working_set_bytes",
+    "check_working_set",
     "coherent_vector",
     "embed_state",
     "embed_labels",
@@ -49,9 +58,13 @@ __all__ = [
     "compare",
 ]
 
-_DIM_GUARD = 65536
 _TAIL_LIMIT = 1e-10
 _TRACE_ABORT = 1e-6
+# Bytes the oracle may hold in dense complex arrays.
+_BYTE_BUDGET = 2 * 1024**3
+# Dense dim x dim arrays integrate holds besides the stored grid states: the
+# state, the four RK4 stages, the stage argument and apply's temporaries.
+_RK4_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,8 @@ class FockBasisSpec:
             raise ModelError("basis needs at least one mode")
         if self.cutoff < 1:
             raise ModelError("cutoff must be at least 1")
-        if self.dim > _DIM_GUARD:
-            raise ModelError(
-                f"basis dimension {(self.cutoff + 1)}^{self.n} exceeds the {_DIM_GUARD} guard"
-            )
+        # no basis is useful that cannot integrate even the shortest grid
+        check_working_set(self.n, self.cutoff, 2)
 
     @property
     def dim(self) -> int:
@@ -94,6 +105,41 @@ class FockDensityMatrix:
             lo = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
             if lo < -1e-8:
                 raise NumericalError(f"density matrix has eigenvalue {lo:.3e}")
+
+
+def _sci(x: int) -> str:
+    """Positive integer in three-digit scientific notation, also past the float range."""
+    e = int(math.log10(x))
+    return f"{x / 10**e:.2f}e{e}"
+
+
+def working_set_bytes(n: int, cutoff: int, points: int) -> int:
+    """Bytes of dense complex arrays integrate holds on n modes at this cutoff.
+
+    One density matrix per grid point plus _RK4_ARRAYS working copies, each
+    dim^2 * 16 bytes with dim = (cutoff + 1)^n.
+    """
+    dim = (cutoff + 1) ** n
+    return (points + _RK4_ARRAYS) * dim * dim * 16
+
+
+def check_working_set(n: int, cutoff: int, points: int, labels=None) -> None:
+    """Reject an integration over `points` grid times whose working set exceeds the byte budget.
+
+    With the initial labels the message also names the smallest cutoff the
+    state's tails allow and the bytes that cutoff would need.
+    """
+    need = working_set_bytes(n, cutoff, points)
+    if need <= _BYTE_BUDGET:
+        return
+    msg = (
+        f"oracle working set of {_sci(need)} bytes ({points} grid times, cutoff {cutoff}, "
+        f"dim {(cutoff + 1)}^{n}) exceeds the {_sci(_BYTE_BUDGET)}-byte budget"
+    )
+    if labels is not None:
+        low = minimum_cutoff(float(np.max(np.abs(np.asarray(labels)), initial=0.0)))
+        msg += f"; the state's minimum cutoff is {low}, needing {_sci(working_set_bytes(n, low, points))} bytes"
+    raise ModelError(msg)
 
 
 def mode_lowering_ops(basis: FockBasisSpec) -> list[sp.csr_array]:
@@ -143,21 +189,23 @@ def suggest_cutoff(state: SuperpositionState) -> int:
     return int(math.ceil(amax * amax + 6.0 * amax + 8.0))
 
 
+def _worst_tail(labels: np.ndarray, cutoff: int) -> tuple[float, float]:
+    """Largest per-mode Poisson tail among the label amplitudes (any shape), and its amplitude."""
+    worst, worst_amp = 0.0, 0.0
+    for a in np.abs(np.asarray(labels, dtype=complex)).ravel():
+        t = poisson_tail(float(a) ** 2, cutoff)
+        if t > worst:
+            worst, worst_amp = t, float(a)
+    return worst, worst_amp
+
+
 def max_tail_mass(labels: np.ndarray, cutoff: int) -> float:
     """Largest per-mode Poisson tail among all label amplitudes."""
-    amps = np.abs(np.asarray(labels, dtype=complex)).ravel()
-    if amps.size == 0:
-        return 0.0
-    return max(poisson_tail(float(a) ** 2, cutoff) for a in amps)
+    return _worst_tail(labels, cutoff)[0]
 
 
 def _check_tails(labels: np.ndarray, basis: FockBasisSpec) -> None:
-    worst = 0.0
-    worst_amp = 0.0
-    for a in np.abs(np.asarray(labels, dtype=complex)).ravel():
-        t = poisson_tail(float(a) ** 2, basis.cutoff)
-        if t > worst:
-            worst, worst_amp = t, float(a)
+    worst, worst_amp = _worst_tail(labels, basis.cutoff)
     if worst >= _TAIL_LIMIT:
         raise ModelError(
             f"inadequate cutoff {basis.cutoff}: truncated mass {worst:.3e} for amplitude "
@@ -216,9 +264,15 @@ def embed_labels(labels: np.ndarray, coeffs: np.ndarray, basis: FockBasisSpec) -
 class LindbladGenerator:
     """The master-equation right-hand side on a truncated basis.
 
-    Internally the double sum is grouped as B rho + rho B+ + sum_n a_n rho J_n+
-    with B = -i H - (1/2) sum_mn gamma_mn a_m+ a_n and J_n = sum_m gamma_mn a_m,
-    which is algebraically identical to the defining form.
+    H = sum_mk w_mk a_m+ a_k commutes with the total excitation number N, and
+    the dissipator is unchanged by the phase exp(-i theta N).  So the
+    generator splits exactly into the rotation -i wbar [N, rho] at the mean
+    mode frequency wbar = tr(W) / n and the generator of the shifted network
+    W - wbar I; `apply` is the sum of the two (the lab frame), and
+    `in_rotating_frame()` drops the rotation.  The shifted part is grouped as
+    B rho + rho B+ + sum_n a_n rho J_n+ with B = -i H' - (1/2) sum_mn
+    gamma_mn a_m+ a_n, H' built from W - wbar I, and J_n = sum_m gamma_mn
+    a_m, which is algebraically identical to the defining form.
     """
 
     def __init__(self, basis: FockBasisSpec, w: np.ndarray, gamma: np.ndarray) -> None:
@@ -230,14 +284,16 @@ class LindbladGenerator:
         self.basis = basis
         self.w = w
         self.gamma = gamma
+        self.omega_bar = float(np.trace(w)) / n
+        shifted = w - self.omega_bar * np.eye(n)
         lower = mode_lowering_ops(basis)
         raise_ops = [op.conj().T.tocsr() for op in lower]
         ham = None
         anti = None
         for m in range(n):
             for k in range(n):
-                if w[m, k] != 0.0:
-                    t = w[m, k] * (raise_ops[m] @ lower[k])
+                if shifted[m, k] != 0.0:
+                    t = shifted[m, k] * (raise_ops[m] @ lower[k])
                     ham = t if ham is None else ham + t
                 if gamma[m, k] != 0.0:
                     t = gamma[m, k] * (raise_ops[m] @ lower[k])
@@ -260,10 +316,20 @@ class LindbladGenerator:
                     t = gamma[m, k] * lower[m]
                     j = t if j is None else j + t
             self._jump_t.append(None if j is None else j.conj().tocsr())
+        # total excitation number of each basis state
+        self._occ = _occupation_digits(basis).sum(axis=1)
+        # rates of the rotating-frame generator, the one integrate steps with
         self.rate_scale = max(
-            float(np.max(np.sum(np.abs(w), axis=1), initial=0.0)),
+            float(np.max(np.sum(np.abs(shifted), axis=1), initial=0.0)),
             float(n * np.max(np.abs(gamma), initial=0.0)),
         )
+
+    def in_rotating_frame(self) -> LindbladGenerator:
+        """This generator in the frame rotating at omega_bar: the network W - omega_bar I."""
+        frame = copy.copy(self)
+        frame.w = self.w - self.omega_bar * np.eye(self.basis.n)
+        frame.omega_bar = 0.0
+        return frame
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = self._b @ rho + (self._bc @ rho.T).T
@@ -272,13 +338,19 @@ class LindbladGenerator:
                 continue
             x = self._lower[k] @ rho
             out = out + (jt @ x.T).T
+        if self.omega_bar != 0.0:
+            out = out - (1j * self.omega_bar) * (self._occ[:, None] * rho - rho * self._occ)
         return out
 
     def matrix(self) -> np.ndarray:
         """Dense superoperator matrix (row-major vec convention)."""
         d = self.basis.dim
-        if d * d > _DIM_GUARD:
-            raise ModelError(f"superoperator matrix would exceed the {_DIM_GUARD} guard")
+        need = d**4 * 16
+        if need > _BYTE_BUDGET:
+            raise ModelError(
+                f"superoperator matrix of {_sci(need)} bytes (dim {d}) exceeds the "
+                f"{_sci(_BYTE_BUDGET)}-byte budget"
+            )
         out = np.empty((d * d, d * d), dtype=complex)
         e = np.zeros((d, d), dtype=complex)
         for a in range(d):
@@ -304,7 +376,10 @@ def dissipator_matrix(gamma, basis: FockBasisSpec) -> np.ndarray:
 
 
 def step_size(gen: LindbladGenerator, times) -> float:
-    """Fixed RK4 step: min(0.01 / rate scale, smallest grid spacing)."""
+    """Fixed RK4 step: min(0.01 / rate scale, smallest grid spacing).
+
+    The rate scale is that of the rotating frame integrate steps in.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size < 2:
         raise ModelError("integration needs at least two grid times")
@@ -319,23 +394,29 @@ def step_size(gen: LindbladGenerator, times) -> float:
 def integrate(rho0, gen: LindbladGenerator, times) -> list[FockDensityMatrix]:
     """Integrate the master equation over the grid with fixed-step RK4.
 
+    The steps are taken in the frame rotating at the mean mode frequency
+    omega_bar, where the fast phase of omega_bar N is gone; each stored state
+    is rotated back to the lab frame, rho_ab(t) = exp(-i omega_bar (t - t0)
+    (N_a - N_b)) rho_I,ab(t), which changes neither trace nor Hermiticity.
     The state is re-hermitised after every step; trace drift beyond 1e-6
     aborts with NumericalError.  Returns one density matrix per grid time,
     the first being rho0 itself.
     """
-    rho = np.array(getattr(rho0, "matrix", rho0), dtype=complex, copy=True)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     h_target = step_size(gen, times)
+    check_working_set(gen.basis.n, gen.basis.cutoff, times.size)
+    rho = np.array(getattr(rho0, "matrix", rho0), dtype=complex, copy=True)
+    frame = gen.in_rotating_frame()
     out = [FockDensityMatrix(rho.copy())]
     for i in range(times.size - 1):
         dt = float(times[i + 1] - times[i])
         nsub = max(1, int(math.ceil(dt / h_target - 1e-12)))
         h = dt / nsub
         for _ in range(nsub):
-            k1 = gen.apply(rho)
-            k2 = gen.apply(rho + 0.5 * h * k1)
-            k3 = gen.apply(rho + 0.5 * h * k2)
-            k4 = gen.apply(rho + h * k3)
+            k1 = frame.apply(rho)
+            k2 = frame.apply(rho + 0.5 * h * k1)
+            k3 = frame.apply(rho + 0.5 * h * k2)
+            k4 = frame.apply(rho + h * k3)
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = 0.5 * (rho + rho.conj().T)
             tr = np.trace(rho).real
@@ -344,7 +425,8 @@ def integrate(rho0, gen: LindbladGenerator, times) -> list[FockDensityMatrix]:
                     f"trace drifted to {tr!r} near t = {times[i + 1]:g} (step {h:g}); "
                     "integration aborted"
                 )
-        out.append(FockDensityMatrix(rho.copy()))
+        phase = np.exp(-1j * gen.omega_bar * (times[i + 1] - times[0]) * gen._occ)
+        out.append(FockDensityMatrix(phase[:, None] * rho * phase.conj()))
     return out
 
 

@@ -114,6 +114,20 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_oracle_compare_leaves_scipy_sparse_linalg_unloaded(tmp_path):
+    # scipy.sparse.linalg alone adds about 9.5 MB to the oracle's peak RSS.
+    cfg = _write_scenario(tmp_path / "s.json", evolution={"t_max": 0.1, "steps": 2})
+    env = dict(os.environ, PYTHONPATH=str(Path(resonet.__file__).resolve().parents[1]))
+    code = (
+        "import sys; from resonet.cli import main; "
+        f"code = main(['oracle-compare', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.sparse.linalg' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_evolve_reruns_are_byte_identical(tmp_path):
     cfg = _write_scenario(tmp_path / "s.json", output={"svg": True})
     out = tmp_path / "out"
@@ -218,6 +232,23 @@ def test_oracle_compare_pass_and_mismatch(tmp_path):
         )
         == 3
     )
+
+
+def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
+    # The README's example scenario: cutoff 13 gives dim 38416 and 22 GiB per
+    # density matrix.  The byte estimate stops it before anything is embedded.
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"n": 4, "omega": 10.0, "lambda": 0.5},
+        reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.0},
+        state={"r": 2, "s": 2, "alpha": 0.7},
+        evolution={"t_max": 5.0, "steps": 50},
+    )
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "minimum cutoff is 10" in err
+    assert not (out / "oracle.csv").exists()
 
 
 def test_sweep_command(tmp_path):

@@ -254,6 +254,40 @@ def test_well_separated_cat_keeps_unit_trace():
         assert np.all(np.isfinite(traj.purity)) and np.all(np.isfinite(traj.fidelity))
 
 
+def test_large_random_labels_keep_unit_trace_and_match_the_ratio_form():
+    # Labels scattered around centres of modulus up to 30: some pairs overlap
+    # (finite but with exponents near -900 inside the Gram matrices), others
+    # are so far apart that the overlaps underflow and the old ratio of two
+    # exps turns into 0/0.
+    compared = underflowed = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        terms = int(rng.integers(2, 7))
+        centre = rng.uniform(0.0, 30.0, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        spread = rng.uniform(0.2, 12.0, size=(terms, 1))
+        labels = centre + spread * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+        assert np.max(np.abs(labels)) < 80.0
+        state = make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels)
+        params = _params(n=n, gamma=float(rng.uniform(0.5, 2.0)), eps=float(rng.uniform()), steps=30)
+        traj = propagate(state, params)
+        trace = np.sum(traj.coeffs * np.swapaxes(gram_matrix(traj.labels), -1, -2), axis=(-2, -1))
+        np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12, err_msg=f"seed {seed}")
+
+        g0 = gram_matrix(state.labels)
+        gt = gram_matrix(traj.labels)
+        w_outer = state.norm_factor**2 * np.outer(state.weights, state.weights.conj())
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = w_outer * np.swapaxes(g0 / gt, -1, -2)
+        # subnormal overlaps carry too few digits for a relative comparison
+        normal = (np.abs(g0) > 1e-300) & (np.abs(gt) > 1e-300)
+        ok = np.isfinite(ratio) & np.swapaxes(normal, -1, -2)
+        np.testing.assert_allclose(traj.coeffs[ok], ratio[ok], rtol=1e-9, atol=0, err_msg=f"seed {seed}")
+        compared += int(np.sum(ok & ~np.eye(terms, dtype=bool)))
+        underflowed += int(np.sum(~np.isfinite(ratio)))
+    assert compared > 0 and underflowed > 0
+
+
 def _per_point_reference(state, times, propagator_at):
     """The per-time-point loop the batched propagation replaced, kept as its reference."""
     beta = np.asarray(state.labels)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resonet import (
     EvolutionParams,
     ModelError,
+    NetworkSpec,
     RSFamilySpec,
     coherent_overlap,
     decay_matrix_common,
@@ -26,6 +28,44 @@ def test_basis_dimension_guard():
         oracle.FockBasisSpec(n=3, cutoff=50)
     with pytest.raises(ModelError):
         oracle.FockBasisSpec(n=0, cutoff=3)
+
+
+def test_working_set_estimate_and_budget():
+    # (grid points + RK4 arrays) dense dim x dim complex matrices
+    assert oracle.working_set_bytes(2, 12, 11) == (11 + oracle._RK4_ARRAYS) * 169**2 * 16
+    oracle.check_working_set(2, 12, 11)
+    # n = 4, r = s = 2, alpha = 0.7: suggest_cutoff picks 13 (dim 38416,
+    # 22 GiB per density matrix); even the minimum cutoff 10 cannot fit
+    state = make_rs_state(RSFamilySpec(n=4, r=2, s=2, alpha=0.7))
+    assert oracle.suggest_cutoff(state) == 13
+    assert oracle.minimum_cutoff(0.7) == 10
+    with pytest.raises(ModelError) as err:
+        oracle.check_working_set(4, 13, 51, state.labels)
+    need = oracle.working_set_bytes(4, 13, 51)
+    assert need > oracle._BYTE_BUDGET
+    assert oracle._sci(need) in str(err.value)
+    assert "minimum cutoff is 10" in str(err.value)
+    # astronomically large bases are rejected without overflowing the message
+    with pytest.raises(ModelError):
+        oracle.FockBasisSpec(n=400, cutoff=12)
+
+
+def test_superoperator_matrix_budget(monkeypatch):
+    gen = oracle.build_generator(
+        degenerate_network(1, 2.0, 0.0), decay_matrix_common(1, 0.5, 0.0), oracle.FockBasisSpec(n=1, cutoff=3)
+    )
+    # dim 4: the matrix is 4^4 * 16 = 4096 bytes
+    monkeypatch.setattr(oracle, "_BYTE_BUDGET", 4096)
+    assert gen.matrix().shape == (16, 16)
+    monkeypatch.setattr(oracle, "_BYTE_BUDGET", 4095)
+    with pytest.raises(ModelError):
+        gen.matrix()
+
+
+def test_max_tail_mass_scans_a_whole_trajectory():
+    labels = np.array([[[0.1, 2.0]], [[1.5j, 0.3]], [[0.0, -2.5]]])
+    per_time = [oracle.max_tail_mass(labels[i], 6) for i in range(3)]
+    assert oracle.max_tail_mass(labels, 6) == max(per_time) == oracle.poisson_tail(6.25, 6)
 
 
 def test_lowering_operator_matrix_elements():
@@ -184,14 +224,36 @@ def test_integration_step_halving_converges():
     assert np.max(np.abs(coarse - halved)) < 1e-8
 
 
+def test_rotating_frame_integration_matches_exact_exponential():
+    # Detuned modes (mean frequency 3.9), so the frame phase is nonzero, and a
+    # random positive semidefinite decay matrix with cross terms.  A wrong
+    # sign of the back-rotation or a wrong mean frequency moves the result by
+    # far more than the tolerance.
+    basis = oracle.FockBasisSpec(n=2, cutoff=4)
+    spec = NetworkSpec(omega=[3.1, 4.7], coupling=[[0.0, 0.4], [0.4, 0.0]])
+    x = np.random.default_rng(7).normal(size=(2, 2))
+    gen = oracle.build_generator(spec, x @ x.T, basis)
+    assert abs(gen.omega_bar - 3.9) < 1e-15
+    # a truncated cat (no tail check needed: both sides see the same basis)
+    psi = oracle.coherent_vector([0.6, -0.4j], basis) + 0.5j * oracle.coherent_vector([-0.3, 0.5], basis)
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    times = np.linspace(0.0, 0.6, 4)
+    rhos = oracle.integrate(rho0, gen, times)
+    mat = gen.matrix()
+    for t, rho in zip(times, rhos):
+        exact = (scipy.linalg.expm(t * mat) @ rho0.ravel()).reshape(rho0.shape)
+        assert np.max(np.abs(rho.matrix - exact)) < 1e-10
+
+
 def test_step_size_rule():
     basis = oracle.FockBasisSpec(n=2, cutoff=3)
     spec = degenerate_network(2, 10.0, 0.5)
     decay = decay_matrix_common(2, 1.0, 0.0)
     gen = oracle.build_generator(spec, decay, basis)
-    # rate scale is the infinity norm of the frequency matrix here
-    assert abs(gen.rate_scale - 10.5) < 1e-12
-    assert abs(oracle.step_size(gen, [0.0, 1.0]) - 0.01 / 10.5) < 1e-15
+    # the rotating frame removes 10 N, leaving n * max gamma = 2 above the
+    # infinity norm 0.5 of the shifted frequency matrix
+    assert abs(gen.rate_scale - 2.0) < 1e-12
+    assert abs(oracle.step_size(gen, [0.0, 1.0]) - 0.005) < 1e-15
     assert abs(oracle.step_size(gen, [0.0, 1e-4]) - 1e-4) < 1e-18
     with pytest.raises(ModelError):
         oracle.step_size(gen, [0.0])
