@@ -26,12 +26,10 @@ from .reservoir import (
     ReservoirSpec,
     build_decay_matrix,
     coupling_value,
-    correlation_coupled,
-    correlation_negligible,
     decay_matrix_common,
     decay_matrix_distinct,
     decay_matrix_from_couplings,
-    default_profile_width,
+    rate_split,
     renormalized_frequency,
 )
 from .states import (
@@ -65,6 +63,7 @@ from .dfs import (
     Regime,
     classify,
     collective_lowering_eigencheck,
+    decoherence_time,
     master_equation_reduction_check,
 )
 
@@ -89,12 +88,10 @@ __all__ = [
     "DecayMatrix",
     "build_decay_matrix",
     "coupling_value",
-    "correlation_coupled",
-    "correlation_negligible",
     "decay_matrix_common",
     "decay_matrix_distinct",
     "decay_matrix_from_couplings",
-    "default_profile_width",
+    "rate_split",
     "renormalized_frequency",
     "SuperpositionState",
     "RSFamilySpec",
@@ -122,5 +119,6 @@ __all__ = [
     "Regime",
     "classify",
     "collective_lowering_eigencheck",
+    "decoherence_time",
     "master_equation_reduction_check",
 ]

@@ -42,11 +42,7 @@ EXIT_MISMATCH = 3
 
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
+    return format(x, ".9g")
 
 
 def _jsonable(obj):
@@ -138,13 +134,6 @@ def _effective_network(cfg: ScenarioConfig) -> network.NetworkSpec:
     return cfg.network
 
 
-def _decay_for(cfg: ScenarioConfig) -> reservoir.DecayMatrix:
-    if cfg.reservoir.kind is reservoir.ReservoirKind.COMMON_PROFILE:
-        decomp = network.normal_modes(cfg.network)
-        return reservoir.build_decay_matrix(cfg.reservoir, cfg.network.n, decomp)
-    return reservoir.build_decay_matrix(cfg.reservoir, cfg.network.n)
-
-
 def _closed_form_applies(cfg: ScenarioConfig) -> bool:
     return (
         cfg.degenerate is not None
@@ -186,23 +175,6 @@ def _decay_extremes(decay: reservoir.DecayMatrix) -> tuple[float, float]:
     return float(np.min(values)), float(np.max(values))
 
 
-def _tau_formula(cfg: ScenarioConfig) -> float | None:
-    """Two-branch decoherence time when the scenario supports the formula."""
-    if cfg.rs is None or complex(cfg.rs.alpha) == 0.0:
-        return None
-    kind = cfg.reservoir.kind
-    if kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE:
-        return evolve.decoherence_time_formula(cfg.rs, cfg.reservoir.sigma, cfg.reservoir.epsilon)
-    if kind is reservoir.ReservoirKind.DISTINCT_STRONG_COUPLING:
-        gamma_eff, eps_eff = evolve.distinct_as_common(
-            cfg.network.n, cfg.reservoir.gamma_plus, cfg.reservoir.gamma_minus
-        )
-        if gamma_eff <= 0.0:
-            return None
-        return evolve.decoherence_time_formula(cfg.rs, gamma_eff, eps_eff)
-    return None
-
-
 def _summarize(
     cfg: ScenarioConfig, traj: evolve.Trajectory, path_name: str, decay: reservoir.DecayMatrix
 ) -> dict:
@@ -216,7 +188,7 @@ def _summarize(
         "propagator": path_name,
         "gamma_down": gamma_down,
         "gamma_up": gamma_up,
-        "tau_d_formula": _tau_formula(cfg),
+        "tau_d_formula": dfs.decoherence_time(cfg.rs, cfg.reservoir),
         "tau_d_numeric": tau_numeric,
         "final": evolve.observables(traj, -1),
     }
@@ -252,10 +224,11 @@ def _cmd_modes(args) -> int:
 def _cmd_evolve(args) -> int:
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
-    decay = _decay_for(cfg)
+    decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     traj, path_name = _run_trajectory(cfg, decay)
+    summary = _summarize(cfg, traj, path_name, decay)
     _write_text(out / "trajectory.csv", evolve.trajectory_to_csv(traj))
-    _write_json(out / "summary.json", _summarize(cfg, traj, path_name, decay))
+    _write_json(out / "summary.json", summary)
     if cfg.svg:
         _write_text(out / "occupation.svg", _svg_series(traj.times, traj.total_occupation, "total occupation"))
         _write_text(out / "purity.svg", _svg_series(traj.times, traj.purity, "purity"))
@@ -264,40 +237,12 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _regime_for(cfg: ScenarioConfig) -> dfs.Regime:
-    kind = cfg.reservoir.kind
-    if kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE:
-        if cfg.reservoir.epsilon >= 1.0 - 1e-6:
-            return dfs.Regime.COMMON_EPS1
-        return dfs.Regime.COMMON_EPS_SMALL
-    if kind is reservoir.ReservoirKind.DISTINCT_STRONG_COUPLING:
-        return dfs.Regime.DISTINCT_STRONG
-    raise ModelError(
-        "classification covers white-noise and distinct reservoirs; "
-        "profile reservoirs have no closed-form regime"
-    )
-
-
 def _cmd_classify(args) -> int:
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
     if cfg.state is None:
         raise ConfigError("classify needs a 'state' section in the scenario")
-    regime = _regime_for(cfg)
-    if regime is dfs.Regime.DISTINCT_STRONG:
-        report = dfs.classify(
-            cfg.state,
-            cfg.rs,
-            gamma=0.0,
-            epsilon=0.0,
-            regime=regime,
-            gamma_plus=cfg.reservoir.gamma_plus,
-            gamma_minus=cfg.reservoir.gamma_minus,
-        )
-    else:
-        report = dfs.classify(
-            cfg.state, cfg.rs, gamma=cfg.reservoir.sigma, epsilon=cfg.reservoir.epsilon, regime=regime
-        )
+    report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir)
     payload = {"n": cfg.network.n, **report.to_json_dict()}
     _write_json(out / "classification.json", payload)
     verdict = "DFS" if report.is_dfs else "not DFS"
@@ -313,7 +258,7 @@ def _cmd_oracle_compare(args) -> int:
     threshold = args.threshold if args.threshold is not None else cfg.oracle_threshold
     if threshold <= 0.0:
         raise ConfigError("threshold must be positive")
-    decay = _decay_for(cfg)
+    decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     traj, _ = _run_trajectory(cfg, decay)
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
     oracle.check_working_set(cfg.network.n, cutoff, cfg.times.size, cfg.state.labels)
@@ -381,7 +326,7 @@ def _patched(raw: dict, param: str, value: float) -> dict:
 
 def _sweep_one(raw: dict, param: str, value: float) -> dict:
     cfg = parse_scenario(_patched(raw, param, value))
-    decay = _decay_for(cfg)
+    decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     traj, path_name = _run_trajectory(cfg, decay)
     summary = _summarize(cfg, traj, path_name, decay)
     return {

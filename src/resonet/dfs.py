@@ -20,7 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .evolve import decoherence_time_formula, distinct_as_common, effective_rates
+from .evolve import decoherence_time_formula, effective_rates
+from .reservoir import (
+    ReservoirKind,
+    ReservoirSpec,
+    decay_matrix_common,
+    decay_matrix_distinct,
+    rate_split,
+)
 from .states import RSFamilySpec, SuperpositionState
 
 __all__ = [
@@ -28,6 +35,7 @@ __all__ = [
     "ClassificationReport",
     "collective_lowering_eigencheck",
     "classify",
+    "decoherence_time",
     "master_equation_reduction_check",
 ]
 
@@ -89,56 +97,55 @@ def _mean_amplitude_protected(state: SuperpositionState) -> bool:
     return bool(np.max(np.abs(means)) <= 1e-10 * scale)
 
 
+def decoherence_time(spec: Optional[RSFamilySpec], reservoir: ReservoirSpec) -> Optional[float]:
+    """Two-branch decoherence time of the family in the reservoir.
+
+    The formula of decoherence_time_formula on the reservoir's rate split.
+    None when there is no two-branch spec with a nonzero amplitude, or when
+    the reservoir (coupling profiles) has no closed-form rate split.
+    """
+    if spec is None or complex(spec.alpha) == 0.0:
+        return None
+    split = rate_split(reservoir, spec.n)
+    return None if split is None else decoherence_time_formula(spec, *split)
+
+
 def classify(
     state: SuperpositionState,
     spec: Optional[RSFamilySpec],
-    gamma: float,
-    epsilon: float,
-    regime: Regime,
-    gamma_plus: Optional[float] = None,
-    gamma_minus: Optional[float] = None,
+    reservoir: ReservoirSpec,
 ) -> ClassificationReport:
-    """Classify a state as decoherence-free / relaxation-free in a regime.
+    """Classify a state as decoherence-free / relaxation-free in a reservoir.
 
+    The reservoir decides the regime: white noise with epsilon within 1e-6
+    of 1 is COMMON_EPS1, any other white noise COMMON_EPS_SMALL, distinct
+    reservoirs DISTINCT_STRONG; profile reservoirs have none (ModelError).
     For the fully correlated common reservoir and for dominantly collective
     distinct reservoirs the collective-lowering eigencheck decides
     membership; for a weakly correlated common reservoir only single-product
     states avoid decoherence.  The decoherence time is reported when the
-    two-branch spec is available.  Regime and parameters must agree
-    (e.g. COMMON_EPS1 demands epsilon within 1e-6 of 1).
+    two-branch spec is available.
     """
     n = state.n
     if spec is not None and spec.n != n:
         raise ModelError("family spec and state disagree on the resonator count")
-    if gamma < 0.0:
-        raise ModelError("decay rate must be nonnegative")
 
-    if regime is Regime.DISTINCT_STRONG:
-        if gamma_plus is None or gamma_minus is None:
-            raise ModelError("distinct-reservoir classification needs gamma_plus and gamma_minus")
-        if gamma_plus <= 0.0:
+    if reservoir.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
+        if reservoir.gamma_plus <= 0.0:
             raise ModelError("distinct-reservoir classification needs gamma_plus > 0")
-        # Same master-equation structure as the common reservoir with the
-        # substitution gamma -> mean diagonal rate, cross rate -> (g+ - g-)/n,
-        # for which the split rates are exactly gamma_minus and gamma_plus.
-        gamma_eff, eps_eff = distinct_as_common(n, gamma_plus, gamma_minus)
-        collective = n * gamma_minus / gamma_plus < _DISTINCT_RATIO
-        rate_slow, rate_fast = gamma_minus, gamma_plus
-    else:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ModelError("epsilon must lie in [0, 1]")
-        if regime is Regime.COMMON_EPS1 and epsilon < 1.0 - _EPS_ONE_TOL:
-            raise ModelError(
-                f"regime {regime.value} requires epsilon within {_EPS_ONE_TOL:g} of 1, got {epsilon:g}"
-            )
-        if regime is Regime.COMMON_EPS_SMALL and epsilon >= 1.0 - _EPS_ONE_TOL:
-            raise ModelError(
-                f"regime {regime.value} covers epsilon below 1 - {_EPS_ONE_TOL:g}, got {epsilon:g}"
-            )
-        gamma_eff, eps_eff = gamma, epsilon
-        collective = regime is Regime.COMMON_EPS1
-        rates = effective_rates(n, gamma, epsilon)
+        regime = Regime.DISTINCT_STRONG
+        collective = n * reservoir.gamma_minus / reservoir.gamma_plus < _DISTINCT_RATIO
+        rate_slow, rate_fast = reservoir.gamma_minus, reservoir.gamma_plus
+    elif reservoir.kind is ReservoirKind.COMMON_WHITE_NOISE:
+        collective = reservoir.epsilon >= 1.0 - _EPS_ONE_TOL
+        regime = Regime.COMMON_EPS1 if collective else Regime.COMMON_EPS_SMALL
+        rates = effective_rates(n, reservoir.sigma, reservoir.epsilon)
         rate_slow, rate_fast = rates.gamma_down, rates.gamma_up
+    else:
+        raise ModelError(
+            "classification covers white-noise and distinct reservoirs; "
+            "profile reservoirs have no closed-form regime"
+        )
 
     passed, eig = collective_lowering_eigencheck(state)
     if collective:
@@ -151,17 +158,14 @@ def classify(
         is_dfs = state.num_terms == 1
         is_rfs = False
 
-    tau_d = math.inf
-    if spec is not None and complex(spec.alpha) != 0.0:
-        tau_d = decoherence_time_formula(spec, gamma_eff, eps_eff)
-
+    tau_d = decoherence_time(spec, reservoir)
     rate = rate_slow if _mean_amplitude_protected(state) else rate_fast
     return ClassificationReport(
         is_dfs=is_dfs,
         is_rfs=is_rfs,
         lindblad_eigenvalue=eig,
         effective_decay_rate=rate,
-        tau_d=tau_d,
+        tau_d=math.inf if tau_d is None else tau_d,
         regime=regime,
     )
 
@@ -185,7 +189,6 @@ def master_equation_reduction_check(
     1e-10 (absolute, in rate units).
     """
     from . import oracle
-    from .reservoir import decay_matrix_common, decay_matrix_distinct
 
     if n < 1 or n > 3:
         raise ModelError("reduction check is limited to 1..3 resonators")

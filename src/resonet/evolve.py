@@ -40,7 +40,6 @@ __all__ = [
     "RateSplit",
     "Trajectory",
     "effective_rates",
-    "distinct_as_common",
     "propagator_closed_form",
     "expm",
     "propagator_general",
@@ -81,11 +80,15 @@ class EvolutionParams:
             raise ModelError("decay rate must be nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ModelError("epsilon must lie in [0, 1]")
-        t = self.times
-        if t.size == 0 or t[0] != 0.0:
-            raise ModelError("time grid must start at 0")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ModelError("time grid must be strictly increasing")
+        _check_grid(self.times)
+
+
+def _check_grid(times: np.ndarray) -> None:
+    """A time grid is nonempty, starts at 0 and increases strictly."""
+    if times.size == 0 or times[0] != 0.0:
+        raise ModelError("time grid must start at 0")
+    if np.any(np.diff(times) <= 0.0):
+        raise ModelError("time grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -112,18 +115,6 @@ def effective_rates(n: int, gamma: float, epsilon: float) -> RateSplit:
         gamma_down=(1.0 - epsilon) * gamma,
         gamma_up=(1.0 + (n - 1) * epsilon) * gamma,
     )
-
-
-def distinct_as_common(n: int, gamma_plus: float, gamma_minus: float) -> tuple[float, float]:
-    """Common-reservoir (gamma, epsilon) with the split rates of distinct reservoirs.
-
-    gamma = (gamma_plus + (n-1) gamma_minus) / n is the mean direct rate and
-    epsilon = (gamma_plus - gamma_minus) / (gamma_plus + (n-1) gamma_minus),
-    for which effective_rates returns gamma_minus and gamma_plus.  When that
-    denominator is zero there is no damping at all and epsilon is reported as 0.
-    """
-    total = gamma_plus + (n - 1) * gamma_minus
-    return total / n, ((gamma_plus - gamma_minus) / total if total > 0.0 else 0.0)
 
 
 def propagator_closed_form(params: EvolutionParams, t) -> np.ndarray:
@@ -227,10 +218,11 @@ def propagate_with(
 ) -> Trajectory:
     """Evolve a state with an arbitrary label propagator Theta(t).
 
-    The grid is processed in blocks of _BLOCK consecutive times: the
-    propagator is called once per block with a 1-D array of T times and must
-    return the (T, n, n) stack, and every observable of the block is then
-    evaluated as one batched array operation.  The pair coefficients are
+    The time grid must be nonempty, start at 0 and increase strictly.  It is
+    processed in blocks of _BLOCK consecutive times: the propagator is called
+    once per block with a 1-D array of T times and must return the (T, n, n)
+    stack, and every observable of the block is then evaluated as one
+    batched array operation.  The pair coefficients are
     built in the log domain,
     c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
     so overlaps that underflow on their own still give finite coefficients.
@@ -241,6 +233,7 @@ def propagate_with(
     the message names the first such time.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_grid(times)
     beta = np.asarray(state.labels)
     terms, n = beta.shape
     weights = np.asarray(state.weights)
@@ -300,22 +293,27 @@ def propagate_with(
     )
 
 
-def decoherence_time_formula(spec: RSFamilySpec, gamma: float, epsilon: float) -> float:
-    """Decoherence time of the two-branch family in a common reservoir.
+def decoherence_time_formula(spec: RSFamilySpec, gamma: float, gamma_down: float) -> float:
+    """Decoherence time of the two-branch family from a collective rate split.
 
     1 / (2 |alpha|^2 [(R-S)^2 gamma + ((R+S) - (R-S)^2) gamma_down]) with
-    gamma_down = (1 - epsilon) gamma; infinite when the bracket vanishes
-    (the protected R = S configurations at epsilon = 1, and R = S = 0).
+    gamma the mean direct rate and gamma_down the rate on the protected
+    manifold (for white noise (1 - epsilon) gamma); infinite when the bracket
+    vanishes (the protected R = S configurations at gamma_down = 0, and
+    R = S = 0).  The rates must belong to a positive-semidefinite decay
+    matrix: gamma_down >= 0 and gamma_up = n gamma - (n-1) gamma_down >= 0.
     """
     alpha2 = abs(complex(spec.alpha)) ** 2
     if alpha2 == 0.0:
         raise ModelError("decoherence time needs a nonzero branch amplitude")
-    if gamma < 0.0:
-        raise ModelError("decay rate must be nonnegative")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ModelError("epsilon must lie in [0, 1]")
+    gamma_up = spec.n * gamma - (spec.n - 1) * gamma_down
+    # gamma_up = 0 (gamma_plus = 0) may come out a rounding step below zero.
+    slack = 1e-12 * max(1.0, abs(gamma), abs(gamma_down))
+    if gamma_down < 0.0 or gamma_up < -slack:
+        raise ModelError(
+            f"rates gamma = {gamma:g}, gamma_down = {gamma_down:g} give no positive-semidefinite decay matrix"
+        )
     diff2 = (spec.r - spec.s) ** 2
-    gamma_down = (1.0 - epsilon) * gamma
     denom = diff2 * gamma + ((spec.r + spec.s) - diff2) * gamma_down
     if denom <= 0.0:
         return math.inf

@@ -159,17 +159,32 @@ def mode_lowering_ops(basis: FockBasisSpec) -> list[sp.csr_array]:
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
-    """P(K > cutoff) for a Poisson variable with the given mean."""
+    """P(K > cutoff) for a Poisson variable with the given mean.
+
+    Below the mean the tail is 1 minus the terms up to the cutoff.  From the
+    mean on the terms above the cutoff fall monotonically and are summed
+    directly, so a tail far below the double rounding of 1 keeps its full
+    relative precision.
+    """
     if mean < 0.0:
         raise ModelError("Poisson mean must be nonnegative")
     if mean == 0.0:
         return 0.0
-    term = math.exp(-mean)
-    total = term
-    for k in range(1, cutoff + 1):
+    if cutoff < mean:
+        term = math.exp(-mean)
+        total = term
+        for k in range(1, cutoff + 1):
+            term *= mean / k
+            total += term
+        return max(0.0, 1.0 - total)
+    k = cutoff + 1
+    term = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+    tail = 0.0
+    while tail + term != tail:
+        tail += term
+        k += 1
         term *= mean / k
-        total += term
-    return max(0.0, 1.0 - total)
+    return tail
 
 
 def minimum_cutoff(amplitude: float) -> int:

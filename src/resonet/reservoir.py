@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import network
 from .errors import ModelError
-from .network import NormalModeDecomposition, _frozen
+from .network import NetworkSpec, NormalModeDecomposition, _frozen
 
 __all__ = [
     "ReservoirKind",
@@ -26,14 +27,12 @@ __all__ = [
     "ReservoirSpec",
     "DecayMatrix",
     "coupling_value",
-    "correlation_coupled",
-    "correlation_negligible",
     "decay_matrix_common",
     "decay_matrix_from_couplings",
     "decay_matrix_distinct",
     "renormalized_frequency",
-    "default_profile_width",
     "build_decay_matrix",
+    "rate_split",
 ]
 
 
@@ -129,65 +128,13 @@ class DecayMatrix:
 
 
 # ---------------------------------------------------------------------------
-# coupling profiles and correlation functions
+# coupling profiles
 
 
 def coupling_value(profile: CouplingProfile, freq: float) -> float:
     """Reservoir coupling strength of one resonator at the given frequency."""
     s = float(np.sum(np.exp(-profile.widths * (freq - profile.centers) ** 2)))
     return profile.amplitude * math.sqrt(s)
-
-
-def correlation_coupled(spec: ReservoirSpec, m: int, n: int, ell: int) -> float:
-    """Cross-damping correlation of resonators m and n at normal mode ell.
-
-    Evaluates sigma * V_m * V_n * sqrt(sum_{j,j'} exp(-w_j (O_l - c_j)^2
-    - w_j' (O_l - c_j')^2)) on the shared Gaussian components; requires a
-    COMMON_PROFILE reservoir whose profiles share centers and widths.
-    """
-    if spec.kind is not ReservoirKind.COMMON_PROFILE:
-        raise ModelError("coupled-mode correlations need a common_profile reservoir")
-    profiles = spec.profiles or ()
-    if not (0 <= m < len(profiles) and 0 <= n < len(profiles)):
-        raise ModelError("resonator index out of range")
-    pm, pn = profiles[m], profiles[n]
-    if not (np.array_equal(pm.centers, pn.centers) and np.array_equal(pm.widths, pn.widths)):
-        raise ModelError("profiles must share centers and widths for a common reservoir")
-    if not 0 <= ell < pm.centers.size:
-        raise ModelError("normal-mode index out of range")
-    freq = pm.centers[ell]
-    g = np.exp(-pm.widths * (freq - pm.centers) ** 2)
-    total = float(np.sum(np.outer(g, g)))
-    return spec.sigma * pm.amplitude * pn.amplitude * math.sqrt(total)
-
-
-def correlation_negligible(
-    sigma: float,
-    v_m: float,
-    v_n: float,
-    xi_m: float,
-    xi_n: float,
-    omega_probe: float,
-    omega_m: float,
-    omega_n: float,
-) -> float:
-    """Cross-damping correlation in the negligible-coupling (Gaussian) limit.
-
-    sigma * v_m * v_n * exp(-(xi_m (probe - omega_m)^2 + xi_n (probe - omega_n)^2) / 2);
-    maximal, equal to sigma*v_m*v_n, exactly when both detunings vanish.
-    """
-    if xi_m <= 0.0 or xi_n <= 0.0:
-        raise ModelError("profile widths must be positive")
-    arg = xi_m * (omega_probe - omega_m) ** 2 + xi_n * (omega_probe - omega_n) ** 2
-    return sigma * v_m * v_n * math.exp(-0.5 * arg)
-
-
-def default_profile_width(min_mode_gap: float) -> float:
-    """Gaussian width whose FWHM is one percent of the given mode spacing."""
-    if min_mode_gap <= 0.0:
-        raise ModelError("profile width default needs a positive mode spacing")
-    fwhm = 0.01 * min_mode_gap
-    return 4.0 * math.log(2.0) / fwhm**2
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +225,36 @@ def renormalized_frequency(omega0: float, lambda0: float, n: int) -> float:
     return omega0 * (1.0 + x * x)
 
 
-def build_decay_matrix(spec: ReservoirSpec, n: int, decomp: Optional[NormalModeDecomposition] = None) -> DecayMatrix:
-    """Decay matrix for any reservoir kind; profile reservoirs need the modes."""
+def build_decay_matrix(spec: ReservoirSpec, net: NetworkSpec) -> DecayMatrix:
+    """Decay matrix of any reservoir kind on the given network.
+
+    Profile reservoirs sample their couplings at the network's normal modes,
+    which are computed here and only for that kind.
+    """
+    n = net.n
     if spec.kind is ReservoirKind.COMMON_WHITE_NOISE:
         return decay_matrix_common(n, spec.sigma, spec.epsilon)
     if spec.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
         return decay_matrix_distinct(n, spec.gamma_plus, spec.gamma_minus)
-    if decomp is None:
-        raise ModelError("profile reservoirs need the normal-mode decomposition")
     profiles = spec.profiles or ()
     if len(profiles) != n:
         raise ModelError(f"expected {n} coupling profiles, got {len(profiles)}")
+    decomp = network.normal_modes(net)
     couplings = np.array([[coupling_value(p, freq) for p in profiles] for freq in decomp.frequencies])
     return decay_matrix_from_couplings(decomp, couplings, spec.sigma)
+
+
+def rate_split(spec: ReservoirSpec, n: int) -> Optional[tuple[float, float]]:
+    """Mean direct rate gamma and protected-manifold rate gamma_down of n resonators.
+
+    White noise gives (sigma, (1 - epsilon) sigma) and distinct reservoirs
+    ((gamma_plus + (n-1) gamma_minus) / n, gamma_minus); in both the decay
+    matrix has the single collective rate n gamma - (n-1) gamma_down on the
+    uniform mode.  Profile reservoirs have no such split (None): their rates
+    follow from the network's modes.
+    """
+    if spec.kind is ReservoirKind.COMMON_WHITE_NOISE:
+        return spec.sigma, (1.0 - spec.epsilon) * spec.sigma
+    if spec.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
+        return (spec.gamma_plus + (n - 1) * spec.gamma_minus) / n, spec.gamma_minus
+    return None

@@ -117,7 +117,7 @@ def test_criterion_3_uniform_state_superdecays_at_collective_rate():
 
 
 def test_criterion_4_decoherence_time_formula_vs_numeric():
-    special = decoherence_time_formula(RSFamilySpec(n=2, r=1, s=0, alpha=1.0), 1.0, 0.3)
+    special = decoherence_time_formula(RSFamilySpec(n=2, r=1, s=0, alpha=1.0), 1.0, 0.7)
     assert special == 0.5
 
     rng = np.random.default_rng(2024)
@@ -133,7 +133,7 @@ def test_criterion_4_decoherence_time_formula_vs_numeric():
         eps = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.3, 2.5))
         spec = RSFamilySpec(n=n, r=r, s=s, alpha=alpha)
-        expected = decoherence_time_formula(spec, gamma, eps)
+        expected = decoherence_time_formula(spec, gamma, (1.0 - eps) * gamma)
         if not math.isfinite(expected):
             continue
         state = make_rs_state(spec)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import resonet
-from resonet import network, reservoir
+from resonet import dfs, network, reservoir
 from resonet.cli import main
 
 
@@ -173,6 +173,33 @@ def test_distinct_tau_formula_matches_classify(tmp_path):
     assert report["tau_d"] == summary["tau_d_formula"]
 
 
+def test_distinct_reservoir_with_gamma_minus_above_gamma_plus(tmp_path):
+    # gamma_minus > gamma_plus is a positive-semidefinite decay matrix; both
+    # commands used to exit 1 with "epsilon must lie in [0, 1]".  The
+    # balanced pair decoheres at 2 |alpha|^2 (R+S) gamma_minus = 2.88.
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        reservoir={"kind": "distinct_strong_coupling", "gamma_plus": 1.0, "gamma_minus": 2.0},
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    report = json.loads((out / "classification.json").read_text())
+    assert report["tau_d"] == summary["tau_d_formula"] == float(f"{1.0 / 2.88:.9g}")
+    assert abs(summary["tau_d_numeric"] - 1.0 / 2.88) < 1e-3
+
+
+def test_evolve_writes_no_file_when_the_summary_fails(tmp_path, monkeypatch):
+    def broken(*args):
+        raise resonet.ModelError("no summary")
+
+    monkeypatch.setattr(dfs, "decoherence_time", broken)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(_write_scenario(tmp_path / "s.json")), "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_classify_command(tmp_path):
     cfg = _write_scenario(
         tmp_path / "s.json",
@@ -187,7 +214,7 @@ def test_classify_command(tmp_path):
     assert payload["regime"] == "common_eps1"
 
 
-def test_classify_profile_reservoir_rejected(tmp_path):
+def test_classify_profile_reservoir_rejected(tmp_path, capsys):
     cfg = _write_scenario(
         tmp_path / "s.json",
         reservoir={
@@ -200,6 +227,7 @@ def test_classify_profile_reservoir_rejected(tmp_path):
         },
     )
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "profile reservoirs have no closed-form regime" in capsys.readouterr().err
 
 
 def test_oracle_compare_pass_and_mismatch(tmp_path):

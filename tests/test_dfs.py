@@ -7,8 +7,11 @@ import pytest
 
 from resonet import (
     ClassificationReport,
+    CouplingProfile,
     ModelError,
     Regime,
+    ReservoirKind,
+    ReservoirSpec,
     RSFamilySpec,
     classify,
     collective_lowering_eigencheck,
@@ -16,6 +19,16 @@ from resonet import (
     make_superposition,
     master_equation_reduction_check,
 )
+
+
+def _white(epsilon, sigma=1.0):
+    return ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=sigma, epsilon=epsilon)
+
+
+def _distinct(gamma_plus, gamma_minus):
+    return ReservoirSpec(
+        kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=gamma_plus, gamma_minus=gamma_minus
+    )
 
 
 def test_eigencheck_balanced_family():
@@ -44,56 +57,68 @@ def test_eigencheck_single_product():
 
 def test_classify_full_correlation():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, 1.0, 1.0, Regime.COMMON_EPS1)
+    report = classify(make_rs_state(spec), spec, _white(1.0))
     assert report.is_dfs and report.is_rfs
     assert math.isinf(report.tau_d)
     assert report.effective_decay_rate == 0.0
 
     spec2 = RSFamilySpec(n=4, r=1, s=1, alpha=0.5, eta=0.4)
-    report2 = classify(make_rs_state(spec2), spec2, 1.0, 1.0, Regime.COMMON_EPS1)
+    report2 = classify(make_rs_state(spec2), spec2, _white(1.0))
     assert report2.is_dfs and not report2.is_rfs
 
     spec3 = RSFamilySpec(n=2, r=1, s=0, alpha=0.6)
-    report3 = classify(make_rs_state(spec3), spec3, 1.0, 1.0, Regime.COMMON_EPS1)
+    report3 = classify(make_rs_state(spec3), spec3, _white(1.0))
     assert not report3.is_dfs and not report3.is_rfs
     assert math.isfinite(report3.tau_d)
 
 
 def test_classify_weak_correlation():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, 1.0, 0.4, Regime.COMMON_EPS_SMALL)
+    report = classify(make_rs_state(spec), spec, _white(0.4))
     assert not report.is_dfs
     single = make_superposition([1.0], np.array([[0.3, 0.3]]))
-    report2 = classify(single, None, 1.0, 0.4, Regime.COMMON_EPS_SMALL)
+    report2 = classify(single, None, _white(0.4))
     assert report2.is_dfs and not report2.is_rfs
 
 
 def test_classify_regime_preconditions():
+    # The reservoir alone decides the regime, so no regime can disagree
+    # with epsilon; what is left to reject is a reservoir without a
+    # closed-form regime and inconsistent inputs.
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
+    assert classify(state, spec, _white(1.0 - 0.9e-6)).regime is Regime.COMMON_EPS1
+    assert classify(state, spec, _white(1.0 - 1.1e-6)).regime is Regime.COMMON_EPS_SMALL
+    assert classify(state, spec, _distinct(2.0, 0.5)).regime is Regime.DISTINCT_STRONG
+    p = CouplingProfile(amplitude=1.0, centers=[10.5], widths=[100.0])
+    profile = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, profiles=(p, p))
+    with pytest.raises(ModelError, match="profile reservoirs have no closed-form regime"):
+        classify(state, spec, profile)
     with pytest.raises(ModelError):
-        classify(state, spec, 1.0, 0.5, Regime.COMMON_EPS1)
+        classify(state, spec, _distinct(0.0, 0.5))
     with pytest.raises(ModelError):
-        classify(state, spec, 1.0, 1.0, Regime.COMMON_EPS_SMALL)
-    with pytest.raises(ModelError):
-        classify(state, spec, 1.0, 0.5, Regime.DISTINCT_STRONG)
-    with pytest.raises(ModelError):
-        classify(state, spec, -1.0, 0.5, Regime.COMMON_EPS_SMALL)
+        classify(state, RSFamilySpec(n=3, r=1, s=1, alpha=0.6), _white(0.5))
 
 
 def test_classify_distinct_collective():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
-    report = classify(
-        state, spec, 0.0, 0.0, Regime.DISTINCT_STRONG, gamma_plus=2.0, gamma_minus=0.0
-    )
+    report = classify(state, spec, _distinct(2.0, 0.0))
     assert report.is_dfs and report.is_rfs
     assert math.isinf(report.tau_d)
     # a residual gamma_minus spoils the single-channel picture
-    report2 = classify(
-        state, spec, 0.0, 0.0, Regime.DISTINCT_STRONG, gamma_plus=2.0, gamma_minus=1.0
-    )
+    report2 = classify(state, spec, _distinct(2.0, 1.0))
     assert not report2.is_dfs
+
+
+def test_classify_distinct_with_gamma_minus_above_gamma_plus():
+    # gamma_minus > gamma_plus is a valid (positive-semidefinite) reservoir;
+    # the balanced pair decoheres at 2 |alpha|^2 (R+S) gamma_minus = 2.88.
+    spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
+    report = classify(make_rs_state(spec), spec, _distinct(1.0, 2.0))
+    assert abs(report.tau_d - 1.0 / 2.88) < 1e-12
+    assert not report.is_dfs
+    assert report.effective_decay_rate == 2.0
 
 
 def test_is_rfs_implies_is_dfs_property():
@@ -108,14 +133,14 @@ def test_is_rfs_implies_is_dfs_property():
         if r == 0 and s == 0 and sign == -1:
             continue
         spec = RSFamilySpec(n=n, r=r, s=s, alpha=alpha, eta=eta, sign=sign)
-        report = classify(make_rs_state(spec), spec, 1.0, 1.0, Regime.COMMON_EPS1)
+        report = classify(make_rs_state(spec), spec, _white(1.0))
         if report.is_rfs:
             assert report.is_dfs
 
 
 def test_report_json_dict():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, 1.0, 1.0, Regime.COMMON_EPS1)
+    report = classify(make_rs_state(spec), spec, _white(1.0))
     d = report.to_json_dict()
     assert d["tau_d"] == "inf"
     assert d["is_dfs"] is True and d["is_rfs"] is True

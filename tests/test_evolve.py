@@ -166,23 +166,34 @@ def test_decoherence_time_special_case():
     # tau = 1/(2 |alpha|^2) = 0.5 for every epsilon.
     for eps in (0.0, 0.3, 1.0):
         spec = RSFamilySpec(n=2, r=1, s=0, alpha=1.0)
-        assert decoherence_time_formula(spec, 1.0, eps) == 0.5
+        assert decoherence_time_formula(spec, 1.0, 1.0 - eps) == 0.5
 
 
 def test_decoherence_time_alpha_scaling():
     spec1 = RSFamilySpec(n=3, r=1, s=1, alpha=0.4)
     spec2 = RSFamilySpec(n=3, r=1, s=1, alpha=0.8)
-    t1 = decoherence_time_formula(spec1, 1.3, 0.2)
-    t2 = decoherence_time_formula(spec2, 1.3, 0.2)
+    t1 = decoherence_time_formula(spec1, 1.3, 0.8 * 1.3)
+    t2 = decoherence_time_formula(spec2, 1.3, 0.8 * 1.3)
     assert abs(t1 / t2 - 4.0) < 1e-9
 
 
 def test_decoherence_time_protected_cases():
     # R = S at full correlation never decoheres; neither does R = S = 0.
-    assert math.isinf(decoherence_time_formula(RSFamilySpec(n=2, r=1, s=1, alpha=0.5), 1.0, 1.0))
-    assert math.isinf(decoherence_time_formula(RSFamilySpec(n=3, r=0, s=0, alpha=0.5, eta=0.4), 1.0, 0.2))
+    assert math.isinf(decoherence_time_formula(RSFamilySpec(n=2, r=1, s=1, alpha=0.5), 1.0, 0.0))
+    assert math.isinf(decoherence_time_formula(RSFamilySpec(n=3, r=0, s=0, alpha=0.5, eta=0.4), 1.0, 0.8))
     with pytest.raises(ModelError):
         decoherence_time_formula(RSFamilySpec(n=2, r=1, s=1, alpha=0.0, eta=1.0), 1.0, 0.5)
+
+
+def test_decoherence_time_formula_needs_a_psd_rate_split():
+    # gamma_down may exceed gamma (distinct reservoirs with gamma_minus >
+    # gamma_plus) as long as gamma_up = n gamma - (n-1) gamma_down >= 0.
+    spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
+    assert abs(decoherence_time_formula(spec, 1.5, 2.0) - 1.0 / 2.88) < 1e-12
+    assert abs(decoherence_time_formula(spec, 1.0, 2.0) - 1.0 / 2.88) < 1e-12  # gamma_up = 0
+    for gamma, gamma_down in ((1.0, -0.1), (1.0, 2.1), (-1.0, 0.0)):
+        with pytest.raises(ModelError):
+            decoherence_time_formula(spec, gamma, gamma_down)
 
 
 def test_decoherence_numeric_matches_formula():
@@ -197,7 +208,7 @@ def test_decoherence_numeric_matches_formula():
         eps = float(rng.uniform(0.0, 0.9))
         gamma = float(rng.uniform(0.5, 2.0))
         spec = RSFamilySpec(n=n, r=r, s=s, alpha=alpha)
-        expected = decoherence_time_formula(spec, gamma, eps)
+        expected = decoherence_time_formula(spec, gamma, (1.0 - eps) * gamma)
         if math.isinf(expected):
             continue
         state = make_rs_state(spec)
@@ -349,6 +360,26 @@ def test_time_grid_validation():
         EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=1.0, omega_minus=1.0, times=[0.1, 0.2])
     with pytest.raises(ModelError):
         EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=1.0, omega_minus=1.0, times=[0.0, 0.2, 0.1])
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([], "start at 0"),
+        ([0.1, 0.2], "start at 0"),
+        ([0.0, -1.0], "strictly increasing"),
+        ([0.0, 0.2, 0.1], "strictly increasing"),
+        ([0.0, 0.2, 0.2], "strictly increasing"),
+    ],
+)
+def test_propagate_with_rejects_a_bad_time_grid(times, message):
+    # The same grid rules as EvolutionParams; [0, -1] used to give a
+    # trajectory whose numeric decoherence time came out as 1.07, not 1/0.72.
+    spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
+    plus, minus = degenerate_modes(2, 10.0, 0.5)
+    p = EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=plus, omega_minus=minus, times=[0.0, 1.0])
+    with pytest.raises(ModelError, match=message):
+        propagate_with(make_rs_state(spec), times, lambda t: propagator_closed_form(p, t), gamma_rate=1.0)
 
 
 def test_csv_round_trip():

@@ -94,6 +94,24 @@ def test_poisson_tail_and_minimum_cutoff():
     assert oracle.poisson_tail(4.0, c - 1) >= 1e-10
 
 
+def test_poisson_tail_keeps_relative_precision_for_tiny_tails():
+    # 1 - sum_{k<=12} gives 3.33e-16 here, rounding noise of 1; the tail is
+    # 1.96e-16.  Terms beyond k = 60 are below 1e-80 of it.
+    mean = 0.36
+    ref = math.fsum(math.exp(-mean) * mean**k / math.factorial(k) for k in range(13, 61))
+    assert abs(oracle.poisson_tail(mean, 12) / ref - 1.0) < 1e-12
+    # Both branches agree where 1 - sum is still accurate: the cutoff at the
+    # mean is summed directly, the one just below it by the complement.
+    below = 1.0 - math.fsum(math.exp(-6.25) * 6.25**k / math.factorial(k) for k in range(0, 6))
+    assert abs(oracle.poisson_tail(6.25, 5) - below) < 1e-14
+    above = 1.0 - math.fsum(math.exp(-6.25) * 6.25**k / math.factorial(k) for k in range(0, 8))
+    assert abs(oracle.poisson_tail(6.25, 7) - above) < 1e-14
+    # The cutoff rule is unchanged: the minimum cutoffs of the complement form.
+    amplitudes = (0.01, 0.1, 0.3, 0.6, 0.7, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 10.0)
+    expected = (2, 4, 6, 9, 10, 12, 17, 22, 34, 55, 80, 170)
+    assert tuple(oracle.minimum_cutoff(a) for a in amplitudes) == expected
+
+
 def test_suggest_cutoff_rule():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     assert oracle.suggest_cutoff(state) == math.ceil(0.36 + 3.6 + 8.0)

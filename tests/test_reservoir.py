@@ -13,17 +13,15 @@ from resonet import (
     ReservoirKind,
     ReservoirSpec,
     build_decay_matrix,
-    correlation_coupled,
-    correlation_negligible,
     coupling_value,
     decay_matrix_common,
     decay_matrix_distinct,
     decay_matrix_from_couplings,
-    default_profile_width,
     degenerate_decomposition,
     degenerate_network,
     effective_rates,
     normal_modes,
+    rate_split,
     renormalized_frequency,
 )
 
@@ -114,36 +112,6 @@ def test_coupling_value_single_gaussian():
     assert abs(coupling_value(p, 2.1) - expected) < 1e-12
 
 
-def test_correlation_negligible_peaks_on_resonance():
-    peak = correlation_negligible(2.0, 0.3, 0.4, 10.0, 10.0, 1.5, 1.5, 1.5)
-    assert abs(peak - 2.0 * 0.3 * 0.4) < 1e-15
-    detuned = correlation_negligible(2.0, 0.3, 0.4, 10.0, 10.0, 1.5, 1.8, 1.5)
-    assert detuned < peak
-
-
-def test_correlation_coupled_shared_components():
-    width = 40.0
-    p = CouplingProfile(amplitude=0.5, centers=[1.0, 2.0], widths=[width, width])
-    spec = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.5, profiles=(p, p))
-    got = correlation_coupled(spec, 0, 1, 0)
-    # direct evaluation of the double Gaussian sum at the first center
-    g = np.exp(-width * (1.0 - np.array([1.0, 2.0])) ** 2)
-    expected = 1.5 * 0.25 * math.sqrt(float(np.sum(np.outer(g, g))))
-    assert abs(got - expected) < 1e-12
-    q = CouplingProfile(amplitude=0.5, centers=[1.1, 2.0], widths=[width, width])
-    spec2 = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.5, profiles=(p, q))
-    with pytest.raises(ModelError):
-        correlation_coupled(spec2, 0, 1, 0)
-
-
-def test_default_profile_width_fwhm():
-    gap = 3.0
-    xi = default_profile_width(gap)
-    # half maximum of exp(-xi x^2) sits at x = fwhm/2 with fwhm = 0.01*gap
-    half = math.exp(-xi * (0.005 * gap) ** 2)
-    assert abs(half - 0.5) < 1e-12
-
-
 def test_correlations_constant_gives_full_cross_decay():
     # A frequency-flat, resonator-independent coupling on the symmetric
     # mode basis must reproduce the fully correlated white-noise matrix.
@@ -201,31 +169,54 @@ def test_build_decay_matrix_profiles():
     # assembled matrix approaches sigma * amp^2 on every entry.
     n, omega0, lam = 3, 5.0, 0.4
     plus = omega0 + (n - 1) * lam
-    width = default_profile_width(lam * n)
+    width = 4.0 * math.log(2.0) / (0.01 * lam * n) ** 2  # FWHM of 1 % of the mode gap
     p = CouplingProfile(amplitude=0.6, centers=[plus], widths=[width])
     spec = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=2.0, profiles=(p,) * n)
-    g = build_decay_matrix(spec, n, normal_modes(degenerate_network(n, omega0, lam))).matrix
+    g = build_decay_matrix(spec, degenerate_network(n, omega0, lam)).matrix
     np.testing.assert_allclose(g, np.full((n, n), 2.0 * 0.36), atol=1e-10)
 
 
 def test_build_decay_matrix_dispatch():
     common = ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=1.0, epsilon=0.3)
     np.testing.assert_allclose(
-        build_decay_matrix(common, 2).matrix, decay_matrix_common(2, 1.0, 0.3).matrix
+        build_decay_matrix(common, degenerate_network(2, 1.0, 0.1)).matrix,
+        decay_matrix_common(2, 1.0, 0.3).matrix,
     )
     distinct = ReservoirSpec(
         kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.5
     )
     np.testing.assert_allclose(
-        build_decay_matrix(distinct, 3).matrix, decay_matrix_distinct(3, 2.0, 0.5).matrix
+        build_decay_matrix(distinct, degenerate_network(3, 1.0, 0.1)).matrix,
+        decay_matrix_distinct(3, 2.0, 0.5).matrix,
     )
     profile = ReservoirSpec(
         kind=ReservoirKind.COMMON_PROFILE,
         sigma=1.0,
         profiles=(CouplingProfile(amplitude=1.0, centers=[1.0], widths=[1.0]),) * 2,
     )
-    with pytest.raises(ModelError):
-        build_decay_matrix(profile, 2)
+    with pytest.raises(ModelError, match="expected 3 coupling profiles"):
+        build_decay_matrix(profile, degenerate_network(3, 1.0, 0.1))
+    assert rate_split(profile, 2) is None
+
+
+@pytest.mark.parametrize(
+    "spec, n, expected",
+    [
+        (ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=1.5, epsilon=0.4), 3, (1.5, 0.9)),
+        (ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.5), 4, (0.875, 0.5)),
+        (ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=1.0, gamma_minus=2.0), 2, (1.5, 2.0)),
+    ],
+)
+def test_rate_split_matches_the_decay_matrix(spec, n, expected):
+    # gamma is the mean direct rate; gamma_down and n gamma - (n-1) gamma_down
+    # are the decay matrix's eigenvalues off and on the uniform mode.
+    gamma, gamma_down = rate_split(spec, n)
+    assert (gamma, gamma_down) == pytest.approx(expected, abs=1e-15)
+    g = build_decay_matrix(spec, degenerate_network(n, 1.0, 0.1)).matrix
+    assert gamma == pytest.approx(np.trace(g) / n, abs=1e-15)
+    eig = np.linalg.eigvalsh(g)
+    expected_eig = sorted([gamma_down] * (n - 1) + [n * gamma - (n - 1) * gamma_down])
+    np.testing.assert_allclose(eig, expected_eig, atol=1e-12)
 
 
 def test_reservoir_spec_validation():
