@@ -29,7 +29,6 @@ from .reservoir import (
     decay_matrix_common,
     decay_matrix_distinct,
     decay_matrix_from_couplings,
-    rate_split,
     renormalized_frequency,
 )
 from .states import (
@@ -45,11 +44,9 @@ from .states import (
 )
 from .evolve import (
     EvolutionParams,
-    RateSplit,
     Trajectory,
     decoherence_time_formula,
     decoherence_time_numeric,
-    effective_rates,
     expm,
     observables,
     propagate,
@@ -65,6 +62,7 @@ from .dfs import (
     collective_lowering_eigencheck,
     decoherence_time,
     master_equation_reduction_check,
+    protected_subspace,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "decay_matrix_common",
     "decay_matrix_distinct",
     "decay_matrix_from_couplings",
-    "rate_split",
     "renormalized_frequency",
     "SuperpositionState",
     "RSFamilySpec",
@@ -103,11 +100,9 @@ __all__ = [
     "state_norm",
     "swap_resonators",
     "EvolutionParams",
-    "RateSplit",
     "Trajectory",
     "decoherence_time_formula",
     "decoherence_time_numeric",
-    "effective_rates",
     "expm",
     "observables",
     "propagate",
@@ -121,4 +116,5 @@ __all__ = [
     "collective_lowering_eigencheck",
     "decoherence_time",
     "master_equation_reduction_check",
+    "protected_subspace",
 ]

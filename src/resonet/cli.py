@@ -188,7 +188,7 @@ def _summarize(
         "propagator": path_name,
         "gamma_down": gamma_down,
         "gamma_up": gamma_up,
-        "tau_d_formula": dfs.decoherence_time(cfg.rs, cfg.reservoir),
+        "tau_d_formula": dfs.decoherence_time(cfg.rs, decay),
         "tau_d_numeric": tau_numeric,
         "final": evolve.observables(traj, -1),
     }
@@ -242,7 +242,7 @@ def _cmd_classify(args) -> int:
     out = _outdir(args)
     if cfg.state is None:
         raise ConfigError("classify needs a 'state' section in the scenario")
-    report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir)
+    report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir, _effective_network(cfg))
     payload = {"n": cfg.network.n, **report.to_json_dict()}
     _write_json(out / "classification.json", payload)
     verdict = "DFS" if report.is_dfs else "not DFS"
@@ -299,8 +299,8 @@ def _patched(raw: dict, param: str, value: float) -> dict:
     patched = copy.deepcopy(raw)
     if param == "epsilon":
         sec = patched.get("reservoir")
-        if not isinstance(sec, dict) or sec.get("kind") == "distinct_strong_coupling":
-            raise ConfigError("epsilon sweeps need a common-reservoir scenario")
+        if not isinstance(sec, dict) or sec.get("kind") != "common_white_noise":
+            raise ConfigError("epsilon sweeps need a white-noise reservoir scenario")
         sec["epsilon"] = value
     elif param == "N":
         sec = patched.get("network")

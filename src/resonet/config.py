@@ -165,7 +165,6 @@ def _parse_reservoir(sec: dict) -> ReservoirSpec:
             return ReservoirSpec(
                 kind=kind,
                 sigma=_number(sec, "sigma", "reservoir"),
-                epsilon=_number(sec, "epsilon", "reservoir", default=0.0),
                 profiles=_parse_profiles(sec.get("profiles"), "reservoir"),
             )
         return ReservoirSpec(

@@ -1,13 +1,17 @@
 """Decoherence-free and relaxation-free subspace classification.
 
-When every resonator damps through the same channel, the only Lindblad
-operator left is the collective lowering operator L = sum_m a_m / sqrt(n).
-A coherent-product superposition is then protected from decoherence exactly
-when all of its branches share the same collective amplitude, i.e. when the
-per-branch sums e_r = sum_m beta_m^r / sqrt(n) coincide; it is additionally
-free of relaxation when that common eigenvalue is zero.  The same criterion
-applies to strongly coupled distinct reservoirs once the residual rate
-gamma_minus is negligible against gamma_plus.
+A coherent branch beta evolves as Theta(t) beta with Theta(t) = exp(t D) and
+drift D = -i W - Gamma / 2, so the coherence between branches r and s decays
+at the rate delta(t)^dagger Gamma delta(t) / 2 with delta(t) = Theta(t)
+(beta_r - beta_s).  That rate vanishes at all times exactly when delta(0)
+lies in the largest W-invariant subspace inside the kernel of Gamma: the
+unobservable subspace of the pair (D, Gamma) in Kalman's observability test.
+A state is decoherence-free when every branch difference lies in that
+subspace and relaxation-free when every branch does.  The test reads only
+the network and its decay matrix, so every reservoir kind gets the same
+criterion.  Gamma's kernel is taken numerically: eigenvalues up to 1e-3 / n
+of the largest count as zero, so a dominantly collective reservoir
+(n gamma_minus < 1e-3 gamma_plus) is classified as fully collective.
 """
 
 from __future__ import annotations
@@ -20,20 +24,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .evolve import decoherence_time_formula, effective_rates
+from .network import NetworkSpec
 from .reservoir import (
+    DecayMatrix,
     ReservoirKind,
     ReservoirSpec,
+    build_decay_matrix,
     decay_matrix_common,
     decay_matrix_distinct,
-    rate_split,
 )
-from .states import RSFamilySpec, SuperpositionState
+from .states import RSFamilySpec, SuperpositionState, rs_branch_labels
 
 __all__ = [
     "Regime",
     "ClassificationReport",
     "collective_lowering_eigencheck",
+    "protected_subspace",
     "classify",
     "decoherence_time",
     "master_equation_reduction_check",
@@ -43,12 +49,14 @@ __all__ = [
 _EIGENCHECK_ATOL = 1e-10
 _RFS_EIG_ATOL = 1e-12
 _EPS_ONE_TOL = 1e-6
+# Decay-matrix eigenvalues up to _DISTINCT_RATIO / n of the largest count as kernel.
 _DISTINCT_RATIO = 1e-3
 
 
 class Regime(str, Enum):
     COMMON_EPS1 = "common_eps1"
     COMMON_EPS_SMALL = "common_eps_small"
+    COMMON_PROFILE = "common_profile"
     DISTINCT_STRONG = "distinct_strong"
 
 
@@ -90,83 +98,120 @@ def collective_lowering_eigencheck(state: SuperpositionState) -> tuple[bool, Opt
     return False, None
 
 
-def _mean_amplitude_protected(state: SuperpositionState) -> bool:
-    """True when no branch has weight on the symmetric (fast-decaying) mode."""
-    means = np.mean(state.labels, axis=1)
-    scale = max(float(np.max(np.abs(state.labels), initial=0.0)), 1.0)
-    return bool(np.max(np.abs(means)) <= 1e-10 * scale)
+def protected_subspace(w, gamma) -> np.ndarray:
+    """Orthonormal basis (columns) of the largest W-invariant subspace inside Gamma's kernel.
+
+    `gamma` is a DecayMatrix or a symmetric (n, n) array.  The kernel is
+    spanned by the eigenvectors of Gamma with eigenvalue at most
+    (1e-3 / n) * lambda_max (all of them when Gamma = 0); it is then shrunk,
+    Q <- Q null((I - Q Q^dagger) W Q), until W maps it into itself, which
+    takes at most n rounds (rank tolerance 1e-10 * max(1, max |W|)).  Each
+    round works on W Q alone; the stacked Kalman matrix [Gamma; Gamma W; ...]
+    is avoided because its blocks grow as |W|^k.  Returns an (n, 0) array
+    when nothing is protected.
+    """
+    w = np.asarray(w)
+    g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
+    n = g.shape[0]
+    if g.shape != (n, n) or w.shape != (n, n):
+        raise ModelError(f"network and decay matrix must both be {n}x{n}")
+    values, vectors = np.linalg.eigh(g)
+    top = values[-1]
+    q = vectors if top <= 0.0 else vectors[:, values <= (_DISTINCT_RATIO / n) * top]
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+    for _ in range(n):
+        if q.shape[1] == 0:
+            break
+        wq = w @ q
+        _, sv, vh = np.linalg.svd(wq - q @ (q.conj().T @ wq))
+        null = vh[np.count_nonzero(sv > tol):].conj().T
+        if null.shape[1] == q.shape[1]:
+            break
+        q = q @ null
+    return q
 
 
-def decoherence_time(spec: Optional[RSFamilySpec], reservoir: ReservoirSpec) -> Optional[float]:
-    """Two-branch decoherence time of the family in the reservoir.
+def decoherence_time(spec: Optional[RSFamilySpec], decay: DecayMatrix) -> Optional[float]:
+    """Two-branch decoherence time of the family under the decay matrix.
 
-    The formula of decoherence_time_formula on the reservoir's rate split.
-    None when there is no two-branch spec with a nonzero amplitude, or when
-    the reservoir (coupling profiles) has no closed-form rate split.
+    tau_d = 2 / (delta^dagger Gamma delta) with delta the difference of the
+    two branch labels; infinite when that rate is within the decay matrix's
+    rounding slack of zero.  For the white-noise and distinct reservoirs it
+    equals evolve.decoherence_time_formula on their collective rate split.
+    None when there is no two-branch spec with a nonzero amplitude.
     """
     if spec is None or complex(spec.alpha) == 0.0:
         return None
-    split = rate_split(reservoir, spec.n)
-    return None if split is None else decoherence_time_formula(spec, *split)
+    g = decay.matrix
+    if g.shape[0] != spec.n:
+        raise ModelError("family spec and decay matrix disagree on the resonator count")
+    first, second = rs_branch_labels(spec)
+    delta = first - second
+    rate = float(np.real(delta.conj() @ g @ delta))
+    if rate <= decay.slack * float(np.real(np.vdot(delta, delta))):
+        return math.inf
+    return 2.0 / rate
+
+
+def _regime(reservoir: ReservoirSpec) -> Regime:
+    if reservoir.kind is ReservoirKind.COMMON_WHITE_NOISE:
+        return Regime.COMMON_EPS1 if reservoir.epsilon >= 1.0 - _EPS_ONE_TOL else Regime.COMMON_EPS_SMALL
+    if reservoir.kind is ReservoirKind.COMMON_PROFILE:
+        return Regime.COMMON_PROFILE
+    return Regime.DISTINCT_STRONG
 
 
 def classify(
     state: SuperpositionState,
     spec: Optional[RSFamilySpec],
     reservoir: ReservoirSpec,
+    net: NetworkSpec,
 ) -> ClassificationReport:
-    """Classify a state as decoherence-free / relaxation-free in a reservoir.
+    """Classify a state as decoherence-free / relaxation-free on a network.
 
-    The reservoir decides the regime: white noise with epsilon within 1e-6
-    of 1 is COMMON_EPS1, any other white noise COMMON_EPS_SMALL, distinct
-    reservoirs DISTINCT_STRONG; profile reservoirs have none (ModelError).
-    For the fully correlated common reservoir and for dominantly collective
-    distinct reservoirs the collective-lowering eigencheck decides
-    membership; for a weakly correlated common reservoir only single-product
-    states avoid decoherence.  The decoherence time is reported when the
-    two-branch spec is available.
+    The reservoir's decay matrix on `net` and the network's W give the
+    protected subspace (protected_subspace): the state is decoherence-free
+    when every difference of two branch labels lies in it (within 1e-10)
+    and relaxation-free when every branch label does (within 1e-12).  The
+    effective decay rate is the largest eigenvalue of Gamma whose
+    eigenvector some branch label touches (0 for the vacuum), tau_d comes
+    from decoherence_time when the two-branch spec is available, and the
+    regime only names the reservoir: white noise with epsilon within 1e-6
+    of 1 is COMMON_EPS1, other white noise COMMON_EPS_SMALL, then
+    COMMON_PROFILE and DISTINCT_STRONG.
     """
     n = state.n
     if spec is not None and spec.n != n:
         raise ModelError("family spec and state disagree on the resonator count")
+    if net.n != n:
+        raise ModelError("network and state disagree on the resonator count")
+    decay = build_decay_matrix(reservoir, net)
+    g = decay.matrix
+    basis = protected_subspace(net.w_matrix(), g)
 
-    if reservoir.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
-        if reservoir.gamma_plus <= 0.0:
-            raise ModelError("distinct-reservoir classification needs gamma_plus > 0")
-        regime = Regime.DISTINCT_STRONG
-        collective = n * reservoir.gamma_minus / reservoir.gamma_plus < _DISTINCT_RATIO
-        rate_slow, rate_fast = reservoir.gamma_minus, reservoir.gamma_plus
-    elif reservoir.kind is ReservoirKind.COMMON_WHITE_NOISE:
-        collective = reservoir.epsilon >= 1.0 - _EPS_ONE_TOL
-        regime = Regime.COMMON_EPS1 if collective else Regime.COMMON_EPS_SMALL
-        rates = effective_rates(n, reservoir.sigma, reservoir.epsilon)
-        rate_slow, rate_fast = rates.gamma_down, rates.gamma_up
-    else:
-        raise ModelError(
-            "classification covers white-noise and distinct reservoirs; "
-            "profile reservoirs have no closed-form regime"
-        )
+    labels = np.asarray(state.labels)
 
-    passed, eig = collective_lowering_eigencheck(state)
-    if collective:
-        is_dfs = passed
-        is_rfs = passed and eig is not None and abs(eig) <= _RFS_EIG_ATOL
-    else:
-        # Without full correlation every channel must be matched separately;
-        # only a single coherent product escapes decoherence, and it still
-        # relaxes whenever it carries any excitation.
-        is_dfs = state.num_terms == 1
-        is_rfs = False
+    def outside(rows: np.ndarray) -> np.ndarray:
+        """Distance of each row from the protected subspace."""
+        return np.linalg.norm(rows - (rows @ basis.conj()) @ basis.T, axis=1)
 
-    tau_d = decoherence_time(spec, reservoir)
-    rate = rate_slow if _mean_amplitude_protected(state) else rate_fast
+    is_dfs = bool(np.all(outside(labels[1:] - labels[0]) <= _EIGENCHECK_ATOL))
+    is_rfs = is_dfs and bool(np.all(outside(labels) <= _RFS_EIG_ATOL))
+
+    values, vectors = np.linalg.eigh(g)
+    scale = max(float(np.max(np.abs(labels))), 1.0)
+    touched = np.max(np.abs(labels @ vectors), axis=0) > 1e-10 * scale
+    rate = float(np.max(values[touched], initial=0.0))
+
+    _, eig = collective_lowering_eigencheck(state)
+    tau_d = decoherence_time(spec, decay)
     return ClassificationReport(
         is_dfs=is_dfs,
         is_rfs=is_rfs,
         lindblad_eigenvalue=eig,
-        effective_decay_rate=rate,
+        effective_decay_rate=0.0 if rate <= decay.slack else rate,
         tau_d=math.inf if tau_d is None else tau_d,
-        regime=regime,
+        regime=_regime(reservoir),
     )
 
 

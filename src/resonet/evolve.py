@@ -37,9 +37,7 @@ from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matr
 
 __all__ = [
     "EvolutionParams",
-    "RateSplit",
     "Trajectory",
-    "effective_rates",
     "propagator_closed_form",
     "expm",
     "propagator_general",
@@ -89,32 +87,6 @@ def _check_grid(times: np.ndarray) -> None:
         raise ModelError("time grid must start at 0")
     if np.any(np.diff(times) <= 0.0):
         raise ModelError("time grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class RateSplit:
-    """Collective decay rates: gamma_down on the protected manifold, gamma_up on the symmetric mode."""
-
-    gamma_down: float
-    gamma_up: float
-
-
-def effective_rates(n: int, gamma: float, epsilon: float) -> RateSplit:
-    """Split the per-resonator rate into the two collective rates.
-
-    gamma_down = (1 - epsilon) * gamma, gamma_up = [1 + (n-1) epsilon] * gamma;
-    together they exhaust the total damping: gamma_up + (n-1) gamma_down = n gamma.
-    """
-    if n < 1:
-        raise ModelError("rate split needs at least one resonator")
-    if gamma < 0.0:
-        raise ModelError("decay rate must be nonnegative")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ModelError("epsilon must lie in [0, 1]")
-    return RateSplit(
-        gamma_down=(1.0 - epsilon) * gamma,
-        gamma_up=(1.0 + (n - 1) * epsilon) * gamma,
-    )
 
 
 def propagator_closed_form(params: EvolutionParams, t) -> np.ndarray:

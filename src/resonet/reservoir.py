@@ -32,7 +32,6 @@ __all__ = [
     "decay_matrix_distinct",
     "renormalized_frequency",
     "build_decay_matrix",
-    "rate_split",
 ]
 
 
@@ -71,8 +70,8 @@ class ReservoirSpec:
 
     sigma is the flat spectral density of the common reservoir; for white
     noise with unit coupling amplitude it doubles as the per-resonator decay
-    rate.  epsilon is the cross-correlation fraction in [0, 1].  profiles are
-    required for COMMON_PROFILE, gamma_plus/gamma_minus for
+    rate.  epsilon is the white-noise cross-correlation fraction in [0, 1].
+    profiles are required for COMMON_PROFILE, gamma_plus/gamma_minus for
     DISTINCT_STRONG_COUPLING.
     """
 
@@ -113,7 +112,7 @@ class DecayMatrix:
             raise ModelError("decay matrix must be square")
         if np.any(~np.isfinite(g)):
             raise ModelError("decay rates must be finite")
-        slack = 1e-12 * max(1.0, float(np.max(np.abs(g), initial=0.0)))
+        slack = self.slack
         if np.max(np.abs(g - g.T), initial=0.0) > slack:
             raise ModelError("decay matrix must be symmetric")
         if np.any(np.diagonal(g) < -slack):
@@ -125,6 +124,11 @@ class DecayMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def slack(self) -> float:
+        """Rounding slack 1e-12 * max(1, max |gamma|): rates within it count as zero."""
+        return 1e-12 * max(1.0, float(np.max(np.abs(self.matrix), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,35 +168,25 @@ def decay_matrix_from_couplings(
     couplings: np.ndarray,
     sigma: float,
 ) -> DecayMatrix:
-    """Assemble decay rates from reservoir couplings sampled at the modes.
+    """Secular decay matrix from reservoir couplings sampled at the modes.
 
     couplings[k, m] is resonator m's coupling at mode frequency O_k, so the
-    reservoir correlation of resonators m and m' seen by channel k is
-    sigma * V[k, m] * V[k, m'].  Entry (m, n) sums that correlation times
-    C[k, m'] * C[k, n] over all modes k and resonators m', which separates
-    into g = sigma * V^T diag(s) C with s_k = sum_m' V[k, m'] C[k, m'].  The
-    result is symmetrised by averaging; asymmetry beyond 1e-8 of the sampled
-    correlation scale signals an inconsistent correlation model and is
-    rejected, as is any non-positive-semidefinite outcome.
+    normal mode b_k = sum_m C[k, m] a_m couples to the reservoir with
+    s_k = sum_m V[k, m] C[k, m] and decays at the rate sigma * s_k^2.  In the
+    secular (rotating-wave) Born-Markov limit cross rates survive only
+    between modes of equal frequency (relative spread within the network's
+    degenerate-cluster tolerance), so Gamma = sigma * C^T (s s^T o P) C with
+    P that mask: symmetric and positive semidefinite by construction
+    (Breuer & Petruccione, The Theory of Open Quantum Systems, sec. 3.3).
     """
     c = np.asarray(decomp.transform)
     v = np.asarray(couplings, dtype=float)
     if v.shape != c.shape:
         raise ModelError(f"couplings must be {decomp.n}x{decomp.n}, got {v.shape}")
     s = np.sum(v * c, axis=1)
-    g = sigma * (v.T * s) @ c
-    asym = np.max(np.abs(g - g.T))
-    sampled = sigma * float(np.max(np.abs(v), initial=0.0)) ** 2
-    scale = max(np.max(np.abs(g)), sampled, 1e-300)
-    if asym > 1e-8 * scale:
-        raise ModelError(
-            f"correlation model produced an asymmetric decay matrix (relative asymmetry {asym / scale:.3e})"
-        )
-    sym = 0.5 * (g + g.T)
-    try:
-        return DecayMatrix(sym)
-    except ModelError as exc:
-        raise ModelError(f"correlation model is not a valid reservoir: {exc}") from exc
+    f = np.asarray(decomp.frequencies)
+    same = np.abs(f[:, None] - f) <= network._CLUSTER_RTOL * np.maximum(np.abs(f[:, None]), np.abs(f))
+    return DecayMatrix(sigma * c.T @ (np.outer(s, s) * same) @ c)
 
 
 def decay_matrix_distinct(n: int, gamma_plus: float, gamma_minus: float) -> DecayMatrix:
@@ -242,19 +236,3 @@ def build_decay_matrix(spec: ReservoirSpec, net: NetworkSpec) -> DecayMatrix:
     decomp = network.normal_modes(net)
     couplings = np.array([[coupling_value(p, freq) for p in profiles] for freq in decomp.frequencies])
     return decay_matrix_from_couplings(decomp, couplings, spec.sigma)
-
-
-def rate_split(spec: ReservoirSpec, n: int) -> Optional[tuple[float, float]]:
-    """Mean direct rate gamma and protected-manifold rate gamma_down of n resonators.
-
-    White noise gives (sigma, (1 - epsilon) sigma) and distinct reservoirs
-    ((gamma_plus + (n-1) gamma_minus) / n, gamma_minus); in both the decay
-    matrix has the single collective rate n gamma - (n-1) gamma_down on the
-    uniform mode.  Profile reservoirs have no such split (None): their rates
-    follow from the network's modes.
-    """
-    if spec.kind is ReservoirKind.COMMON_WHITE_NOISE:
-        return spec.sigma, (1.0 - spec.epsilon) * spec.sigma
-    if spec.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
-        return (spec.gamma_plus + (n - 1) * spec.gamma_minus) / n, spec.gamma_minus
-    return None

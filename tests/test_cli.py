@@ -214,20 +214,115 @@ def test_classify_command(tmp_path):
     assert payload["regime"] == "common_eps1"
 
 
-def test_classify_profile_reservoir_rejected(tmp_path, capsys):
+def test_classify_profile_reservoir(tmp_path):
+    # Profile reservoirs get the same protected-subspace verdict as the
+    # others, and classify reports the tau_d that evolve writes.
+    profile = {"amplitude": 1.0, "centers": [10.5], "widths": [100.0]}
+    for r, s, dfs_expected in ((1, 1, True), (1, 0, False)):
+        cfg = _write_scenario(
+            tmp_path / "s.json",
+            reservoir={"kind": "common_profile", "sigma": 1.0, "profiles": [profile, profile]},
+            state={"type": "rs", "r": r, "s": s, "alpha": 0.6},
+        )
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "classification.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert report["regime"] == "common_profile"
+        assert report["is_dfs"] is dfs_expected
+        assert report["tau_d"] == summary["tau_d_formula"]
+        assert (report["tau_d"] == "inf") is dfs_expected
+
+
+def test_classify_distinct_reservoir_without_collective_rate(tmp_path):
+    # gamma_plus = 0 is a valid decay matrix; classify used to exit 1 with
+    # "distinct-reservoir classification needs gamma_plus > 0".
     cfg = _write_scenario(
         tmp_path / "s.json",
-        reservoir={
-            "kind": "common_profile",
-            "sigma": 1.0,
-            "profiles": [
-                {"amplitude": 1.0, "centers": [10.5], "widths": [100.0]},
-                {"amplitude": 1.0, "centers": [10.5], "widths": [100.0]},
-            ],
-        },
+        reservoir={"kind": "distinct_strong_coupling", "gamma_plus": 0.0, "gamma_minus": 0.5},
     )
-    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "profile reservoirs have no closed-form regime" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "classification.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    assert report["is_dfs"] is False
+    assert report["tau_d"] == summary["tau_d_formula"] == float(f"{1.0 / 0.72:.9g}")
+
+
+def test_classify_reads_the_network(tmp_path):
+    # Detuned resonators in fully correlated white noise: the balanced pair
+    # starts in ker Gamma but the network carries it out, so it is neither
+    # decoherence- nor relaxation-free (it used to be reported as both), and
+    # evolve loses purity.  Its short-time tau_d is infinite because the
+    # initial rate vanishes; an unbalanced pair has a finite one.
+    network = {"omega": [10.0, 10.3, 9.6], "coupling": [[0.0, 0.4, 0.4], [0.4, 0.0, 0.4], [0.4, 0.4, 0.0]]}
+    reservoir = {"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.0}
+    out = tmp_path / "out"
+    for r, s in ((1, 1), (1, 0)):
+        cfg = _write_scenario(
+            tmp_path / "s.json",
+            network=network,
+            reservoir=reservoir,
+            state={"type": "rs", "r": r, "s": s, "alpha": 0.7},
+            evolution={"t_max": 20.0, "steps": 40},
+        )
+        assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "classification.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert report["is_dfs"] is False and report["is_rfs"] is False
+        assert report["tau_d"] == summary["tau_d_formula"]
+        if (r, s) == (1, 1):
+            assert report["tau_d"] == "inf"
+            assert summary["final"]["purity"] == pytest.approx(0.727, abs=1e-3)
+        else:
+            assert report["tau_d"] == float(f"{1.0 / 0.98:.9g}")
+
+
+def test_profile_reservoir_on_a_detuned_network(tmp_path):
+    # Identical profiles on detuned resonators used to be rejected as an
+    # asymmetric decay matrix (relative asymmetry 0.147).
+    rng = np.random.default_rng(1)
+    omega = 10.0 + rng.uniform(-0.5, 0.5, size=8)
+    coupling = np.full((8, 8), 0.5)
+    np.fill_diagonal(coupling, 0.0)
+    profile = {"amplitude": 1.0, "centers": [13.5], "widths": [0.1]}
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"omega": omega.tolist(), "coupling": coupling.tolist()},
+        reservoir={"kind": "common_profile", "sigma": 1.0, "profiles": [profile] * 8},
+        state={"type": "rs", "r": 2, "s": 2, "alpha": 0.5},
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gamma_down"] > 0.0
+    assert math.isfinite(summary["tau_d_formula"])
+
+
+def test_profile_reservoir_ignores_epsilon(tmp_path):
+    # Gamma of a profile reservoir comes from its profiles alone, so an
+    # epsilon key is ignored like any unknown key, even out of range.
+    profile = {"amplitude": 1.0, "centers": [10.5], "widths": [1.0]}
+    outputs = []
+    for extra in ({}, {"epsilon": 0.3}, {"epsilon": 7.0}):
+        reservoir = {"kind": "common_profile", "sigma": 1.0, "profiles": [profile, profile], **extra}
+        cfg = _write_scenario(tmp_path / "s.json", reservoir=reservoir)
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert set(outputs[0]) == {"trajectory.csv", "summary.json", "classification.json"}
+    # nothing reads it, so it cannot be swept either
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--sweep-param", "epsilon", "--sweep-values", "0.5"]
+    assert main(argv) == 1
+    assert json.loads((out / "sweep_summary.json").read_text())["errors"] == {
+        "0.5": "epsilon sweeps need a white-noise reservoir scenario"
+    }
 
 
 def test_oracle_compare_pass_and_mismatch(tmp_path):

@@ -8,21 +8,41 @@ import pytest
 from resonet import (
     ClassificationReport,
     CouplingProfile,
+    DriftMatrix,
     ModelError,
+    NetworkSpec,
     Regime,
     ReservoirKind,
     ReservoirSpec,
     RSFamilySpec,
+    build_decay_matrix,
     classify,
     collective_lowering_eigencheck,
+    decay_matrix_common,
+    decay_matrix_distinct,
+    degenerate_network,
     make_rs_state,
     make_superposition,
     master_equation_reduction_check,
+    propagate_with,
+    propagator_general,
+    protected_subspace,
 )
+from resonet import oracle
 
 
 def _white(epsilon, sigma=1.0):
     return ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=sigma, epsilon=epsilon)
+
+
+def _net(n):
+    return degenerate_network(n, 10.0, 0.5)
+
+
+def _detuned_net(omega, coupling):
+    c = np.full((len(omega), len(omega)), coupling)
+    np.fill_diagonal(c, 0.0)
+    return NetworkSpec(omega=omega, coupling=c)
 
 
 def _distinct(gamma_plus, gamma_minus):
@@ -57,57 +77,64 @@ def test_eigencheck_single_product():
 
 def test_classify_full_correlation():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _white(1.0))
+    report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
     assert report.is_dfs and report.is_rfs
     assert math.isinf(report.tau_d)
     assert report.effective_decay_rate == 0.0
 
     spec2 = RSFamilySpec(n=4, r=1, s=1, alpha=0.5, eta=0.4)
-    report2 = classify(make_rs_state(spec2), spec2, _white(1.0))
+    report2 = classify(make_rs_state(spec2), spec2, _white(1.0), _net(spec2.n))
     assert report2.is_dfs and not report2.is_rfs
 
     spec3 = RSFamilySpec(n=2, r=1, s=0, alpha=0.6)
-    report3 = classify(make_rs_state(spec3), spec3, _white(1.0))
+    report3 = classify(make_rs_state(spec3), spec3, _white(1.0), _net(spec3.n))
     assert not report3.is_dfs and not report3.is_rfs
     assert math.isfinite(report3.tau_d)
 
 
 def test_classify_weak_correlation():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _white(0.4))
+    report = classify(make_rs_state(spec), spec, _white(0.4), _net(spec.n))
     assert not report.is_dfs
     single = make_superposition([1.0], np.array([[0.3, 0.3]]))
-    report2 = classify(single, None, _white(0.4))
+    report2 = classify(single, None, _white(0.4), _net(2))
     assert report2.is_dfs and not report2.is_rfs
 
 
 def test_classify_regime_preconditions():
-    # The reservoir alone decides the regime, so no regime can disagree
-    # with epsilon; what is left to reject is a reservoir without a
-    # closed-form regime and inconsistent inputs.
+    # The regime only names the reservoir; every kind is classified,
+    # including profile reservoirs and gamma_plus = 0.  What is left to
+    # reject is inputs of inconsistent size.
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
-    assert classify(state, spec, _white(1.0 - 0.9e-6)).regime is Regime.COMMON_EPS1
-    assert classify(state, spec, _white(1.0 - 1.1e-6)).regime is Regime.COMMON_EPS_SMALL
-    assert classify(state, spec, _distinct(2.0, 0.5)).regime is Regime.DISTINCT_STRONG
+    net = _net(2)
+    assert classify(state, spec, _white(1.0 - 0.9e-6), net).regime is Regime.COMMON_EPS1
+    assert classify(state, spec, _white(1.0 - 1.1e-6), net).regime is Regime.COMMON_EPS_SMALL
+    assert classify(state, spec, _distinct(2.0, 0.5), net).regime is Regime.DISTINCT_STRONG
     p = CouplingProfile(amplitude=1.0, centers=[10.5], widths=[100.0])
     profile = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, profiles=(p, p))
-    with pytest.raises(ModelError, match="profile reservoirs have no closed-form regime"):
-        classify(state, spec, profile)
-    with pytest.raises(ModelError):
-        classify(state, spec, _distinct(0.0, 0.5))
-    with pytest.raises(ModelError):
-        classify(state, RSFamilySpec(n=3, r=1, s=1, alpha=0.6), _white(0.5))
+    report = classify(state, spec, profile, net)
+    assert report.regime is Regime.COMMON_PROFILE
+    assert report.is_dfs and report.is_rfs and math.isinf(report.tau_d)
+    # gamma_plus = 0 leaves only the relative channel: the balanced pair,
+    # which lives there, decoheres at 2 |alpha|^2 (R+S) gamma_minus.
+    report = classify(state, spec, _distinct(0.0, 0.5), net)
+    assert not report.is_dfs
+    assert report.tau_d == pytest.approx(1.0 / 0.72, rel=1e-12)
+    with pytest.raises(ModelError, match="family spec and state"):
+        classify(state, RSFamilySpec(n=3, r=1, s=1, alpha=0.6), _white(0.5), net)
+    with pytest.raises(ModelError, match="network and state"):
+        classify(state, spec, _white(0.5), _net(3))
 
 
 def test_classify_distinct_collective():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
-    report = classify(state, spec, _distinct(2.0, 0.0))
+    report = classify(state, spec, _distinct(2.0, 0.0), _net(2))
     assert report.is_dfs and report.is_rfs
     assert math.isinf(report.tau_d)
     # a residual gamma_minus spoils the single-channel picture
-    report2 = classify(state, spec, _distinct(2.0, 1.0))
+    report2 = classify(state, spec, _distinct(2.0, 1.0), _net(2))
     assert not report2.is_dfs
 
 
@@ -115,7 +142,7 @@ def test_classify_distinct_with_gamma_minus_above_gamma_plus():
     # gamma_minus > gamma_plus is a valid (positive-semidefinite) reservoir;
     # the balanced pair decoheres at 2 |alpha|^2 (R+S) gamma_minus = 2.88.
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _distinct(1.0, 2.0))
+    report = classify(make_rs_state(spec), spec, _distinct(1.0, 2.0), _net(spec.n))
     assert abs(report.tau_d - 1.0 / 2.88) < 1e-12
     assert not report.is_dfs
     assert report.effective_decay_rate == 2.0
@@ -133,14 +160,14 @@ def test_is_rfs_implies_is_dfs_property():
         if r == 0 and s == 0 and sign == -1:
             continue
         spec = RSFamilySpec(n=n, r=r, s=s, alpha=alpha, eta=eta, sign=sign)
-        report = classify(make_rs_state(spec), spec, _white(1.0))
+        report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
         if report.is_rfs:
             assert report.is_dfs
 
 
 def test_report_json_dict():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _white(1.0))
+    report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
     d = report.to_json_dict()
     assert d["tau_d"] == "inf"
     assert d["is_dfs"] is True and d["is_rfs"] is True
@@ -168,3 +195,88 @@ def test_reduction_check_argument_validation():
         master_equation_reduction_check(2)
     with pytest.raises(ModelError):
         master_equation_reduction_check(2, gamma=1.0, epsilon=1.0, cutoff=9)
+
+
+def test_protected_subspace_dimensions():
+    # Fully correlated white noise on the degenerate network protects the
+    # complement of the uniform mode; detuning the resonators leaves nothing
+    # W-invariant inside ker Gamma; no damping protects everything.
+    common = decay_matrix_common(50, 1.0, 1.0)
+    assert protected_subspace(degenerate_network(50, 10.0, 0.5).w_matrix(), common).shape == (50, 49)
+    detuned = _detuned_net([10.0, 10.3, 9.6], 0.4)
+    assert protected_subspace(detuned.w_matrix(), decay_matrix_common(3, 1.0, 1.0)).shape == (3, 0)
+    assert protected_subspace(detuned.w_matrix(), np.zeros((3, 3))).shape == (3, 3)
+    # A residual rate below 1e-3 / n of the collective one counts as kernel.
+    w = degenerate_network(4, 10.0, 0.5).w_matrix()
+    assert protected_subspace(w, decay_matrix_distinct(4, 2.0, 0.99e-3 * 2.0 / 4)).shape == (4, 3)
+    assert protected_subspace(w, decay_matrix_distinct(4, 2.0, 1.01e-3 * 2.0 / 4)).shape == (4, 0)
+
+
+def test_classify_detuned_network_is_not_protected():
+    # The balanced pair starts inside ker Gamma, but W carries it out: no
+    # protection, although the short-time rate delta^T Gamma delta is 0.
+    net = _detuned_net([10.0, 10.3, 9.6], 0.4)
+    spec = RSFamilySpec(n=3, r=1, s=1, alpha=0.7)
+    report = classify(make_rs_state(spec), spec, _white(1.0), net)
+    assert not report.is_dfs and not report.is_rfs
+    assert math.isinf(report.tau_d)
+    spec = RSFamilySpec(n=3, r=1, s=0, alpha=0.7)
+    report = classify(make_rs_state(spec), spec, _white(1.0), net)
+    assert not report.is_dfs
+    assert report.tau_d == pytest.approx(1.0 / (2 * 0.49 * 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_protected_subspace_of_random_block_networks(n):
+    # W = Q blockdiag(W1, W2) Q^T and Gamma = Q blockdiag(0, Gamma2) Q^T with
+    # Gamma2 of full rank: the protected subspace is span(Q[:, :k]).  A pair
+    # whose difference lies there keeps |c_rs(t)| along the exact label
+    # evolution; one with a component outside loses coherence.
+    rng = np.random.default_rng(600 + n)
+    k = int(rng.integers(1, n))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = np.zeros((n, n))
+    g = np.zeros((n, n))
+    a = rng.normal(size=(n, n))
+    w[:k, :k] = a[:k, :k] + a[:k, :k].T
+    w[k:, k:] = a[k:, k:] + a[k:, k:].T
+    b = rng.normal(size=(n - k, n - k))
+    g[k:, k:] = b @ b.T + 0.5 * np.eye(n - k)
+    w, g = q @ w @ q.T, q @ g @ q.T
+    basis = protected_subspace(w, g)
+    assert basis.shape == (n, k)
+    np.testing.assert_allclose(basis @ basis.T, q[:, :k] @ q[:, :k].T, atol=1e-10)
+
+    drift = DriftMatrix(-1j * w - 0.5 * g)
+    times = np.linspace(0.0, 3.0, 61)
+    beta = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    inside = q[:, :k] @ (0.4 * (rng.normal(size=k) + 1j * rng.normal(size=k)))
+    outside = q[:, k:] @ (0.4 * rng.normal(size=n - k))
+    for delta, protected in ((inside, True), (inside + outside, False)):
+        state = make_superposition([1.0, 1.0], np.array([beta, beta + delta]))
+        traj = propagate_with(state, times, lambda t: propagator_general(drift, t))
+        coherence = np.abs(traj.coeffs[:, 0, 1])
+        if protected:
+            assert np.max(np.abs(coherence - coherence[0])) < 1e-10
+        else:
+            assert coherence[-1] < (1.0 - 1e-3) * coherence[0]
+
+
+@pytest.mark.parametrize("omega, protected", [([10.0, 10.3], False), ([10.0, 10.0], True)])
+def test_oracle_purity_follows_the_verdict(omega, protected):
+    # Independent evidence from the truncated master equation: the balanced
+    # pair in fully correlated white noise stays pure on the degenerate
+    # network and loses purity once the resonators are detuned.
+    net = _detuned_net(omega, 0.5)
+    spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
+    state = make_rs_state(spec)
+    reservoir = _white(1.0)
+    assert classify(state, spec, reservoir, net).is_dfs is protected
+    basis = oracle.FockBasisSpec(n=2, cutoff=oracle.minimum_cutoff(0.6))
+    gen = oracle.build_generator(net, build_decay_matrix(reservoir, net), basis)
+    rho = oracle.integrate(oracle.embed_state(state, basis), gen, np.linspace(0.0, 2.0, 3))[-1].matrix
+    purity = float(np.sum(np.abs(rho) ** 2))
+    if protected:
+        assert abs(purity - 1.0) < 1e-6
+    else:
+        assert purity < 1.0 - 1e-3

@@ -18,7 +18,6 @@ from resonet import (
     degenerate_modes,
     degenerate_network,
     drift_matrix,
-    effective_rates,
     expm,
     gram_matrix,
     make_rs_state,
@@ -41,12 +40,6 @@ def _params(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5, t_max=3.0, steps=30):
         omega_minus=minus,
         times=np.linspace(0.0, t_max, steps + 1),
     )
-
-
-def test_effective_rates_split():
-    rates = effective_rates(4, 1.5, 0.4)
-    assert abs(rates.gamma_down - 0.9) < 1e-15
-    assert abs(rates.gamma_up - (1 + 3 * 0.4) * 1.5) < 1e-15
 
 
 def test_expm_matches_scipy():

@@ -10,20 +10,23 @@ from resonet import (
     DecayMatrix,
     ModelError,
     NetworkSpec,
+    NormalModeDecomposition,
     ReservoirKind,
     ReservoirSpec,
+    RSFamilySpec,
     build_decay_matrix,
     coupling_value,
     decay_matrix_common,
     decay_matrix_distinct,
     decay_matrix_from_couplings,
+    decoherence_time,
+    decoherence_time_formula,
     degenerate_decomposition,
     degenerate_network,
-    effective_rates,
     normal_modes,
-    rate_split,
     renormalized_frequency,
 )
+from resonet.network import _CLUSTER_RTOL
 
 
 def test_common_matrix_structure():
@@ -46,10 +49,10 @@ def test_rate_sum_rule_random():
         n = int(rng.integers(1, 17))
         gamma = float(rng.uniform(0.0, 4.0))
         eps = float(rng.uniform(0.0, 1.0))
-        rates = effective_rates(n, gamma, eps)
-        assert abs(rates.gamma_up + (n - 1) * rates.gamma_down - n * gamma) < 1e-12
+        gamma_down, gamma_up = (1.0 - eps) * gamma, (1.0 + (n - 1) * eps) * gamma
+        assert abs(gamma_up + (n - 1) * gamma_down - n * gamma) < 1e-12
         eigs = np.sort(np.linalg.eigvalsh(decay_matrix_common(n, gamma, eps).matrix))
-        expected = np.sort(np.concatenate([np.full(n - 1, rates.gamma_down), [rates.gamma_up]]))
+        expected = np.sort(np.concatenate([np.full(n - 1, gamma_down), [gamma_up]]))
         np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
 
@@ -140,28 +143,71 @@ def test_correlations_select_collective_channel():
 
 
 def test_couplings_match_mode_sum():
-    # Reference: the definitional sum of sigma V[k,m] V[k,m'] C[k,m'] C[k,n]
-    # over modes k and resonators m'.  Couplings that follow each mode's own
-    # pattern, V[k,m] = h_k C[k,m], keep the result symmetric on any network.
+    # Reference: the definitional secular sum of
+    # sigma s_k s_l C[k,m] C[l,n] over mode pairs (k, l) of equal frequency,
+    # with s_k = sum_m' V[k,m'] C[k,m'], on random detuned networks with
+    # arbitrary couplings and on a degenerate network, where cross rates
+    # inside the degenerate cluster survive.
     rng = np.random.default_rng(17)
     sigma = 1.7
+    networks = []
     for n in (2, 5, 8):
         coupling = rng.normal(scale=0.2, size=(n, n))
         coupling = coupling + coupling.T
         np.fill_diagonal(coupling, 0.0)
-        decomp = normal_modes(NetworkSpec(omega=rng.uniform(1.0, 4.0, size=n), coupling=coupling))
-        c = decomp.transform
-        v = rng.uniform(0.5, 2.0, size=n)[:, None] * c
+        networks.append(NetworkSpec(omega=rng.uniform(1.0, 4.0, size=n), coupling=coupling))
+    networks.append(degenerate_network(4, 3.0, 0.3))
+    for net in networks:
+        n = net.n
+        decomp = normal_modes(net)
+        c, f = decomp.transform, decomp.frequencies
+        v = rng.uniform(0.5, 2.0, size=(n, n))
+        s = [sum(v[k, mp] * c[k, mp] for mp in range(n)) for k in range(n)]
         ref = np.zeros((n, n))
         for m in range(n):
             for nn in range(n):
                 for k in range(n):
-                    for mp in range(n):
-                        ref[m, nn] += sigma * v[k, m] * v[k, mp] * c[k, mp] * c[k, nn]
+                    for l in range(n):
+                        if abs(f[k] - f[l]) <= 1e-9 * max(abs(f[k]), abs(f[l])):
+                            ref[m, nn] += sigma * s[k] * s[l] * c[k, m] * c[l, nn]
         got = decay_matrix_from_couplings(decomp, v, sigma).matrix
         np.testing.assert_allclose(got, ref, atol=1e-12)
     with pytest.raises(ModelError):
         decay_matrix_from_couplings(decomp, v[:, :-1], sigma)
+
+
+def test_secular_mask_uses_the_cluster_tolerance():
+    # Two modes split by less than the degenerate-cluster tolerance share one
+    # decay channel (rank 1); split by more, each decays on its own (rank 2).
+    assert _CLUSTER_RTOL == 1e-9
+    angle = 0.3
+    c = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    v = np.array([[0.8, 1.1], [0.4, 1.3]])
+    s = np.sum(v * c, axis=1)
+    for split, rank in ((0.5, 1), (2.0, 2)):
+        freqs = np.array([10.0, 10.0 * (1.0 + split * _CLUSTER_RTOL)])
+        decomp = NormalModeDecomposition(transform=c, frequencies=freqs, symmetric=False)
+        g = decay_matrix_from_couplings(decomp, v, 1.0).matrix
+        mask = np.ones((2, 2)) if rank == 1 else np.eye(2)
+        np.testing.assert_allclose(g, c.T @ (np.outer(s, s) * mask) @ c, atol=1e-15)
+        assert np.linalg.matrix_rank(g, tol=1e-12) == rank
+
+
+def test_profile_decay_matrix_on_a_detuned_network():
+    # Identical narrow profiles on 8 detuned resonators: the secular matrix
+    # is a valid decay matrix (the earlier non-secular form was asymmetric
+    # by 0.147 relative and rejected).
+    rng = np.random.default_rng(1)
+    omega = 10.0 + rng.uniform(-0.5, 0.5, size=8)
+    coupling = np.full((8, 8), 0.5)
+    np.fill_diagonal(coupling, 0.0)
+    p = CouplingProfile(amplitude=1.0, centers=[13.5], widths=[0.1])
+    spec = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=(p,) * 8)
+    g = build_decay_matrix(spec, NetworkSpec(omega=omega, coupling=coupling)).matrix
+    assert np.max(np.abs(g - g.T)) < 1e-15
+    eig = np.linalg.eigvalsh(g)
+    assert eig[0] > 1e-7
+    assert np.linalg.matrix_rank(g) == 8
 
 
 def test_build_decay_matrix_profiles():
@@ -196,7 +242,6 @@ def test_build_decay_matrix_dispatch():
     )
     with pytest.raises(ModelError, match="expected 3 coupling profiles"):
         build_decay_matrix(profile, degenerate_network(3, 1.0, 0.1))
-    assert rate_split(profile, 2) is None
 
 
 @pytest.mark.parametrize(
@@ -208,15 +253,23 @@ def test_build_decay_matrix_dispatch():
     ],
 )
 def test_rate_split_matches_the_decay_matrix(spec, n, expected):
-    # gamma is the mean direct rate; gamma_down and n gamma - (n-1) gamma_down
-    # are the decay matrix's eigenvalues off and on the uniform mode.
-    gamma, gamma_down = rate_split(spec, n)
-    assert (gamma, gamma_down) == pytest.approx(expected, abs=1e-15)
-    g = build_decay_matrix(spec, degenerate_network(n, 1.0, 0.1)).matrix
+    # The closed-form split: gamma is the mean direct rate; gamma_down and
+    # n gamma - (n-1) gamma_down are the decay matrix's eigenvalues off and on
+    # the uniform mode.  The general two-branch rate delta^T Gamma delta
+    # reproduces the paper's formula on that split for every (R, S).
+    gamma, gamma_down = expected
+    decay = build_decay_matrix(spec, degenerate_network(n, 1.0, 0.1))
+    g = decay.matrix
     assert gamma == pytest.approx(np.trace(g) / n, abs=1e-15)
     eig = np.linalg.eigvalsh(g)
     expected_eig = sorted([gamma_down] * (n - 1) + [n * gamma - (n - 1) * gamma_down])
     np.testing.assert_allclose(eig, expected_eig, atol=1e-12)
+    for r in range(n + 1):
+        for s in range(n + 1 - r):
+            family = RSFamilySpec(n=n, r=r, s=s, alpha=0.7, eta=0.2)
+            general = decoherence_time(family, decay)
+            closed = decoherence_time_formula(family, gamma, gamma_down)
+            assert general == pytest.approx(closed, rel=1e-12) or general == closed == math.inf
 
 
 def test_reservoir_spec_validation():
