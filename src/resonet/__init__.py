@@ -43,16 +43,14 @@ from .states import (
     swap_resonators,
 )
 from .evolve import (
-    EvolutionParams,
     Trajectory,
     decoherence_time_formula,
     decoherence_time_numeric,
     expm,
+    label_flow,
     observables,
-    propagate,
     propagate_with,
     propagator_closed_form,
-    propagator_general,
     trajectory_to_csv,
 )
 from .dfs import (
@@ -99,16 +97,14 @@ __all__ = [
     "rs_branch_labels",
     "state_norm",
     "swap_resonators",
-    "EvolutionParams",
     "Trajectory",
     "decoherence_time_formula",
     "decoherence_time_numeric",
     "expm",
+    "label_flow",
     "observables",
-    "propagate",
     "propagate_with",
     "propagator_closed_form",
-    "propagator_general",
     "trajectory_to_csv",
     "ClassificationReport",
     "Regime",

@@ -134,58 +134,36 @@ def _effective_network(cfg: ScenarioConfig) -> network.NetworkSpec:
     return cfg.network
 
 
-def _closed_form_applies(cfg: ScenarioConfig) -> bool:
-    return (
-        cfg.degenerate is not None
-        and cfg.reservoir.kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE
-    )
-
-
-def _run_trajectory(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> tuple[evolve.Trajectory, str]:
+def _run_trajectory(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> evolve.Trajectory:
     if cfg.state is None:
         raise ConfigError("this command needs a 'state' section in the scenario")
     if cfg.times is None:
         raise ConfigError("this command needs an 'evolution' section in the scenario")
-    n = cfg.network.n
-    if _closed_form_applies(cfg):
-        omega0, lam = cfg.degenerate
-        if n >= 2:
-            plus, minus = network.degenerate_modes(n, omega0, lam)
-        else:
-            plus = minus = omega0
-        params = evolve.EvolutionParams(
-            n=n,
-            gamma=cfg.reservoir.sigma,
-            epsilon=cfg.reservoir.epsilon,
-            omega_plus=plus,
-            omega_minus=minus,
-            times=cfg.times,
-        )
-        return evolve.propagate(cfg.state, params), "closed_form"
-    drift = network.drift_matrix(_effective_network(cfg), decay)
+    flow = evolve.label_flow(network.drift_matrix(_effective_network(cfg), decay))
     rate = float(np.max(np.diagonal(decay.matrix), initial=0.0))
-    traj = evolve.propagate_with(
-        cfg.state, cfg.times, lambda t: evolve.propagator_general(drift, t), gamma_rate=rate
-    )
-    return traj, "general"
+    return evolve.propagate_with(cfg.state, cfg.times, flow, gamma_rate=rate)
 
 
 def _decay_extremes(decay: reservoir.DecayMatrix) -> tuple[float, float]:
+    """Smallest and largest decay rate; rounding noise within the slack reads 0."""
     values = np.linalg.eigvalsh(decay.matrix)
-    return float(np.min(values)), float(np.max(values))
+    values[np.abs(values) <= decay.slack] = 0.0
+    return float(values[0]), float(values[-1])
 
 
-def _summarize(
-    cfg: ScenarioConfig, traj: evolve.Trajectory, path_name: str, decay: reservoir.DecayMatrix
-) -> dict:
+def _summarize(cfg: ScenarioConfig, traj: evolve.Trajectory, decay: reservoir.DecayMatrix) -> dict:
     gamma_down, gamma_up = _decay_extremes(decay)
+    # Whether the paper's closed form covers the scenario; the flow is the same either way.
+    closed_form = (
+        cfg.degenerate is not None and cfg.reservoir.kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE
+    )
     tau_numeric = None
     if traj.num_terms >= 2:
         tau_numeric = evolve.decoherence_time_numeric(traj)
     return {
         "n": cfg.network.n,
         "reservoir": cfg.reservoir.kind.value,
-        "propagator": path_name,
+        "propagator": "closed_form" if closed_form else "general",
         "gamma_down": gamma_down,
         "gamma_up": gamma_up,
         "tau_d_formula": dfs.decoherence_time(cfg.rs, decay),
@@ -225,8 +203,8 @@ def _cmd_evolve(args) -> int:
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
-    traj, path_name = _run_trajectory(cfg, decay)
-    summary = _summarize(cfg, traj, path_name, decay)
+    traj = _run_trajectory(cfg, decay)
+    summary = _summarize(cfg, traj, decay)
     _write_text(out / "trajectory.csv", evolve.trajectory_to_csv(traj))
     _write_json(out / "summary.json", summary)
     if cfg.svg:
@@ -259,7 +237,7 @@ def _cmd_oracle_compare(args) -> int:
     if threshold <= 0.0:
         raise ConfigError("threshold must be positive")
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
-    traj, _ = _run_trajectory(cfg, decay)
+    traj = _run_trajectory(cfg, decay)
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
     oracle.check_working_set(cfg.network.n, cutoff, cfg.times.size, cfg.state.labels)
     basis = oracle.FockBasisSpec(n=cfg.network.n, cutoff=cutoff)
@@ -327,8 +305,8 @@ def _patched(raw: dict, param: str, value: float) -> dict:
 def _sweep_one(raw: dict, param: str, value: float) -> dict:
     cfg = parse_scenario(_patched(raw, param, value))
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
-    traj, path_name = _run_trajectory(cfg, decay)
-    summary = _summarize(cfg, traj, path_name, decay)
+    traj = _run_trajectory(cfg, decay)
+    summary = _summarize(cfg, traj, decay)
     return {
         "value": value,
         "status": "ok",

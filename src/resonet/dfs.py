@@ -48,7 +48,6 @@ __all__ = [
 # Matching thresholds for the boolean classification.
 _EIGENCHECK_ATOL = 1e-10
 _RFS_EIG_ATOL = 1e-12
-_EPS_ONE_TOL = 1e-6
 # Decay-matrix eigenvalues up to _DISTINCT_RATIO / n of the largest count as kernel.
 _DISTINCT_RATIO = 1e-3
 
@@ -153,9 +152,12 @@ def decoherence_time(spec: Optional[RSFamilySpec], decay: DecayMatrix) -> Option
     return 2.0 / rate
 
 
-def _regime(reservoir: ReservoirSpec) -> Regime:
+def _regime(reservoir: ReservoirSpec, n: int) -> Regime:
     if reservoir.kind is ReservoirKind.COMMON_WHITE_NOISE:
-        return Regime.COMMON_EPS1 if reservoir.epsilon >= 1.0 - _EPS_ONE_TOL else Regime.COMMON_EPS_SMALL
+        # The kernel test of protected_subspace on the rates (1 - eps) and 1 + (n-1) eps.
+        eps = reservoir.epsilon
+        kernel = 1.0 - eps <= (_DISTINCT_RATIO / n) * (1.0 + (n - 1) * eps)
+        return Regime.COMMON_EPS1 if kernel else Regime.COMMON_EPS_SMALL
     if reservoir.kind is ReservoirKind.COMMON_PROFILE:
         return Regime.COMMON_PROFILE
     return Regime.DISTINCT_STRONG
@@ -176,9 +178,10 @@ def classify(
     effective decay rate is the largest eigenvalue of Gamma whose
     eigenvector some branch label touches (0 for the vacuum), tau_d comes
     from decoherence_time when the two-branch spec is available, and the
-    regime only names the reservoir: white noise with epsilon within 1e-6
-    of 1 is COMMON_EPS1, other white noise COMMON_EPS_SMALL, then
-    COMMON_PROFILE and DISTINCT_STRONG.
+    regime only names the reservoir: white noise whose slow rate (1 - eps)
+    falls in the kernel that protected_subspace reads, at most
+    (_DISTINCT_RATIO / n) (1 + (n-1) eps), is COMMON_EPS1, other white noise
+    COMMON_EPS_SMALL, then COMMON_PROFILE and DISTINCT_STRONG.
     """
     n = state.n
     if spec is not None and spec.n != n:
@@ -211,7 +214,7 @@ def classify(
         lindblad_eigenvalue=eig,
         effective_decay_rate=0.0 if rate <= decay.slack else rate,
         tau_d=math.inf if tau_d is None else tau_d,
-        regime=_regime(reservoir),
+        regime=_regime(reservoir, n),
     )
 
 

@@ -2,13 +2,17 @@
 
 For a quadratic resonator Hamiltonian with zero-temperature damping, a
 superposition of coherent products stays a superposition of coherent
-products: each label vector flows linearly, zeta_r(t) = Theta(t) beta_r,
-and each pair of terms picks up the exact coefficient
+products: each label vector flows linearly, zeta_r(t) = exp(t D) beta_r with
+the drift D = -i W - Gamma / 2, and each pair of terms picks up the exact
+coefficient
 
     c_rs(t) = N^2 * w_r * conj(w_s) * <beta_s|beta_r> / <zeta_s|zeta_r>
 
-multiplying |zeta_r><zeta_s|.  For the all-to-all degenerate network in a
-common partially correlated reservoir the propagator has a closed form,
+multiplying |zeta_r><zeta_s|.  label_flow gives that flow for every network
+and reservoir from one eigendecomposition of D (Moler & Van Loan, SIAM
+Review 45, 2003, method 14, with a Taylor fallback, method 3).  For the
+all-to-all degenerate network in a common partially correlated reservoir
+exp(t D) has the closed form
 
     Theta_mn(t) = exp(-(1-eps) G t / 2) / n
                   * [exp(-(eps n G / 2 + i O_plus) t)
@@ -16,8 +20,8 @@ common partially correlated reservoir the propagator has a closed form,
 
 splitting the decay into a fast collective rate gamma_up = [1 + (n-1) eps] G
 on the symmetric mode and a slow rate gamma_down = (1 - eps) G on the
-complement.  For arbitrary networks Theta(t) = exp(t D) with the drift
-D = -i W - gamma / 2.
+complement; propagator_closed_form keeps it as the reference the flow is
+tested against.
 
 All observables (occupations, purity, fidelity) are evaluated from the label
 Gram matrices, never from a truncated Fock expansion.
@@ -32,16 +36,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericalError
-from .network import DriftMatrix, _frozen
+from .network import _CLUSTER_RTOL, DriftMatrix, _frozen
 from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
 
 __all__ = [
-    "EvolutionParams",
     "Trajectory",
     "propagator_closed_form",
     "expm",
-    "propagator_general",
-    "propagate",
+    "label_flow",
     "propagate_with",
     "decoherence_time_formula",
     "decoherence_time_numeric",
@@ -52,33 +54,17 @@ __all__ = [
 # Trace loss beyond this aborts a propagation as numerically broken.
 _TRACE_ABORT = 1e-6
 
-# Grid points per propagator call in propagate_with.  Memory per block grows
-# as block * n^2 (the Theta stack and its temporaries); at 32 points an
-# n = 50 run peaks no higher than a per-point loop, while the Python overhead
-# is paid once per block instead of once per time point.
+# Grid points per flow call in propagate_with.  Memory per block grows as
+# block * terms * (n + terms); the Python overhead is paid once per block
+# instead of once per time point.
 _BLOCK = 32
 
+# An eigenvector matrix conditioned worse than this loses too many digits to
+# V^-1; label_flow then uses the Taylor expm instead.
+_COND_MAX = 1e4
 
-@dataclass(frozen=True, eq=False)
-class EvolutionParams:
-    """Closed-form evolution inputs for the degenerate symmetric network."""
-
-    n: int
-    gamma: float
-    epsilon: float
-    omega_plus: float
-    omega_minus: float
-    times: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _frozen(np.atleast_1d(np.asarray(self.times, dtype=float))))
-        if self.n < 1:
-            raise ModelError("evolution needs at least one resonator")
-        if self.gamma < 0.0:
-            raise ModelError("decay rate must be nonnegative")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ModelError("epsilon must lie in [0, 1]")
-        _check_grid(self.times)
+# Labels (terms, n) and a 1-D array of T times -> the (T, terms, n) labels at those times.
+LabelFlow = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _check_grid(times: np.ndarray) -> None:
@@ -89,17 +75,18 @@ def _check_grid(times: np.ndarray) -> None:
         raise ModelError("time grid must be strictly increasing")
 
 
-def propagator_closed_form(params: EvolutionParams, t) -> np.ndarray:
-    """Label propagator of the degenerate symmetric network.
+def propagator_closed_form(
+    n: int, gamma: float, epsilon: float, omega_plus: float, omega_minus: float, t
+) -> np.ndarray:
+    """Label propagator of the degenerate symmetric network in common white noise.
 
     A scalar t gives the (n, n) matrix Theta(t); a 1-D array of T times gives
     the (T, n, n) stack.
     """
-    n = params.n
     t = np.asarray(t, dtype=float)
-    slow = np.exp(-0.5 * (1.0 - params.epsilon) * params.gamma * t)
-    fast = np.exp(-(0.5 * params.epsilon * n * params.gamma + 1j * params.omega_plus) * t)
-    rot = np.exp(-1j * params.omega_minus * t)
+    slow = np.exp(-0.5 * (1.0 - epsilon) * gamma * t)
+    fast = np.exp(-(0.5 * epsilon * n * gamma + 1j * omega_plus) * t)
+    rot = np.exp(-1j * omega_minus * t)
     theta = np.empty(t.shape + (n, n), dtype=complex)
     theta[...] = ((slow / n) * (fast - rot))[..., None, None]
     diag = np.arange(n)
@@ -135,14 +122,67 @@ def expm(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def propagator_general(drift: DriftMatrix, t) -> np.ndarray:
-    """Label propagator exp(t * drift) for an arbitrary network/reservoir.
+def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigenvalues lam, eigenvectors V and V^-1 of d, or None if V is unusable.
 
-    A scalar t gives the (n, n) matrix; a 1-D array of T times gives the
-    (T, n, n) stack, exponentiated together.
+    Eigenvalues within a relative _CLUSTER_RTOL of one another (linked by
+    distance, transitively) form a group that shares its mean value, and the
+    group's vectors are replaced by an orthonormal basis of the null space
+    of d - mean * I: on degenerate networks the solver's own vectors are
+    nearly dependent.  None when a group's null space is smaller than the
+    group (d is defective there) or cond(V) exceeds _COND_MAX.
     """
-    t = np.asarray(t, dtype=float)
-    return expm(np.asarray(drift.matrix) * t[..., None, None])
+    n = d.shape[0]
+    lam, v = np.linalg.eig(d)
+    mag = np.abs(lam)
+    close = np.abs(lam[:, None] - lam) <= _CLUSTER_RTOL * np.maximum(mag[:, None], mag)
+    group = np.arange(n)
+    while True:  # every eigenvalue takes the smallest index it is linked to
+        linked = np.min(np.where(close, group, n), axis=1)
+        if np.array_equal(linked, group):
+            break
+        group = linked
+    for g in np.unique(group):
+        members = np.flatnonzero(group == g)
+        if members.size == 1:
+            continue
+        mean = lam[members].mean()
+        _, sv, vh = np.linalg.svd(d - mean * np.eye(n))
+        if sv[-members.size] > _CLUSTER_RTOL * max(sv[0], abs(mean)):
+            return None
+        lam[members] = mean
+        v[:, members] = vh[-members.size :].conj().T
+    u, sv, wh = np.linalg.svd(v)
+    if sv[0] > _COND_MAX * sv[-1]:
+        return None
+    return lam, v, (wh.conj().T / sv) @ u.conj().T
+
+
+def label_flow(drift: DriftMatrix) -> LabelFlow:
+    """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift.
+
+    D is factorised once, D = V diag(lam) V^-1 (see _eigenbasis), and the
+    returned flow(beta, t) maps labels beta (terms, n) and a 1-D array of T
+    times to zeta = (exp(lam t) * beta V^-T) V^T, of shape (T, terms, n),
+    without forming exp(t D).  When the eigenvectors are unusable it takes
+    zeta = beta exp(t D)^T with the Taylor expm of the stack t D instead.
+    """
+    d = np.asarray(drift.matrix)
+    basis = _eigenbasis(d)
+    if basis is None:
+
+        def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
+            theta = expm(d * np.asarray(t, dtype=float)[:, None, None])
+            return np.asarray(beta) @ np.swapaxes(theta, -1, -2)
+
+        return flow
+    lam, v, v_inv = basis
+
+    def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
+        modes = np.asarray(beta) @ v_inv.T
+        return (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * modes) @ v.T
+
+    return flow
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +191,10 @@ class Trajectory:
 
     labels[t, r] is the coherent label of term r at times[t]; coeffs[t] the
     pair-coefficient matrix (entry (r, s) multiplies |zeta_r><zeta_s|).  The
-    observable arrays are aligned with times.  `propagator` maps a 1-D
-    array of times to the (T, n, n) stack of Theta; the decoherence-time
-    estimate uses it for its short-step derivative.  gamma_rate is the
-    per-resonator decay rate used to size that step (0 when unknown).
+    observable arrays are aligned with times.  `flow` is the label flow the
+    trajectory was built with; the decoherence-time estimate uses it for its
+    short-step derivative.  gamma_rate is the per-resonator decay rate used
+    to size that step (0 when unknown).
     """
 
     times: np.ndarray
@@ -165,7 +205,7 @@ class Trajectory:
     purity: np.ndarray
     fidelity: np.ndarray
     state: SuperpositionState
-    propagator: Callable[[np.ndarray], np.ndarray]
+    flow: LabelFlow
     gamma_rate: float
 
     @property
@@ -173,36 +213,22 @@ class Trajectory:
         return self.labels.shape[1]
 
 
-def propagate(state: SuperpositionState, params: EvolutionParams) -> Trajectory:
-    """Evolve a state with the closed-form degenerate-network propagator."""
-    if state.n != params.n:
-        raise ModelError(f"state has {state.n} resonators, parameters expect {params.n}")
-    return propagate_with(
-        state, params.times, lambda t: propagator_closed_form(params, t), gamma_rate=params.gamma
-    )
-
-
-def propagate_with(
-    state: SuperpositionState,
-    times,
-    propagator: Callable[[np.ndarray], np.ndarray],
-    gamma_rate: float = 0.0,
-) -> Trajectory:
-    """Evolve a state with an arbitrary label propagator Theta(t).
+def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate: float = 0.0) -> Trajectory:
+    """Evolve a state along a label flow (see label_flow).
 
     The time grid must be nonempty, start at 0 and increase strictly.  It is
-    processed in blocks of _BLOCK consecutive times: the propagator is called
-    once per block with a 1-D array of T times and must return the (T, n, n)
-    stack, and every observable of the block is then evaluated as one
-    batched array operation.  The pair coefficients are
-    built in the log domain,
+    processed in blocks of _BLOCK consecutive times: the flow is called once
+    per block with the state's labels and a 1-D array of T times and must
+    return the (T, terms, n) stack of evolved labels, and every observable
+    of the block is then evaluated as one batched array operation.  The pair
+    coefficients are built in the log domain,
     c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
     so overlaps that underflow on their own still give finite coefficients.
 
     Aborts with NumericalError if the reconstructed trace drifts from 1 by
     more than 1e-6 at any grid time (the exact coefficients keep it at 1, so
-    a drift means overflow or a propagator inconsistent with the labels);
-    the message names the first such time.
+    a drift means overflow or a flow inconsistent with the labels); the
+    message names the first such time.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_grid(times)
@@ -224,15 +250,14 @@ def propagate_with(
     for start in range(0, nt, _BLOCK):
         block = slice(start, start + _BLOCK)
         tb = times[block]
-        theta = np.asarray(propagator(tb), dtype=complex)
-        if theta.shape != (tb.size, n, n):
-            raise ModelError(f"propagator returned shape {theta.shape}, expected {(tb.size, n, n)}")
-        # zeta and coeff are written straight into the trajectory's arrays.
-        zeta = np.matmul(beta, np.swapaxes(theta, -1, -2), out=labels_t[block])
+        zeta = np.asarray(flow(beta, tb))
+        if zeta.shape != (tb.size, terms, n):
+            raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
+        labels_t[block] = zeta
         log_gt_t = np.swapaxes(log_gram_matrix(zeta), -1, -2)
         gt_t = np.exp(log_gt_t)
-        # An exploding propagator overflows the coefficients; the trace check
-        # below is the arbiter, so the arithmetic may do so silently.
+        # coeff is written into the trajectory's array.  An exploding flow
+        # overflows it; the trace check below is the arbiter.
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = np.exp(log_g0_t - log_gt_t, out=coeffs_t[block])
             coeff *= w_outer
@@ -260,7 +285,7 @@ def propagate_with(
         purity=purity_t,
         fidelity=fid_t,
         state=state,
-        propagator=propagator,
+        flow=flow,
         gamma_rate=float(gamma_rate),
     )
 
@@ -293,7 +318,7 @@ def decoherence_time_formula(spec: RSFamilySpec, gamma: float, gamma_down: float
 
 
 def decoherence_time_numeric(traj: Trajectory, r: int = 0, s: int = 1) -> float:
-    """Decoherence time of one term pair from the trajectory's own propagator.
+    """Decoherence time of one term pair from the trajectory's own label flow.
 
     The pair coherence D(t) = |<beta_r|beta_s> / <zeta_r(t)|zeta_s(t)>|
     decays from 1; the initial slope of -ln D, taken by a forward difference
@@ -311,8 +336,7 @@ def decoherence_time_numeric(traj: Trajectory, r: int = 0, s: int = 1) -> float:
         raise ModelError("the chosen terms carry identical labels")
     first = float(traj.times[1] - traj.times[0])
     h = first if traj.gamma_rate == 0.0 else min(1e-6 / traj.gamma_rate, first)
-    theta = np.asarray(traj.propagator(np.array([h])), dtype=complex)[0]
-    delta_t = theta @ delta0
+    delta_t = np.asarray(traj.flow(delta0[None, :], np.array([h])))[0, 0]
     # -ln D(h) = (|delta0|^2 - |delta_t|^2) / 2, evaluated from the norms to
     # avoid cancellation inside an exp/log round trip.
     f = 0.5 * float(np.sum(np.abs(delta0) ** 2) - np.sum(np.abs(delta_t) ** 2))
@@ -341,23 +365,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header), all floats printed with 9 significant digits.
     """
     n = traj.labels.shape[2]
-    terms = traj.num_terms
-    pairs = [(a, b) for a in range(terms) for b in range(a + 1, terms)]
+    first, second = np.triu_indices(traj.num_terms, 1)
     header = (
         ["time"]
         + [f"occ_{m + 1}" for m in range(n)]
         + ["occ_total", "purity", "fidelity"]
-        + [f"coh_{a}_{b}" for a, b in pairs]
+        + [f"coh_{a}_{b}" for a, b in zip(first, second)]
     )
+    row = ",".join(["%.9g"] * len(header))
     lines = [",".join(header)]
-    for i in range(traj.times.size):
-        row = [f"{traj.times[i]:.9g}"]
-        row += [f"{x:.9g}" for x in traj.occupations[i]]
-        row += [
-            f"{traj.total_occupation[i]:.9g}",
-            f"{traj.purity[i]:.9g}",
-            f"{traj.fidelity[i]:.9g}",
-        ]
-        row += [f"{abs(traj.coeffs[i][a, b]):.9g}" for a, b in pairs]
-        lines.append(",".join(row))
+    # One block of rows at a time keeps the numeric table small beside the text.
+    for start in range(0, traj.times.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        columns = (traj.times, traj.occupations, traj.total_occupation, traj.purity, traj.fidelity)
+        table = np.column_stack([c[block] for c in columns] + [np.abs(traj.coeffs[block, first, second])])
+        lines += [row % tuple(values) for values in table.tolist()]
     return "\n".join(lines) + "\n"

@@ -6,8 +6,8 @@ quadratic form W (W_mm = omega_m, W_mn = coupling_mn), whose orthogonal
 diagonalisation defines the collective normal modes.  The all-to-all network
 with equal frequencies and equal couplings is special: it has one symmetric
 mode at omega + (n-1)*coupling and an (n-1)-fold degenerate manifold at
-omega - coupling, and it is the configuration for which closed-form
-dissipative propagators exist elsewhere in this package.
+omega - coupling, and in common white noise its label propagator has a
+closed form (evolve.propagator_closed_form, the tests' reference).
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from resonet import (
-    EvolutionParams,
     ModelError,
     RSFamilySpec,
     collective_lowering_eigencheck,
@@ -23,20 +22,23 @@ from resonet import (
     degenerate_network,
     drift_matrix,
     make_rs_state,
+    label_flow,
     make_superposition,
     master_equation_reduction_check,
-    propagate,
+    propagate_with,
     propagator_closed_form,
-    propagator_general,
 )
 from resonet import oracle
 
 
-def _closed_params(n, gamma, eps, omega0, lam, times):
-    plus, minus = degenerate_modes(n, omega0, lam)
-    return EvolutionParams(
-        n=n, gamma=gamma, epsilon=eps, omega_plus=plus, omega_minus=minus, times=times
-    )
+def _degenerate_drift(n, gamma, eps, omega0, lam):
+    return drift_matrix(degenerate_network(n, omega0, lam), decay_matrix_common(n, gamma, eps))
+
+
+def _evolve(state, n, gamma, eps, omega0, lam, times):
+    """Evolve on the degenerate network in common white noise, as the CLI does."""
+    flow = label_flow(_degenerate_drift(n, gamma, eps, omega0, lam))
+    return propagate_with(state, times, flow, gamma_rate=gamma)
 
 
 def _integrate_scenario(n, omega0, lam, gamma, eps, state, times, cutoff):
@@ -55,7 +57,7 @@ def test_criterion_1_oracle_equivalence_of_label_evolution():
     worst = {}
     for eps in (0.0, 0.5, 1.0):
         start = time.perf_counter()
-        traj = propagate(state, _closed_params(n, gamma, eps, omega0, lam, times))
+        traj = _evolve(state, n, gamma, eps, omega0, lam, times)
         basis, rhos = _integrate_scenario(n, omega0, lam, gamma, eps, state, times, cutoff)
         report = oracle.compare(traj, rhos, basis)
         elapsed = time.perf_counter() - start
@@ -72,14 +74,14 @@ def test_criterion_2_relaxation_free_state_is_protected():
     n, omega0, lam, gamma, alpha = 2, 1.0, 0.25, 1.0, 0.6
     state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=alpha))
     times = np.linspace(0.0, 10.0, 101)
-    traj = propagate(state, _closed_params(n, gamma, 1.0, omega0, lam, times))
+    traj = _evolve(state, n, gamma, 1.0, omega0, lam, times)
     purity_err = float(np.max(np.abs(traj.purity - 1.0)))
     occ_err = float(np.max(np.abs(traj.total_occupation - traj.total_occupation[0])))
     assert purity_err < 1e-9
     assert occ_err < 1e-9
 
     coarse = np.linspace(0.0, 10.0, 21)
-    traj_c = propagate(state, _closed_params(n, gamma, 1.0, omega0, lam, coarse))
+    traj_c = _evolve(state, n, gamma, 1.0, omega0, lam, coarse)
     basis, rhos = _integrate_scenario(n, omega0, lam, gamma, 1.0, state, coarse, 12)
     report = oracle.compare(traj_c, rhos, basis)
     assert report.max_distance < 1e-3
@@ -95,7 +97,7 @@ def test_criterion_3_uniform_state_superdecays_at_collective_rate():
     for n in (2, 3, 4):
         state = make_superposition([1.0], np.full((1, n), alpha))
         times = np.linspace(0.0, 1.0 / (n * gamma), 21)
-        traj = propagate(state, _closed_params(n, gamma, 1.0, omega0, lam, times))
+        traj = _evolve(state, n, gamma, 1.0, omega0, lam, times)
         slope = np.polyfit(traj.times, np.log(traj.total_occupation), 1)[0]
         fitted = -slope
         assert abs(fitted - n * gamma) < 1e-3 * n * gamma, f"n={n}: fitted {fitted}"
@@ -137,7 +139,7 @@ def test_criterion_4_decoherence_time_formula_vs_numeric():
             continue
         state = make_rs_state(spec)
         times = np.linspace(0.0, 0.5 / gamma, 6)
-        traj = propagate(state, _closed_params(n, gamma, eps, 1.0, 0.1, times))
+        traj = _evolve(state, n, gamma, eps, 1.0, 0.1, times)
         got = decoherence_time_numeric(traj)
         rel = abs(got - expected) / expected
         worst = max(worst, rel)
@@ -221,18 +223,17 @@ def test_criterion_9_closed_form_propagator_consistency():
         lam = float(rng.uniform(-0.4, 0.4))
         gamma = float(rng.uniform(0.2, 1.5))
         eps = float(rng.uniform(0.0, 1.0))
-        params = _closed_params(n, gamma, eps, omega0, lam, [0.0, 1.0])
-        d = drift_matrix(degenerate_network(n, omega0, lam), decay_matrix_common(n, gamma, eps))
-        assert np.max(np.abs(propagator_closed_form(params, 0.0) - np.eye(n))) < 1e-12
+        plus, minus = degenerate_modes(n, omega0, lam)
+        flow = label_flow(_degenerate_drift(n, gamma, eps, omega0, lam))
+        assert np.max(np.abs(propagator_closed_form(n, gamma, eps, plus, minus, 0.0) - np.eye(n))) < 1e-12
         for t in np.linspace(0.0, 10.0 / gamma, 9):
-            diff = np.max(
-                np.abs(propagator_closed_form(params, float(t)) - propagator_general(d, float(t)))
-            )
+            # the labels of the identity are the columns of exp(t D)
+            theta = flow(np.eye(n), np.array([t]))[0].T
+            diff = np.max(np.abs(propagator_closed_form(n, gamma, eps, plus, minus, float(t)) - theta))
             worst = max(worst, float(diff))
             assert diff < 1e-9, f"n={n} t={t}: {diff:.2e}"
-        free = _closed_params(n, 0.0, 0.0, omega0, lam, [0.0, 1.0])
         for t in (0.7, 4.2):
-            theta = propagator_closed_form(free, t)
+            theta = propagator_closed_form(n, 0.0, 0.0, plus, minus, t)
             assert np.max(np.abs(theta @ theta.conj().T - np.eye(n))) < 1e-12
     print(
         f"ACCEPTANCE 9: PASS - closed form vs matrix exponential within "

@@ -114,6 +114,48 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Detuning 0.5 against the cross rate eps * Gamma = 0.5: the drift has one
+# doubly repeated eigenvalue with a single eigenvector (an exceptional point).
+_EXCEPTIONAL_POINT = dict(
+    network={"omega": [10.0, 10.5], "coupling": [[0.0, 0.0], [0.0, 0.0]]},
+    reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 0.5},
+)
+
+
+@pytest.mark.parametrize("scenario", [{}, _EXCEPTIONAL_POINT], ids=["degenerate", "exceptional_point"])
+def test_evolve_leaves_scipy_linalg_unloaded(tmp_path, scenario):
+    # Neither the eigenvector flow nor its Taylor fallback (taken at the
+    # exceptional point) may pull scipy.linalg into a run: it would show in
+    # setup time and peak RSS.  Both runs must also exit 0.
+    cfg = _write_scenario(tmp_path / "s.json", **scenario)
+    env = dict(os.environ, PYTHONPATH=str(Path(resonet.__file__).resolve().parents[1]))
+    code = (
+        "import sys; from resonet.cli import main; "
+        f"code = main(['evolve', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.linalg' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_evolve_writes_no_rounding_noise_as_a_decay_rate(tmp_path):
+    # Sixteen identical profiles give a decay matrix of rank one; eigvalsh
+    # puts its zero eigenvalues at about -1e-15, which used to reach the summary.
+    profile = {"amplitude": 1.0, "centers": [17.5], "widths": [0.1]}
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"n": 16, "omega": 10.0, "lambda": 0.5},
+        reservoir={"kind": "common_profile", "sigma": 1.0, "profiles": [profile] * 16},
+        evolution={"t_max": 0.5, "steps": 5},
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gamma_down"] == 0.0
+    assert summary["gamma_up"] == pytest.approx(16.0)
+
+
 def test_oracle_compare_leaves_scipy_sparse_linalg_unloaded(tmp_path):
     # scipy.sparse.linalg alone adds about 9.5 MB to the oracle's peak RSS.
     cfg = _write_scenario(tmp_path / "s.json", evolution={"t_max": 0.1, "steps": 2})

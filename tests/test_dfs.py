@@ -24,8 +24,8 @@ from resonet import (
     make_rs_state,
     make_superposition,
     master_equation_reduction_check,
+    label_flow,
     propagate_with,
-    propagator_general,
     protected_subspace,
 )
 from resonet import oracle
@@ -108,8 +108,13 @@ def test_classify_regime_preconditions():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
     net = _net(2)
+    # The regime label and the verdict read one kernel threshold: 1 - eps
+    # up to (1e-3 / n)(1 + (n-1) eps), 9.9975e-4 at n = 2.
+    report = classify(state, spec, _white(0.9995), net)
+    assert report.regime is Regime.COMMON_EPS1 and report.is_dfs and report.is_rfs
+    report = classify(state, spec, _white(0.99), net)
+    assert report.regime is Regime.COMMON_EPS_SMALL and not report.is_dfs
     assert classify(state, spec, _white(1.0 - 0.9e-6), net).regime is Regime.COMMON_EPS1
-    assert classify(state, spec, _white(1.0 - 1.1e-6), net).regime is Regime.COMMON_EPS_SMALL
     assert classify(state, spec, _distinct(2.0, 0.5), net).regime is Regime.DISTINCT_STRONG
     p = CouplingProfile(amplitude=1.0, centers=[10.5], widths=[100.0])
     profile = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, profiles=(p, p))
@@ -254,7 +259,7 @@ def test_protected_subspace_of_random_block_networks(n):
     outside = q[:, k:] @ (0.4 * rng.normal(size=n - k))
     for delta, protected in ((inside, True), (inside + outside, False)):
         state = make_superposition([1.0, 1.0], np.array([beta, beta + delta]))
-        traj = propagate_with(state, times, lambda t: propagator_general(drift, t))
+        traj = propagate_with(state, times, label_flow(drift))
         coherence = np.abs(traj.coeffs[:, 0, 1])
         if protected:
             assert np.max(np.abs(coherence - coherence[0])) < 1e-10

@@ -7,11 +7,15 @@ import pytest
 import scipy.linalg
 
 from resonet import (
-    EvolutionParams,
+    CouplingProfile,
     ModelError,
     NetworkSpec,
     NumericalError,
+    ReservoirKind,
+    ReservoirSpec,
     RSFamilySpec,
+    Trajectory,
+    build_decay_matrix,
     decay_matrix_common,
     decoherence_time_formula,
     decoherence_time_numeric,
@@ -20,26 +24,34 @@ from resonet import (
     drift_matrix,
     expm,
     gram_matrix,
+    label_flow,
     make_rs_state,
     make_superposition,
-    propagate,
     propagate_with,
     propagator_closed_form,
-    propagator_general,
     trajectory_to_csv,
 )
+from resonet import evolve
 
 
-def _params(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5, t_max=3.0, steps=30):
+def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
+    return drift_matrix(degenerate_network(n, omega0, lam), decay_matrix_common(n, gamma, eps))
+
+
+def _evolve(state, n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5, t_max=3.0, steps=30):
+    """Evolve on the degenerate network in common white noise, as the CLI does."""
+    flow = label_flow(_degenerate_drift(n, gamma, eps, omega0, lam))
+    return propagate_with(state, np.linspace(0.0, t_max, steps + 1), flow, gamma_rate=gamma)
+
+
+def _closed_form(t, n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
     plus, minus = degenerate_modes(n, omega0, lam)
-    return EvolutionParams(
-        n=n,
-        gamma=gamma,
-        epsilon=eps,
-        omega_plus=plus,
-        omega_minus=minus,
-        times=np.linspace(0.0, t_max, steps + 1),
-    )
+    return propagator_closed_form(n, gamma, eps, plus, minus, t)
+
+
+def _theta(flow, n, times):
+    """Propagator stack exp(t D) read off a flow: the labels of the identity are its columns."""
+    return np.swapaxes(flow(np.eye(n), np.asarray(times, dtype=float)), -1, -2)
 
 
 def test_expm_matches_scipy():
@@ -67,40 +79,45 @@ def test_expm_on_a_stack_with_mixed_norms():
         expm(np.ones((2, 3, 4)))
 
 
-def _random_drift(rng, n):
+def _random_network(rng, n):
     coupling = rng.normal(scale=0.3, size=(n, n))
     coupling = coupling + coupling.T
     np.fill_diagonal(coupling, 0.0)
-    spec = NetworkSpec(omega=rng.uniform(1.0, 3.0, size=n), coupling=coupling)
+    return NetworkSpec(omega=rng.uniform(1.0, 3.0, size=n), coupling=coupling)
+
+
+def _random_drift(rng, n):
+    spec = _random_network(rng, n)
     a = rng.normal(size=(n, n))
     return drift_matrix(spec, 0.5 * a @ a.T / n)
 
 
 def test_propagators_accept_a_scalar_or_a_time_array():
+    # The closed form takes a scalar or a 1-D array of times; a flow takes a
+    # 1-D array and gives the same labels as one call per time.
     rng = np.random.default_rng(31)
     times = np.linspace(0.0, 4.0, 7)
-    p = _params(n=3, gamma=0.7, eps=0.4)
-    d = _random_drift(rng, 3)
-    for one, stack, tol in (
-        (lambda t: propagator_closed_form(p, t), propagator_closed_form(p, times), 1e-15),
-        (lambda t: propagator_general(d, t), propagator_general(d, times), 1e-12),
-    ):
-        assert stack.shape == (times.size, 3, 3)
-        for t, theta in zip(times, stack):
-            single = one(float(t))
-            assert single.shape == (3, 3)
-            np.testing.assert_allclose(theta, single, rtol=0, atol=tol)
+    stack = _closed_form(times, n=3, gamma=0.7, eps=0.4)
+    assert stack.shape == (times.size, 3, 3)
+    for t, theta in zip(times, stack):
+        single = _closed_form(float(t), n=3, gamma=0.7, eps=0.4)
+        assert single.shape == (3, 3)
+        np.testing.assert_allclose(theta, single, rtol=0, atol=1e-15)
+    flow = label_flow(_random_drift(rng, 3))
+    beta = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    zeta = flow(beta, times)
+    assert zeta.shape == (times.size, 4, 3)
+    for t, labels in zip(times, zeta):
+        np.testing.assert_allclose(labels, flow(beta, np.array([t]))[0], rtol=0, atol=1e-12)
 
 
 def test_closed_form_identity_at_zero():
-    p = _params()
-    np.testing.assert_allclose(propagator_closed_form(p, 0.0), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(_closed_form(0.0), np.eye(2), atol=1e-14)
 
 
 def test_closed_form_unitary_without_damping():
-    p = _params(n=3, gamma=0.0, eps=0.0)
     for t in (0.3, 1.7):
-        theta = propagator_closed_form(p, t)
+        theta = _closed_form(t, n=3, gamma=0.0, eps=0.0)
         np.testing.assert_allclose(theta @ theta.conj().T, np.eye(3), atol=1e-12)
 
 
@@ -111,17 +128,60 @@ def test_closed_form_equals_drift_exponential():
         lam = float(rng.uniform(-0.5, 0.5))
         gamma = float(rng.uniform(0.1, 2.0))
         eps = float(rng.uniform(0.0, 1.0))
-        p = _params(n=n, gamma=gamma, eps=eps, omega0=omega0, lam=lam)
-        d = drift_matrix(degenerate_network(n, omega0, lam), decay_matrix_common(n, gamma, eps))
-        for t in (0.0, 0.4, 2.9):
-            np.testing.assert_allclose(
-                propagator_closed_form(p, t), propagator_general(d, t), atol=1e-9
-            )
+        times = np.array([0.0, 0.4, 2.9])
+        flow = label_flow(_degenerate_drift(n, gamma, eps, omega0, lam))
+        np.testing.assert_allclose(
+            _closed_form(times, n, gamma, eps, omega0, lam), _theta(flow, n, times), atol=1e-9
+        )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_label_flow_matches_scipy_expm_on_random_networks(n):
+    rng = np.random.default_rng(700 + n)
+    profile = CouplingProfile(amplitude=1.0, centers=[2.0], widths=[0.5])
+    sigma, eps, gamma_plus, gamma_minus = rng.uniform(0.2, 2.0, size=4)
+    reservoirs = (
+        ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=sigma, epsilon=eps / 2.0),
+        ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=gamma_plus, gamma_minus=gamma_minus),
+        ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=sigma, profiles=(profile,) * n),
+    )
+    times = np.linspace(0.0, 3.0, 7)
+    beta = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    for reservoir in reservoirs:
+        net = _random_network(rng, n)
+        drift = drift_matrix(net, build_decay_matrix(reservoir, net))
+        want = np.array([beta @ scipy.linalg.expm(t * drift.matrix).T for t in times])
+        got = label_flow(drift)(beta, times)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=reservoir.kind.value)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("n", [2, 8, 50, 200])
+def test_label_flow_matches_the_closed_form_on_degenerate_networks(n, eps):
+    # The (n-1)-fold eigenvalue gets an orthonormal null-space basis; the
+    # solver's own vectors there reach cond(V) ~ 1e5 at n = 200.
+    drift = _degenerate_drift(n, 1.0, eps)
+    assert evolve._eigenbasis(drift.matrix) is not None
+    times = np.linspace(0.0, 5.0, 6)
+    np.testing.assert_allclose(
+        _theta(label_flow(drift), n, times), _closed_form(times, n, 1.0, eps), rtol=0, atol=1e-12
+    )
+
+
+def test_label_flow_falls_back_to_taylor_at_an_exceptional_point():
+    # Detuning 0.5 against a cross rate 0.5 merges both eigenvalues into one
+    # with a single eigenvector (a Jordan block): cond(V) ~ 1e7 from eig.
+    net = NetworkSpec(omega=[10.0, 10.5], coupling=np.zeros((2, 2)))
+    drift = drift_matrix(net, decay_matrix_common(2, 1.0, 0.5))
+    assert evolve._eigenbasis(drift.matrix) is None
+    times = np.linspace(0.0, 5.0, 11)
+    want = np.array([scipy.linalg.expm(t * drift.matrix) for t in times])
+    np.testing.assert_allclose(_theta(label_flow(drift), 2, times), want, rtol=0, atol=1e-12)
 
 
 def test_trajectory_initial_point():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    traj = propagate(state, _params())
+    traj = _evolve(state)
     assert abs(traj.purity[0] - 1.0) < 1e-12
     assert abs(traj.fidelity[0] - 1.0) < 1e-12
     np.testing.assert_allclose(traj.labels[0], state.labels, atol=1e-14)
@@ -132,7 +192,7 @@ def test_single_product_occupation_decay():
     # exactly exp(-gamma t) and purity stays 1.
     gamma = 0.8
     state = make_superposition([1.0], np.array([[0.7, -0.3 + 0.2j]]))
-    traj = propagate(state, _params(gamma=gamma, eps=0.0))
+    traj = _evolve(state, gamma=gamma, eps=0.0)
     n0 = np.sum(np.abs(state.labels[0]) ** 2)
     np.testing.assert_allclose(
         traj.total_occupation, n0 * np.exp(-gamma * traj.times), atol=1e-12
@@ -143,14 +203,14 @@ def test_single_product_occupation_decay():
 
 def test_balanced_state_protected_at_full_correlation():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    traj = propagate(state, _params(eps=1.0, t_max=10.0, steps=100))
+    traj = _evolve(state, eps=1.0, t_max=10.0, steps=100)
     np.testing.assert_allclose(traj.purity, 1.0, atol=1e-9)
     np.testing.assert_allclose(traj.total_occupation, traj.total_occupation[0], atol=1e-9)
 
 
 def test_unbalanced_state_decoheres():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=0, alpha=0.6, eta=0.0))
-    traj = propagate(state, _params(eps=1.0, t_max=3.0))
+    traj = _evolve(state, eps=1.0, t_max=3.0)
     assert traj.purity[-1] < 1.0 - 1e-3
 
 
@@ -205,20 +265,20 @@ def test_decoherence_numeric_matches_formula():
         if math.isinf(expected):
             continue
         state = make_rs_state(spec)
-        traj = propagate(state, _params(n=n, gamma=gamma, eps=eps, t_max=1.0, steps=10))
+        traj = _evolve(state, n=n, gamma=gamma, eps=eps, t_max=1.0, steps=10)
         got = decoherence_time_numeric(traj)
         assert abs(got - expected) < 0.01 * expected
 
 
 def test_decoherence_numeric_infinite_for_protected():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    traj = propagate(state, _params(eps=1.0))
+    traj = _evolve(state, eps=1.0)
     assert math.isinf(decoherence_time_numeric(traj))
 
 
 def test_decoherence_numeric_argument_checks():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    traj = propagate(state, _params())
+    traj = _evolve(state)
     with pytest.raises(ModelError):
         decoherence_time_numeric(traj, 0, 0)
     with pytest.raises(ModelError):
@@ -226,9 +286,10 @@ def test_decoherence_numeric_argument_checks():
 
 
 def test_propagator_shape_rejected():
+    # A flow must return one (terms, n) label array per time.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    with pytest.raises(ModelError):
-        propagate_with(state, [0.0, 0.1], lambda t: np.eye(3))
+    with pytest.raises(ModelError, match="label flow returned shape"):
+        propagate_with(state, [0.0, 0.1], lambda beta, t: beta)
 
 
 def test_trace_abort_on_overflowing_propagator():
@@ -236,7 +297,7 @@ def test_trace_abort_on_overflowing_propagator():
     # reconstructed trace turns non-finite and the run must abort.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(NumericalError):
-        propagate_with(state, [0.0, 1.0], lambda t: (1.0 + 29.0 * t)[:, None, None] * np.eye(2))
+        propagate_with(state, [0.0, 1.0], lambda beta, t: (1.0 + 29.0 * t)[:, None, None] * beta)
 
 
 def test_trace_abort_names_first_failing_time_inside_a_block():
@@ -244,7 +305,7 @@ def test_trace_abort_names_first_failing_time_inside_a_block():
     times = np.linspace(0.0, 1.0, 100)
     bad = times[45]  # second block of 32, neither its first nor its last point
     with pytest.raises(NumericalError, match=f"at t = {bad:g};"):
-        propagate_with(state, times, lambda t: np.where(t >= bad, 30.0, 1.0)[:, None, None] * np.eye(2))
+        propagate_with(state, times, lambda beta, t: np.where(t >= bad, 30.0, 1.0)[:, None, None] * beta)
 
 
 def test_well_separated_cat_keeps_unit_trace():
@@ -252,7 +313,7 @@ def test_well_separated_cat_keeps_unit_trace():
     # matrices turn into 0/0; the log-domain coefficients stay finite.
     state = make_rs_state(RSFamilySpec(n=4, r=4, s=0, alpha=12.0))
     for eps in (0.0, 1.0):
-        traj = propagate(state, _params(n=4, eps=eps, steps=40))
+        traj = _evolve(state, n=4, eps=eps, steps=40)
         trace = np.sum(traj.coeffs * np.swapaxes(gram_matrix(traj.labels), -1, -2), axis=(-2, -1))
         np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12)
         assert np.all(np.isfinite(traj.purity)) and np.all(np.isfinite(traj.fidelity))
@@ -273,8 +334,7 @@ def test_large_random_labels_keep_unit_trace_and_match_the_ratio_form():
         labels = centre + spread * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
         assert np.max(np.abs(labels)) < 80.0
         state = make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels)
-        params = _params(n=n, gamma=float(rng.uniform(0.5, 2.0)), eps=float(rng.uniform()), steps=30)
-        traj = propagate(state, params)
+        traj = _evolve(state, n=n, gamma=float(rng.uniform(0.5, 2.0)), eps=float(rng.uniform()), steps=30)
         trace = np.sum(traj.coeffs * np.swapaxes(gram_matrix(traj.labels), -1, -2), axis=(-2, -1))
         np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12, err_msg=f"seed {seed}")
 
@@ -292,7 +352,7 @@ def test_large_random_labels_keep_unit_trace_and_match_the_ratio_form():
     assert compared > 0 and underflowed > 0
 
 
-def _per_point_reference(state, times, propagator_at):
+def _per_point_reference(state, times, flow):
     """The per-time-point loop the batched propagation replaced, kept as its reference."""
     beta = np.asarray(state.labels)
     weights = np.asarray(state.weights)
@@ -300,7 +360,7 @@ def _per_point_reference(state, times, propagator_at):
     g0 = gram_matrix(beta)
     labels, coeffs, occ, purity, fid = [], [], [], [], []
     for t in times:
-        zeta = beta @ propagator_at(float(t)).T
+        zeta = flow(beta, np.array([t]))[0]
         gt = gram_matrix(zeta)
         coeff = w_outer * (g0 / gt).T
         m = coeff * gt.T
@@ -332,27 +392,16 @@ def test_batched_propagation_matches_per_point_loop(points, path):
     assert state.num_terms == terms
     times = np.linspace(0.0, 2.5, points)
     if path == "closed_form":
-        plus, minus = degenerate_modes(n, 10.0, 0.5)
-        p = EvolutionParams(
-            n=n, gamma=0.8, epsilon=float(rng.uniform()), omega_plus=plus, omega_minus=minus, times=times
-        )
-        traj = propagate(state, p)
-        ref = _per_point_reference(state, times, lambda t: propagator_closed_form(p, t))
+        eps = float(rng.uniform())
+        d = _degenerate_drift(n, 0.8, eps)
+        theta = lambda t: _closed_form(t, n, 0.8, eps)  # noqa: E731
     else:
         d = _random_drift(rng, n)
-        traj = propagate_with(state, times, lambda t: propagator_general(d, t))
-        ref = _per_point_reference(state, times, lambda t: propagator_general(d, t))
+        theta = lambda t: np.array([scipy.linalg.expm(s * d.matrix) for s in t])  # noqa: E731
+    ref = _per_point_reference(state, times, lambda beta, t: beta @ np.swapaxes(theta(t), -1, -2))
+    traj = propagate_with(state, times, label_flow(d))
     for name, want in ref.items():
         np.testing.assert_allclose(getattr(traj, name), want, rtol=1e-12, atol=1e-12, err_msg=name)
-
-
-def test_time_grid_validation():
-    with pytest.raises(ModelError):
-        EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=1.0, omega_minus=1.0, times=[])
-    with pytest.raises(ModelError):
-        EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=1.0, omega_minus=1.0, times=[0.1, 0.2])
-    with pytest.raises(ModelError):
-        EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=1.0, omega_minus=1.0, times=[0.0, 0.2, 0.1])
 
 
 @pytest.mark.parametrize(
@@ -366,18 +415,16 @@ def test_time_grid_validation():
     ],
 )
 def test_propagate_with_rejects_a_bad_time_grid(times, message):
-    # The same grid rules as EvolutionParams; [0, -1] used to give a
-    # trajectory whose numeric decoherence time came out as 1.07, not 1/0.72.
+    # [0, -1] used to give a trajectory whose numeric decoherence time came
+    # out as 1.07, not 1/0.72.
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    plus, minus = degenerate_modes(2, 10.0, 0.5)
-    p = EvolutionParams(n=2, gamma=1.0, epsilon=0.5, omega_plus=plus, omega_minus=minus, times=[0.0, 1.0])
     with pytest.raises(ModelError, match=message):
-        propagate_with(make_rs_state(spec), times, lambda t: propagator_closed_form(p, t), gamma_rate=1.0)
+        propagate_with(make_rs_state(spec), times, label_flow(_degenerate_drift()), gamma_rate=1.0)
 
 
 def test_csv_round_trip():
     state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.5))
-    traj = propagate(state, _params(n=3, steps=5))
+    traj = _evolve(state, n=3, steps=5)
     text = trajectory_to_csv(traj)
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -394,7 +441,59 @@ def test_csv_round_trip():
 
 def test_minus_cat_evolution_stays_normalised():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.4, sign=-1))
-    traj = propagate(state, _params(eps=0.7))
+    traj = _evolve(state, eps=0.7)
     assert np.all(traj.purity <= 1.0 + 1e-10)
     assert abs(traj.purity[0] - 1.0) < 1e-12
     assert abs(traj.fidelity[0] - 1.0) < 1e-12
+
+
+def _per_value_csv(traj):
+    """The per-value f-string formatter that single-% rows replaced, kept as their reference."""
+    n = traj.labels.shape[2]
+    terms = traj.num_terms
+    pairs = [(a, b) for a in range(terms) for b in range(a + 1, terms)]
+    header = (
+        ["time"]
+        + [f"occ_{m + 1}" for m in range(n)]
+        + ["occ_total", "purity", "fidelity"]
+        + [f"coh_{a}_{b}" for a, b in pairs]
+    )
+    lines = [",".join(header)]
+    for i in range(traj.times.size):
+        row = [f"{traj.times[i]:.9g}"]
+        row += [f"{x:.9g}" for x in traj.occupations[i]]
+        row += [
+            f"{traj.total_occupation[i]:.9g}",
+            f"{traj.purity[i]:.9g}",
+            f"{traj.fidelity[i]:.9g}",
+        ]
+        row += [f"{abs(traj.coeffs[i][a, b]):.9g}" for a, b in pairs]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_match_the_per_value_formatter():
+    state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.5))
+    traj = _evolve(state, n=3, steps=40)
+    assert trajectory_to_csv(traj) == _per_value_csv(traj)
+    # inf, nan, -0.0 and subnormals, in every kind of column
+    occupations = np.array([[np.inf, -0.0], [np.nan, 5e-324], [1.0 / 3.0, -2.5e-310]])
+    coeffs = np.zeros((3, 3, 3), dtype=complex)
+    coeffs[:, 0, 1] = [np.inf, complex(np.nan, 1.0), 5e-324]
+    coeffs[:, 0, 2] = [-0.0, 1e300j, 0.1 + 0.2j]
+    coeffs[:, 1, 2] = [complex(-0.0, -0.0), 2.2e-308, complex(3.0, -np.inf)]
+    odd = Trajectory(
+        times=np.array([-0.0, 1e-320, 2.5]),
+        labels=np.zeros((3, 3, 2), dtype=complex),
+        coeffs=coeffs,
+        occupations=occupations,
+        total_occupation=occupations.sum(axis=1),
+        purity=np.array([-0.0, np.inf, 2.2e-308]),
+        fidelity=np.array([np.nan, 1.0, -np.inf]),
+        state=state,
+        flow=None,
+        gamma_rate=0.0,
+    )
+    text = trajectory_to_csv(odd)
+    assert text == _per_value_csv(odd)
+    assert "inf" in text and "nan" in text and "-0" in text and "4.94065646e-324" in text

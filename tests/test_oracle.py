@@ -7,17 +7,17 @@ import pytest
 import scipy.linalg
 
 from resonet import (
-    EvolutionParams,
     ModelError,
     NetworkSpec,
     RSFamilySpec,
     coherent_overlap,
     decay_matrix_common,
-    degenerate_modes,
     degenerate_network,
+    drift_matrix,
+    label_flow,
     make_rs_state,
     make_superposition,
-    propagate,
+    propagate_with,
 )
 from resonet import oracle
 
@@ -145,12 +145,8 @@ def test_embed_state_properties():
     assert abs(np.trace(mat) - 1.0) < 1e-12
     assert abs(np.trace(mat @ mat) - 1.0) < 1e-9
     occ = oracle.mode_occupations(rho, basis)
-    traj = propagate(
-        state,
-        EvolutionParams(
-            n=2, gamma=1.0, epsilon=0.5, omega_plus=11.0, omega_minus=9.5, times=[0.0]
-        ),
-    )
+    flow = label_flow(drift_matrix(degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.5)))
+    traj = propagate_with(state, [0.0], flow)
     np.testing.assert_allclose(occ, traj.occupations[0], atol=1e-9)
 
 
@@ -285,11 +281,7 @@ def test_compare_trajectory_to_integration():
     decay = decay_matrix_common(n, gamma, eps)
     state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
     times = np.linspace(0.0, 0.4, 5)
-    plus, minus = degenerate_modes(n, omega0, lam)
-    traj = propagate(
-        state,
-        EvolutionParams(n=n, gamma=gamma, epsilon=eps, omega_plus=plus, omega_minus=minus, times=times),
-    )
+    traj = propagate_with(state, times, label_flow(drift_matrix(spec, decay)), gamma_rate=gamma)
     gen = oracle.build_generator(spec, decay, basis)
     rhos = oracle.integrate(oracle.embed_state(state, basis), gen, times)
     report = oracle.compare(traj, rhos, basis)
