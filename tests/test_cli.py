@@ -181,6 +181,17 @@ def test_evolve_reruns_are_byte_identical(tmp_path):
     assert "purity.svg" in first
 
 
+def test_oracle_compare_reruns_are_byte_identical(tmp_path):
+    cfg = _write_scenario(tmp_path / "s.json", evolution={"t_max": 0.3, "steps": 3}, oracle={"cutoff": 12})
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 0
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert first == second
+    assert set(first) == {"oracle.csv", "oracle_summary.json"}
+
+
 def test_distinct_reservoir_run(tmp_path):
     cfg = _write_scenario(
         tmp_path / "s.json",

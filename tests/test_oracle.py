@@ -31,8 +31,9 @@ def test_basis_dimension_guard():
 
 
 def test_working_set_estimate_and_budget():
-    # (grid points + RK4 arrays) dense dim x dim complex matrices
-    assert oracle.working_set_bytes(2, 12, 11) == (11 + oracle._RK4_ARRAYS) * 169**2 * 16
+    # grid points plus 5 working arrays (the Taylor sum, its current term,
+    # and apply's output, transpose buffer and product), dim x dim complex
+    assert oracle.working_set_bytes(2, 12, 11) == (11 + 5) * 169**2 * 16
     oracle.check_working_set(2, 12, 11)
     # n = 4, r = s = 2, alpha = 0.7: suggest_cutoff picks 13 (dim 38416,
     # 22 GiB per density matrix); even the minimum cutoff 10 cannot fit
@@ -222,8 +223,9 @@ def test_single_mode_decay_against_exact_solution():
 
 
 def test_integration_step_halving_converges():
-    # Halving the step must move the result by less than 1e-8: the integrator
-    # is fourth order and the default step is already conservative.
+    # Halving the grid spacing must move the result by less than 1e-12: each
+    # Taylor series is truncated at the unit roundoff, so the result does not
+    # depend on how the interval is split.
     n = 2
     basis = oracle.FockBasisSpec(n=n, cutoff=8)
     spec = degenerate_network(n, 2.0, 0.4)
@@ -235,14 +237,15 @@ def test_integration_step_halving_converges():
     coarse = oracle.integrate(rho0, gen, times)[-1].matrix
 
     halved = oracle.integrate(rho0, gen, np.linspace(0.0, 0.5, 3))[-1].matrix
-    assert np.max(np.abs(coarse - halved)) < 1e-8
+    assert np.max(np.abs(coarse - halved)) < 1e-12
 
 
 def test_rotating_frame_integration_matches_exact_exponential():
     # Detuned modes (mean frequency 3.9), so the frame phase is nonzero, and a
     # random positive semidefinite decay matrix with cross terms.  A wrong
     # sign of the back-rotation or a wrong mean frequency moves the result by
-    # far more than the tolerance.
+    # far more than the tolerance.  The non-uniform grid splits its last
+    # interval into several Taylor substeps.
     basis = oracle.FockBasisSpec(n=2, cutoff=4)
     spec = NetworkSpec(omega=[3.1, 4.7], coupling=[[0.0, 0.4], [0.4, 0.0]])
     x = np.random.default_rng(7).normal(size=(2, 2))
@@ -251,26 +254,61 @@ def test_rotating_frame_integration_matches_exact_exponential():
     # a truncated cat (no tail check needed: both sides see the same basis)
     psi = oracle.coherent_vector([0.6, -0.4j], basis) + 0.5j * oracle.coherent_vector([-0.3, 0.5], basis)
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-    times = np.linspace(0.0, 0.6, 4)
-    rhos = oracle.integrate(rho0, gen, times)
     mat = gen.matrix()
-    for t, rho in zip(times, rhos):
-        exact = (scipy.linalg.expm(t * mat) @ rho0.ravel()).reshape(rho0.shape)
-        assert np.max(np.abs(rho.matrix - exact)) < 1e-10
+    nonuniform = np.array([0.0, 0.05, 3.0, 3.01, 8.0])
+    assert max(s for _, _, s in oracle._taylor_plans(gen, nonuniform)) > 1
+    for times in (np.linspace(0.0, 0.6, 4), nonuniform):
+        rhos = oracle.integrate(rho0, gen, times)
+        for t, rho in zip(times, rhos):
+            exact = (scipy.linalg.expm(t * mat) @ rho0.ravel()).reshape(rho0.shape)
+            assert np.max(np.abs(rho.matrix - exact)) < 1e-13
 
 
-def test_step_size_rule():
+@pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 4), (2, 2), (2, 3)])
+def test_norm_bound_covers_the_rotating_frame_generator(n, cutoff):
+    # The Taylor degree and substep count are chosen from the bound, so the
+    # integration error is only guaranteed if it is at least the true norm.
+    basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
+    rng = np.random.default_rng(100 * n + cutoff)
+    for _ in range(3):
+        coupling = np.triu(rng.normal(scale=0.5, size=(n, n)), 1)
+        spec = NetworkSpec(omega=rng.uniform(1.0, 5.0, size=n), coupling=coupling + coupling.T)
+        x = rng.normal(size=(n, n))
+        gen = oracle.build_generator(spec, x @ x.T, basis)
+        mat = gen.in_rotating_frame().matrix()
+        mu = np.mean(np.diagonal(mat))
+        assert abs(mu - gen.shift) < 1e-12
+        exact = np.max(np.sum(np.abs(mat - gen.shift * np.eye(mat.shape[0])), axis=0))
+        assert gen.norm_bound >= exact * (1.0 - 1e-12)
+
+
+def test_taylor_substep_rule():
     basis = oracle.FockBasisSpec(n=2, cutoff=3)
-    spec = degenerate_network(2, 10.0, 0.5)
-    decay = decay_matrix_common(2, 1.0, 0.0)
-    gen = oracle.build_generator(spec, decay, basis)
-    # the rotating frame removes 10 N, leaving n * max gamma = 2 above the
-    # infinity norm 0.5 of the shifted frequency matrix
-    assert abs(gen.rate_scale - 2.0) < 1e-12
-    assert abs(oracle.step_size(gen, [0.0, 1.0]) - 0.005) < 1e-15
-    assert abs(oracle.step_size(gen, [0.0, 1e-4]) - 1e-4) < 1e-18
+    gen = oracle.build_generator(degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.0), basis)
+    b = gen.norm_bound
+    # (degree, substeps) minimising degree * substeps over the theta table:
+    # ||dt L||_1 = 7 fits theta_45 = 7.2 in one substep; 10 takes two of
+    # degree 40 (80 terms, against 90 for two of 45 or three of 30); 20 takes
+    # three of degree 45 (135, against 150 for three of 50 and 160 for four
+    # of 40).
+    plans = oracle._taylor_plans(gen, np.array([0.0, 7.0, 17.0, 37.0]) / b)
+    assert [(m, s) for _, m, s in plans] == [(45, 1), (40, 2), (45, 3)]
+    assert oracle.step_size(gen, [0.0, 7.0 / b]) == 7.0 / b
+    # the largest substep of a non-uniform grid: 20 / 3 beats 1
+    assert oracle.step_size(gen, [0.0, 1.0 / b, 21.0 / b]) == pytest.approx(20.0 / (3.0 * b), rel=1e-14)
     with pytest.raises(ModelError):
         oracle.step_size(gen, [0.0])
+    with pytest.raises(ModelError):
+        oracle.step_size(gen, [0.0, 0.5, 0.5])
+    # a zero generator needs no terms: one substep per interval, state unchanged
+    zero = oracle.LindbladGenerator(oracle.FockBasisSpec(n=1, cutoff=3), np.zeros((1, 1)), np.zeros((1, 1)))
+    assert zero.norm_bound == 0.0 and zero.shift == 0.0
+    assert oracle.step_size(zero, [0.0, 0.5, 2.0]) == 1.5
+    psi = oracle.coherent_vector([0.3 + 0.2j], zero.basis)
+    rho0 = np.outer(psi, psi.conj())
+    rho0 = (rho0 + rho0.conj().T) / (2.0 * np.trace(rho0).real)
+    for rho in oracle.integrate(rho0, zero, [0.0, 0.5, 2.0]):
+        assert np.array_equal(rho.matrix, rho0)
 
 
 def test_compare_trajectory_to_integration():
