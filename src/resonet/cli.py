@@ -17,12 +17,14 @@ files.  Exit codes: 0 success, 1 bad config or model, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -67,10 +69,22 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces `path` when the block completes; a failed write leaves `path` as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -205,7 +219,8 @@ def _cmd_evolve(args) -> int:
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     traj = _run_trajectory(cfg, decay)
     summary = _summarize(cfg, traj, decay)
-    _write_text(out / "trajectory.csv", evolve.trajectory_to_csv(traj))
+    with _atomic_file(out / "trajectory.csv") as fh:
+        evolve.trajectory_to_csv(traj, fh)
     _write_json(out / "summary.json", summary)
     if cfg.svg:
         _write_text(out / "occupation.svg", _svg_series(traj.times, traj.total_occupation, "total occupation"))

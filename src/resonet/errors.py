@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types and the memory budget shared across the package."""
+
+import math
+
+# Bytes of large arrays one computation may hold; an input that needs more is
+# rejected with ModelError before anything is allocated.
+_BYTE_BUDGET = 2 * 1024**3
+
+
+def _sci(x: int) -> str:
+    """Positive integer in three-digit scientific notation, also past the float range."""
+    e = int(math.log10(x))
+    return f"{x / 10**e:.2f}e{e}"
 
 
 class ModelError(ValueError):

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .errors import ModelError, NumericalError
+from .errors import _BYTE_BUDGET, ModelError, NumericalError, _sci
 from .network import _CLUSTER_RTOL, DriftMatrix, _frozen
 from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
 
@@ -54,10 +54,11 @@ __all__ = [
 # Trace loss beyond this aborts a propagation as numerically broken.
 _TRACE_ABORT = 1e-6
 
-# Grid points per flow call in propagate_with.  Memory per block grows as
-# block * terms * (n + terms); the Python overhead is paid once per block
-# instead of once per time point.
-_BLOCK = 32
+# Complex elements per block of grid points: propagate_with and
+# trajectory_to_csv take max(1, _BLOCK_ELEMENTS // elements per point)
+# points at a time, so the Python overhead is paid once per block while a
+# block's temporaries stay a few hundred KiB.
+_BLOCK_ELEMENTS = 16 * 1024
 
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
@@ -65,6 +66,12 @@ _COND_MAX = 1e4
 
 # Labels (terms, n) and a 1-D array of T times -> the (T, terms, n) labels at those times.
 LabelFlow = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _blocks(points: int, per_point: int) -> Iterator[slice]:
+    """Consecutive slices of range(points), max(1, _BLOCK_ELEMENTS // per_point) long."""
+    size = max(1, _BLOCK_ELEMENTS // per_point)
+    return (slice(start, start + size) for start in range(0, points, size))
 
 
 def _check_grid(times: np.ndarray) -> None:
@@ -180,7 +187,10 @@ def label_flow(drift: DriftMatrix) -> LabelFlow:
 
     def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
         modes = np.asarray(beta) @ v_inv.T
-        return (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * modes) @ v.T
+        evolved = np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * modes
+        # One gemm over the stacked rows: a batched matmul against a shared
+        # matrix makes one BLAS call per time.
+        return (evolved.reshape(-1, lam.size) @ v.T).reshape(evolved.shape)
 
     return flow
 
@@ -217,10 +227,13 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate
     """Evolve a state along a label flow (see label_flow).
 
     The time grid must be nonempty, start at 0 and increase strictly.  It is
-    processed in blocks of _BLOCK consecutive times: the flow is called once
-    per block with the state's labels and a 1-D array of T times and must
-    return the (T, terms, n) stack of evolved labels, and every observable
-    of the block is then evaluated as one batched array operation.  The pair
+    processed in blocks of max(1, _BLOCK_ELEMENTS // (terms * (n + terms)))
+    consecutive times: the flow is called once per block with the state's
+    labels and a 1-D array of T times and must return the (T, terms, n)
+    stack of evolved labels, and every observable of the block is then
+    evaluated as one batched array operation.  A grid whose labels,
+    coefficients and observables together exceed the package byte budget
+    (2 GiB) is rejected with ModelError before anything is allocated.  The pair
     coefficients are built in the log domain,
     c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
     so overlaps that underflow on their own still give finite coefficients.
@@ -241,14 +254,19 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate
     log_g0_t = log_gram_matrix(beta).T
 
     nt = times.size
+    need = nt * (16 * terms * (n + terms) + 8 * (n + 3))
+    if need > _BYTE_BUDGET:
+        raise ModelError(
+            f"trajectory of {_sci(need)} bytes ({nt} grid times, {terms} terms, n = {n}) "
+            f"exceeds the {_sci(_BYTE_BUDGET)}-byte budget"
+        )
     labels_t = np.empty((nt, terms, n), dtype=complex)
     coeffs_t = np.empty((nt, terms, terms), dtype=complex)
     occ_t = np.empty((nt, n))
     purity_t = np.empty(nt)
     fid_t = np.empty(nt)
 
-    for start in range(0, nt, _BLOCK):
-        block = slice(start, start + _BLOCK)
+    for block in _blocks(nt, terms * (n + terms)):
         tb = times[block]
         zeta = np.asarray(flow(beta, tb))
         if zeta.shape != (tb.size, terms, n):
@@ -271,7 +289,9 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate
                 "the label evolution is no longer trustworthy"
             )
         cg = coeff @ np.swapaxes(gt_t, -1, -2)
-        w_in = state.norm_factor * (weights.conj() @ gram_matrix(beta, zeta))
+        # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked rows
+        g_in = np.swapaxes(gram_matrix(beta, zeta), -1, -2).reshape(-1, terms)
+        w_in = state.norm_factor * (g_in @ weights.conj()).reshape(-1, terms)
         occ_t[block] = (zeta * (m @ zeta.conj())).sum(axis=-2).real
         purity_t[block] = (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
         fid_t[block] = (w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
@@ -358,11 +378,14 @@ def observables(traj: Trajectory, index: int) -> dict:
     }
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Serialise a trajectory: time, per-resonator and total occupation, purity, fidelity, |c_rs| pairs.
+def trajectory_to_csv(traj: Trajectory, out: TextIO) -> None:
+    """Write a trajectory as CSV: time, per-resonator and total occupation, purity, fidelity, |c_rs| pairs.
 
     Coherence columns cover ordered pairs r < s (0-based indices in the
-    header), all floats printed with 9 significant digits.
+    header), all floats printed with 9 significant digits.  Rows are
+    formatted and written to the open text file `out` one block of
+    max(1, _BLOCK_ELEMENTS // columns) rows at a time, so the text of the
+    whole table is never held at once.
     """
     n = traj.labels.shape[2]
     first, second = np.triu_indices(traj.num_terms, 1)
@@ -372,12 +395,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + ["occ_total", "purity", "fidelity"]
         + [f"coh_{a}_{b}" for a, b in zip(first, second)]
     )
-    row = ",".join(["%.9g"] * len(header))
-    lines = [",".join(header)]
-    # One block of rows at a time keeps the numeric table small beside the text.
-    for start in range(0, traj.times.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        columns = (traj.times, traj.occupations, traj.total_occupation, traj.purity, traj.fidelity)
+    row = ",".join(["%.9g"] * len(header)) + "\n"
+    out.write(",".join(header) + "\n")
+    columns = (traj.times, traj.occupations, traj.total_occupation, traj.purity, traj.fidelity)
+    for block in _blocks(traj.times.size, len(header)):
         table = np.column_stack([c[block] for c in columns] + [np.abs(traj.coeffs[block, first, second])])
-        lines += [row % tuple(values) for values in table.tolist()]
-    return "\n".join(lines) + "\n"
+        out.write("".join(row % tuple(values) for values in table.tolist()))

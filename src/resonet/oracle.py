@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ModelError, NumericalError
+from .errors import _BYTE_BUDGET, ModelError, NumericalError, _sci
 from .evolve import Trajectory
 from .network import NetworkSpec, validate_network
 from .states import SuperpositionState
@@ -61,8 +61,6 @@ __all__ = [
 
 _TAIL_LIMIT = 1e-10
 _TRACE_ABORT = 1e-6
-# Bytes the oracle may hold in dense complex arrays.
-_BYTE_BUDGET = 2 * 1024**3
 # Dense dim x dim arrays integrate holds besides the stored grid states: the
 # partial sum, the current term, and apply's output, transpose buffer and
 # product.
@@ -111,12 +109,6 @@ class FockDensityMatrix:
             lo = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
             if lo < -1e-8:
                 raise NumericalError(f"density matrix has eigenvalue {lo:.3e}")
-
-
-def _sci(x: int) -> str:
-    """Positive integer in three-digit scientific notation, also past the float range."""
-    e = int(math.log10(x))
-    return f"{x / 10**e:.2f}e{e}"
 
 
 def working_set_bytes(n: int, cutoff: int, points: int) -> int:

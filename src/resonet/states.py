@@ -53,6 +53,9 @@ def log_gram_matrix(labels_a: np.ndarray, labels_b: Optional[np.ndarray] = None)
     Labels are the rows of the last two axes; leading axes are batch axes and
     broadcast against each other.  The exponent is returned unevaluated, so
     overlaps far below the double range (well-separated cats) stay usable.
+    When one side has no batch axes the products are one gemm over the
+    other side's stacked rows: a batched matmul against a shared matrix
+    makes one BLAS call per batch entry.
     """
     a = np.atleast_2d(np.asarray(labels_a, dtype=complex))
     na = 0.5 * np.sum(np.abs(a) ** 2, axis=-1)
@@ -61,7 +64,13 @@ def log_gram_matrix(labels_a: np.ndarray, labels_b: Optional[np.ndarray] = None)
     else:
         b = np.atleast_2d(np.asarray(labels_b, dtype=complex))
         nb = 0.5 * np.sum(np.abs(b) ** 2, axis=-1)
-    cross = a.conj() @ np.swapaxes(b, -1, -2)
+    if b.ndim == 2:
+        cross = (a.conj().reshape(-1, a.shape[-1]) @ b.T).reshape(a.shape[:-1] + b.shape[:1])
+    elif a.ndim == 2:
+        cross_t = (b.reshape(-1, b.shape[-1]) @ a.conj().T).reshape(b.shape[:-1] + a.shape[:1])
+        cross = np.swapaxes(cross_t, -1, -2)
+    else:
+        cross = a.conj() @ np.swapaxes(b, -1, -2)
     return cross - na[..., :, None] - nb[..., None, :]
 
 

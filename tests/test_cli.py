@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import resonet
-from resonet import dfs, network, reservoir
+from resonet import dfs, evolve, network, reservoir
 from resonet.cli import main
 
 
@@ -425,6 +425,48 @@ def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "budget" in err and "minimum cutoff is 10" in err
     assert not (out / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["absent", "present"])
+def test_failed_csv_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, existing):
+    # One row per block; the write after the header and the first row fails.
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 1)
+    original = evolve.trajectory_to_csv
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(evolve, "trajectory_to_csv", lambda traj, out: original(traj, FailingFile(out)))
+    cfg = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    if existing is not None:
+        (out / "trajectory.csv").write_text(existing)
+    with pytest.raises(OSError, match="disk full"):
+        main(["evolve", "--config", str(cfg), "--out", str(out)])
+    if existing is None:
+        assert not (out / "trajectory.csv").exists()
+    else:
+        assert (out / "trajectory.csv").read_text() == existing
+    assert sorted(p.name for p in out.iterdir()) == ([] if existing is None else ["trajectory.csv"])
+
+
+def test_evolve_rejects_a_trajectory_over_budget(tmp_path, monkeypatch, capsys):
+    # 11 grid times, 2 terms on 2 resonators: 11 * (16 * 2 * 4 + 8 * 5) bytes.
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 1000)
+    cfg = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "trajectory of 1.85e3 bytes" in err and "1.00e3-byte budget" in err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_sweep_command(tmp_path):

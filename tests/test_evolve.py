@@ -1,5 +1,6 @@
 """Label-space evolution: propagators, trajectories, decoherence times."""
 
+import io
 import math
 
 import numpy as np
@@ -300,12 +301,80 @@ def test_trace_abort_on_overflowing_propagator():
         propagate_with(state, [0.0, 1.0], lambda beta, t: (1.0 + 29.0 * t)[:, None, None] * beta)
 
 
-def test_trace_abort_names_first_failing_time_inside_a_block():
+def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     times = np.linspace(0.0, 1.0, 100)
-    bad = times[45]  # second block of 32, neither its first nor its last point
-    with pytest.raises(NumericalError, match=f"at t = {bad:g};"):
-        propagate_with(state, times, lambda beta, t: np.where(t >= bad, 30.0, 1.0)[:, None, None] * beta)
+    bad = times[45]  # in the second block of 32 or 40, neither its first nor its last point
+    for block in (32, 40, 100):
+        # 2 terms on 2 resonators: 8 elements per grid point.
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * block)
+        calls = []
+
+        def flow(beta, t):
+            calls.append(t.size)
+            return np.where(t >= bad, 30.0, 1.0)[:, None, None] * beta
+
+        with pytest.raises(NumericalError, match=f"at t = {bad:g};"):
+            propagate_with(state, times, flow)
+        # no block after the failing one is evolved
+        assert calls == ([block, block] if block < 100 else [100])
+
+
+def test_block_size_does_not_change_the_trajectory(monkeypatch):
+    rng = np.random.default_rng(2024)
+    n, terms = 4, 5
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    labels = 0.7 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+    state = make_superposition(weights, labels)
+    times = np.linspace(0.0, 3.0, 50)
+    flow = label_flow(_random_drift(rng, n))
+    per_point = terms * (n + terms)
+    runs = {}
+    # one-point blocks, 7-point blocks (the last one holds 1), one block for the whole grid
+    for block in (1, 7, times.size):
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", block * per_point)
+        runs[block] = propagate_with(state, times, flow)
+    for block in (1, 7):
+        for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
+            np.testing.assert_allclose(
+                getattr(runs[block], name), getattr(runs[times.size], name), rtol=0, atol=1e-13, err_msg=name
+            )
+
+
+def test_sweep_sized_grid_takes_four_flow_calls():
+    # The sweep benchmark's problem: n = 6, 2 terms, 4,001 points.  A 16 Ki
+    # element budget over 2 * (6 + 2) elements per point gives 1,024-point
+    # blocks; 32-point blocks took 126 calls.
+    state = make_rs_state(RSFamilySpec(n=6, r=3, s=3, alpha=0.7))
+    inner = label_flow(_degenerate_drift(n=6, eps=0.5))
+    sizes = []
+
+    def flow(beta, t):
+        sizes.append(t.size)
+        return inner(beta, t)
+
+    traj = propagate_with(state, np.linspace(0.0, 5.0, 4001), flow, gamma_rate=1.0)
+    assert len(sizes) == math.ceil(4001 / 1024) == 4
+    assert sizes == [1024, 1024, 1024, 929]
+    assert np.all(np.isfinite(traj.purity))
+
+
+def test_oversized_trajectory_is_rejected_before_allocating(monkeypatch):
+    state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.6))
+    times = np.linspace(0.0, 1.0, 11)
+    # labels and coefficients 16 * 2 * (3 + 2), observables 8 * (3 + 3), per grid point
+    need = 11 * (16 * 2 * 5 + 8 * 6)
+
+    def flow(beta, t):
+        raise AssertionError("the flow ran although the trajectory is over budget")
+
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
+    with pytest.raises(ModelError, match=f"trajectory of {evolve._sci(need)} bytes .*budget"):
+        propagate_with(state, times, flow)
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
+    traj = propagate_with(state, times, label_flow(_degenerate_drift(n=3)))
+    arrays = (traj.labels, traj.coeffs, traj.occupations, traj.total_occupation, traj.purity, traj.fidelity)
+    assert sum(a.nbytes for a in arrays) == need
 
 
 def test_well_separated_cat_keeps_unit_trace():
@@ -425,7 +494,9 @@ def test_propagate_with_rejects_a_bad_time_grid(times, message):
 def test_csv_round_trip():
     state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.5))
     traj = _evolve(state, n=3, steps=5)
-    text = trajectory_to_csv(traj)
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "time"
@@ -472,10 +543,26 @@ def _per_value_csv(traj):
     return "\n".join(lines) + "\n"
 
 
-def test_csv_rows_match_the_per_value_formatter():
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _streamed_csv(traj):
+    """The CSV text and the number of blocks it was written in (one write is the header)."""
+    out = _CountingWriter()
+    trajectory_to_csv(traj, out)
+    return out.getvalue(), out.writes - 1
+
+
+def test_csv_rows_match_the_per_value_formatter(monkeypatch):
     state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.5))
     traj = _evolve(state, n=3, steps=40)
-    assert trajectory_to_csv(traj) == _per_value_csv(traj)
     # inf, nan, -0.0 and subnormals, in every kind of column
     occupations = np.array([[np.inf, -0.0], [np.nan, 5e-324], [1.0 / 3.0, -2.5e-310]])
     coeffs = np.zeros((3, 3, 3), dtype=complex)
@@ -494,6 +581,12 @@ def test_csv_rows_match_the_per_value_formatter():
         flow=None,
         gamma_rate=0.0,
     )
-    text = trajectory_to_csv(odd)
-    assert text == _per_value_csv(odd)
-    assert "inf" in text and "nan" in text and "-0" in text and "4.94065646e-324" in text
+    # The default budget writes each table in one block; 30 elements write 3
+    # rows of 8 (or 9) columns per block; 1 element writes one row per block.
+    for budget, blocks_41, blocks_odd in ((evolve._BLOCK_ELEMENTS, 1, 1), (30, 14, 1), (1, 41, 3)):
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", budget)
+        text, blocks = _streamed_csv(traj)
+        assert text == _per_value_csv(traj) and blocks == blocks_41
+        text, blocks = _streamed_csv(odd)
+        assert text == _per_value_csv(odd) and blocks == blocks_odd
+        assert "inf" in text and "nan" in text and "-0" in text and "4.94065646e-324" in text

@@ -61,6 +61,15 @@ def test_gram_matrix_broadcasts_over_batch_axes():
     for k in range(5):
         np.testing.assert_allclose(gb[k], gram_matrix(labels, stack[k]), rtol=0, atol=1e-14)
     np.testing.assert_allclose(gram_matrix(stack)[3], gram_matrix(stack[3]), rtol=0, atol=1e-14)
+    # a batched side against a shared one, either way round and over two batch axes
+    deep = rng.normal(size=(2, 5, 2, 3)) + 1j * rng.normal(size=(2, 5, 2, 3))
+    for a, b in ((stack, labels), (deep, labels), (labels, deep)):
+        g = gram_matrix(a, b)
+        assert g.shape == np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-2])
+        for idx in np.ndindex(g.shape[:-2]):
+            ai = a[idx] if a.ndim > 2 else a
+            bi = b[idx] if b.ndim > 2 else b
+            np.testing.assert_allclose(g[idx], gram_matrix(ai, bi), rtol=0, atol=1e-14)
 
 
 def test_cat_normalization_closed_form():
