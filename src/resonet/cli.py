@@ -254,12 +254,11 @@ def _cmd_oracle_compare(args) -> int:
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     traj = _run_trajectory(cfg, decay)
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
-    oracle.check_working_set(cfg.network.n, cutoff, cfg.times.size, cfg.state.labels)
+    oracle.check_working_set(cfg.network.n, cutoff, cfg.state.labels)
     basis = oracle.FockBasisSpec(n=cfg.network.n, cutoff=cutoff)
     gen = oracle.build_generator(_effective_network(cfg), decay, basis)
     rho0 = oracle.embed_state(cfg.state, basis)
-    rhos = oracle.integrate(rho0, gen, cfg.times)
-    report = oracle.compare(traj, rhos, basis)
+    report = oracle.compare(traj, oracle.integrate(rho0, gen, cfg.times), basis)
 
     lines = ["time,trace_distance"]
     for t, d in zip(report.times, report.distances):

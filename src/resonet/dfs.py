@@ -259,27 +259,15 @@ def master_equation_reduction_check(
         strength = float(n * gamma)
 
     basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
-    full = oracle.dissipator_matrix(decay.matrix, basis)
+    # the full double-sum dissipator: the generator of a network with W = 0
+    full = oracle.LindbladGenerator(basis, np.zeros((n, n)), decay.matrix).matrix()
 
-    # Independent route: the collective-channel dissipator assembled from
-    # dense operators, strength/2 * (2 L rho L+ - {L+L, rho}).
-    lower = [op.toarray() for op in oracle.mode_lowering_ops(basis)]
-    lam = sum(lower) / np.sqrt(n)
-    lam_dag = lam.conj().T
-    lam2 = lam_dag @ lam
-    d = basis.dim
-
-    def collective(rho: np.ndarray) -> np.ndarray:
-        return 0.5 * strength * (
-            2.0 * lam @ rho @ lam_dag - lam2 @ rho - rho @ lam2
-        )
-
-    single = np.empty((d * d, d * d), dtype=complex)
-    e = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            e[a, b] = 1.0
-            single[:, a * d + b] = collective(e).ravel()
-            e[a, b] = 0.0
+    # Independent route: the collective-channel dissipator
+    # strength/2 * (2 L rho L+ - {L+L, rho}) from dense operators, on the
+    # row-major vec(rho) where vec(A X B) = (A (x) B^T) vec(X).
+    lam = sum(op.toarray() for op in oracle.mode_lowering_ops(basis)) / np.sqrt(n)
+    lam2 = lam.conj().T @ lam
+    eye = np.eye(basis.dim)
+    single = 0.5 * strength * (2.0 * np.kron(lam, lam.conj()) - np.kron(lam2, eye) - np.kron(eye, lam2.T))
 
     return bool(np.max(np.abs(full - single)) < 1e-10)

@@ -1,10 +1,13 @@
-"""Exception types and the memory budget shared across the package."""
+"""Exception types, the memory budget and the trace-abort limit shared across the package."""
 
 import math
 
 # Bytes of large arrays one computation may hold; an input that needs more is
 # rejected with ModelError before anything is allocated.
 _BYTE_BUDGET = 2 * 1024**3
+
+# Trace drift beyond this aborts a propagation or integration as numerically broken.
+_TRACE_ABORT = 1e-6
 
 
 def _sci(x: int) -> str:

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .errors import _BYTE_BUDGET, ModelError, NumericalError, _sci
+from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
 from .network import _CLUSTER_RTOL, DriftMatrix, _frozen
 from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
 
@@ -50,9 +50,6 @@ __all__ = [
     "observables",
     "trajectory_to_csv",
 ]
-
-# Trace loss beyond this aborts a propagation as numerically broken.
-_TRACE_ABORT = 1e-6
 
 # Complex elements per block of grid points: propagate_with and
 # trajectory_to_csv take max(1, _BLOCK_ELEMENTS // elements per point)

@@ -9,35 +9,34 @@ equation
 is applied with explicitly constructed mode operators, and each grid
 interval is crossed by the truncated Taylor series of exp(dt L) applied to
 the state (Al-Mohy & Higham 2011), in the frame rotating at the mean mode
-frequency (see LindbladGenerator and integrate).  Agreement with the
-analytic trajectory is then measured in trace distance.  Slow but
-independent.
+frequency (see LindbladGenerator and integrate).  integrate yields the
+state at each grid time, and compare measures its trace distance to the
+analytic state as it arrives, so only the state being worked on is held.
+Slow but independent.
 
-Every dense array here is dim x dim complex, so memory is bounded up front:
-a basis, an integration and a superoperator matrix whose byte estimate
-exceeds _BYTE_BUDGET are rejected with ModelError before anything is
-allocated.
+Every dense array here is dim x dim complex, and integration and comparison
+hold a fixed number of them whatever the grid, so memory is bounded up
+front: a basis and a superoperator matrix whose byte estimate exceeds
+_BYTE_BUDGET are rejected with ModelError before anything is allocated.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import _BYTE_BUDGET, ModelError, NumericalError, _sci
+from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
 from .evolve import Trajectory
 from .network import NetworkSpec, validate_network
 from .states import SuperpositionState
 
 __all__ = [
     "FockBasisSpec",
-    "FockDensityMatrix",
     "LindbladGenerator",
     "ComparisonReport",
     "mode_lowering_ops",
@@ -51,7 +50,6 @@ __all__ = [
     "embed_state",
     "embed_labels",
     "build_generator",
-    "dissipator_matrix",
     "step_size",
     "integrate",
     "mode_occupations",
@@ -60,11 +58,11 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = 1e-10
-_TRACE_ABORT = 1e-6
-# Dense dim x dim arrays integrate holds besides the stored grid states: the
-# partial sum, the current term, and apply's output, transpose buffer and
-# product.
-_TAYLOR_ARRAYS = 5
+# Dense dim x dim arrays compare(traj, integrate(...), basis) holds at once:
+# integrate's state, partial sum and current term, apply's output, transpose
+# buffer and product, the yielded state, and compare's analytic state and
+# difference.
+_WORKING_ARRAYS = 9
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1
 # (unit roundoff 2^-53): the degree-m Taylor polynomial of exp(A) has backward
 # error below the unit roundoff while ||A||_1 <= theta_m.
@@ -83,60 +81,40 @@ class FockBasisSpec:
             raise ModelError("basis needs at least one mode")
         if self.cutoff < 1:
             raise ModelError("cutoff must be at least 1")
-        # no basis is useful that cannot integrate even the shortest grid
-        check_working_set(self.n, self.cutoff, 2)
+        # no basis is useful whose integration does not fit the budget
+        check_working_set(self.n, self.cutoff)
 
     @property
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.n
 
 
-@dataclass(frozen=True, eq=False)
-class FockDensityMatrix:
-    """Dense density matrix on a truncated basis."""
+def working_set_bytes(n: int, cutoff: int) -> int:
+    """Bytes of dense complex arrays the oracle holds on n modes at this cutoff.
 
-    matrix: np.ndarray
-
-    def validate(self, check_positivity: bool = False) -> None:
-        rho = self.matrix
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 1e-10:
-            raise NumericalError(f"density matrix not Hermitian (deviation {herm:.3e})")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > _TRACE_ABORT:
-            raise NumericalError(f"density matrix trace {tr!r} off unity")
-        if check_positivity:
-            lo = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-            if lo < -1e-8:
-                raise NumericalError(f"density matrix has eigenvalue {lo:.3e}")
-
-
-def working_set_bytes(n: int, cutoff: int, points: int) -> int:
-    """Bytes of dense complex arrays integrate holds on n modes at this cutoff.
-
-    One density matrix per grid point plus _TAYLOR_ARRAYS working arrays,
-    each dim^2 * 16 bytes with dim = (cutoff + 1)^n.
+    _WORKING_ARRAYS arrays of dim^2 * 16 bytes with dim = (cutoff + 1)^n,
+    whatever the number of grid times.
     """
     dim = (cutoff + 1) ** n
-    return (points + _TAYLOR_ARRAYS) * dim * dim * 16
+    return _WORKING_ARRAYS * dim * dim * 16
 
 
-def check_working_set(n: int, cutoff: int, points: int, labels=None) -> None:
-    """Reject an integration over `points` grid times whose working set exceeds the byte budget.
+def check_working_set(n: int, cutoff: int, labels=None) -> None:
+    """Reject a basis whose oracle working set exceeds the byte budget.
 
     With the initial labels the message also names the smallest cutoff the
     state's tails allow and the bytes that cutoff would need.
     """
-    need = working_set_bytes(n, cutoff, points)
+    need = working_set_bytes(n, cutoff)
     if need <= _BYTE_BUDGET:
         return
     msg = (
-        f"oracle working set of {_sci(need)} bytes ({points} grid times, cutoff {cutoff}, "
+        f"oracle working set of {_sci(need)} bytes (cutoff {cutoff}, "
         f"dim {(cutoff + 1)}^{n}) exceeds the {_sci(_BYTE_BUDGET)}-byte budget"
     )
     if labels is not None:
-        low = minimum_cutoff(float(np.max(np.abs(np.asarray(labels)), initial=0.0)))
-        msg += f"; the state's minimum cutoff is {low}, needing {_sci(working_set_bytes(n, low, points))} bytes"
+        low = minimum_cutoff(_largest_amplitude(labels))
+        msg += f"; the state's minimum cutoff is {low}, needing {_sci(working_set_bytes(n, low))} bytes"
     raise ModelError(msg)
 
 
@@ -201,33 +179,33 @@ def minimum_cutoff(amplitude: float) -> int:
     return c
 
 
+def _largest_amplitude(labels) -> float:
+    """Largest |label component| of a label array of any shape (0 when empty)."""
+    return float(np.max(np.abs(np.asarray(labels)), initial=0.0))
+
+
 def suggest_cutoff(state: SuperpositionState) -> int:
     """Cutoff rule ceil(|b|^2 + 6 |b| + 8) on the largest label amplitude."""
-    amax = float(np.max(np.abs(state.labels), initial=0.0))
+    amax = _largest_amplitude(state.labels)
     return int(math.ceil(amax * amax + 6.0 * amax + 8.0))
 
 
-def _worst_tail(labels: np.ndarray, cutoff: int) -> tuple[float, float]:
-    """Largest per-mode Poisson tail among the label amplitudes (any shape), and its amplitude."""
-    worst, worst_amp = 0.0, 0.0
-    for a in np.abs(np.asarray(labels, dtype=complex)).ravel():
-        t = poisson_tail(float(a) ** 2, cutoff)
-        if t > worst:
-            worst, worst_amp = t, float(a)
-    return worst, worst_amp
-
-
 def max_tail_mass(labels: np.ndarray, cutoff: int) -> float:
-    """Largest per-mode Poisson tail among all label amplitudes."""
-    return _worst_tail(labels, cutoff)[0]
+    """Largest per-mode Poisson tail among all label amplitudes (any shape).
+
+    P(K > cutoff) rises with the mean (its derivative is P(K = cutoff)), so
+    this is the tail at the largest amplitude.
+    """
+    return poisson_tail(_largest_amplitude(labels) ** 2, cutoff)
 
 
 def _check_tails(labels: np.ndarray, basis: FockBasisSpec) -> None:
-    worst, worst_amp = _worst_tail(labels, basis.cutoff)
+    amp = _largest_amplitude(labels)
+    worst = poisson_tail(amp**2, basis.cutoff)
     if worst >= _TAIL_LIMIT:
         raise ModelError(
             f"inadequate cutoff {basis.cutoff}: truncated mass {worst:.3e} for amplitude "
-            f"{worst_amp:g}; required minimum cutoff is {minimum_cutoff(worst_amp)}"
+            f"{amp:g}; required minimum cutoff is {minimum_cutoff(amp)}"
         )
 
 
@@ -246,7 +224,7 @@ def coherent_vector(label, basis: FockBasisSpec) -> np.ndarray:
     return reduce(np.kron, parts)
 
 
-def embed_state(state: SuperpositionState, basis: FockBasisSpec) -> FockDensityMatrix:
+def embed_state(state: SuperpositionState, basis: FockBasisSpec) -> np.ndarray:
     """Project a label-form state onto the truncated basis as a density matrix.
 
     Rejects cutoffs whose per-mode truncated mass reaches 1e-10 (the error
@@ -264,7 +242,7 @@ def embed_state(state: SuperpositionState, basis: FockBasisSpec) -> FockDensityM
     tr = np.trace(rho).real
     if tr <= 0.0:
         raise NumericalError("embedded state has vanishing trace")
-    return FockDensityMatrix(rho / tr)
+    return rho / tr
 
 
 def embed_labels(labels: np.ndarray, coeffs: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
@@ -280,19 +258,20 @@ def embed_labels(labels: np.ndarray, coeffs: np.ndarray, basis: FockBasisSpec) -
 
 
 class LindbladGenerator:
-    """The master-equation right-hand side on a truncated basis.
+    """The master-equation right-hand side on a truncated basis, in the rotating frame.
 
     H = sum_mk w_mk a_m+ a_k commutes with the total excitation number N, and
     the dissipator is unchanged by the phase exp(-i theta N).  So the
-    generator splits exactly into the rotation -i wbar [N, rho] at the mean
-    mode frequency wbar = tr(W) / n and the generator of the shifted network
-    W - wbar I; `apply` is the sum of the two (the lab frame), and
-    `in_rotating_frame()` drops the rotation.  The shifted part is grouped as
-    B rho + rho B+ + sum_n a_n rho J_n+ with B = -i H' - (1/2) sum_mn
-    gamma_mn a_m+ a_n, H' built from W - wbar I, and J_n = sum_m gamma_mn
-    a_m, which is algebraically identical to the defining form.
+    lab-frame generator splits exactly into the rotation -i wbar [N, rho] at
+    the mean mode frequency wbar = tr(W) / n and the generator of the shifted
+    network W - wbar I.  `apply` is the second alone, the generator in the
+    frame rotating at wbar; integrate rotates its states back to the lab
+    frame.  It is grouped as B rho + rho B+ + sum_n a_n rho J_n+ with
+    B = -i H' - (1/2) sum_mn gamma_mn a_m+ a_n, H' built from W - wbar I, and
+    J_n = sum_m gamma_mn a_m, which is algebraically identical to the
+    defining form.
 
-    On the row-major vec(rho) the rotating-frame generator is the matrix
+    On the row-major vec(rho) `apply` is the matrix
     L = B (x) I + I (x) conj(B) + sum_n a_n (x) conj(J_n).  `shift` is the
     mean of its diagonal, 2 Re(mean diag B) since no a_n has a diagonal, and
     `norm_bound` bounds ||L - shift I||_1 without forming L, by the triangle
@@ -308,8 +287,6 @@ class LindbladGenerator:
         if w.shape != (n, n) or gamma.shape != (n, n):
             raise ModelError("network and decay matrices must match the basis size")
         self.basis = basis
-        self.w = w
-        self.gamma = gamma
         self.omega_bar = float(np.trace(w)) / n
         shifted = w - self.omega_bar * np.eye(n)
         lower = mode_lowering_ops(basis)
@@ -350,13 +327,6 @@ class LindbladGenerator:
             _onenorm(a) * _onenorm(jt) for a, jt in zip(lower, self._jump_t) if jt is not None
         )
 
-    def in_rotating_frame(self) -> LindbladGenerator:
-        """This generator in the frame rotating at omega_bar: the network W - omega_bar I."""
-        frame = copy.copy(self)
-        frame.w = self.w - self.omega_bar * np.eye(self.basis.n)
-        frame.omega_bar = 0.0
-        return frame
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         # Each right product X M+ runs as (conj(M) X^T)^T, with X^T copied
         # into one C-ordered buffer: scipy would copy a transposed view on
@@ -369,12 +339,10 @@ class LindbladGenerator:
             if jt is not None:
                 np.copyto(t, (self._lower[k] @ rho).T)
                 out += (jt @ t).T
-        if self.omega_bar != 0.0:
-            out -= (1j * self.omega_bar) * (self._occ[:, None] * rho - rho * self._occ)
         return out
 
     def matrix(self) -> np.ndarray:
-        """Dense superoperator matrix (row-major vec convention)."""
+        """Dense matrix of `apply` (row-major vec convention)."""
         d = self.basis.dim
         need = d**4 * 16
         if need > _BYTE_BUDGET:
@@ -397,13 +365,6 @@ def build_generator(spec: NetworkSpec, gamma, basis: FockBasisSpec) -> LindbladG
     validate_network(spec)
     g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
     return LindbladGenerator(basis, spec.w_matrix(), g)
-
-
-def dissipator_matrix(gamma, basis: FockBasisSpec) -> np.ndarray:
-    """Superoperator matrix of the dissipator alone (no Hamiltonian)."""
-    g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
-    n = basis.n
-    return LindbladGenerator(basis, np.zeros((n, n)), g).matrix()
 
 
 def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float, int, int]]:
@@ -438,8 +399,8 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x)))
 
 
-def integrate(rho0, gen: LindbladGenerator, times) -> list[FockDensityMatrix]:
-    """Integrate the master equation over the grid by the Taylor action of exp(dt L).
+def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.ndarray]:
+    """Yield the state at each grid time, integrating by the Taylor action of exp(dt L).
 
     Each grid interval dt is split into s substeps h = dt / s, and each
     substep applies the degree-m Taylor polynomial of exp(h (L - shift I)),
@@ -448,20 +409,21 @@ def integrate(rho0, gen: LindbladGenerator, times) -> list[FockDensityMatrix]:
     fall below 2^-53 of the partial sum in max norm, as in Al-Mohy & Higham
     (2011), Algorithm 3.2.
 
-    L is the generator in the frame rotating at the mean mode frequency
-    omega_bar, where the fast phase of omega_bar N is gone; each stored state
-    is rotated back to the lab frame, rho_ab(t) = exp(-i omega_bar (t - t0)
-    (N_a - N_b)) rho_I,ab(t), which changes neither trace nor Hermiticity.
-    The state is re-hermitised at every grid time; trace drift beyond 1e-6
-    aborts with NumericalError naming that time.  Returns one density
-    matrix per grid time, the first being rho0 itself.
+    L is `gen.apply`, the generator in the frame rotating at the mean mode
+    frequency omega_bar, where the fast phase of omega_bar N is gone; each
+    yielded state is rotated back to the lab frame, rho_ab(t) =
+    exp(-i omega_bar (t - t0) (N_a - N_b)) rho_I,ab(t), which changes neither
+    trace nor Hermiticity.  The state is re-hermitised at every grid time;
+    trace drift beyond 1e-6 aborts with NumericalError naming that time.
+
+    The first state yielded is a copy of rho0.  Only the current state is
+    kept, so a consumer that holds at most the latest yielded array (as
+    compare does) works in memory independent of the grid.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     plans = _taylor_plans(gen, times)
-    check_working_set(gen.basis.n, gen.basis.cutoff, times.size)
-    rho = np.array(getattr(rho0, "matrix", rho0), dtype=complex, copy=True)
-    frame = gen.in_rotating_frame()
-    out = [FockDensityMatrix(rho.copy())]
+    rho = np.array(rho0, dtype=complex, copy=True)
+    yield rho.copy()
     for i, (dt, m, s) in enumerate(plans):
         h = dt / s
         scale = math.exp(h * gen.shift)
@@ -469,7 +431,7 @@ def integrate(rho0, gen: LindbladGenerator, times) -> list[FockDensityMatrix]:
             term = rho
             c1 = _max_abs(term)
             for j in range(1, m + 1):
-                term = frame.apply(term) - gen.shift * term
+                term = gen.apply(term) - gen.shift * term
                 term *= h / j
                 c2 = _max_abs(term)
                 rho = rho + term
@@ -483,8 +445,7 @@ def integrate(rho0, gen: LindbladGenerator, times) -> list[FockDensityMatrix]:
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_ABORT:
             raise NumericalError(f"trace drifted to {tr!r} at t = {t:g}; integration aborted")
         phase = np.exp(-1j * gen.omega_bar * (t - times[0]) * gen._occ)
-        out.append(FockDensityMatrix(phase[:, None] * rho * phase.conj()))
-    return out
+        yield phase[:, None] * rho * phase.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +461,14 @@ def _occupation_digits(basis: FockBasisSpec) -> np.ndarray:
     return digits
 
 
-def mode_occupations(rho, basis: FockBasisSpec) -> np.ndarray:
+def mode_occupations(rho: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
     """<a_m+ a_m> for each mode from a Fock-basis density matrix."""
-    mat = np.asarray(getattr(rho, "matrix", rho))
-    pops = np.real(np.diagonal(mat))
-    return _occupation_digits(basis).T @ pops
+    return _occupation_digits(basis).T @ np.real(np.diagonal(rho))
 
 
-def mean_amplitudes(rho, basis: FockBasisSpec) -> np.ndarray:
+def mean_amplitudes(rho: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
     """<a_m> for each mode from a Fock-basis density matrix."""
-    mat = np.asarray(getattr(rho, "matrix", rho))
-    return np.array([np.trace(op @ mat) for op in mode_lowering_ops(basis)])
+    return np.array([np.trace(op @ rho) for op in mode_lowering_ops(basis)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,18 +480,23 @@ class ComparisonReport:
     max_distance: float
 
 
-def compare(traj: Trajectory, rhos: Sequence[FockDensityMatrix], basis: FockBasisSpec) -> ComparisonReport:
-    """Trace distance between a label trajectory and integrated Fock states.
+def compare(traj: Trajectory, rhos: Iterable[np.ndarray], basis: FockBasisSpec) -> ComparisonReport:
+    """Trace distance between a label trajectory and a stream of integrated Fock states.
 
-    The analytic state is embedded on the same truncated basis at every grid
-    time; distances are 0.5 * sum |eigenvalues| of the Hermitian difference.
+    Each state is compared as it arrives, against the analytic state
+    embedded on the same truncated basis at its grid time; distances are
+    0.5 * sum |eigenvalues| of the Hermitian difference.  A stream with more
+    or fewer states than the trajectory has grid times raises ModelError.
     """
-    if len(rhos) != traj.times.size:
-        raise ModelError("trajectory and integrated states cover different grids")
-    dists = np.empty(traj.times.size)
-    for i in range(traj.times.size):
-        analytic = embed_labels(traj.labels[i], traj.coeffs[i], basis)
-        delta = analytic - np.asarray(rhos[i].matrix)
+    size = traj.times.size
+    dists = np.empty(size)
+    i = -1
+    for i, rho in enumerate(rhos):
+        if i == size:
+            break
+        delta = embed_labels(traj.labels[i], traj.coeffs[i], basis) - rho
         delta = 0.5 * (delta + delta.conj().T)
         dists[i] = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+    if i + 1 != size:
+        raise ModelError("trajectory and integrated states cover different grids")
     return ComparisonReport(times=np.array(traj.times), distances=dists, max_distance=float(np.max(dists)))

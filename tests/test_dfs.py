@@ -279,7 +279,7 @@ def test_oracle_purity_follows_the_verdict(omega, protected):
     assert classify(state, spec, reservoir, net).is_dfs is protected
     basis = oracle.FockBasisSpec(n=2, cutoff=oracle.minimum_cutoff(0.6))
     gen = oracle.build_generator(net, build_decay_matrix(reservoir, net), basis)
-    rho = oracle.integrate(oracle.embed_state(state, basis), gen, np.linspace(0.0, 2.0, 3))[-1].matrix
+    rho = list(oracle.integrate(oracle.embed_state(state, basis), gen, np.linspace(0.0, 2.0, 3)))[-1]
     purity = float(np.sum(np.abs(rho) ** 2))
     if protected:
         assert abs(purity - 1.0) < 1e-6

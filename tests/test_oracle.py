@@ -1,6 +1,7 @@
 """Truncated-Fock embedding, master-equation integration, comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,18 +32,19 @@ def test_basis_dimension_guard():
 
 
 def test_working_set_estimate_and_budget():
-    # grid points plus 5 working arrays (the Taylor sum, its current term,
-    # and apply's output, transpose buffer and product), dim x dim complex
-    assert oracle.working_set_bytes(2, 12, 11) == (11 + 5) * 169**2 * 16
-    oracle.check_working_set(2, 12, 11)
+    # 9 dim x dim complex arrays whatever the grid: integrate's state,
+    # partial sum and term, apply's output, transpose buffer and product, the
+    # yielded state, and compare's analytic state and difference
+    assert oracle.working_set_bytes(2, 12) == 9 * 169**2 * 16
+    oracle.check_working_set(2, 12)
     # n = 4, r = s = 2, alpha = 0.7: suggest_cutoff picks 13 (dim 38416,
     # 22 GiB per density matrix); even the minimum cutoff 10 cannot fit
     state = make_rs_state(RSFamilySpec(n=4, r=2, s=2, alpha=0.7))
     assert oracle.suggest_cutoff(state) == 13
     assert oracle.minimum_cutoff(0.7) == 10
     with pytest.raises(ModelError) as err:
-        oracle.check_working_set(4, 13, 51, state.labels)
-    need = oracle.working_set_bytes(4, 13, 51)
+        oracle.check_working_set(4, 13, state.labels)
+    need = oracle.working_set_bytes(4, 13)
     assert need > oracle._BYTE_BUDGET
     assert oracle._sci(need) in str(err.value)
     assert "minimum cutoff is 10" in str(err.value)
@@ -67,6 +69,15 @@ def test_max_tail_mass_scans_a_whole_trajectory():
     labels = np.array([[[0.1, 2.0]], [[1.5j, 0.3]], [[0.0, -2.5]]])
     per_time = [oracle.max_tail_mass(labels[i], 6) for i in range(3)]
     assert oracle.max_tail_mass(labels, 6) == max(per_time) == oracle.poisson_tail(6.25, 6)
+    # the tail rises with the mean, so the largest amplitude decides: the
+    # same value as the largest tail over every amplitude, on random labels
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        shape = (int(rng.integers(1, 30)), 2, int(rng.integers(1, 4)))
+        labels = rng.normal(scale=1.5, size=shape) + 1j * rng.normal(scale=1.5, size=shape)
+        cutoff = int(rng.integers(1, 25))
+        worst = max(oracle.poisson_tail(float(a) ** 2, cutoff) for a in np.abs(labels).ravel())
+        assert oracle.max_tail_mass(labels, cutoff) == worst
 
 
 def test_lowering_operator_matrix_elements():
@@ -141,10 +152,10 @@ def test_embed_state_properties():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     basis = oracle.FockBasisSpec(n=2, cutoff=12)
     rho = oracle.embed_state(state, basis)
-    rho.validate(check_positivity=True)
-    mat = rho.matrix
-    assert abs(np.trace(mat) - 1.0) < 1e-12
-    assert abs(np.trace(mat @ mat) - 1.0) < 1e-9
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+    assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert abs(np.trace(rho @ rho) - 1.0) < 1e-9
     occ = oracle.mode_occupations(rho, basis)
     flow = label_flow(drift_matrix(degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.5)))
     traj = propagate_with(state, [0.0], flow)
@@ -162,16 +173,19 @@ def test_embed_rejects_inadequate_cutoff():
 def test_generator_respects_amplitude_transport():
     # tr(a_m L(rho)) must equal the drift matrix acting on tr(a_m rho); this
     # ties the truncated integrator to the label flow without any dynamics.
+    # The generator is in the frame rotating at omega_bar, so its drift is
+    # that of W - omega_bar I.
     n, cutoff = 2, 9
     basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
     spec = degenerate_network(n, 1.3, 0.2)
     decay = decay_matrix_common(n, 0.7, 0.4)
     gen = oracle.build_generator(spec, decay, basis)
     state = make_superposition([1.0, 0.5], np.array([[0.4, -0.2], [0.1, 0.3]]))
-    rho = oracle.embed_state(state, basis).matrix
+    rho = oracle.embed_state(state, basis)
     amp = oracle.mean_amplitudes(rho, basis)
     amp_dot = oracle.mean_amplitudes(gen.apply(rho), basis)
-    d = (-1j * spec.w_matrix() - 0.5 * decay.matrix) @ amp
+    shifted = spec.w_matrix() - gen.omega_bar * np.eye(n)
+    d = (-1j * shifted - 0.5 * decay.matrix) @ amp
     np.testing.assert_allclose(amp_dot, d, atol=1e-8)
 
 
@@ -219,7 +233,7 @@ def test_single_mode_decay_against_exact_solution():
         amp = oracle.mean_amplitudes(rho, basis)[0]
         expected = alpha * np.exp((-1j * omega - 0.5 * gamma) * t)
         assert abs(amp - expected) < 1e-6
-        assert abs(np.trace(rho.matrix) - 1.0) < 1e-9
+        assert abs(np.trace(rho) - 1.0) < 1e-9
 
 
 def test_integration_step_halving_converges():
@@ -234,9 +248,9 @@ def test_integration_step_halving_converges():
     state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.4))
     rho0 = oracle.embed_state(state, basis)
     times = np.array([0.0, 0.5])
-    coarse = oracle.integrate(rho0, gen, times)[-1].matrix
+    coarse = list(oracle.integrate(rho0, gen, times))[-1]
 
-    halved = oracle.integrate(rho0, gen, np.linspace(0.0, 0.5, 3))[-1].matrix
+    halved = list(oracle.integrate(rho0, gen, np.linspace(0.0, 0.5, 3)))[-1]
     assert np.max(np.abs(coarse - halved)) < 1e-12
 
 
@@ -254,14 +268,16 @@ def test_rotating_frame_integration_matches_exact_exponential():
     # a truncated cat (no tail check needed: both sides see the same basis)
     psi = oracle.coherent_vector([0.6, -0.4j], basis) + 0.5j * oracle.coherent_vector([-0.3, 0.5], basis)
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-    mat = gen.matrix()
+    # the lab-frame generator: the rotating-frame one plus -i omega_bar [N, rho]
+    occ = oracle._occupation_digits(basis).sum(axis=1)
+    mat = gen.matrix() + np.diag(-1j * gen.omega_bar * (occ[:, None] - occ[None, :]).ravel())
     nonuniform = np.array([0.0, 0.05, 3.0, 3.01, 8.0])
     assert max(s for _, _, s in oracle._taylor_plans(gen, nonuniform)) > 1
     for times in (np.linspace(0.0, 0.6, 4), nonuniform):
         rhos = oracle.integrate(rho0, gen, times)
         for t, rho in zip(times, rhos):
             exact = (scipy.linalg.expm(t * mat) @ rho0.ravel()).reshape(rho0.shape)
-            assert np.max(np.abs(rho.matrix - exact)) < 1e-13
+            assert np.max(np.abs(rho - exact)) < 1e-13
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 4), (2, 2), (2, 3)])
@@ -275,7 +291,7 @@ def test_norm_bound_covers_the_rotating_frame_generator(n, cutoff):
         spec = NetworkSpec(omega=rng.uniform(1.0, 5.0, size=n), coupling=coupling + coupling.T)
         x = rng.normal(size=(n, n))
         gen = oracle.build_generator(spec, x @ x.T, basis)
-        mat = gen.in_rotating_frame().matrix()
+        mat = gen.matrix()
         mu = np.mean(np.diagonal(mat))
         assert abs(mu - gen.shift) < 1e-12
         exact = np.max(np.sum(np.abs(mat - gen.shift * np.eye(mat.shape[0])), axis=0))
@@ -308,7 +324,7 @@ def test_taylor_substep_rule():
     rho0 = np.outer(psi, psi.conj())
     rho0 = (rho0 + rho0.conj().T) / (2.0 * np.trace(rho0).real)
     for rho in oracle.integrate(rho0, zero, [0.0, 0.5, 2.0]):
-        assert np.array_equal(rho.matrix, rho0)
+        assert np.array_equal(rho, rho0)
 
 
 def test_compare_trajectory_to_integration():
@@ -321,12 +337,44 @@ def test_compare_trajectory_to_integration():
     times = np.linspace(0.0, 0.4, 5)
     traj = propagate_with(state, times, label_flow(drift_matrix(spec, decay)), gamma_rate=gamma)
     gen = oracle.build_generator(spec, decay, basis)
-    rhos = oracle.integrate(oracle.embed_state(state, basis), gen, times)
-    report = oracle.compare(traj, rhos, basis)
+    rho0 = oracle.embed_state(state, basis)
+    report = oracle.compare(traj, oracle.integrate(rho0, gen, times), basis)
     assert report.max_distance < 1e-6
     assert report.distances[0] < 1e-12
+    rhos = list(oracle.integrate(rho0, gen, times))
+    assert np.array_equal(oracle.compare(traj, rhos, basis).distances, report.distances)
+    # a stream one state shorter or longer than the grid
     with pytest.raises(ModelError):
         oracle.compare(traj, rhos[:-1], basis)
+    with pytest.raises(ModelError):
+        oracle.compare(traj, rhos + [rhos[-1]], basis)
+
+
+def test_oracle_memory_does_not_grow_with_the_grid():
+    # compare consumes integrate's states one at a time, so 61 grid points
+    # need no more memory than 6, and the peak stays within the estimate.
+    n, cutoff = 2, 8
+    basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
+    spec = degenerate_network(n, 2.0, 0.4)
+    decay = decay_matrix_common(n, 1.0, 0.5)
+    gen = oracle.build_generator(spec, decay, basis)
+    state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.4))
+    rho0 = oracle.embed_state(state, basis)
+    flow = label_flow(drift_matrix(spec, decay))
+    peaks = []
+    for points in (6, 61):
+        times = np.linspace(0.0, 0.6, points)
+        traj = propagate_with(state, times, flow)
+        tracemalloc.start()
+        try:
+            report = oracle.compare(traj, oracle.integrate(rho0, gen, times), basis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.max_distance < 1e-6
+    array_bytes = basis.dim**2 * 16
+    assert abs(peaks[1] - peaks[0]) < array_bytes
+    assert max(peaks) <= oracle.working_set_bytes(n, cutoff)
 
 
 def test_trace_abort_in_integrator():
@@ -340,4 +388,4 @@ def test_trace_abort_in_integrator():
     from resonet import NumericalError
 
     with pytest.raises(NumericalError):
-        oracle.integrate(bad, gen, [0.0, 0.1])
+        list(oracle.integrate(bad, gen, [0.0, 0.1]))
