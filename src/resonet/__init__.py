@@ -43,7 +43,7 @@ from .states import (
     swap_resonators,
 )
 from .evolve import (
-    Trajectory,
+    Block,
     decoherence_time_formula,
     decoherence_time_numeric,
     expm,
@@ -97,7 +97,7 @@ __all__ = [
     "rs_branch_labels",
     "state_norm",
     "swap_resonators",
-    "Trajectory",
+    "Block",
     "decoherence_time_formula",
     "decoherence_time_numeric",
     "expm",

@@ -148,14 +148,12 @@ def _effective_network(cfg: ScenarioConfig) -> network.NetworkSpec:
     return cfg.network
 
 
-def _run_trajectory(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> evolve.Trajectory:
+def _label_flow(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> evolve.LabelFlow:
     if cfg.state is None:
         raise ConfigError("this command needs a 'state' section in the scenario")
     if cfg.times is None:
         raise ConfigError("this command needs an 'evolution' section in the scenario")
-    flow = evolve.label_flow(network.drift_matrix(_effective_network(cfg), decay))
-    rate = float(np.max(np.diagonal(decay.matrix), initial=0.0))
-    return evolve.propagate_with(cfg.state, cfg.times, flow, gamma_rate=rate)
+    return evolve.label_flow(network.drift_matrix(_effective_network(cfg), decay))
 
 
 def _decay_extremes(decay: reservoir.DecayMatrix) -> tuple[float, float]:
@@ -165,15 +163,17 @@ def _decay_extremes(decay: reservoir.DecayMatrix) -> tuple[float, float]:
     return float(values[0]), float(values[-1])
 
 
-def _summarize(cfg: ScenarioConfig, traj: evolve.Trajectory, decay: reservoir.DecayMatrix) -> dict:
+def _summarize(cfg: ScenarioConfig, flow: evolve.LabelFlow, last: evolve.Block, decay: reservoir.DecayMatrix) -> dict:
+    """Summary record of a run whose label stream ended with the block `last`."""
     gamma_down, gamma_up = _decay_extremes(decay)
     # Whether the paper's closed form covers the scenario; the flow is the same either way.
     closed_form = (
         cfg.degenerate is not None and cfg.reservoir.kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE
     )
     tau_numeric = None
-    if traj.num_terms >= 2:
-        tau_numeric = evolve.decoherence_time_numeric(traj)
+    if cfg.state.num_terms >= 2:
+        rate = float(np.max(np.diagonal(decay.matrix), initial=0.0))
+        tau_numeric = evolve.decoherence_time_numeric(flow, cfg.state, cfg.times[1] - cfg.times[0], rate)
     return {
         "n": cfg.network.n,
         "reservoir": cfg.reservoir.kind.value,
@@ -182,7 +182,7 @@ def _summarize(cfg: ScenarioConfig, traj: evolve.Trajectory, decay: reservoir.De
         "gamma_up": gamma_up,
         "tau_d_formula": dfs.decoherence_time(cfg.rs, decay),
         "tau_d_numeric": tau_numeric,
-        "final": evolve.observables(traj, -1),
+        "final": evolve.observables(last, -1),
     }
 
 
@@ -217,15 +217,20 @@ def _cmd_evolve(args) -> int:
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
-    traj = _run_trajectory(cfg, decay)
-    summary = _summarize(cfg, traj, decay)
+    flow = _label_flow(cfg, decay)
+    series = []  # per block: total occupation, purity, fidelity, for the SVG plots
     with _atomic_file(out / "trajectory.csv") as fh:
-        evolve.trajectory_to_csv(traj, fh)
+        for block in evolve.trajectory_to_csv(evolve.propagate_with(cfg.state, cfg.times, flow), fh):
+            if cfg.svg:
+                series.append(np.column_stack((block.total_occupation, block.purity, block.fidelity)))
+        # inside the temp file's block, so a failed summary leaves no trajectory.csv
+        summary = _summarize(cfg, flow, block, decay)
     _write_json(out / "summary.json", summary)
     if cfg.svg:
-        _write_text(out / "occupation.svg", _svg_series(traj.times, traj.total_occupation, "total occupation"))
-        _write_text(out / "purity.svg", _svg_series(traj.times, traj.purity, "purity"))
-        _write_text(out / "fidelity.svg", _svg_series(traj.times, traj.fidelity, "fidelity"))
+        occupation, purity, fidelity = np.concatenate(series).T
+        _write_text(out / "occupation.svg", _svg_series(cfg.times, occupation, "total occupation"))
+        _write_text(out / "purity.svg", _svg_series(cfg.times, purity, "purity"))
+        _write_text(out / "fidelity.svg", _svg_series(cfg.times, fidelity, "fidelity"))
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
     return EXIT_OK
 
@@ -252,20 +257,19 @@ def _cmd_oracle_compare(args) -> int:
     if threshold <= 0.0:
         raise ConfigError("threshold must be positive")
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
-    traj = _run_trajectory(cfg, decay)
+    blocks = evolve.propagate_with(cfg.state, cfg.times, _label_flow(cfg, decay))
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
     oracle.check_working_set(cfg.network.n, cutoff, cfg.state.labels)
     basis = oracle.FockBasisSpec(n=cfg.network.n, cutoff=cutoff)
     gen = oracle.build_generator(_effective_network(cfg), decay, basis)
     rho0 = oracle.embed_state(cfg.state, basis)
-    report = oracle.compare(traj, oracle.integrate(rho0, gen, cfg.times), basis)
+    report = oracle.compare(blocks, oracle.integrate(rho0, gen, cfg.times), basis)
 
     lines = ["time,trace_distance"]
     for t, d in zip(report.times, report.distances):
         lines.append(f"{_fmt(float(t))},{_fmt(float(d))}")
     _write_text(out / "oracle.csv", "\n".join(lines) + "\n")
 
-    tail = oracle.max_tail_mass(traj.labels, cutoff)
     passed = report.max_distance < threshold
     _write_json(
         out / "oracle_summary.json",
@@ -275,7 +279,7 @@ def _cmd_oracle_compare(args) -> int:
             "cutoff": cutoff,
             "dim": basis.dim,
             "step": oracle.step_size(gen, cfg.times),
-            "tail_mass": tail,
+            "tail_mass": report.tail_mass,
             "passed": passed,
         },
     )
@@ -319,8 +323,10 @@ def _patched(raw: dict, param: str, value: float) -> dict:
 def _sweep_one(raw: dict, param: str, value: float) -> dict:
     cfg = parse_scenario(_patched(raw, param, value))
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
-    traj = _run_trajectory(cfg, decay)
-    summary = _summarize(cfg, traj, decay)
+    flow = _label_flow(cfg, decay)
+    for last in evolve.propagate_with(cfg.state, cfg.times, flow):
+        pass  # only the final block is summarised
+    summary = _summarize(cfg, flow, last, decay)
     return {
         "value": value,
         "status": "ok",

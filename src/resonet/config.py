@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import _BYTE_BUDGET, ConfigError, ModelError, _sci
 from .network import NetworkSpec, degenerate_network, validate_network
 from .reservoir import CouplingProfile, ReservoirKind, ReservoirSpec
 from .states import RSFamilySpec, SuperpositionState, make_rs_state, make_superposition
@@ -216,7 +216,8 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
     raise ConfigError(f"state type {kind!r} unknown (use 'rs' or 'explicit')")
 
 
-def _parse_times(sec: dict | None) -> np.ndarray | None:
+def _parse_times(sec: dict | None, svg: bool) -> np.ndarray | None:
+    """The time grid; one whose grid and SVG series exceed the byte budget is rejected before allocating."""
     if sec is None:
         return None
     t_max = _number(sec, "t_max", "evolution")
@@ -225,6 +226,12 @@ def _parse_times(sec: dict | None) -> np.ndarray | None:
         raise ConfigError("evolution: 't_max' must be positive")
     if steps < 1:
         raise ConfigError("evolution: 'steps' must be at least 1")
+    # 8 bytes per time for the grid, and 8 more for each of the three SVG series
+    need = (steps + 1) * (32 if svg else 8)
+    if need > _BYTE_BUDGET:
+        raise ConfigError(
+            f"evolution: {steps + 1} grid times need {_sci(need)} bytes, over the {_sci(_BYTE_BUDGET)}-byte budget"
+        )
     return np.linspace(0.0, t_max, steps + 1)
 
 
@@ -233,7 +240,11 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
     network, degenerate = _parse_network(_section(cfg, "network"))
     reservoir = _parse_reservoir(_section(cfg, "reservoir"))
     state, rs = _parse_state(_section(cfg, "state", required=False), network.n)
-    times = _parse_times(_section(cfg, "evolution", required=False))
+    outsec = _section(cfg, "output", required=False) or {}
+    svg = outsec.get("svg", False)
+    if not isinstance(svg, bool):
+        raise ConfigError("output: 'svg' must be true or false")
+    times = _parse_times(_section(cfg, "evolution", required=False), svg)
 
     osec = _section(cfg, "oracle", required=False) or {}
     cutoff = osec.get("cutoff")
@@ -242,11 +253,6 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
     threshold = _number(osec, "threshold", "oracle", default=_DEFAULT_THRESHOLD)
     if threshold <= 0.0:
         raise ConfigError("oracle: 'threshold' must be positive")
-
-    outsec = _section(cfg, "output", required=False) or {}
-    svg = outsec.get("svg", False)
-    if not isinstance(svg, bool):
-        raise ConfigError("output: 'svg' must be true or false")
 
     return ScenarioConfig(
         network=network,

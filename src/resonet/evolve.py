@@ -31,16 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
-from .network import _CLUSTER_RTOL, DriftMatrix, _frozen
+from .errors import _TRACE_ABORT, ModelError, NumericalError
+from .network import _CLUSTER_RTOL, DriftMatrix
 from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
 
 __all__ = [
-    "Trajectory",
+    "Block",
     "propagator_closed_form",
     "expm",
     "label_flow",
@@ -193,55 +193,51 @@ def label_flow(drift: DriftMatrix) -> LabelFlow:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Label-space evolution sampled on a time grid.
+class Block:
+    """Label-space evolution on a run of consecutive grid times.
 
-    labels[t, r] is the coherent label of term r at times[t]; coeffs[t] the
+    labels[i, r] is the coherent label of term r at times[i]; coeffs[i] the
     pair-coefficient matrix (entry (r, s) multiplies |zeta_r><zeta_s|).  The
-    observable arrays are aligned with times.  `flow` is the label flow the
-    trajectory was built with; the decoherence-time estimate uses it for its
-    short-step derivative.  gamma_rate is the per-resonator decay rate used
-    to size that step (0 when unknown).
+    observable arrays are aligned with times.
     """
 
     times: np.ndarray
     labels: np.ndarray
     coeffs: np.ndarray
     occupations: np.ndarray
-    total_occupation: np.ndarray
     purity: np.ndarray
     fidelity: np.ndarray
-    state: SuperpositionState
-    flow: LabelFlow
-    gamma_rate: float
 
     @property
-    def num_terms(self) -> int:
-        return self.labels.shape[1]
+    def total_occupation(self) -> np.ndarray:
+        return self.occupations.sum(axis=1)
 
 
-def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate: float = 0.0) -> Trajectory:
-    """Evolve a state along a label flow (see label_flow).
+def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:
+    """Evolve a state along a label flow (see label_flow), one Block at a time.
 
-    The time grid must be nonempty, start at 0 and increase strictly.  It is
-    processed in blocks of max(1, _BLOCK_ELEMENTS // (terms * (n + terms)))
-    consecutive times: the flow is called once per block with the state's
-    labels and a 1-D array of T times and must return the (T, terms, n)
-    stack of evolved labels, and every observable of the block is then
-    evaluated as one batched array operation.  A grid whose labels,
-    coefficients and observables together exceed the package byte budget
-    (2 GiB) is rejected with ModelError before anything is allocated.  The pair
-    coefficients are built in the log domain,
-    c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
+    The time grid must be nonempty, start at 0 and increase strictly; it is
+    checked before anything is evolved.  It is processed in blocks of
+    max(1, _BLOCK_ELEMENTS // (terms * (n + terms))) consecutive times: the
+    flow is called once per block with the state's labels and a 1-D array of
+    T times and must return the (T, terms, n) stack of evolved labels, every
+    observable of the block is evaluated as one batched array operation, and
+    the block is yielded.  Only the block being worked on is held, so memory
+    does not grow with the grid.  The pair coefficients are built in the log
+    domain, c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
     so overlaps that underflow on their own still give finite coefficients.
 
     Aborts with NumericalError if the reconstructed trace drifts from 1 by
     more than 1e-6 at any grid time (the exact coefficients keep it at 1, so
     a drift means overflow or a flow inconsistent with the labels); the
-    message names the first such time.
+    message names the first such time, and no later block is evolved.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_grid(times)
+    return _stream(state, times, flow)
+
+
+def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> Iterator[Block]:
     beta = np.asarray(state.labels)
     terms, n = beta.shape
     weights = np.asarray(state.weights)
@@ -249,32 +245,16 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate
     # The *_t arrays are transposed Gram matrices: log_g0_t[r, s] = log<beta_s|beta_r>,
     # and log_gt_t / gt_t hold the same for zeta at each time of a block.
     log_g0_t = log_gram_matrix(beta).T
-
-    nt = times.size
-    need = nt * (16 * terms * (n + terms) + 8 * (n + 3))
-    if need > _BYTE_BUDGET:
-        raise ModelError(
-            f"trajectory of {_sci(need)} bytes ({nt} grid times, {terms} terms, n = {n}) "
-            f"exceeds the {_sci(_BYTE_BUDGET)}-byte budget"
-        )
-    labels_t = np.empty((nt, terms, n), dtype=complex)
-    coeffs_t = np.empty((nt, terms, terms), dtype=complex)
-    occ_t = np.empty((nt, n))
-    purity_t = np.empty(nt)
-    fid_t = np.empty(nt)
-
-    for block in _blocks(nt, terms * (n + terms)):
+    for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]
         zeta = np.asarray(flow(beta, tb))
         if zeta.shape != (tb.size, terms, n):
             raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
-        labels_t[block] = zeta
         log_gt_t = np.swapaxes(log_gram_matrix(zeta), -1, -2)
         gt_t = np.exp(log_gt_t)
-        # coeff is written into the trajectory's array.  An exploding flow
-        # overflows it; the trace check below is the arbiter.
+        # An exploding flow overflows coeff; the trace check below is the arbiter.
         with np.errstate(over="ignore", invalid="ignore"):
-            coeff = np.exp(log_g0_t - log_gt_t, out=coeffs_t[block])
+            coeff = np.exp(log_g0_t - log_gt_t)
             coeff *= w_outer
             m = coeff * gt_t
             trace = m.sum(axis=(-2, -1))
@@ -289,22 +269,14 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow, gamma_rate
         # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked rows
         g_in = np.swapaxes(gram_matrix(beta, zeta), -1, -2).reshape(-1, terms)
         w_in = state.norm_factor * (g_in @ weights.conj()).reshape(-1, terms)
-        occ_t[block] = (zeta * (m @ zeta.conj())).sum(axis=-2).real
-        purity_t[block] = (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
-        fid_t[block] = (w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
-
-    return Trajectory(
-        times=_frozen(times),
-        labels=labels_t,
-        coeffs=coeffs_t,
-        occupations=occ_t,
-        total_occupation=occ_t.sum(axis=1),
-        purity=purity_t,
-        fidelity=fid_t,
-        state=state,
-        flow=flow,
-        gamma_rate=float(gamma_rate),
-    )
+        yield Block(
+            times=tb,
+            labels=zeta,
+            coeffs=coeff,
+            occupations=(zeta * (m @ zeta.conj())).sum(axis=-2).real,
+            purity=(cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real,
+            fidelity=(w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real,
+        )
 
 
 def decoherence_time_formula(spec: RSFamilySpec, gamma: float, gamma_down: float) -> float:
@@ -334,67 +306,75 @@ def decoherence_time_formula(spec: RSFamilySpec, gamma: float, gamma_down: float
     return 1.0 / (2.0 * alpha2 * denom)
 
 
-def decoherence_time_numeric(traj: Trajectory, r: int = 0, s: int = 1) -> float:
-    """Decoherence time of one term pair from the trajectory's own label flow.
+def decoherence_time_numeric(
+    flow: LabelFlow, state: SuperpositionState, step: float, gamma_rate: float = 0.0, r: int = 0, s: int = 1
+) -> float:
+    """Decoherence time of one term pair of a state from its label flow.
 
     The pair coherence D(t) = |<beta_r|beta_s> / <zeta_r(t)|zeta_s(t)>|
     decays from 1; the initial slope of -ln D, taken by a forward difference
-    with step min(1e-6 / gamma, first grid step), gives 1/tau.  A slope
-    smaller than 1e-12 * gamma (or nonpositive) reports infinity.
+    with step min(1e-6 / gamma_rate, step) (step alone when gamma_rate is 0;
+    pass the first step of the time grid), gives 1/tau.  A slope smaller
+    than 1e-12 * gamma_rate (or nonpositive) reports infinity.
     """
-    terms = traj.num_terms
+    terms = state.num_terms
     if r == s or not (0 <= r < terms and 0 <= s < terms):
         raise ModelError("decoherence time needs two distinct term indices")
-    if traj.times.size < 2:
-        raise ModelError("decoherence time needs a grid with at least two times")
-    beta = np.asarray(traj.state.labels)
+    if not step > 0.0:
+        raise ModelError("decoherence time needs a positive first grid step")
+    beta = np.asarray(state.labels)
     delta0 = beta[r] - beta[s]
     if np.max(np.abs(delta0)) <= 1e-14:
         raise ModelError("the chosen terms carry identical labels")
-    first = float(traj.times[1] - traj.times[0])
-    h = first if traj.gamma_rate == 0.0 else min(1e-6 / traj.gamma_rate, first)
-    delta_t = np.asarray(traj.flow(delta0[None, :], np.array([h])))[0, 0]
+    h = float(step) if gamma_rate == 0.0 else min(1e-6 / gamma_rate, float(step))
+    delta_t = np.asarray(flow(delta0[None, :], np.array([h])))[0, 0]
     # -ln D(h) = (|delta0|^2 - |delta_t|^2) / 2, evaluated from the norms to
     # avoid cancellation inside an exp/log round trip.
     f = 0.5 * float(np.sum(np.abs(delta0) ** 2) - np.sum(np.abs(delta_t) ** 2))
     slope = f / h
-    if slope <= 0.0 or abs(slope) < 1e-12 * traj.gamma_rate:
+    if slope <= 0.0 or abs(slope) < 1e-12 * gamma_rate:
         return math.inf
     return 1.0 / slope
 
 
-def observables(traj: Trajectory, index: int) -> dict:
-    """Observable record at one grid point of a trajectory."""
+def observables(block: Block, index: int) -> dict:
+    """Observable record at one grid point of a block."""
     i = int(index)
     return {
-        "time": float(traj.times[i]),
-        "mean_occupation": [float(x) for x in traj.occupations[i]],
-        "total_occupation": float(traj.total_occupation[i]),
-        "purity": float(traj.purity[i]),
-        "fidelity_to_initial": float(traj.fidelity[i]),
+        "time": float(block.times[i]),
+        "mean_occupation": [float(x) for x in block.occupations[i]],
+        "total_occupation": float(block.total_occupation[i]),
+        "purity": float(block.purity[i]),
+        "fidelity_to_initial": float(block.fidelity[i]),
     }
 
 
-def trajectory_to_csv(traj: Trajectory, out: TextIO) -> None:
-    """Write a trajectory as CSV: time, per-resonator and total occupation, purity, fidelity, |c_rs| pairs.
+def trajectory_to_csv(blocks: Iterable[Block], out: TextIO) -> Iterator[Block]:
+    """Write a label stream as CSV: time, per-resonator and total occupation, purity, fidelity, |c_rs| pairs.
 
-    Coherence columns cover ordered pairs r < s (0-based indices in the
-    header), all floats printed with 9 significant digits.  Rows are
-    formatted and written to the open text file `out` one block of
-    max(1, _BLOCK_ELEMENTS // columns) rows at a time, so the text of the
-    whole table is never held at once.
+    Each block is yielded on once its rows are written to the open text file
+    `out`, so the caller sees the stream as it passes; nothing is written
+    until the result is iterated.  Coherence columns cover ordered pairs
+    r < s (0-based indices in the header), all floats printed with 9
+    significant digits.  A block's rows are formatted and written
+    max(1, _BLOCK_ELEMENTS // columns) at a time, so only that much text is
+    ever held.
     """
-    n = traj.labels.shape[2]
-    first, second = np.triu_indices(traj.num_terms, 1)
-    header = (
-        ["time"]
-        + [f"occ_{m + 1}" for m in range(n)]
-        + ["occ_total", "purity", "fidelity"]
-        + [f"coh_{a}_{b}" for a, b in zip(first, second)]
-    )
-    row = ",".join(["%.9g"] * len(header)) + "\n"
-    out.write(",".join(header) + "\n")
-    columns = (traj.times, traj.occupations, traj.total_occupation, traj.purity, traj.fidelity)
-    for block in _blocks(traj.times.size, len(header)):
-        table = np.column_stack([c[block] for c in columns] + [np.abs(traj.coeffs[block, first, second])])
-        out.write("".join(row % tuple(values) for values in table.tolist()))
+    row = None
+    for block in blocks:
+        if row is None:
+            _, terms, n = block.labels.shape
+            first, second = np.triu_indices(terms, 1)
+            header = (
+                ["time"]
+                + [f"occ_{m + 1}" for m in range(n)]
+                + ["occ_total", "purity", "fidelity"]
+                + [f"coh_{a}_{b}" for a, b in zip(first, second)]
+            )
+            row = ",".join(["%.9g"] * len(header)) + "\n"
+            out.write(",".join(header) + "\n")
+        columns = (block.times, block.occupations, block.total_occupation, block.purity, block.fidelity)
+        for rows in _blocks(block.times.size, len(header)):
+            table = np.column_stack([c[rows] for c in columns] + [np.abs(block.coeffs[rows, first, second])])
+            out.write("".join(row % tuple(values) for values in table.tolist()))
+        yield block

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
-from .evolve import Trajectory
+from .evolve import Block
 from .network import NetworkSpec, validate_network
 from .states import SuperpositionState
 
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = 1e-10
-# Dense dim x dim arrays compare(traj, integrate(...), basis) holds at once:
+# Dense dim x dim arrays compare(blocks, integrate(...), basis) holds at once:
 # integrate's state, partial sum and current term, apply's output, transpose
 # buffer and product, the yielded state, and compare's analytic state and
 # difference.
@@ -147,8 +147,8 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     directly, so a tail far below the double rounding of 1 keeps its full
     relative precision.
     """
-    if mean < 0.0:
-        raise ModelError("Poisson mean must be nonnegative")
+    if not 0.0 <= mean < math.inf:
+        raise ModelError(f"Poisson mean must be finite and nonnegative, got {mean!r}")
     if mean == 0.0:
         return 0.0
     if cutoff < mean:
@@ -473,30 +473,37 @@ def mean_amplitudes(rho: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Trace distances between analytic and integrated states, per grid time."""
+    """Trace distances between analytic and integrated states per grid time, and max_tail_mass of all labels."""
 
     times: np.ndarray
     distances: np.ndarray
     max_distance: float
+    tail_mass: float
 
 
-def compare(traj: Trajectory, rhos: Iterable[np.ndarray], basis: FockBasisSpec) -> ComparisonReport:
-    """Trace distance between a label trajectory and a stream of integrated Fock states.
+def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasisSpec) -> ComparisonReport:
+    """Trace distance between a label stream and a stream of integrated Fock states.
 
-    Each state is compared as it arrives, against the analytic state
-    embedded on the same truncated basis at its grid time; distances are
-    0.5 * sum |eigenvalues| of the Hermitian difference.  A stream with more
-    or fewer states than the trajectory has grid times raises ModelError.
+    The two streams are walked in lockstep, one grid time at a time: each
+    integrated state is compared as it arrives against the analytic state of
+    its block, embedded on the same truncated basis; distances are
+    0.5 * sum |eigenvalues| of the Hermitian difference.  Of the label
+    stream only the current block and the largest label amplitude so far are
+    held.  Streams of different lengths raise ModelError.
     """
-    size = traj.times.size
-    dists = np.empty(size)
-    i = -1
-    for i, rho in enumerate(rhos):
-        if i == size:
-            break
-        delta = embed_labels(traj.labels[i], traj.coeffs[i], basis) - rho
-        delta = 0.5 * (delta + delta.conj().T)
-        dists[i] = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
-    if i + 1 != size:
+    rhos = iter(rhos)
+    times, dists, amp = [], [], 0.0
+    for block in blocks:
+        amp = max(amp, _largest_amplitude(block.labels))
+        for t, labels, coeffs in zip(block.times, block.labels, block.coeffs):
+            rho = next(rhos, None)
+            if rho is None:
+                raise ModelError("trajectory and integrated states cover different grids")
+            delta = embed_labels(labels, coeffs, basis) - rho
+            delta = 0.5 * (delta + delta.conj().T)
+            times.append(t)
+            dists.append(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
+    if next(rhos, None) is not None:
         raise ModelError("trajectory and integrated states cover different grids")
-    return ComparisonReport(times=np.array(traj.times), distances=dists, max_distance=float(np.max(dists)))
+    dists = np.array(dists)
+    return ComparisonReport(np.array(times), dists, float(np.max(dists)), max_tail_mass(amp, basis.cutoff))

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resonet
-from resonet import dfs, evolve, network, reservoir
+from resonet import config, dfs, evolve, network, reservoir
 from resonet.cli import main
 
 
@@ -459,14 +460,85 @@ def test_failed_csv_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, exist
 
 
 def test_evolve_rejects_a_trajectory_over_budget(tmp_path, monkeypatch, capsys):
-    # 11 grid times, 2 terms on 2 resonators: 11 * (16 * 2 * 4 + 8 * 5) bytes.
-    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 1000)
+    # 11 grid times: 8 bytes each for the grid, 32 with the three SVG series.
+    monkeypatch.setattr(config, "_BYTE_BUDGET", 80)
     cfg = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "trajectory of 1.85e3 bytes" in err and "1.00e3-byte budget" in err
+    assert "11 grid times need 8.80e1 bytes" in err and "8.00e1-byte budget" in err
     assert not (out / "trajectory.csv").exists()
+    monkeypatch.setattr(config, "_BYTE_BUDGET", 100)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    cfg = _write_scenario(tmp_path / "svg.json", output={"svg": True})
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "svg")]) == 1
+    assert "need 3.52e2 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "svg" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["absent", "present"])
+def test_trace_abort_mid_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, existing):
+    # One row per block, and the flow explodes at t = 0.5: the rows of the
+    # five earlier times reach the temp file before the abort is known.
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 1)
+    label_flow, trajectory_to_csv = evolve.label_flow, evolve.trajectory_to_csv
+
+    def exploding(drift):
+        flow = label_flow(drift)
+        return lambda beta, t: np.where(t >= 0.5, 30.0, 1.0)[:, None, None] * flow(beta, t)
+
+    written = []
+
+    def watched(blocks, fh):
+        for block in trajectory_to_csv(blocks, fh):
+            written.append(fh.tell())
+            yield block
+
+    monkeypatch.setattr(evolve, "label_flow", exploding)
+    monkeypatch.setattr(evolve, "trajectory_to_csv", watched)
+    cfg = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    if existing is not None:
+        (out / "trajectory.csv").write_text(existing)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert len(written) == 5 and 0 < written[0] < written[-1]
+    if existing is not None:
+        assert (out / "trajectory.csv").read_text() == existing
+    assert sorted(p.name for p in out.iterdir()) == ([] if existing is None else ["trajectory.csv"])
+
+
+def test_evolve_memory_does_not_grow_with_the_grid(tmp_path):
+    # Rows are written as the label stream passes, and only the last block
+    # is kept for the summary.  Kept whole, the longer grid's labels and
+    # coefficients would take 5001 * 6 * (8 + 6) * 16 = 6.7 MB; streamed, the
+    # peak rises by less than one block-sized complex array.
+    rng = np.random.default_rng(5)
+    n, terms = 8, 6
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    labels = 0.3 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+    state = {
+        "type": "explicit",
+        "weights": [[w.real, w.imag] for w in weights],
+        "labels": [[[b.real, b.imag] for b in row] for row in labels],
+    }
+    peaks = []
+    for steps in (500, 5000):
+        cfg = _write_scenario(
+            tmp_path / "s.json",
+            network={"n": n, "omega": 10.0, "lambda": 0.5},
+            state=state,
+            evolution={"t_max": 5.0, "steps": steps},
+        )
+        out = tmp_path / f"out{steps}"
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len((out / "trajectory.csv").read_text().splitlines()) == steps + 2
+    assert peaks[1] - peaks[0] < 16 * evolve._BLOCK_ELEMENTS
 
 
 def test_sweep_command(tmp_path):

@@ -29,6 +29,7 @@ from resonet import (
     protected_subspace,
 )
 from resonet import oracle
+from helpers import collect
 
 
 def _white(epsilon, sigma=1.0):
@@ -259,7 +260,7 @@ def test_protected_subspace_of_random_block_networks(n):
     outside = q[:, k:] @ (0.4 * rng.normal(size=n - k))
     for delta, protected in ((inside, True), (inside + outside, False)):
         state = make_superposition([1.0, 1.0], np.array([beta, beta + delta]))
-        traj = propagate_with(state, times, label_flow(drift))
+        traj = collect(propagate_with(state, times, label_flow(drift)))
         coherence = np.abs(traj.coeffs[:, 0, 1])
         if protected:
             assert np.max(np.abs(coherence - coherence[0])) < 1e-10

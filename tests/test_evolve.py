@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from resonet import (
     NumericalError,
     ReservoirKind,
     ReservoirSpec,
+    Block,
     RSFamilySpec,
-    Trajectory,
     build_decay_matrix,
     decay_matrix_common,
     decoherence_time_formula,
@@ -33,6 +34,7 @@ from resonet import (
     trajectory_to_csv,
 )
 from resonet import evolve
+from helpers import collect
 
 
 def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
@@ -42,7 +44,14 @@ def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
 def _evolve(state, n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5, t_max=3.0, steps=30):
     """Evolve on the degenerate network in common white noise, as the CLI does."""
     flow = label_flow(_degenerate_drift(n, gamma, eps, omega0, lam))
-    return propagate_with(state, np.linspace(0.0, t_max, steps + 1), flow, gamma_rate=gamma)
+    return collect(propagate_with(state, np.linspace(0.0, t_max, steps + 1), flow))
+
+
+def _tau(state, n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5, t_max=3.0, steps=30, r=0, s=1):
+    """Numeric decoherence time over _evolve's flow and first grid step, as the CLI does."""
+    flow = label_flow(_degenerate_drift(n, gamma, eps, omega0, lam))
+    times = np.linspace(0.0, t_max, steps + 1)
+    return decoherence_time_numeric(flow, state, times[1] - times[0], gamma, r, s)
 
 
 def _closed_form(t, n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
@@ -266,31 +275,30 @@ def test_decoherence_numeric_matches_formula():
         if math.isinf(expected):
             continue
         state = make_rs_state(spec)
-        traj = _evolve(state, n=n, gamma=gamma, eps=eps, t_max=1.0, steps=10)
-        got = decoherence_time_numeric(traj)
+        got = _tau(state, n=n, gamma=gamma, eps=eps, t_max=1.0, steps=10)
         assert abs(got - expected) < 0.01 * expected
 
 
 def test_decoherence_numeric_infinite_for_protected():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    traj = _evolve(state, eps=1.0)
-    assert math.isinf(decoherence_time_numeric(traj))
+    assert math.isinf(_tau(state, eps=1.0))
 
 
 def test_decoherence_numeric_argument_checks():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    traj = _evolve(state)
     with pytest.raises(ModelError):
-        decoherence_time_numeric(traj, 0, 0)
+        _tau(state, r=0, s=0)
     with pytest.raises(ModelError):
-        decoherence_time_numeric(traj, 0, 5)
+        _tau(state, r=0, s=5)
+    with pytest.raises(ModelError, match="positive first grid step"):
+        decoherence_time_numeric(label_flow(_degenerate_drift()), state, 0.0, 1.0)
 
 
 def test_propagator_shape_rejected():
     # A flow must return one (terms, n) label array per time.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(ModelError, match="label flow returned shape"):
-        propagate_with(state, [0.0, 0.1], lambda beta, t: beta)
+        collect(propagate_with(state, [0.0, 0.1], lambda beta, t: beta))
 
 
 def test_trace_abort_on_overflowing_propagator():
@@ -298,7 +306,7 @@ def test_trace_abort_on_overflowing_propagator():
     # reconstructed trace turns non-finite and the run must abort.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(NumericalError):
-        propagate_with(state, [0.0, 1.0], lambda beta, t: (1.0 + 29.0 * t)[:, None, None] * beta)
+        collect(propagate_with(state, [0.0, 1.0], lambda beta, t: (1.0 + 29.0 * t)[:, None, None] * beta))
 
 
 def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
@@ -315,7 +323,7 @@ def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
             return np.where(t >= bad, 30.0, 1.0)[:, None, None] * beta
 
         with pytest.raises(NumericalError, match=f"at t = {bad:g};"):
-            propagate_with(state, times, flow)
+            collect(propagate_with(state, times, flow))
         # no block after the failing one is evolved
         assert calls == ([block, block] if block < 100 else [100])
 
@@ -333,7 +341,7 @@ def test_block_size_does_not_change_the_trajectory(monkeypatch):
     # one-point blocks, 7-point blocks (the last one holds 1), one block for the whole grid
     for block in (1, 7, times.size):
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", block * per_point)
-        runs[block] = propagate_with(state, times, flow)
+        runs[block] = collect(propagate_with(state, times, flow))
     for block in (1, 7):
         for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
             np.testing.assert_allclose(
@@ -353,28 +361,34 @@ def test_sweep_sized_grid_takes_four_flow_calls():
         sizes.append(t.size)
         return inner(beta, t)
 
-    traj = propagate_with(state, np.linspace(0.0, 5.0, 4001), flow, gamma_rate=1.0)
+    traj = collect(propagate_with(state, np.linspace(0.0, 5.0, 4001), flow))
     assert len(sizes) == math.ceil(4001 / 1024) == 4
     assert sizes == [1024, 1024, 1024, 929]
     assert np.all(np.isfinite(traj.purity))
 
 
-def test_oversized_trajectory_is_rejected_before_allocating(monkeypatch):
-    state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.6))
-    times = np.linspace(0.0, 1.0, 11)
-    # labels and coefficients 16 * 2 * (3 + 2), observables 8 * (3 + 3), per grid point
-    need = 11 * (16 * 2 * 5 + 8 * 6)
-
-    def flow(beta, t):
-        raise AssertionError("the flow ran although the trajectory is over budget")
-
-    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
-    with pytest.raises(ModelError, match=f"trajectory of {evolve._sci(need)} bytes .*budget"):
-        propagate_with(state, times, flow)
-    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
-    traj = propagate_with(state, times, label_flow(_degenerate_drift(n=3)))
-    arrays = (traj.labels, traj.coeffs, traj.occupations, traj.total_occupation, traj.purity, traj.fidelity)
-    assert sum(a.nbytes for a in arrays) == need
+def test_label_stream_memory_does_not_grow_with_the_grid():
+    # Only the block being worked on is held.  Kept whole, the longer grid's
+    # labels and coefficients would take 10001 * 6 * (8 + 6) * 16 = 13 MB;
+    # streamed, the peak rises by less than one block-sized complex array
+    # (the grid's own frozen copy costs 8 bytes a time).
+    rng = np.random.default_rng(5)
+    n, terms = 8, 6
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    labels = 0.3 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+    state = make_superposition(weights, labels)
+    flow = label_flow(_degenerate_drift(n=n))
+    peaks = []
+    for points in (1001, 10001):
+        times = np.linspace(0.0, 5.0, points)
+        tracemalloc.start()
+        try:
+            for block in propagate_with(state, times, flow):
+                assert np.all(np.isfinite(block.purity))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * evolve._BLOCK_ELEMENTS
 
 
 def test_well_separated_cat_keeps_unit_trace():
@@ -468,7 +482,7 @@ def test_batched_propagation_matches_per_point_loop(points, path):
         d = _random_drift(rng, n)
         theta = lambda t: np.array([scipy.linalg.expm(s * d.matrix) for s in t])  # noqa: E731
     ref = _per_point_reference(state, times, lambda beta, t: beta @ np.swapaxes(theta(t), -1, -2))
-    traj = propagate_with(state, times, label_flow(d))
+    traj = collect(propagate_with(state, times, label_flow(d)))
     for name, want in ref.items():
         np.testing.assert_allclose(getattr(traj, name), want, rtol=1e-12, atol=1e-12, err_msg=name)
 
@@ -488,14 +502,15 @@ def test_propagate_with_rejects_a_bad_time_grid(times, message):
     # out as 1.07, not 1/0.72.
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     with pytest.raises(ModelError, match=message):
-        propagate_with(make_rs_state(spec), times, label_flow(_degenerate_drift()), gamma_rate=1.0)
+        propagate_with(make_rs_state(spec), times, label_flow(_degenerate_drift()))
 
 
 def test_csv_round_trip():
     state = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.5))
     traj = _evolve(state, n=3, steps=5)
     buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
+    for _ in trajectory_to_csv([traj], buf):
+        pass
     text = buf.getvalue()
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -520,8 +535,7 @@ def test_minus_cat_evolution_stays_normalised():
 
 def _per_value_csv(traj):
     """The per-value f-string formatter that single-% rows replaced, kept as their reference."""
-    n = traj.labels.shape[2]
-    terms = traj.num_terms
+    _, terms, n = traj.labels.shape
     pairs = [(a, b) for a in range(terms) for b in range(a + 1, terms)]
     header = (
         ["time"]
@@ -556,7 +570,8 @@ class _CountingWriter(io.StringIO):
 def _streamed_csv(traj):
     """The CSV text and the number of blocks it was written in (one write is the header)."""
     out = _CountingWriter()
-    trajectory_to_csv(traj, out)
+    for _ in trajectory_to_csv([traj], out):
+        pass
     return out.getvalue(), out.writes - 1
 
 
@@ -569,17 +584,13 @@ def test_csv_rows_match_the_per_value_formatter(monkeypatch):
     coeffs[:, 0, 1] = [np.inf, complex(np.nan, 1.0), 5e-324]
     coeffs[:, 0, 2] = [-0.0, 1e300j, 0.1 + 0.2j]
     coeffs[:, 1, 2] = [complex(-0.0, -0.0), 2.2e-308, complex(3.0, -np.inf)]
-    odd = Trajectory(
+    odd = Block(
         times=np.array([-0.0, 1e-320, 2.5]),
         labels=np.zeros((3, 3, 2), dtype=complex),
         coeffs=coeffs,
         occupations=occupations,
-        total_occupation=occupations.sum(axis=1),
         purity=np.array([-0.0, np.inf, 2.2e-308]),
         fidelity=np.array([np.nan, 1.0, -np.inf]),
-        state=state,
-        flow=None,
-        gamma_rate=0.0,
     )
     # The default budget writes each table in one block; 30 elements write 3
     # rows of 8 (or 9) columns per block; 1 element writes one row per block.

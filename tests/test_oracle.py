@@ -1,5 +1,6 @@
 """Truncated-Fock embedding, master-equation integration, comparison."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,7 +21,8 @@ from resonet import (
     make_superposition,
     propagate_with,
 )
-from resonet import oracle
+from resonet import evolve, oracle
+from helpers import collect
 
 
 def test_basis_dimension_guard():
@@ -124,6 +126,24 @@ def test_poisson_tail_keeps_relative_precision_for_tiny_tails():
     assert tuple(oracle.minimum_cutoff(a) for a in amplitudes) == expected
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 1.0)], ids=["nan", "inf", "complex-inf"])
+def test_non_finite_amplitudes_are_rejected(bad):
+    # A NaN mean never left the tail sum, and an infinite one gave a tail of
+    # 0, which passed any cutoff as adequate.
+    labels = np.array([[0.5, bad]])
+    mean = abs(bad) ** 2
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        oracle.poisson_tail(mean, 3)
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        oracle.poisson_tail(-mean, 3)
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        oracle.max_tail_mass(labels, 3)
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        oracle.minimum_cutoff(abs(bad))
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        oracle.embed_labels(labels, np.ones((1, 1)), oracle.FockBasisSpec(n=2, cutoff=3))
+
+
 def test_suggest_cutoff_rule():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     assert oracle.suggest_cutoff(state) == math.ceil(0.36 + 3.6 + 8.0)
@@ -158,7 +178,7 @@ def test_embed_state_properties():
     assert abs(np.trace(rho @ rho) - 1.0) < 1e-9
     occ = oracle.mode_occupations(rho, basis)
     flow = label_flow(drift_matrix(degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.5)))
-    traj = propagate_with(state, [0.0], flow)
+    traj = collect(propagate_with(state, [0.0], flow))
     np.testing.assert_allclose(occ, traj.occupations[0], atol=1e-9)
 
 
@@ -335,7 +355,7 @@ def test_compare_trajectory_to_integration():
     decay = decay_matrix_common(n, gamma, eps)
     state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
     times = np.linspace(0.0, 0.4, 5)
-    traj = propagate_with(state, times, label_flow(drift_matrix(spec, decay)), gamma_rate=gamma)
+    traj = list(propagate_with(state, times, label_flow(drift_matrix(spec, decay))))
     gen = oracle.build_generator(spec, decay, basis)
     rho0 = oracle.embed_state(state, basis)
     report = oracle.compare(traj, oracle.integrate(rho0, gen, times), basis)
@@ -348,6 +368,31 @@ def test_compare_trajectory_to_integration():
         oracle.compare(traj, rhos[:-1], basis)
     with pytest.raises(ModelError):
         oracle.compare(traj, rhos + [rhos[-1]], basis)
+
+
+def test_compare_walks_label_blocks_in_lockstep(monkeypatch):
+    # One grid time per label block or the whole grid in one: the same
+    # distances, and the tail mass of the largest label amplitude of the grid.
+    spec = NetworkSpec(omega=[9.4, 10.7], coupling=[[0.0, 0.6], [0.6, 0.0]])
+    decay = decay_matrix_common(2, 1.0, 0.7)
+    state = make_superposition([1.0, 0.5 + 0.3j], np.array([[0.5 + 0.1j, -0.3], [0.1 - 0.4j, 0.6 + 0.2j]]))
+    basis = oracle.FockBasisSpec(n=2, cutoff=12)
+    gen = oracle.build_generator(spec, decay, basis)
+    times = np.linspace(0.0, 1.0, 6)
+    rhos = list(oracle.integrate(oracle.embed_state(state, basis), gen, times))
+    flow = label_flow(drift_matrix(spec, decay))
+    reports = []
+    for elements in (8, evolve._BLOCK_ELEMENTS):  # 2 terms on 2 modes: 8 elements per grid time
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", elements)
+        blocks = list(propagate_with(state, times, flow))
+        assert len(blocks) == (6 if elements == 8 else 1)
+        reports.append(oracle.compare(iter(blocks), iter(rhos), basis))
+        with pytest.raises(ModelError):
+            oracle.compare(blocks[:-1] + [dataclasses.replace(blocks[-1], times=blocks[-1].times[:-1])], rhos, basis)
+    assert np.array_equal(reports[0].distances, reports[1].distances)
+    assert np.array_equal(reports[0].times, times) and reports[0].max_distance < 1e-6
+    labels = collect(propagate_with(state, times, flow)).labels
+    assert reports[0].tail_mass == reports[1].tail_mass == oracle.max_tail_mass(labels, basis.cutoff)
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():
@@ -364,7 +409,7 @@ def test_oracle_memory_does_not_grow_with_the_grid():
     peaks = []
     for points in (6, 61):
         times = np.linspace(0.0, 0.6, points)
-        traj = propagate_with(state, times, flow)
+        traj = list(propagate_with(state, times, flow))
         tracemalloc.start()
         try:
             report = oracle.compare(traj, oracle.integrate(rho0, gen, times), basis)
