@@ -28,7 +28,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from . import dfs, evolve, network, oracle, reservoir
+from . import dfs, evolve, network, reservoir
 from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import ConfigError, ModelError, NumericalError
 
@@ -97,8 +97,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _svg_series(times: np.ndarray, values: np.ndarray, label: str) -> str:
-    """A single polyline on fixed 800x500 axes; deterministic text output."""
+def _svg_series(times: np.ndarray, values: np.ndarray, label: str, out: TextIO) -> None:
+    """A single polyline on fixed 800x500 axes, written to the open text file `out`; deterministic text output.
+
+    The points are formatted and written in evolve._blocks chunks, so only
+    one chunk's text is ever held, whatever the length of the series.
+    """
     width, height = 800.0, 500.0
     left, right, top, bottom = 70.0, 780.0, 30.0, 460.0
     t0, t1 = float(times[0]), float(times[-1])
@@ -110,11 +114,7 @@ def _svg_series(times: np.ndarray, values: np.ndarray, label: str) -> str:
         v0, v1 = v0 - pad, v1 + pad
     sx = (right - left) / (t1 - t0)
     sy = (bottom - top) / (v1 - v0)
-    pts = " ".join(
-        f"{left + (float(t) - t0) * sx:.2f},{bottom - (float(v) - v0) * sy:.2f}"
-        for t, v in zip(times, values)
-    )
-    return (
+    out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">\n'
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>\n'
         f'<line x1="{left:g}" y1="{bottom:g}" x2="{right:g}" y2="{bottom:g}" stroke="black"/>\n'
@@ -126,9 +126,14 @@ def _svg_series(times: np.ndarray, values: np.ndarray, label: str) -> str:
         f'<text x="{right:g}" y="478" text-anchor="middle" font-size="12">{_fmt(t1)}</text>\n'
         f'<text x="{left - 6:g}" y="{bottom:g}" text-anchor="end" font-size="12">{_fmt(v0)}</text>\n'
         f'<text x="{left - 6:g}" y="{top + 4:g}" text-anchor="end" font-size="12">{_fmt(v1)}</text>\n'
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>\n'
-        "</svg>\n"
+        '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="'
     )
+    sep = ""
+    for rows in evolve._blocks(times.size, 2):  # two coordinates per point
+        xy = np.column_stack((left + (times[rows] - t0) * sx, bottom - (values[rows] - v0) * sy))
+        out.write(sep + " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist()))
+        sep = " "
+    out.write('"/>\n</svg>\n')
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +223,23 @@ def _cmd_evolve(args) -> int:
     out = _outdir(args)
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     flow = _label_flow(cfg, decay)
-    series = []  # per block: total occupation, purity, fidelity, for the SVG plots
+    # total occupation, purity and fidelity per time, for the SVG plots
+    series = np.empty((cfg.times.size, 3)) if cfg.svg else None
+    start = 0
     with _atomic_file(out / "trajectory.csv") as fh:
         for block in evolve.trajectory_to_csv(evolve.propagate_with(cfg.state, cfg.times, flow), fh):
             if cfg.svg:
-                series.append(np.column_stack((block.total_occupation, block.purity, block.fidelity)))
+                stop = start + block.times.size
+                series[start:stop] = np.column_stack((block.total_occupation, block.purity, block.fidelity))
+                start = stop
         # inside the temp file's block, so a failed summary leaves no trajectory.csv
         summary = _summarize(cfg, flow, block, decay)
     _write_json(out / "summary.json", summary)
     if cfg.svg:
-        occupation, purity, fidelity = np.concatenate(series).T
-        _write_text(out / "occupation.svg", _svg_series(cfg.times, occupation, "total occupation"))
-        _write_text(out / "purity.svg", _svg_series(cfg.times, purity, "purity"))
-        _write_text(out / "fidelity.svg", _svg_series(cfg.times, fidelity, "fidelity"))
+        plots = (("occupation", "total occupation"), ("purity", "purity"), ("fidelity", "fidelity"))
+        for (name, label), column in zip(plots, series.T):
+            with _atomic_file(out / f"{name}.svg") as fh:
+                _svg_series(cfg.times, column, label, fh)
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
     return EXIT_OK
 
@@ -251,6 +260,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    # Only this command needs scipy (through the oracle), so the other commands never import it.
+    from . import oracle
+
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
     threshold = args.threshold if args.threshold is not None else cfg.oracle_threshold

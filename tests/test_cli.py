@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import resonet
-from resonet import config, dfs, evolve, network, reservoir
+from resonet import cli, config, dfs, evolve, network, reservoir
 from resonet.cli import main
 
 
@@ -113,6 +113,30 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_label_space_commands_import_numpy_alone(tmp_path):
+    # Every command pays the import, and scipy.sparse alone took about two
+    # thirds of it; only oracle-compare may load scipy, when it runs.
+    cfg = _write_scenario(tmp_path / "s.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(resonet.__file__).resolve().parents[1]))
+    code = f"""
+import sys
+preloaded = set(sys.modules)  # site may load packages before this line
+import resonet, resonet.cli
+allowed = set(sys.stdlib_module_names) | {{"numpy", "resonet"}}
+print("added:", sorted(m for m in set(sys.modules) - preloaded if m.split(".")[0] not in allowed))
+codes = []
+for command, extra in (("modes", []), ("evolve", []), ("classify", []),
+                       ("sweep", ["--sweep-param", "epsilon", "--sweep-values", "0.2,0.8"])):
+    codes.append(resonet.cli.main([command, "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, *extra]))
+print("after:", codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("oracle-compare:", resonet.cli.main(["oracle-compare", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    checks = [line for line in proc.stdout.splitlines() if line.split(":")[0] in ("added", "after", "oracle-compare")]
+    assert checks == ["added: []", "after: [0, 0, 0, 0] []", "oracle-compare: 0"]
 
 
 # Detuning 0.5 against the cross rate eps * Gamma = 0.5: the drift has one
@@ -605,3 +629,61 @@ def test_float_rendering_in_outputs(tmp_path):
         float(token)
         digits = token.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(digits) <= 9
+
+
+def _svg_series_per_point(times, values, label):
+    """The SVG text built from one formatted string per point, as a reference for the chunked writer."""
+    left, right, top, bottom = 70.0, 780.0, 30.0, 460.0
+    t0, t1 = float(times[0]), float(times[-1])
+    v0, v1 = float(np.min(values)), float(np.max(values))
+    if t1 <= t0:
+        t1 = t0 + 1.0
+    if v1 - v0 < 1e-12:
+        pad = max(abs(v0) * 0.1, 0.5)
+        v0, v1 = v0 - pad, v1 + pad
+    sx = (right - left) / (t1 - t0)
+    sy = (bottom - top) / (v1 - v0)
+    pts = " ".join(
+        f"{left + (float(t) - t0) * sx:.2f},{bottom - (float(v) - v0) * sy:.2f}" for t, v in zip(times, values)
+    )
+    return (
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 500">\n'
+        '<rect width="800" height="500" fill="white"/>\n'
+        '<line x1="70" y1="460" x2="780" y2="460" stroke="black"/>\n'
+        '<line x1="70" y1="30" x2="70" y2="460" stroke="black"/>\n'
+        '<text x="425" y="490" text-anchor="middle" font-size="14">time</text>\n'
+        f'<text x="15" y="245" font-size="14" transform="rotate(-90 15 245)" text-anchor="middle">{label}</text>\n'
+        f'<text x="70" y="478" text-anchor="middle" font-size="12">{t0:.9g}</text>\n'
+        f'<text x="780" y="478" text-anchor="middle" font-size="12">{t1:.9g}</text>\n'
+        f'<text x="64" y="460" text-anchor="end" font-size="12">{v0:.9g}</text>\n'
+        f'<text x="64" y="34" text-anchor="end" font-size="12">{v1:.9g}</text>\n'
+        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>\n'
+        "</svg>\n"
+    )
+
+
+@pytest.mark.parametrize("shape", ["random", "flat"])
+def test_svg_series_writes_chunks_identical_to_per_point_text(tmp_path, shape):
+    points = 3 * evolve._BLOCK_ELEMENTS + 17  # several chunks of points, the last one short
+    times = np.linspace(0.0, 7.5, points)
+    values = np.random.default_rng(3).normal(size=points) if shape == "random" else np.full(points, 0.25)
+    path = tmp_path / "series.svg"
+    with path.open("w") as fh:
+        cli._svg_series(times, values, "purity", fh)
+    assert path.read_text() == _svg_series_per_point(times, values, "purity")
+
+
+def test_svg_series_memory_stays_within_the_grid_guard(tmp_path):
+    # config._parse_times counts 32 bytes per time with output.svg on: the
+    # grid and the three series.  Writing a plot must add less than that.
+    points = 10**5
+    times = np.linspace(0.0, 1.0, points)
+    values = np.random.default_rng(4).uniform(size=points)
+    with (tmp_path / "series.svg").open("w") as fh:
+        tracemalloc.start()
+        try:
+            cli._svg_series(times, values, "fidelity", fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 32 * points
