@@ -9,10 +9,8 @@ small CLI drives scenario files.
 
 from .errors import ConfigError, ModelError, NumericalError
 from .network import (
-    DriftMatrix,
     NetworkSpec,
     NormalModeDecomposition,
-    degenerate_decomposition,
     degenerate_modes,
     degenerate_network,
     drift_matrix,
@@ -34,23 +32,19 @@ from .reservoir import (
 from .states import (
     RSFamilySpec,
     SuperpositionState,
-    coherent_overlap,
     gram_matrix,
     make_rs_state,
     make_superposition,
     rs_branch_labels,
     state_norm,
-    swap_resonators,
 )
 from .evolve import (
     Block,
-    decoherence_time_formula,
     decoherence_time_numeric,
     expm,
     label_flow,
     observables,
     propagate_with,
-    propagator_closed_form,
     trajectory_to_csv,
 )
 from .dfs import (
@@ -59,7 +53,6 @@ from .dfs import (
     classify,
     collective_lowering_eigencheck,
     decoherence_time,
-    master_equation_reduction_check,
     protected_subspace,
 )
 
@@ -71,10 +64,8 @@ __all__ = [
     "NumericalError",
     "NetworkSpec",
     "NormalModeDecomposition",
-    "DriftMatrix",
     "degenerate_network",
     "degenerate_modes",
-    "degenerate_decomposition",
     "drift_matrix",
     "normal_modes",
     "validate_network",
@@ -90,27 +81,22 @@ __all__ = [
     "renormalized_frequency",
     "SuperpositionState",
     "RSFamilySpec",
-    "coherent_overlap",
     "gram_matrix",
     "make_rs_state",
     "make_superposition",
     "rs_branch_labels",
     "state_norm",
-    "swap_resonators",
     "Block",
-    "decoherence_time_formula",
     "decoherence_time_numeric",
     "expm",
     "label_flow",
     "observables",
     "propagate_with",
-    "propagator_closed_form",
     "trajectory_to_csv",
     "ClassificationReport",
     "Regime",
     "classify",
     "collective_lowering_eigencheck",
     "decoherence_time",
-    "master_equation_reduction_check",
     "protected_subspace",
 ]

@@ -265,9 +265,6 @@ def _cmd_oracle_compare(args) -> int:
 
     cfg = parse_scenario(load_config(args.config))
     out = _outdir(args)
-    threshold = args.threshold if args.threshold is not None else cfg.oracle_threshold
-    if threshold <= 0.0:
-        raise ConfigError("threshold must be positive")
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     blocks = evolve.propagate_with(cfg.state, cfg.times, _label_flow(cfg, decay))
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
@@ -282,12 +279,12 @@ def _cmd_oracle_compare(args) -> int:
         lines.append(f"{_fmt(float(t))},{_fmt(float(d))}")
     _write_text(out / "oracle.csv", "\n".join(lines) + "\n")
 
-    passed = report.max_distance < threshold
+    passed = report.max_distance < cfg.oracle_threshold
     _write_json(
         out / "oracle_summary.json",
         {
             "max_distance": report.max_distance,
-            "threshold": threshold,
+            "threshold": cfg.oracle_threshold,
             "cutoff": cutoff,
             "dim": basis.dim,
             "step": oracle.step_size(gen, cfg.times),
@@ -296,7 +293,7 @@ def _cmd_oracle_compare(args) -> int:
         },
     )
     status = "OK" if passed else "MISMATCH"
-    print(f"oracle max trace distance {_fmt(report.max_distance)} vs threshold {_fmt(threshold)}: {status}")
+    print(f"oracle max trace distance {_fmt(report.max_distance)} vs threshold {_fmt(cfg.oracle_threshold)}: {status}")
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
@@ -429,14 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("evolve", help="propagate the initial state over the time grid"))
     add_common(sub.add_parser("classify", help="decoherence-free / relaxation-free verdict"))
 
-    p = sub.add_parser("oracle-compare", help="integrate the truncated master equation and compare")
-    add_common(p)
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="maximum allowed trace distance (default: scenario setting or 5e-3)",
-    )
+    add_common(sub.add_parser("oracle-compare", help="integrate the truncated master equation and compare"))
 
     p = sub.add_parser("sweep", help="repeat evolve over one swept parameter")
     add_common(p)

@@ -8,6 +8,7 @@ can patch the raw dictionary and re-parse.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,22 @@ def _integer(sec: dict, key: str, where: str) -> int:
     return v
 
 
+def _array(v, key: str, where: str) -> np.ndarray:
+    """A number or a rectangular nested list of numbers as a float array."""
+
+    def numeric(x) -> bool:
+        if isinstance(x, list):
+            return all(numeric(y) for y in x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if not numeric(v):
+        raise ConfigError(f"{where}: '{key}' must be a number or a list of numbers")
+    try:
+        return np.asarray(v, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{where}: '{key}' must be a rectangular array") from None
+
+
 def _complex_entry(v, where: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return complex(v)
@@ -100,8 +117,6 @@ def _parse_network(sec: dict) -> tuple[NetworkSpec, tuple[float, float] | None]:
         n = _integer(sec, "n", "network")
         omega0 = _number(sec, "omega", "network")
         lam = _number(sec, "lambda", "network")
-        if n < 1:
-            raise ConfigError("network: 'n' must be positive")
         try:
             spec = degenerate_network(n, omega0, lam)
         except ModelError as exc:
@@ -112,9 +127,9 @@ def _parse_network(sec: dict) -> tuple[NetworkSpec, tuple[float, float] | None]:
             "network needs either the shorthand {n, omega, lambda} or explicit "
             "{omega: [...], coupling: [[...]]}"
         )
-    omega = np.asarray(sec["omega"], dtype=float)
-    coupling = np.asarray(sec["coupling"], dtype=float)
-    spec = NetworkSpec(omega=omega, coupling=coupling)
+    spec = NetworkSpec(
+        omega=_array(sec["omega"], "omega", "network"), coupling=_array(sec["coupling"], "coupling", "network")
+    )
     try:
         validate_network(spec)
     except ModelError as exc:
@@ -127,18 +142,19 @@ def _parse_profiles(raw, where: str) -> tuple[CouplingProfile, ...]:
         raise ConfigError(f"{where}: 'profiles' must be a non-empty list")
     out = []
     for i, item in enumerate(raw):
+        at = f"{where}: profile {i}"
         if not isinstance(item, dict):
-            raise ConfigError(f"{where}: profile {i} must be an object")
+            raise ConfigError(f"{at} must be an object")
         try:
             out.append(
                 CouplingProfile(
-                    amplitude=_number(item, "amplitude", f"profile {i}"),
-                    centers=np.asarray(item.get("centers", []), dtype=float),
-                    widths=np.asarray(item.get("widths", []), dtype=float),
+                    amplitude=_number(item, "amplitude", at),
+                    centers=_array(item.get("centers", []), "centers", at),
+                    widths=_array(item.get("widths", []), "widths", at),
                 )
             )
         except ModelError as exc:
-            raise ConfigError(f"{where}: profile {i}: {exc}") from exc
+            raise ConfigError(f"{at}: {exc}") from exc
     return tuple(out)
 
 
@@ -181,9 +197,6 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
         return None, None
     kind = sec.get("type", "rs")
     if kind == "rs":
-        sign_raw = sec.get("sign", 1)
-        if sign_raw not in (1, -1):
-            raise ConfigError("state: 'sign' must be 1 or -1")
         try:
             rs = RSFamilySpec(
                 n=n,
@@ -191,7 +204,7 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
                 s=_integer(sec, "s", "state"),
                 alpha=_complex_entry(sec.get("alpha", 0.0), "state alpha"),
                 eta=_complex_entry(sec.get("eta", 0.0), "state eta"),
-                sign=sign_raw,
+                sign=sec.get("sign", 1),
             )
             return make_rs_state(rs), rs
         except ModelError as exc:
@@ -201,8 +214,6 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
         raw_l = sec.get("labels")
         if not isinstance(raw_w, list) or not isinstance(raw_l, list) or not raw_w:
             raise ConfigError("state: explicit form needs 'weights' and 'labels' lists")
-        if len(raw_w) != len(raw_l):
-            raise ConfigError("state: weights and labels must have the same length")
         weights = [_complex_entry(w, f"state weight {i}") for i, w in enumerate(raw_w)]
         labels = []
         for i, row in enumerate(raw_l):
@@ -222,8 +233,8 @@ def _parse_times(sec: dict | None, svg: bool) -> np.ndarray | None:
         return None
     t_max = _number(sec, "t_max", "evolution")
     steps = _integer(sec, "steps", "evolution")
-    if t_max <= 0.0:
-        raise ConfigError("evolution: 't_max' must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ConfigError(f"evolution: 't_max' must be positive and finite, got {t_max!r}")
     if steps < 1:
         raise ConfigError("evolution: 'steps' must be at least 1")
     # 8 bytes per time for the grid, and 8 more for each of the three SVG series
@@ -251,8 +262,8 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1):
         raise ConfigError("oracle: 'cutoff' must be a positive integer")
     threshold = _number(osec, "threshold", "oracle", default=_DEFAULT_THRESHOLD)
-    if threshold <= 0.0:
-        raise ConfigError("oracle: 'threshold' must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise ConfigError(f"oracle: 'threshold' must be positive and finite, got {threshold!r}")
 
     return ScenarioConfig(
         network=network,
@@ -262,6 +273,6 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
         rs=rs,
         times=times,
         oracle_cutoff=cutoff,
-        oracle_threshold=float(threshold),
+        oracle_threshold=threshold,
         svg=svg,
     )

@@ -25,14 +25,7 @@ import numpy as np
 
 from .errors import ModelError
 from .network import NetworkSpec
-from .reservoir import (
-    DecayMatrix,
-    ReservoirKind,
-    ReservoirSpec,
-    build_decay_matrix,
-    decay_matrix_common,
-    decay_matrix_distinct,
-)
+from .reservoir import DecayMatrix, ReservoirKind, ReservoirSpec, build_decay_matrix
 from .states import RSFamilySpec, SuperpositionState, rs_branch_labels
 
 __all__ = [
@@ -42,7 +35,6 @@ __all__ = [
     "protected_subspace",
     "classify",
     "decoherence_time",
-    "master_equation_reduction_check",
 ]
 
 # Matching thresholds for the boolean classification.
@@ -136,7 +128,7 @@ def decoherence_time(spec: Optional[RSFamilySpec], decay: DecayMatrix) -> Option
     tau_d = 2 / (delta^dagger Gamma delta) with delta the difference of the
     two branch labels; infinite when that rate is within the decay matrix's
     rounding slack of zero.  For the white-noise and distinct reservoirs it
-    equals evolve.decoherence_time_formula on their collective rate split.
+    equals the paper's closed form on their collective rate split.
     None when there is no two-branch spec with a nonzero amplitude.
     """
     if spec is None or complex(spec.alpha) == 0.0:
@@ -216,58 +208,3 @@ def classify(
         tau_d=math.inf if tau_d is None else tau_d,
         regime=_regime(reservoir, n),
     )
-
-
-def master_equation_reduction_check(
-    n: int,
-    gamma: Optional[float] = None,
-    epsilon: Optional[float] = None,
-    gamma_plus: Optional[float] = None,
-    gamma_minus: Optional[float] = None,
-    cutoff: int = 3,
-) -> bool:
-    """Verify that the fully collective dissipator reduces to a single channel.
-
-    Builds the full double-sum dissipator as a superoperator matrix on a
-    small truncated basis and compares it entrywise against the dissipator
-    of the single collective lowering operator: strength n * gamma / 2 for
-    the common reservoir at epsilon = 1, strength gamma_plus / 2 for
-    distinct reservoirs at gamma_minus = 0.  Only those parameter points are
-    accepted; anything else raises ModelError.  True when the two agree to
-    1e-10 (absolute, in rate units).
-    """
-    from . import oracle
-
-    if n < 1 or n > 3:
-        raise ModelError("reduction check is limited to 1..3 resonators")
-    if cutoff < 1 or cutoff > 3:
-        raise ModelError("reduction check is limited to cutoffs 1..3")
-
-    if gamma_plus is not None or gamma_minus is not None:
-        if gamma_plus is None or gamma_minus is None:
-            raise ModelError("distinct-reservoir check needs both collective rates")
-        if gamma_minus != 0.0:
-            raise ModelError("the single-channel reduction requires gamma_minus = 0")
-        decay = decay_matrix_distinct(n, gamma_plus, gamma_minus)
-        strength = float(gamma_plus)
-    else:
-        if gamma is None or epsilon is None:
-            raise ModelError("common-reservoir check needs gamma and epsilon")
-        if abs(epsilon - 1.0) > 1e-12:
-            raise ModelError("the single-channel reduction requires epsilon = 1")
-        decay = decay_matrix_common(n, gamma, epsilon)
-        strength = float(n * gamma)
-
-    basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
-    # the full double-sum dissipator: the generator of a network with W = 0
-    full = oracle.LindbladGenerator(basis, np.zeros((n, n)), decay.matrix).matrix()
-
-    # Independent route: the collective-channel dissipator
-    # strength/2 * (2 L rho L+ - {L+L, rho}) from dense operators, on the
-    # row-major vec(rho) where vec(A X B) = (A (x) B^T) vec(X).
-    lam = sum(op.toarray() for op in oracle.mode_lowering_ops(basis)) / np.sqrt(n)
-    lam2 = lam.conj().T @ lam
-    eye = np.eye(basis.dim)
-    single = 0.5 * strength * (2.0 * np.kron(lam, lam.conj()) - np.kron(lam2, eye) - np.kron(eye, lam2.T))
-
-    return bool(np.max(np.abs(full - single)) < 1e-10)

@@ -10,18 +10,7 @@ coefficient
 
 multiplying |zeta_r><zeta_s|.  label_flow gives that flow for every network
 and reservoir from one eigendecomposition of D (Moler & Van Loan, SIAM
-Review 45, 2003, method 14, with a Taylor fallback, method 3).  For the
-all-to-all degenerate network in a common partially correlated reservoir
-exp(t D) has the closed form
-
-    Theta_mn(t) = exp(-(1-eps) G t / 2) / n
-                  * [exp(-(eps n G / 2 + i O_plus) t)
-                     + (n delta_mn - 1) exp(-i O_minus t)],
-
-splitting the decay into a fast collective rate gamma_up = [1 + (n-1) eps] G
-on the symmetric mode and a slow rate gamma_down = (1 - eps) G on the
-complement; propagator_closed_form keeps it as the reference the flow is
-tested against.
+Review 45, 2003, method 14, with a Taylor fallback, method 3).
 
 All observables (occupations, purity, fidelity) are evaluated from the label
 Gram matrices, never from a truncated Fock expansion.
@@ -36,16 +25,14 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 import numpy as np
 
 from .errors import _TRACE_ABORT, ModelError, NumericalError
-from .network import _CLUSTER_RTOL, DriftMatrix
-from .states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
+from .network import _CLUSTER_RTOL
+from .states import SuperpositionState, gram_matrix, log_gram_matrix
 
 __all__ = [
     "Block",
-    "propagator_closed_form",
     "expm",
     "label_flow",
     "propagate_with",
-    "decoherence_time_formula",
     "decoherence_time_numeric",
     "observables",
     "trajectory_to_csv",
@@ -77,25 +64,6 @@ def _check_grid(times: np.ndarray) -> None:
         raise ModelError("time grid must start at 0")
     if np.any(np.diff(times) <= 0.0):
         raise ModelError("time grid must be strictly increasing")
-
-
-def propagator_closed_form(
-    n: int, gamma: float, epsilon: float, omega_plus: float, omega_minus: float, t
-) -> np.ndarray:
-    """Label propagator of the degenerate symmetric network in common white noise.
-
-    A scalar t gives the (n, n) matrix Theta(t); a 1-D array of T times gives
-    the (T, n, n) stack.
-    """
-    t = np.asarray(t, dtype=float)
-    slow = np.exp(-0.5 * (1.0 - epsilon) * gamma * t)
-    fast = np.exp(-(0.5 * epsilon * n * gamma + 1j * omega_plus) * t)
-    rot = np.exp(-1j * omega_minus * t)
-    theta = np.empty(t.shape + (n, n), dtype=complex)
-    theta[...] = ((slow / n) * (fast - rot))[..., None, None]
-    diag = np.arange(n)
-    theta[..., diag, diag] += (slow * rot)[..., None]
-    return theta
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -162,8 +130,8 @@ def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndar
     return lam, v, (wh.conj().T / sv) @ u.conj().T
 
 
-def label_flow(drift: DriftMatrix) -> LabelFlow:
-    """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift.
+def label_flow(drift: np.ndarray) -> LabelFlow:
+    """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift D (see network.drift_matrix).
 
     D is factorised once, D = V diag(lam) V^-1 (see _eigenbasis), and the
     returned flow(beta, t) maps labels beta (terms, n) and a 1-D array of T
@@ -171,7 +139,7 @@ def label_flow(drift: DriftMatrix) -> LabelFlow:
     without forming exp(t D).  When the eigenvectors are unusable it takes
     zeta = beta exp(t D)^T with the Taylor expm of the stack t D instead.
     """
-    d = np.asarray(drift.matrix)
+    d = np.asarray(drift)
     basis = _eigenbasis(d)
     if basis is None:
 
@@ -277,33 +245,6 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
             purity=(cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real,
             fidelity=(w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real,
         )
-
-
-def decoherence_time_formula(spec: RSFamilySpec, gamma: float, gamma_down: float) -> float:
-    """Decoherence time of the two-branch family from a collective rate split.
-
-    1 / (2 |alpha|^2 [(R-S)^2 gamma + ((R+S) - (R-S)^2) gamma_down]) with
-    gamma the mean direct rate and gamma_down the rate on the protected
-    manifold (for white noise (1 - epsilon) gamma); infinite when the bracket
-    vanishes (the protected R = S configurations at gamma_down = 0, and
-    R = S = 0).  The rates must belong to a positive-semidefinite decay
-    matrix: gamma_down >= 0 and gamma_up = n gamma - (n-1) gamma_down >= 0.
-    """
-    alpha2 = abs(complex(spec.alpha)) ** 2
-    if alpha2 == 0.0:
-        raise ModelError("decoherence time needs a nonzero branch amplitude")
-    gamma_up = spec.n * gamma - (spec.n - 1) * gamma_down
-    # gamma_up = 0 (gamma_plus = 0) may come out a rounding step below zero.
-    slack = 1e-12 * max(1.0, abs(gamma), abs(gamma_down))
-    if gamma_down < 0.0 or gamma_up < -slack:
-        raise ModelError(
-            f"rates gamma = {gamma:g}, gamma_down = {gamma_down:g} give no positive-semidefinite decay matrix"
-        )
-    diff2 = (spec.r - spec.s) ** 2
-    denom = diff2 * gamma + ((spec.r + spec.s) - diff2) * gamma_down
-    if denom <= 0.0:
-        return math.inf
-    return 1.0 / (2.0 * alpha2 * denom)
 
 
 def decoherence_time_numeric(

@@ -6,8 +6,7 @@ quadratic form W (W_mm = omega_m, W_mn = coupling_mn), whose orthogonal
 diagonalisation defines the collective normal modes.  The all-to-all network
 with equal frequencies and equal couplings is special: it has one symmetric
 mode at omega + (n-1)*coupling and an (n-1)-fold degenerate manifold at
-omega - coupling, and in common white noise its label propagator has a
-closed form (evolve.propagator_closed_form, the tests' reference).
+omega - coupling (degenerate_modes).
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from .errors import ModelError, NumericalError
 __all__ = [
     "NetworkSpec",
     "NormalModeDecomposition",
-    "DriftMatrix",
     "degenerate_network",
     "validate_network",
     "normal_modes",
     "degenerate_modes",
-    "degenerate_decomposition",
     "drift_matrix",
 ]
 
@@ -229,49 +226,8 @@ def degenerate_modes(n: int, omega0: float, lambda0: float) -> tuple[float, floa
     return float(omega0 + (n - 1) * lambda0), float(omega0 - lambda0)
 
 
-def degenerate_decomposition(n: int, omega0: float, lambda0: float) -> NormalModeDecomposition:
-    """Normal modes of the all-to-all degenerate network in the reflection basis.
-
-    The Householder reflection exchanging the last resonator axis with the
-    uniform direction is orthogonal and symmetric; its last row is the
-    symmetric mode and the others span the degenerate manifold.  Frequencies
-    come out ascending only for lambda0 >= 0, in which case the symmetric
-    transform is preserved; otherwise rows are reordered (and the symmetry
-    flag drops).
-    """
-    if n < 1:
-        raise ModelError("network needs at least one resonator")
-    if n == 1:
-        return NormalModeDecomposition(np.eye(1), np.array([float(omega0)]), True)
-    u = np.full(n, 1.0 / np.sqrt(n))
-    vvec = u.copy()
-    vvec[n - 1] -= 1.0
-    h = np.eye(n) - 2.0 * np.outer(vvec, vvec) / (vvec @ vvec)
-    plus, minus = degenerate_modes(n, omega0, lambda0)
-    freqs = np.full(n, minus)
-    freqs[n - 1] = plus
-    if lambda0 >= 0.0:
-        return NormalModeDecomposition(h, freqs, True)
-    order = np.argsort(freqs, kind="stable")
-    return NormalModeDecomposition(h[order], freqs[order], False)
-
-
-@dataclass(frozen=True, eq=False)
-class DriftMatrix:
-    """Linear drift of coherent amplitudes: matrix = -i W - gamma/2."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix, dtype=complex)))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def drift_matrix(spec: NetworkSpec, gamma) -> DriftMatrix:
-    """Assemble the amplitude drift from the network and a decay matrix.
+def drift_matrix(spec: NetworkSpec, gamma) -> np.ndarray:
+    """The amplitude drift -i W - gamma/2 of the network and a decay matrix, as a frozen complex array.
 
     `gamma` may be a DecayMatrix or a plain symmetric (n, n) array.  The mean
     coherent amplitudes obey d<a>/dt = (-i W - gamma/2) <a>, so with gamma = 0
@@ -281,4 +237,4 @@ def drift_matrix(spec: NetworkSpec, gamma) -> DriftMatrix:
     g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
     if g.shape != (spec.n, spec.n):
         raise ModelError(f"decay matrix must be {spec.n}x{spec.n}, got {g.shape}")
-    return DriftMatrix(-1j * spec.w_matrix() - 0.5 * g)
+    return _frozen(-1j * spec.w_matrix() - 0.5 * g)

@@ -16,8 +16,8 @@ Slow but independent.
 
 Every dense array here is dim x dim complex, and integration and comparison
 hold a fixed number of them whatever the grid, so memory is bounded up
-front: a basis and a superoperator matrix whose byte estimate exceeds
-_BYTE_BUDGET are rejected with ModelError before anything is allocated.
+front: a basis whose working set exceeds _BYTE_BUDGET is rejected with
+ModelError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ __all__ = [
     "build_generator",
     "step_size",
     "integrate",
-    "mode_occupations",
-    "mean_amplitudes",
     "compare",
 ]
 
@@ -341,25 +339,6 @@ class LindbladGenerator:
                 out += (jt @ t).T
         return out
 
-    def matrix(self) -> np.ndarray:
-        """Dense matrix of `apply` (row-major vec convention)."""
-        d = self.basis.dim
-        need = d**4 * 16
-        if need > _BYTE_BUDGET:
-            raise ModelError(
-                f"superoperator matrix of {_sci(need)} bytes (dim {d}) exceeds the "
-                f"{_sci(_BYTE_BUDGET)}-byte budget"
-            )
-        out = np.empty((d * d, d * d), dtype=complex)
-        e = np.zeros((d, d), dtype=complex)
-        for a in range(d):
-            for b in range(d):
-                e[a, b] = 1.0
-                out[:, a * d + b] = self.apply(e).ravel()
-                e[a, b] = 0.0
-        return out
-
-
 def build_generator(spec: NetworkSpec, gamma, basis: FockBasisSpec) -> LindbladGenerator:
     """Generator for a validated network and decay matrix on the given basis."""
     validate_network(spec)
@@ -459,16 +438,6 @@ def _occupation_digits(basis: FockBasisSpec) -> np.ndarray:
         digits[:, m] = idx % (basis.cutoff + 1)
         idx = idx // (basis.cutoff + 1)
     return digits
-
-
-def mode_occupations(rho: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
-    """<a_m+ a_m> for each mode from a Fock-basis density matrix."""
-    return _occupation_digits(basis).T @ np.real(np.diagonal(rho))
-
-
-def mean_amplitudes(rho: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
-    """<a_m> for each mode from a Fock-basis density matrix."""
-    return np.array([np.trace(op @ rho) for op in mode_lowering_ops(basis)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ combined with a relative plus or minus sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,27 +24,16 @@ from .network import _frozen
 __all__ = [
     "RSFamilySpec",
     "SuperpositionState",
-    "coherent_overlap",
     "gram_matrix",
     "log_gram_matrix",
     "make_superposition",
     "make_rs_state",
-    "swap_resonators",
     "state_norm",
 ]
 
 # Labels whose components all agree within this tolerance count as the same
 # coherent product and get their weights merged.
 _MERGE_TOL = 1e-14
-
-
-def coherent_overlap(a, b) -> complex:
-    """Overlap <a|b> of two multimode coherent states with label vectors a, b."""
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
-    b = np.atleast_1d(np.asarray(b, dtype=complex))
-    if a.shape != b.shape:
-        raise ModelError("overlap needs labels of equal length")
-    return complex(np.exp(-0.5 * np.vdot(a, a) - 0.5 * np.vdot(b, b) + np.vdot(a, b)))
 
 
 def log_gram_matrix(labels_a: np.ndarray, labels_b: Optional[np.ndarray] = None) -> np.ndarray:
@@ -197,13 +186,3 @@ def make_rs_state(spec: RSFamilySpec) -> SuperpositionState:
     """
     labels = rs_branch_labels(spec)
     return make_superposition([1.0, float(spec.sign)], labels)
-
-
-def swap_resonators(state: SuperpositionState, m: int, n: int) -> SuperpositionState:
-    """Exchange resonators m and n in every term; the norm is untouched."""
-    size = state.n
-    if not (0 <= m < size and 0 <= n < size):
-        raise ModelError("resonator index out of range")
-    labels = np.array(state.labels, copy=True)
-    labels[:, [m, n]] = labels[:, [n, m]]
-    return replace(state, labels=labels)

@@ -1,0 +1,199 @@
+"""Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
+against (no command reaches these), and whole-grid arrays from a label stream.
+"""
+
+import math
+from dataclasses import fields, replace
+from typing import Optional
+
+import numpy as np
+
+from resonet import Block, errors, oracle
+from resonet.errors import ModelError, _sci
+from resonet.network import NormalModeDecomposition, degenerate_modes
+from resonet.reservoir import decay_matrix_common, decay_matrix_distinct
+from resonet.states import RSFamilySpec, SuperpositionState
+
+
+def collect(blocks) -> Block:
+    """One Block spanning the whole grid, concatenated from the blocks of a label stream."""
+    blocks = list(blocks)
+    return Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(Block)})
+
+
+def propagator_closed_form(
+    n: int, gamma: float, epsilon: float, omega_plus: float, omega_minus: float, t
+) -> np.ndarray:
+    """Label propagator of the degenerate symmetric network in common white noise.
+
+    Theta_mn(t) = exp(-(1-eps) G t / 2) / n
+                  * [exp(-(eps n G / 2 + i O_plus) t) + (n delta_mn - 1) exp(-i O_minus t)],
+    splitting the decay into a fast collective rate [1 + (n-1) eps] G on the
+    symmetric mode and a slow rate (1 - eps) G on the complement.  A scalar t
+    gives the (n, n) matrix Theta(t); a 1-D array of T times gives the
+    (T, n, n) stack.
+    """
+    t = np.asarray(t, dtype=float)
+    slow = np.exp(-0.5 * (1.0 - epsilon) * gamma * t)
+    fast = np.exp(-(0.5 * epsilon * n * gamma + 1j * omega_plus) * t)
+    rot = np.exp(-1j * omega_minus * t)
+    theta = np.empty(t.shape + (n, n), dtype=complex)
+    theta[...] = ((slow / n) * (fast - rot))[..., None, None]
+    diag = np.arange(n)
+    theta[..., diag, diag] += (slow * rot)[..., None]
+    return theta
+
+
+def decoherence_time_formula(spec: RSFamilySpec, gamma: float, gamma_down: float) -> float:
+    """Decoherence time of the two-branch family from a collective rate split.
+
+    1 / (2 |alpha|^2 [(R-S)^2 gamma + ((R+S) - (R-S)^2) gamma_down]) with
+    gamma the mean direct rate and gamma_down the rate on the protected
+    manifold (for white noise (1 - epsilon) gamma); infinite when the bracket
+    vanishes (the protected R = S configurations at gamma_down = 0, and
+    R = S = 0).  The rates must belong to a positive-semidefinite decay
+    matrix: gamma_down >= 0 and gamma_up = n gamma - (n-1) gamma_down >= 0.
+    """
+    alpha2 = abs(complex(spec.alpha)) ** 2
+    if alpha2 == 0.0:
+        raise ModelError("decoherence time needs a nonzero branch amplitude")
+    gamma_up = spec.n * gamma - (spec.n - 1) * gamma_down
+    # gamma_up = 0 (gamma_plus = 0) may come out a rounding step below zero.
+    slack = 1e-12 * max(1.0, abs(gamma), abs(gamma_down))
+    if gamma_down < 0.0 or gamma_up < -slack:
+        raise ModelError(
+            f"rates gamma = {gamma:g}, gamma_down = {gamma_down:g} give no positive-semidefinite decay matrix"
+        )
+    diff2 = (spec.r - spec.s) ** 2
+    denom = diff2 * gamma + ((spec.r + spec.s) - diff2) * gamma_down
+    if denom <= 0.0:
+        return math.inf
+    return 1.0 / (2.0 * alpha2 * denom)
+
+
+def generator_matrix(gen: oracle.LindbladGenerator) -> np.ndarray:
+    """Dense matrix of `gen.apply` (row-major vec convention)."""
+    d = gen.basis.dim
+    need = d**4 * 16
+    if need > errors._BYTE_BUDGET:
+        raise ModelError(
+            f"superoperator matrix of {_sci(need)} bytes (dim {d}) exceeds the "
+            f"{_sci(errors._BYTE_BUDGET)}-byte budget"
+        )
+    out = np.empty((d * d, d * d), dtype=complex)
+    e = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            e[a, b] = 1.0
+            out[:, a * d + b] = gen.apply(e).ravel()
+            e[a, b] = 0.0
+    return out
+
+
+def master_equation_reduction_check(
+    n: int,
+    gamma: Optional[float] = None,
+    epsilon: Optional[float] = None,
+    gamma_plus: Optional[float] = None,
+    gamma_minus: Optional[float] = None,
+    cutoff: int = 3,
+) -> bool:
+    """Verify that the fully collective dissipator reduces to a single channel.
+
+    Builds the full double-sum dissipator as a superoperator matrix on a
+    small truncated basis and compares it entrywise against the dissipator
+    of the single collective lowering operator: strength n * gamma / 2 for
+    the common reservoir at epsilon = 1, strength gamma_plus / 2 for
+    distinct reservoirs at gamma_minus = 0.  Only those parameter points are
+    accepted; anything else raises ModelError.  True when the two agree to
+    1e-10 (absolute, in rate units).
+    """
+    if n < 1 or n > 3:
+        raise ModelError("reduction check is limited to 1..3 resonators")
+    if cutoff < 1 or cutoff > 3:
+        raise ModelError("reduction check is limited to cutoffs 1..3")
+
+    if gamma_plus is not None or gamma_minus is not None:
+        if gamma_plus is None or gamma_minus is None:
+            raise ModelError("distinct-reservoir check needs both collective rates")
+        if gamma_minus != 0.0:
+            raise ModelError("the single-channel reduction requires gamma_minus = 0")
+        decay = decay_matrix_distinct(n, gamma_plus, gamma_minus)
+        strength = float(gamma_plus)
+    else:
+        if gamma is None or epsilon is None:
+            raise ModelError("common-reservoir check needs gamma and epsilon")
+        if abs(epsilon - 1.0) > 1e-12:
+            raise ModelError("the single-channel reduction requires epsilon = 1")
+        decay = decay_matrix_common(n, gamma, epsilon)
+        strength = float(n * gamma)
+
+    basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
+    # the full double-sum dissipator: the generator of a network with W = 0
+    full = generator_matrix(oracle.LindbladGenerator(basis, np.zeros((n, n)), decay.matrix))
+
+    # Independent route: the collective-channel dissipator
+    # strength/2 * (2 L rho L+ - {L+L, rho}) from dense operators, on the
+    # row-major vec(rho) where vec(A X B) = (A (x) B^T) vec(X).
+    lam = sum(op.toarray() for op in oracle.mode_lowering_ops(basis)) / np.sqrt(n)
+    lam2 = lam.conj().T @ lam
+    eye = np.eye(basis.dim)
+    single = 0.5 * strength * (2.0 * np.kron(lam, lam.conj()) - np.kron(lam2, eye) - np.kron(eye, lam2.T))
+
+    return bool(np.max(np.abs(full - single)) < 1e-10)
+
+
+def degenerate_decomposition(n: int, omega0: float, lambda0: float) -> NormalModeDecomposition:
+    """Normal modes of the all-to-all degenerate network in the reflection basis.
+
+    The Householder reflection exchanging the last resonator axis with the
+    uniform direction is orthogonal and symmetric; its last row is the
+    symmetric mode and the others span the degenerate manifold.  Frequencies
+    come out ascending only for lambda0 >= 0, in which case the symmetric
+    transform is preserved; otherwise rows are reordered (and the symmetry
+    flag drops).
+    """
+    if n < 1:
+        raise ModelError("network needs at least one resonator")
+    if n == 1:
+        return NormalModeDecomposition(np.eye(1), np.array([float(omega0)]), True)
+    u = np.full(n, 1.0 / np.sqrt(n))
+    vvec = u.copy()
+    vvec[n - 1] -= 1.0
+    h = np.eye(n) - 2.0 * np.outer(vvec, vvec) / (vvec @ vvec)
+    plus, minus = degenerate_modes(n, omega0, lambda0)
+    freqs = np.full(n, minus)
+    freqs[n - 1] = plus
+    if lambda0 >= 0.0:
+        return NormalModeDecomposition(h, freqs, True)
+    order = np.argsort(freqs, kind="stable")
+    return NormalModeDecomposition(h[order], freqs[order], False)
+
+
+def coherent_overlap(a, b) -> complex:
+    """Overlap <a|b> of two multimode coherent states with label vectors a, b."""
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    if a.shape != b.shape:
+        raise ModelError("overlap needs labels of equal length")
+    return complex(np.exp(-0.5 * np.vdot(a, a) - 0.5 * np.vdot(b, b) + np.vdot(a, b)))
+
+
+def swap_resonators(state: SuperpositionState, m: int, n: int) -> SuperpositionState:
+    """Exchange resonators m and n in every term; the norm is untouched."""
+    size = state.n
+    if not (0 <= m < size and 0 <= n < size):
+        raise ModelError("resonator index out of range")
+    labels = np.array(state.labels, copy=True)
+    labels[:, [m, n]] = labels[:, [n, m]]
+    return replace(state, labels=labels)
+
+
+def mode_occupations(rho: np.ndarray, basis: oracle.FockBasisSpec) -> np.ndarray:
+    """<a_m+ a_m> for each mode from a Fock-basis density matrix."""
+    return oracle._occupation_digits(basis).T @ np.real(np.diagonal(rho))
+
+
+def mean_amplitudes(rho: np.ndarray, basis: oracle.FockBasisSpec) -> np.ndarray:
+    """<a_m> for each mode from a Fock-basis density matrix."""
+    return np.array([np.trace(op @ rho) for op in oracle.mode_lowering_ops(basis)])

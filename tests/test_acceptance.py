@@ -16,7 +16,6 @@ from resonet import (
     collective_lowering_eigencheck,
     decay_matrix_common,
     decay_matrix_distinct,
-    decoherence_time_formula,
     decoherence_time_numeric,
     degenerate_modes,
     degenerate_network,
@@ -24,12 +23,16 @@ from resonet import (
     make_rs_state,
     label_flow,
     make_superposition,
-    master_equation_reduction_check,
     propagate_with,
-    propagator_closed_form,
 )
 from resonet import oracle
-from helpers import collect
+from reference import (
+    collect,
+    decoherence_time_formula,
+    master_equation_reduction_check,
+    mode_occupations,
+    propagator_closed_form,
+)
 
 
 def _degenerate_drift(n, gamma, eps, omega0, lam):
@@ -108,7 +111,7 @@ def test_criterion_3_uniform_state_superdecays_at_collective_rate():
     state = make_superposition([1.0], np.full((1, n), alpha))
     times = np.linspace(0.0, 0.5, 11)
     basis, rhos = _integrate_scenario(n, omega0, lam, gamma, 1.0, state, times, 10)
-    occ = np.array([float(np.sum(oracle.mode_occupations(r, basis))) for r in rhos])
+    occ = np.array([float(np.sum(mode_occupations(r, basis))) for r in rhos])
     fitted = -np.polyfit(times, np.log(occ), 1)[0]
     assert abs(fitted - n * gamma) < 0.01 * n * gamma
     print(

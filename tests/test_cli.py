@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,20 +420,16 @@ def test_oracle_compare_pass_and_mismatch(tmp_path):
     assert lines[0] == "time,trace_distance"
     assert len(lines) == 5
     # an impossible threshold flips the exit code to the mismatch value
-    assert (
-        main(
-            [
-                "oracle-compare",
-                "--config",
-                str(cfg),
-                "--out",
-                str(out),
-                "--threshold",
-                "1e-12",
-            ]
-        )
-        == 3
+    strict = _write_scenario(
+        tmp_path / "strict.json",
+        evolution={"t_max": 0.3, "steps": 3},
+        oracle={"cutoff": 12, "threshold": 1e-12},
     )
+    assert main(["oracle-compare", "--config", str(strict), "--out", str(out)]) == 3
+    # the threshold comes from the scenario alone; argparse rejects the old flag
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-compare", "--config", str(cfg), "--out", str(out), "--threshold", "1e-12"])
+    assert exc.value.code == 2
 
 
 def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
@@ -610,6 +607,44 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["evolve", "--config", str(nostate), "--out", str(tmp_path / "o")]) == 1
     badkind = _write_scenario(tmp_path / "bk.json", reservoir={"kind": "warm_bath"})
     assert main(["modes", "--config", str(badkind), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_threshold_and_t_max_are_rejected(tmp_path, capsys, value):
+    # json writes these as NaN and Infinity, which the reader accepts
+    for key, overrides in (
+        ("threshold", {"oracle": {"threshold": value}}),
+        ("t_max", {"evolution": {"t_max": value, "steps": 10}}),
+    ):
+        cfg = _write_scenario(tmp_path / "s.json", **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle-compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"'{key}' must be positive and finite" in capsys.readouterr().err
+
+
+_PAIR = [[0.0, 0.5], [0.5, 0.0]]
+
+
+def _profiles(**profile):
+    return {"kind": "common_profile", "sigma": 1.0, "profiles": [{"amplitude": 1.0, **profile}] * 2}
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("network", {"omega": "ab", "coupling": _PAIR}, "network: 'omega' must be a number or a list"),
+        ("network", {"omega": ["10", 10.0], "coupling": _PAIR}, "network: 'omega' must be a number or a list"),
+        ("network", {"omega": "10", "coupling": _PAIR}, "network: 'omega' must be a number or a list"),
+        ("network", {"omega": [10.0, 10.0], "coupling": [[0.0, 0.5], [0.5]]}, "network: 'coupling' must be a rect"),
+        ("reservoir", _profiles(centers="x"), "reservoir: profile 0: 'centers' must be a number or a list"),
+        ("reservoir", _profiles(widths=[[1.0], 2.0]), "reservoir: profile 0: 'widths' must be a rect"),
+    ],
+)
+def test_array_keys_are_checked(tmp_path, capsys, section, value, message):
+    cfg = _write_scenario(tmp_path / "s.json", **{section: value})
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def test_usage_error_exits_via_argparse(tmp_path):

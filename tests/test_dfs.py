@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from resonet import (
-    ClassificationReport,
     CouplingProfile,
-    DriftMatrix,
     ModelError,
     NetworkSpec,
     Regime,
@@ -23,13 +21,12 @@ from resonet import (
     degenerate_network,
     make_rs_state,
     make_superposition,
-    master_equation_reduction_check,
     label_flow,
     propagate_with,
     protected_subspace,
 )
 from resonet import oracle
-from helpers import collect
+from reference import collect, master_equation_reduction_check
 
 
 def _white(epsilon, sigma=1.0):
@@ -253,7 +250,7 @@ def test_protected_subspace_of_random_block_networks(n):
     assert basis.shape == (n, k)
     np.testing.assert_allclose(basis @ basis.T, q[:, :k] @ q[:, :k].T, atol=1e-10)
 
-    drift = DriftMatrix(-1j * w - 0.5 * g)
+    drift = -1j * w - 0.5 * g
     times = np.linspace(0.0, 3.0, 61)
     beta = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     inside = q[:, :k] @ (0.4 * (rng.normal(size=k) + 1j * rng.normal(size=k)))

@@ -19,7 +19,6 @@ from resonet import (
     RSFamilySpec,
     build_decay_matrix,
     decay_matrix_common,
-    decoherence_time_formula,
     decoherence_time_numeric,
     degenerate_modes,
     degenerate_network,
@@ -30,11 +29,10 @@ from resonet import (
     make_rs_state,
     make_superposition,
     propagate_with,
-    propagator_closed_form,
     trajectory_to_csv,
 )
 from resonet import evolve
-from helpers import collect
+from reference import collect, decoherence_time_formula, propagator_closed_form
 
 
 def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
@@ -160,7 +158,7 @@ def test_label_flow_matches_scipy_expm_on_random_networks(n):
     for reservoir in reservoirs:
         net = _random_network(rng, n)
         drift = drift_matrix(net, build_decay_matrix(reservoir, net))
-        want = np.array([beta @ scipy.linalg.expm(t * drift.matrix).T for t in times])
+        want = np.array([beta @ scipy.linalg.expm(t * drift).T for t in times])
         got = label_flow(drift)(beta, times)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=reservoir.kind.value)
 
@@ -171,7 +169,7 @@ def test_label_flow_matches_the_closed_form_on_degenerate_networks(n, eps):
     # The (n-1)-fold eigenvalue gets an orthonormal null-space basis; the
     # solver's own vectors there reach cond(V) ~ 1e5 at n = 200.
     drift = _degenerate_drift(n, 1.0, eps)
-    assert evolve._eigenbasis(drift.matrix) is not None
+    assert evolve._eigenbasis(drift) is not None
     times = np.linspace(0.0, 5.0, 6)
     np.testing.assert_allclose(
         _theta(label_flow(drift), n, times), _closed_form(times, n, 1.0, eps), rtol=0, atol=1e-12
@@ -183,9 +181,9 @@ def test_label_flow_falls_back_to_taylor_at_an_exceptional_point():
     # with a single eigenvector (a Jordan block): cond(V) ~ 1e7 from eig.
     net = NetworkSpec(omega=[10.0, 10.5], coupling=np.zeros((2, 2)))
     drift = drift_matrix(net, decay_matrix_common(2, 1.0, 0.5))
-    assert evolve._eigenbasis(drift.matrix) is None
+    assert evolve._eigenbasis(drift) is None
     times = np.linspace(0.0, 5.0, 11)
-    want = np.array([scipy.linalg.expm(t * drift.matrix) for t in times])
+    want = np.array([scipy.linalg.expm(t * drift) for t in times])
     np.testing.assert_allclose(_theta(label_flow(drift), 2, times), want, rtol=0, atol=1e-12)
 
 
@@ -480,7 +478,7 @@ def test_batched_propagation_matches_per_point_loop(points, path):
         theta = lambda t: _closed_form(t, n, 0.8, eps)  # noqa: E731
     else:
         d = _random_drift(rng, n)
-        theta = lambda t: np.array([scipy.linalg.expm(s * d.matrix) for s in t])  # noqa: E731
+        theta = lambda t: np.array([scipy.linalg.expm(s * d) for s in t])  # noqa: E731
     ref = _per_point_reference(state, times, lambda beta, t: beta @ np.swapaxes(theta(t), -1, -2))
     traj = collect(propagate_with(state, times, label_flow(d)))
     for name, want in ref.items():

@@ -12,7 +12,6 @@ from resonet import (
     ModelError,
     NetworkSpec,
     RSFamilySpec,
-    coherent_overlap,
     decay_matrix_common,
     degenerate_network,
     drift_matrix,
@@ -21,8 +20,8 @@ from resonet import (
     make_superposition,
     propagate_with,
 )
-from resonet import evolve, oracle
-from helpers import collect
+from resonet import errors, evolve, oracle
+from reference import coherent_overlap, collect, generator_matrix, mean_amplitudes, mode_occupations
 
 
 def test_basis_dimension_guard():
@@ -60,11 +59,11 @@ def test_superoperator_matrix_budget(monkeypatch):
         degenerate_network(1, 2.0, 0.0), decay_matrix_common(1, 0.5, 0.0), oracle.FockBasisSpec(n=1, cutoff=3)
     )
     # dim 4: the matrix is 4^4 * 16 = 4096 bytes
-    monkeypatch.setattr(oracle, "_BYTE_BUDGET", 4096)
-    assert gen.matrix().shape == (16, 16)
-    monkeypatch.setattr(oracle, "_BYTE_BUDGET", 4095)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", 4096)
+    assert generator_matrix(gen).shape == (16, 16)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", 4095)
     with pytest.raises(ModelError):
-        gen.matrix()
+        generator_matrix(gen)
 
 
 def test_max_tail_mass_scans_a_whole_trajectory():
@@ -176,7 +175,7 @@ def test_embed_state_properties():
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert abs(np.trace(rho @ rho) - 1.0) < 1e-9
-    occ = oracle.mode_occupations(rho, basis)
+    occ = mode_occupations(rho, basis)
     flow = label_flow(drift_matrix(degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.5)))
     traj = collect(propagate_with(state, [0.0], flow))
     np.testing.assert_allclose(occ, traj.occupations[0], atol=1e-9)
@@ -202,8 +201,8 @@ def test_generator_respects_amplitude_transport():
     gen = oracle.build_generator(spec, decay, basis)
     state = make_superposition([1.0, 0.5], np.array([[0.4, -0.2], [0.1, 0.3]]))
     rho = oracle.embed_state(state, basis)
-    amp = oracle.mean_amplitudes(rho, basis)
-    amp_dot = oracle.mean_amplitudes(gen.apply(rho), basis)
+    amp = mean_amplitudes(rho, basis)
+    amp_dot = mean_amplitudes(gen.apply(rho), basis)
     shifted = spec.w_matrix() - gen.omega_bar * np.eye(n)
     d = (-1j * shifted - 0.5 * decay.matrix) @ amp
     np.testing.assert_allclose(amp_dot, d, atol=1e-8)
@@ -228,7 +227,7 @@ def test_superoperator_matrix_is_linear_action():
     spec = degenerate_network(1, 2.0, 0.0)
     decay = decay_matrix_common(1, 0.5, 0.0)
     gen = oracle.build_generator(spec, decay, basis)
-    mat = gen.matrix()
+    mat = generator_matrix(gen)
     rng = np.random.default_rng(5)
     rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     np.testing.assert_allclose(
@@ -248,9 +247,9 @@ def test_single_mode_decay_against_exact_solution():
     times = np.linspace(0.0, 1.0, 6)
     rhos = oracle.integrate(rho0, gen, times)
     for t, rho in zip(times, rhos):
-        occ = oracle.mode_occupations(rho, basis)[0]
+        occ = mode_occupations(rho, basis)[0]
         assert abs(occ - alpha**2 * math.exp(-gamma * t)) < 1e-6
-        amp = oracle.mean_amplitudes(rho, basis)[0]
+        amp = mean_amplitudes(rho, basis)[0]
         expected = alpha * np.exp((-1j * omega - 0.5 * gamma) * t)
         assert abs(amp - expected) < 1e-6
         assert abs(np.trace(rho) - 1.0) < 1e-9
@@ -290,7 +289,7 @@ def test_rotating_frame_integration_matches_exact_exponential():
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     # the lab-frame generator: the rotating-frame one plus -i omega_bar [N, rho]
     occ = oracle._occupation_digits(basis).sum(axis=1)
-    mat = gen.matrix() + np.diag(-1j * gen.omega_bar * (occ[:, None] - occ[None, :]).ravel())
+    mat = generator_matrix(gen) + np.diag(-1j * gen.omega_bar * (occ[:, None] - occ[None, :]).ravel())
     nonuniform = np.array([0.0, 0.05, 3.0, 3.01, 8.0])
     assert max(s for _, _, s in oracle._taylor_plans(gen, nonuniform)) > 1
     for times in (np.linspace(0.0, 0.6, 4), nonuniform):
@@ -311,7 +310,7 @@ def test_norm_bound_covers_the_rotating_frame_generator(n, cutoff):
         spec = NetworkSpec(omega=rng.uniform(1.0, 5.0, size=n), coupling=coupling + coupling.T)
         x = rng.normal(size=(n, n))
         gen = oracle.build_generator(spec, x @ x.T, basis)
-        mat = gen.matrix()
+        mat = generator_matrix(gen)
         mu = np.mean(np.diagonal(mat))
         assert abs(mu - gen.shift) < 1e-12
         exact = np.max(np.sum(np.abs(mat - gen.shift * np.eye(mat.shape[0])), axis=0))

@@ -20,13 +20,12 @@ from resonet import (
     decay_matrix_distinct,
     decay_matrix_from_couplings,
     decoherence_time,
-    decoherence_time_formula,
-    degenerate_decomposition,
     degenerate_network,
     normal_modes,
     renormalized_frequency,
 )
 from resonet.network import _CLUSTER_RTOL
+from reference import decoherence_time_formula, degenerate_decomposition
 
 
 def test_common_matrix_structure():
