@@ -15,7 +15,6 @@ from .network import (
     degenerate_network,
     drift_matrix,
     normal_modes,
-    validate_network,
 )
 from .reservoir import (
     CouplingProfile,
@@ -68,7 +67,6 @@ __all__ = [
     "degenerate_modes",
     "drift_matrix",
     "normal_modes",
-    "validate_network",
     "ReservoirKind",
     "ReservoirSpec",
     "CouplingProfile",

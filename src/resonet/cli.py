@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -161,16 +162,8 @@ def _label_flow(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> evolve.Lab
     return evolve.label_flow(network.drift_matrix(_effective_network(cfg), decay))
 
 
-def _decay_extremes(decay: reservoir.DecayMatrix) -> tuple[float, float]:
-    """Smallest and largest decay rate; rounding noise within the slack reads 0."""
-    values = np.linalg.eigvalsh(decay.matrix)
-    values[np.abs(values) <= decay.slack] = 0.0
-    return float(values[0]), float(values[-1])
-
-
 def _summarize(cfg: ScenarioConfig, flow: evolve.LabelFlow, last: evolve.Block, decay: reservoir.DecayMatrix) -> dict:
     """Summary record of a run whose label stream ended with the block `last`."""
-    gamma_down, gamma_up = _decay_extremes(decay)
     # Whether the paper's closed form covers the scenario; the flow is the same either way.
     closed_form = (
         cfg.degenerate is not None and cfg.reservoir.kind is reservoir.ReservoirKind.COMMON_WHITE_NOISE
@@ -183,8 +176,8 @@ def _summarize(cfg: ScenarioConfig, flow: evolve.LabelFlow, last: evolve.Block, 
         "n": cfg.network.n,
         "reservoir": cfg.reservoir.kind.value,
         "propagator": "closed_form" if closed_form else "general",
-        "gamma_down": gamma_down,
-        "gamma_up": gamma_up,
+        "gamma_down": decay.rates[0],
+        "gamma_up": decay.rates[-1],
         "tau_d_formula": dfs.decoherence_time(cfg.rs, decay),
         "tau_d_numeric": tau_numeric,
         "final": evolve.observables(last, -1),
@@ -250,8 +243,7 @@ def _cmd_classify(args) -> int:
     if cfg.state is None:
         raise ConfigError("classify needs a 'state' section in the scenario")
     report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir, _effective_network(cfg))
-    payload = {"n": cfg.network.n, **report.to_json_dict()}
-    _write_json(out / "classification.json", payload)
+    _write_json(out / "classification.json", {"n": cfg.network.n, **dataclasses.asdict(report)})
     verdict = "DFS" if report.is_dfs else "not DFS"
     if report.is_rfs:
         verdict += ", RFS"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import _BYTE_BUDGET, ConfigError, ModelError, _sci
-from .network import NetworkSpec, degenerate_network, validate_network
+from .network import NetworkSpec, degenerate_network
 from .reservoir import CouplingProfile, ReservoirKind, ReservoirSpec
 from .states import RSFamilySpec, SuperpositionState, make_rs_state, make_superposition
 
@@ -127,14 +127,12 @@ def _parse_network(sec: dict) -> tuple[NetworkSpec, tuple[float, float] | None]:
             "network needs either the shorthand {n, omega, lambda} or explicit "
             "{omega: [...], coupling: [[...]]}"
         )
-    spec = NetworkSpec(
-        omega=_array(sec["omega"], "omega", "network"), coupling=_array(sec["coupling"], "coupling", "network")
-    )
+    omega = _array(sec["omega"], "omega", "network")
+    coupling = _array(sec["coupling"], "coupling", "network")
     try:
-        validate_network(spec)
+        return NetworkSpec(omega=omega, coupling=coupling), None
     except ModelError as exc:
         raise ConfigError(f"network: {exc}") from exc
-    return spec, None
 
 
 def _parse_profiles(raw, where: str) -> tuple[CouplingProfile, ...]:

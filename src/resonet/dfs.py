@@ -62,17 +62,6 @@ class ClassificationReport:
     tau_d: float
     regime: Regime
 
-    def to_json_dict(self) -> dict:
-        eig = self.lindblad_eigenvalue
-        return {
-            "is_dfs": self.is_dfs,
-            "is_rfs": self.is_rfs,
-            "lindblad_eigenvalue": None if eig is None else [eig.real, eig.imag],
-            "effective_decay_rate": self.effective_decay_rate,
-            "tau_d": "inf" if math.isinf(self.tau_d) else self.tau_d,
-            "regime": self.regime.value,
-        }
-
 
 def collective_lowering_eigencheck(state: SuperpositionState) -> tuple[bool, Optional[complex]]:
     """Is the state an eigenstate of the collective lowering operator?
@@ -89,22 +78,21 @@ def collective_lowering_eigencheck(state: SuperpositionState) -> tuple[bool, Opt
     return False, None
 
 
-def protected_subspace(w, gamma) -> np.ndarray:
+def protected_subspace(w, decay: DecayMatrix) -> np.ndarray:
     """Orthonormal basis (columns) of the largest W-invariant subspace inside Gamma's kernel.
 
-    `gamma` is a DecayMatrix or a symmetric (n, n) array.  The kernel is
-    spanned by the eigenvectors of Gamma with eigenvalue at most
-    (1e-3 / n) * lambda_max (all of them when Gamma = 0); it is then shrunk,
-    Q <- Q null((I - Q Q^dagger) W Q), until W maps it into itself, which
-    takes at most n rounds (rank tolerance 1e-10 * max(1, max |W|)).  Each
-    round works on W Q alone; the stacked Kalman matrix [Gamma; Gamma W; ...]
-    is avoided because its blocks grow as |W|^k.  Returns an (n, 0) array
-    when nothing is protected.
+    The kernel of the decay matrix Gamma is spanned by its eigenvectors with
+    eigenvalue at most (1e-3 / n) * lambda_max (all of them when Gamma = 0);
+    it is then shrunk, Q <- Q null((I - Q Q^dagger) W Q), until W maps it
+    into itself, which takes at most n rounds (rank tolerance
+    1e-10 * max(1, max |W|)).  Each round works on W Q alone; the stacked
+    Kalman matrix [Gamma; Gamma W; ...] is avoided because its blocks grow
+    as |W|^k.  Returns an (n, 0) array when nothing is protected.
     """
     w = np.asarray(w)
-    g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
+    g = decay.matrix
     n = g.shape[0]
-    if g.shape != (n, n) or w.shape != (n, n):
+    if w.shape != (n, n):
         raise ModelError(f"network and decay matrix must both be {n}x{n}")
     values, vectors = np.linalg.eigh(g)
     top = values[-1]
@@ -181,8 +169,7 @@ def classify(
     if net.n != n:
         raise ModelError("network and state disagree on the resonator count")
     decay = build_decay_matrix(reservoir, net)
-    g = decay.matrix
-    basis = protected_subspace(net.w_matrix(), g)
+    basis = protected_subspace(net.w_matrix(), decay)
 
     labels = np.asarray(state.labels)
 
@@ -193,7 +180,7 @@ def classify(
     is_dfs = bool(np.all(outside(labels[1:] - labels[0]) <= _EIGENCHECK_ATOL))
     is_rfs = is_dfs and bool(np.all(outside(labels) <= _RFS_EIG_ATOL))
 
-    values, vectors = np.linalg.eigh(g)
+    values, vectors = np.linalg.eigh(decay.matrix)
     scale = max(float(np.max(np.abs(labels))), 1.0)
     touched = np.max(np.abs(labels @ vectors), axis=0) > 1e-10 * scale
     rate = float(np.max(values[touched], initial=0.0))

@@ -21,7 +21,6 @@ __all__ = [
     "NetworkSpec",
     "NormalModeDecomposition",
     "degenerate_network",
-    "validate_network",
     "normal_modes",
     "degenerate_modes",
     "drift_matrix",
@@ -42,16 +41,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class NetworkSpec:
     """Bare frequencies and pairwise couplings of a resonator network.
 
-    omega has shape (n,), coupling shape (n, n).  Validation is performed by
-    validate_network; construction only normalises dtypes.
+    omega has shape (n,), coupling shape (n, n).  Construction normalises
+    dtypes and raises ModelError naming the first violated property: empty
+    network, omega not a vector, nonpositive or non-finite frequency,
+    coupling shape, non-finite coupling, asymmetry, or nonzero diagonal.
     """
 
     omega: np.ndarray
     coupling: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _frozen(np.atleast_1d(np.asarray(self.omega, dtype=float))))
-        object.__setattr__(self, "coupling", _frozen(np.atleast_2d(np.asarray(self.coupling, dtype=float))))
+        omega = _frozen(np.atleast_1d(np.asarray(self.omega, dtype=float)))
+        coupling = _frozen(np.atleast_2d(np.asarray(self.coupling, dtype=float)))
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "coupling", coupling)
+        n = self.n
+        if n == 0:
+            raise ModelError("network needs at least one resonator")
+        if omega.ndim != 1:
+            raise ModelError("omega must be a vector")
+        if np.any(~np.isfinite(omega)) or np.any(omega <= 0.0):
+            raise ModelError("resonator frequencies must be positive and finite")
+        if coupling.shape != (n, n):
+            raise ModelError(f"coupling must be {n}x{n}, got {coupling.shape}")
+        if np.any(~np.isfinite(coupling)):
+            raise ModelError("couplings must be finite")
+        if not np.array_equal(coupling, coupling.T):
+            raise ModelError("coupling matrix must be symmetric")
+        if np.any(np.diagonal(coupling) != 0.0):
+            raise ModelError("coupling matrix must have zero diagonal")
 
     @property
     def n(self) -> int:
@@ -71,30 +89,6 @@ def degenerate_network(n: int, omega0: float, lambda0: float) -> NetworkSpec:
     coupling = np.full((n, n), float(lambda0))
     np.fill_diagonal(coupling, 0.0)
     return NetworkSpec(omega=np.full(n, float(omega0)), coupling=coupling)
-
-
-def validate_network(spec: NetworkSpec) -> NetworkSpec:
-    """Check structural invariants, returning the spec unchanged.
-
-    Raises ModelError naming the first violated property: empty network,
-    nonpositive frequency, coupling shape, asymmetry, or nonzero diagonal.
-    """
-    n = spec.n
-    if n == 0:
-        raise ModelError("network needs at least one resonator")
-    if spec.omega.ndim != 1:
-        raise ModelError("omega must be a vector")
-    if np.any(~np.isfinite(spec.omega)) or np.any(spec.omega <= 0.0):
-        raise ModelError("resonator frequencies must be positive and finite")
-    if spec.coupling.shape != (n, n):
-        raise ModelError(f"coupling must be {n}x{n}, got {spec.coupling.shape}")
-    if np.any(~np.isfinite(spec.coupling)):
-        raise ModelError("couplings must be finite")
-    if not np.array_equal(spec.coupling, spec.coupling.T):
-        raise ModelError("coupling matrix must be symmetric")
-    if np.any(np.diagonal(spec.coupling) != 0.0):
-        raise ModelError("coupling matrix must have zero diagonal")
-    return spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +167,6 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
     lexicographically, so repeated calls and different-but-equivalent solver
     states cannot change the output.
     """
-    validate_network(spec)
     w = spec.w_matrix()
     values, vectors = np.linalg.eigh(w)
     n = spec.n
@@ -226,15 +219,13 @@ def degenerate_modes(n: int, omega0: float, lambda0: float) -> tuple[float, floa
     return float(omega0 + (n - 1) * lambda0), float(omega0 - lambda0)
 
 
-def drift_matrix(spec: NetworkSpec, gamma) -> np.ndarray:
-    """The amplitude drift -i W - gamma/2 of the network and a decay matrix, as a frozen complex array.
+def drift_matrix(spec: NetworkSpec, decay) -> np.ndarray:
+    """The amplitude drift -i W - gamma/2 of the network and a DecayMatrix, as a frozen complex array.
 
-    `gamma` may be a DecayMatrix or a plain symmetric (n, n) array.  The mean
-    coherent amplitudes obey d<a>/dt = (-i W - gamma/2) <a>, so with gamma = 0
-    the drift is anti-Hermitian and the flow is unitary.
+    The mean coherent amplitudes obey d<a>/dt = (-i W - gamma/2) <a>, so with
+    gamma = 0 the drift is anti-Hermitian and the flow is unitary.
     """
-    validate_network(spec)
-    g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
+    g = decay.matrix
     if g.shape != (spec.n, spec.n):
         raise ModelError(f"decay matrix must be {spec.n}x{spec.n}, got {g.shape}")
     return _frozen(-1j * spec.w_matrix() - 0.5 * g)

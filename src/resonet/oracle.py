@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
 from .evolve import Block
-from .network import NetworkSpec, validate_network
+from .network import NetworkSpec
 from .states import SuperpositionState
 
 __all__ = [
@@ -339,11 +339,9 @@ class LindbladGenerator:
                 out += (jt @ t).T
         return out
 
-def build_generator(spec: NetworkSpec, gamma, basis: FockBasisSpec) -> LindbladGenerator:
-    """Generator for a validated network and decay matrix on the given basis."""
-    validate_network(spec)
-    g = np.asarray(getattr(gamma, "matrix", gamma), dtype=float)
-    return LindbladGenerator(basis, spec.w_matrix(), g)
+def build_generator(spec: NetworkSpec, decay, basis: FockBasisSpec) -> LindbladGenerator:
+    """Generator for a network and its DecayMatrix on the given basis."""
+    return LindbladGenerator(basis, spec.w_matrix(), decay.matrix)
 
 
 def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float, int, int]]:

@@ -11,7 +11,7 @@ gamma_plus / gamma_minus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -56,10 +56,14 @@ class CouplingProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", _frozen(np.atleast_1d(np.asarray(self.centers, dtype=float))))
         object.__setattr__(self, "widths", _frozen(np.atleast_1d(np.asarray(self.widths, dtype=float))))
+        if not math.isfinite(self.amplitude):
+            raise ModelError("profile amplitude must be finite")
         if self.centers.size == 0:
             raise ModelError("coupling profile needs at least one Gaussian component")
         if self.centers.shape != self.widths.shape:
             raise ModelError("profile centers and widths must have matching lengths")
+        if np.any(~np.isfinite(self.centers)):
+            raise ModelError("profile centers must be finite")
         if np.any(self.widths <= 0.0) or np.any(~np.isfinite(self.widths)):
             raise ModelError("profile widths must be positive and finite")
 
@@ -90,8 +94,8 @@ class ReservoirSpec:
         if self.kind is ReservoirKind.COMMON_PROFILE and not self.profiles:
             raise ModelError("common_profile reservoir needs coupling profiles")
         if self.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
-            if self.gamma_plus < 0.0 or self.gamma_minus < 0.0:
-                raise ModelError("collective rates must be nonnegative")
+            if not (0.0 <= self.gamma_plus < math.inf and 0.0 <= self.gamma_minus < math.inf):
+                raise ModelError("collective rates must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +105,20 @@ class DecayMatrix:
     Diagonal entries are direct rates, off-diagonal entries cross-decay
     rates.  Positive semidefiniteness (up to -1e-12 * norm rounding slack) is
     what makes the induced master equation a valid quantum channel generator.
+    `rates` holds the eigenvalues in ascending order, those within the slack
+    of zero set to 0.
     """
 
     matrix: np.ndarray
+    rates: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         g = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "matrix", _frozen(g))
         if g.shape[0] != g.shape[1]:
             raise ModelError("decay matrix must be square")
+        if g.size == 0:
+            raise ModelError("decay matrix needs at least one resonator")
         if np.any(~np.isfinite(g)):
             raise ModelError("decay rates must be finite")
         slack = self.slack
@@ -117,8 +126,10 @@ class DecayMatrix:
             raise ModelError("decay matrix must be symmetric")
         if np.any(np.diagonal(g) < -slack):
             raise ModelError("direct decay rates must be nonnegative")
-        norm = np.max(np.abs(g))
-        if norm > 0.0 and np.min(np.linalg.eigvalsh(g)) < -slack:
+        rates = np.linalg.eigvalsh(g)
+        rates[np.abs(rates) <= slack] = 0.0
+        object.__setattr__(self, "rates", _frozen(rates))
+        if rates[0] < -slack:
             raise ModelError("decay matrix must be positive semidefinite")
 
     @property

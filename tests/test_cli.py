@@ -647,6 +647,39 @@ def test_array_keys_are_checked(tmp_path, capsys, section, value, message):
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize(
+    "shorthand",
+    [{"omega": -1.0, "lambda": 0.5}, {"omega": math.nan, "lambda": 0.5}, {"omega": 10.0, "lambda": math.nan}],
+    ids=["omega=-1", "omega=nan", "lambda=nan"],
+)
+@pytest.mark.parametrize("command", ["modes", "evolve", "classify", "oracle-compare"])
+def test_invalid_network_shorthand_is_rejected_by_every_command(tmp_path, capsys, shorthand, command):
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"n": 2, **shorthand},
+        reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.0},
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: network:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"kind": "distinct_strong_coupling", "gamma_plus": math.nan, "gamma_minus": 0.1},
+        {"kind": "distinct_strong_coupling", "gamma_plus": 1.0, "gamma_minus": math.inf},
+        _profiles(amplitude=math.nan, centers=[10.5], widths=[0.1]),
+        _profiles(centers=[math.nan], widths=[0.1]),
+    ],
+    ids=["gamma_plus=nan", "gamma_minus=inf", "amplitude=nan", "centers=nan"],
+)
+def test_non_finite_reservoir_fields_are_rejected(tmp_path, capsys, value):
+    cfg = _write_scenario(tmp_path / "s.json", reservoir=value)
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: reservoir: ")
+
+
 def test_usage_error_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         main([])

@@ -1,5 +1,7 @@
 """Protected-subspace classification and the collective-channel reduction."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from resonet import (
     CouplingProfile,
+    DecayMatrix,
     ModelError,
     NetworkSpec,
     Regime,
@@ -25,7 +28,7 @@ from resonet import (
     propagate_with,
     protected_subspace,
 )
-from resonet import oracle
+from resonet import cli, oracle
 from reference import collect, master_equation_reduction_check
 
 
@@ -168,14 +171,27 @@ def test_is_rfs_implies_is_dfs_property():
             assert report.is_dfs
 
 
+def _report_json(report):
+    """The report as `resonet classify` writes it (without the "n" key)."""
+    return json.loads(json.dumps(cli._jsonable(dataclasses.asdict(report))))
+
+
 def test_report_json_dict():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
-    d = report.to_json_dict()
+    d = _report_json(report)
     assert d["tau_d"] == "inf"
     assert d["is_dfs"] is True and d["is_rfs"] is True
     assert isinstance(d["lindblad_eigenvalue"], list) and len(d["lindblad_eigenvalue"]) == 2
     assert d["regime"] == "common_eps1"
+    # a finite tau_d and a non-null eigenvalue, both rounded through %.9g
+    spec = RSFamilySpec(n=3, r=1, s=1, alpha=0.6, eta=0.3)
+    report = classify(make_rs_state(spec), spec, _white(0.5), _net(spec.n))
+    d = _report_json(report)
+    assert d["tau_d"] == float(f"{report.tau_d:.9g}") and math.isfinite(d["tau_d"])
+    eig = report.lindblad_eigenvalue
+    assert d["lindblad_eigenvalue"] == [float(f"{eig.real:.9g}"), float(f"{eig.imag:.9g}")]
+    assert d["is_dfs"] is False and d["regime"] == "common_eps_small"
 
 
 def test_reduction_check_common():
@@ -208,7 +224,7 @@ def test_protected_subspace_dimensions():
     assert protected_subspace(degenerate_network(50, 10.0, 0.5).w_matrix(), common).shape == (50, 49)
     detuned = _detuned_net([10.0, 10.3, 9.6], 0.4)
     assert protected_subspace(detuned.w_matrix(), decay_matrix_common(3, 1.0, 1.0)).shape == (3, 0)
-    assert protected_subspace(detuned.w_matrix(), np.zeros((3, 3))).shape == (3, 3)
+    assert protected_subspace(detuned.w_matrix(), DecayMatrix(np.zeros((3, 3)))).shape == (3, 3)
     # A residual rate below 1e-3 / n of the collective one counts as kernel.
     w = degenerate_network(4, 10.0, 0.5).w_matrix()
     assert protected_subspace(w, decay_matrix_distinct(4, 2.0, 0.99e-3 * 2.0 / 4)).shape == (4, 3)
@@ -246,7 +262,7 @@ def test_protected_subspace_of_random_block_networks(n):
     b = rng.normal(size=(n - k, n - k))
     g[k:, k:] = b @ b.T + 0.5 * np.eye(n - k)
     w, g = q @ w @ q.T, q @ g @ q.T
-    basis = protected_subspace(w, g)
+    basis = protected_subspace(w, DecayMatrix(g))
     assert basis.shape == (n, k)
     np.testing.assert_allclose(basis @ basis.T, q[:, :k] @ q[:, :k].T, atol=1e-10)
 

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from resonet import (
     CouplingProfile,
+    DecayMatrix,
     ModelError,
     NetworkSpec,
     NumericalError,
@@ -97,7 +98,7 @@ def _random_network(rng, n):
 def _random_drift(rng, n):
     spec = _random_network(rng, n)
     a = rng.normal(size=(n, n))
-    return drift_matrix(spec, 0.5 * a @ a.T / n)
+    return drift_matrix(spec, DecayMatrix(0.5 * a @ a.T / n))
 
 
 def test_propagators_accept_a_scalar_or_a_time_array():

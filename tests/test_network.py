@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from resonet import (
+    DecayMatrix,
     ModelError,
     NetworkSpec,
     degenerate_modes,
     degenerate_network,
     drift_matrix,
     normal_modes,
-    validate_network,
 )
 from reference import degenerate_decomposition
 
@@ -29,17 +29,17 @@ def test_degenerate_network_matrix():
 
 def test_validate_rejects_bad_networks():
     with pytest.raises(ModelError):
-        validate_network(NetworkSpec(omega=np.array([]), coupling=np.zeros((0, 0))))
+        NetworkSpec(omega=np.array([]), coupling=np.zeros((0, 0)))
     with pytest.raises(ModelError):
-        validate_network(NetworkSpec(omega=np.array([1.0, -2.0]), coupling=np.zeros((2, 2))))
+        NetworkSpec(omega=np.array([1.0, -2.0]), coupling=np.zeros((2, 2)))
     asym = np.array([[0.0, 0.1], [0.2, 0.0]])
     with pytest.raises(ModelError):
-        validate_network(NetworkSpec(omega=np.array([1.0, 1.0]), coupling=asym))
+        NetworkSpec(omega=np.array([1.0, 1.0]), coupling=asym)
     diag = np.array([[0.3, 0.1], [0.1, 0.0]])
     with pytest.raises(ModelError):
-        validate_network(NetworkSpec(omega=np.array([1.0, 1.0]), coupling=diag))
+        NetworkSpec(omega=np.array([1.0, 1.0]), coupling=diag)
     with pytest.raises(ModelError):
-        validate_network(NetworkSpec(omega=np.array([1.0]), coupling=np.zeros((2, 2))))
+        NetworkSpec(omega=np.array([1.0]), coupling=np.zeros((2, 2)))
 
 
 def test_three_mode_chain_frequencies():
@@ -139,7 +139,7 @@ def test_degenerate_decomposition_self_inverse():
 def test_drift_matrix_value():
     spec = degenerate_network(2, 3.0, 0.5)
     gamma = np.array([[1.0, 0.25], [0.25, 1.0]])
-    d = drift_matrix(spec, gamma)
+    d = drift_matrix(spec, DecayMatrix(gamma))
     expected = -1j * spec.w_matrix() - 0.5 * gamma
     np.testing.assert_allclose(d, expected, atol=1e-15)
     assert d.dtype == complex and not d.flags.writeable

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from resonet import (
+    DecayMatrix,
     ModelError,
     NetworkSpec,
     RSFamilySpec,
@@ -282,7 +283,7 @@ def test_rotating_frame_integration_matches_exact_exponential():
     basis = oracle.FockBasisSpec(n=2, cutoff=4)
     spec = NetworkSpec(omega=[3.1, 4.7], coupling=[[0.0, 0.4], [0.4, 0.0]])
     x = np.random.default_rng(7).normal(size=(2, 2))
-    gen = oracle.build_generator(spec, x @ x.T, basis)
+    gen = oracle.build_generator(spec, DecayMatrix(x @ x.T), basis)
     assert abs(gen.omega_bar - 3.9) < 1e-15
     # a truncated cat (no tail check needed: both sides see the same basis)
     psi = oracle.coherent_vector([0.6, -0.4j], basis) + 0.5j * oracle.coherent_vector([-0.3, 0.5], basis)
@@ -309,7 +310,7 @@ def test_norm_bound_covers_the_rotating_frame_generator(n, cutoff):
         coupling = np.triu(rng.normal(scale=0.5, size=(n, n)), 1)
         spec = NetworkSpec(omega=rng.uniform(1.0, 5.0, size=n), coupling=coupling + coupling.T)
         x = rng.normal(size=(n, n))
-        gen = oracle.build_generator(spec, x @ x.T, basis)
+        gen = oracle.build_generator(spec, DecayMatrix(x @ x.T), basis)
         mat = generator_matrix(gen)
         mu = np.mean(np.diagonal(mat))
         assert abs(mu - gen.shift) < 1e-12

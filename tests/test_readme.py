@@ -25,9 +25,11 @@ def test_every_exported_name_resolves():
     # A stale __all__ entry breaks `from resonet.<module> import *`.
     # Names moved to tests/reference.py (the paper's closed forms) or deleted stay out of the library.
     moved = {"DriftMatrix", "degenerate_decomposition", "coherent_overlap", "swap_resonators", "mode_occupations",
-             "mean_amplitudes", "propagator_closed_form", "decoherence_time_formula", "master_equation_reduction_check"}
+             "mean_amplitudes", "propagator_closed_form", "decoherence_time_formula", "master_equation_reduction_check",
+             "validate_network"}
     for name in ("", ".cli", ".config", ".dfs", ".evolve", ".network", ".oracle", ".reservoir", ".states"):
         module = importlib.import_module("resonet" + name)
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
         assert moved.isdisjoint(vars(module)), module.__name__
     assert not hasattr(importlib.import_module("resonet.oracle").LindbladGenerator, "matrix")
+    assert not hasattr(importlib.import_module("resonet.dfs").ClassificationReport, "to_json_dict")

@@ -72,6 +72,8 @@ def test_decay_matrix_invariants():
     # symmetric with a negative eigenvalue: cross rate above the direct rate
     with pytest.raises(ModelError):
         DecayMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ModelError):
+        DecayMatrix(np.zeros((0, 0)))
 
 
 def test_decay_matrix_psd_property():
