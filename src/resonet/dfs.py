@@ -9,9 +9,7 @@ unobservable subspace of the pair (D, Gamma) in Kalman's observability test.
 A state is decoherence-free when every branch difference lies in that
 subspace and relaxation-free when every branch does.  The test reads only
 the network and its decay matrix, so every reservoir kind gets the same
-criterion.  Gamma's kernel is taken numerically: eigenvalues up to 1e-3 / n
-of the largest count as zero, so a dominantly collective reservoir
-(n gamma_minus < 1e-3 gamma_plus) is classified as fully collective.
+criterion; Gamma's kernel is the numerical one of DecayMatrix.kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ __all__ = [
 # Matching thresholds for the boolean classification.
 _EIGENCHECK_ATOL = 1e-10
 _RFS_EIG_ATOL = 1e-12
-# Decay-matrix eigenvalues up to _DISTINCT_RATIO / n of the largest count as kernel.
-_DISTINCT_RATIO = 1e-3
 
 
 class Regime(str, Enum):
@@ -81,22 +77,18 @@ def collective_lowering_eigencheck(state: SuperpositionState) -> tuple[bool, Opt
 def protected_subspace(w, decay: DecayMatrix) -> np.ndarray:
     """Orthonormal basis (columns) of the largest W-invariant subspace inside Gamma's kernel.
 
-    The kernel of the decay matrix Gamma is spanned by its eigenvectors with
-    eigenvalue at most (1e-3 / n) * lambda_max (all of them when Gamma = 0);
-    it is then shrunk, Q <- Q null((I - Q Q^dagger) W Q), until W maps it
-    into itself, which takes at most n rounds (rank tolerance
-    1e-10 * max(1, max |W|)).  Each round works on W Q alone; the stacked
-    Kalman matrix [Gamma; Gamma W; ...] is avoided because its blocks grow
-    as |W|^k.  Returns an (n, 0) array when nothing is protected.
+    The kernel of the decay matrix Gamma (DecayMatrix.kernel) is shrunk,
+    Q <- Q null((I - Q Q^dagger) W Q), until W maps it into itself, which
+    takes at most n rounds (rank tolerance 1e-10 * max(1, max |W|)).  Each
+    round works on W Q alone; the stacked Kalman matrix [Gamma; Gamma W; ...]
+    is avoided because its blocks grow as |W|^k.  Returns an (n, 0) array
+    when nothing is protected.
     """
     w = np.asarray(w)
-    g = decay.matrix
-    n = g.shape[0]
+    n = decay.n
     if w.shape != (n, n):
         raise ModelError(f"network and decay matrix must both be {n}x{n}")
-    values, vectors = np.linalg.eigh(g)
-    top = values[-1]
-    q = vectors if top <= 0.0 else vectors[:, values <= (_DISTINCT_RATIO / n) * top]
+    q = decay.kernel
     tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
     for _ in range(n):
         if q.shape[1] == 0:
@@ -121,23 +113,19 @@ def decoherence_time(spec: Optional[RSFamilySpec], decay: DecayMatrix) -> Option
     """
     if spec is None or complex(spec.alpha) == 0.0:
         return None
-    g = decay.matrix
-    if g.shape[0] != spec.n:
+    if decay.n != spec.n:
         raise ModelError("family spec and decay matrix disagree on the resonator count")
     first, second = rs_branch_labels(spec)
     delta = first - second
-    rate = float(np.real(delta.conj() @ g @ delta))
+    rate = float(np.real(delta.conj() @ decay.matrix @ delta))
     if rate <= decay.slack * float(np.real(np.vdot(delta, delta))):
         return math.inf
     return 2.0 / rate
 
 
-def _regime(reservoir: ReservoirSpec, n: int) -> Regime:
+def _regime(reservoir: ReservoirSpec, decay: DecayMatrix) -> Regime:
     if reservoir.kind is ReservoirKind.COMMON_WHITE_NOISE:
-        # The kernel test of protected_subspace on the rates (1 - eps) and 1 + (n-1) eps.
-        eps = reservoir.epsilon
-        kernel = 1.0 - eps <= (_DISTINCT_RATIO / n) * (1.0 + (n - 1) * eps)
-        return Regime.COMMON_EPS1 if kernel else Regime.COMMON_EPS_SMALL
+        return Regime.COMMON_EPS1 if decay.kernel.shape[1] else Regime.COMMON_EPS_SMALL
     if reservoir.kind is ReservoirKind.COMMON_PROFILE:
         return Regime.COMMON_PROFILE
     return Regime.DISTINCT_STRONG
@@ -155,12 +143,11 @@ def classify(
     protected subspace (protected_subspace): the state is decoherence-free
     when every difference of two branch labels lies in it (within 1e-10)
     and relaxation-free when every branch label does (within 1e-12).  The
-    effective decay rate is the largest eigenvalue of Gamma whose
-    eigenvector some branch label touches (0 for the vacuum), tau_d comes
-    from decoherence_time when the two-branch spec is available, and the
-    regime only names the reservoir: white noise whose slow rate (1 - eps)
-    falls in the kernel that protected_subspace reads, at most
-    (_DISTINCT_RATIO / n) (1 + (n-1) eps), is COMMON_EPS1, other white noise
+    effective decay rate is the largest of Gamma's rates whose mode some
+    branch label touches (0 for the vacuum), tau_d comes from
+    decoherence_time when the two-branch spec is available, and the regime
+    only names the reservoir: white noise whose decay matrix has a nonempty
+    kernel (DecayMatrix.kernel) is COMMON_EPS1, other white noise
     COMMON_EPS_SMALL, then COMMON_PROFILE and DISTINCT_STRONG.
     """
     n = state.n
@@ -180,10 +167,9 @@ def classify(
     is_dfs = bool(np.all(outside(labels[1:] - labels[0]) <= _EIGENCHECK_ATOL))
     is_rfs = is_dfs and bool(np.all(outside(labels) <= _RFS_EIG_ATOL))
 
-    values, vectors = np.linalg.eigh(decay.matrix)
     scale = max(float(np.max(np.abs(labels))), 1.0)
-    touched = np.max(np.abs(labels @ vectors), axis=0) > 1e-10 * scale
-    rate = float(np.max(values[touched], initial=0.0))
+    touched = np.max(np.abs(labels @ decay.modes), axis=0) > 1e-10 * scale
+    rate = float(np.max(decay.rates[touched], initial=0.0))
 
     _, eig = collective_lowering_eigencheck(state)
     tau_d = decoherence_time(spec, decay)
@@ -191,7 +177,7 @@ def classify(
         is_dfs=is_dfs,
         is_rfs=is_rfs,
         lindblad_eigenvalue=eig,
-        effective_decay_rate=0.0 if rate <= decay.slack else rate,
+        effective_decay_rate=rate,
         tau_d=math.inf if tau_d is None else tau_d,
-        regime=_regime(reservoir, n),
+        regime=_regime(reservoir, decay),
     )

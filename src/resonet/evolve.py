@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 import numpy as np
 
 from .errors import _TRACE_ABORT, ModelError, NumericalError
-from .network import _CLUSTER_RTOL
+from .network import _CLUSTER_RTOL, clusters
 from .states import SuperpositionState, gram_matrix, log_gram_matrix
 
 __all__ = [
@@ -97,23 +97,15 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Eigenvalues lam, eigenvectors V and V^-1 of d, or None if V is unusable.
 
-    Eigenvalues within a relative _CLUSTER_RTOL of one another (linked by
-    distance, transitively) form a group that shares its mean value, and the
-    group's vectors are replaced by an orthonormal basis of the null space
+    Each cluster of eigenvalues (network.clusters) shares its mean value,
+    and its vectors are replaced by an orthonormal basis of the null space
     of d - mean * I: on degenerate networks the solver's own vectors are
-    nearly dependent.  None when a group's null space is smaller than the
-    group (d is defective there) or cond(V) exceeds _COND_MAX.
+    nearly dependent.  None when a cluster's null space is smaller than the
+    cluster (d is defective there) or cond(V) exceeds _COND_MAX.
     """
     n = d.shape[0]
     lam, v = np.linalg.eig(d)
-    mag = np.abs(lam)
-    close = np.abs(lam[:, None] - lam) <= _CLUSTER_RTOL * np.maximum(mag[:, None], mag)
-    group = np.arange(n)
-    while True:  # every eigenvalue takes the smallest index it is linked to
-        linked = np.min(np.where(close, group, n), axis=1)
-        if np.array_equal(linked, group):
-            break
-        group = linked
+    group = clusters(lam)
     for g in np.unique(group):
         members = np.flatnonzero(group == g)
         if members.size == 1:

@@ -21,13 +21,13 @@ __all__ = [
     "NetworkSpec",
     "NormalModeDecomposition",
     "degenerate_network",
+    "clusters",
     "normal_modes",
     "degenerate_modes",
     "drift_matrix",
 ]
 
-# Eigenvalues closer than this (relative) are treated as one degenerate
-# cluster when choosing a deterministic eigenbasis.
+# Values closer than this (relative) are linked into one cluster (see clusters).
 _CLUSTER_RTOL = 1e-9
 
 
@@ -158,14 +158,33 @@ def _canonical_cluster_rows(columns: np.ndarray) -> np.ndarray:
     return np.array(chosen)
 
 
+def clusters(values) -> np.ndarray:
+    """Cluster label of each value (real or complex): the smallest index in its cluster.
+
+    a and b are linked when |a - b| <= _CLUSTER_RTOL * max(|a|, |b|), and a
+    cluster is a chain of links, so this alone decides which normal modes
+    count as one frequency.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    mag = np.abs(values)
+    close = np.abs(values[:, None] - values) <= _CLUSTER_RTOL * np.maximum(mag[:, None], mag)
+    group = np.arange(n)
+    while True:  # every value takes the smallest index it is linked to
+        linked = np.min(np.where(close, group, n), axis=1)
+        if np.array_equal(linked, group):
+            return group
+        group = linked
+
+
 def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
     """Diagonalise the network's quadratic form into normal modes.
 
-    Frequencies are returned ascending.  Within a degenerate cluster
-    (relative spread below 1e-9) the eigenbasis is replaced by a canonical
-    one seeded from the resonator basis and the rows are ordered
-    lexicographically, so repeated calls and different-but-equivalent solver
-    states cannot change the output.
+    Frequencies are returned ascending.  Within a degenerate cluster (see
+    clusters) the eigenbasis is replaced by a canonical one seeded from the
+    resonator basis and the rows are ordered lexicographically, so repeated
+    calls and different-but-equivalent solver states cannot change the
+    output.
     """
     w = spec.w_matrix()
     values, vectors = np.linalg.eigh(w)
@@ -173,25 +192,17 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
 
     rows = vectors.T.copy()
     scale = max(np.max(np.abs(values)), np.sqrt(np.sum(w * w)), 1e-300)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and (
-            values[stop] - values[stop - 1]
-            <= _CLUSTER_RTOL * max(abs(values[stop]), abs(values[stop - 1]))
-        ):
-            stop += 1
-        if stop - start > 1:
-            spread = values[stop - 1] - values[start]
-            # Replacing the basis mixes the cluster's eigendirections, which is
-            # only harmless when their eigenvalues are numerically identical;
-            # otherwise the solver's own (already deterministic) basis stays.
-            if spread <= 1e-12 * scale:
-                block = _canonical_cluster_rows(vectors[:, start:stop])
-                block = _fix_signs(block)
-                key = sorted(range(block.shape[0]), key=lambda i: tuple(np.round(block[i], 12)))
-                rows[start:stop] = block[key]
-        start = stop
+    group = clusters(values)
+    for g in np.unique(group):
+        members = np.flatnonzero(group == g)
+        # Replacing the basis mixes the cluster's eigendirections, which is
+        # only harmless when their eigenvalues are numerically identical;
+        # otherwise the solver's own (already deterministic) basis stays.
+        if members.size > 1 and np.ptp(values[members]) <= 1e-12 * scale:
+            block = _canonical_cluster_rows(vectors[:, members])
+            block = _fix_signs(block)
+            key = sorted(range(block.shape[0]), key=lambda i: tuple(np.round(block[i], 12)))
+            rows[members] = block[key]
 
     rows = _fix_signs(rows)
     c = rows

@@ -183,9 +183,9 @@ def _largest_amplitude(labels) -> float:
 
 
 def suggest_cutoff(state: SuperpositionState) -> int:
-    """Cutoff rule ceil(|b|^2 + 6 |b| + 8) on the largest label amplitude."""
+    """Cutoff rule ceil(|b|^2 + 6 |b| + 8) on the largest label amplitude, at least minimum_cutoff."""
     amax = _largest_amplitude(state.labels)
-    return int(math.ceil(amax * amax + 6.0 * amax + 8.0))
+    return max(int(math.ceil(amax * amax + 6.0 * amax + 8.0)), minimum_cutoff(amax))
 
 
 def max_tail_mass(labels: np.ndarray, cutoff: int) -> float:
@@ -229,8 +229,6 @@ def embed_state(state: SuperpositionState, basis: FockBasisSpec) -> np.ndarray:
     names the required minimum); the embedded matrix is renormalised to unit
     trace.
     """
-    if state.n != basis.n:
-        raise ModelError(f"state has {state.n} modes, basis {basis.n}")
     _check_tails(state.labels, basis)
     psi = np.zeros(basis.dim, dtype=complex)
     for w, label in zip(state.weights, state.labels):

@@ -34,6 +34,8 @@ __all__ = [
     "build_decay_matrix",
 ]
 
+_DISTINCT_RATIO = 1e-3  # kernel threshold of DecayMatrix.kernel, relative to n and the largest rate
+
 
 class ReservoirKind(str, Enum):
     COMMON_WHITE_NOISE = "common_white_noise"
@@ -105,12 +107,14 @@ class DecayMatrix:
     Diagonal entries are direct rates, off-diagonal entries cross-decay
     rates.  Positive semidefiniteness (up to -1e-12 * norm rounding slack) is
     what makes the induced master equation a valid quantum channel generator.
-    `rates` holds the eigenvalues in ascending order, those within the slack
-    of zero set to 0.
+    One eigendecomposition at construction gives `rates`, the eigenvalues in
+    ascending order with those within the slack of zero set to 0, and
+    `modes`, the matching orthonormal eigenvectors as columns.
     """
 
     matrix: np.ndarray
     rates: np.ndarray = field(init=False)
+    modes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         g = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -126,9 +130,10 @@ class DecayMatrix:
             raise ModelError("decay matrix must be symmetric")
         if np.any(np.diagonal(g) < -slack):
             raise ModelError("direct decay rates must be nonnegative")
-        rates = np.linalg.eigvalsh(g)
+        rates, modes = np.linalg.eigh(g)
         rates[np.abs(rates) <= slack] = 0.0
         object.__setattr__(self, "rates", _frozen(rates))
+        object.__setattr__(self, "modes", _frozen(modes))
         if rates[0] < -slack:
             raise ModelError("decay matrix must be positive semidefinite")
 
@@ -140,6 +145,15 @@ class DecayMatrix:
     def slack(self) -> float:
         """Rounding slack 1e-12 * max(1, max |gamma|): rates within it count as zero."""
         return 1e-12 * max(1.0, float(np.max(np.abs(self.matrix), initial=0.0)))
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Modes (columns) with rates up to _DISTINCT_RATIO / n of the largest, all of them when Gamma = 0.
+
+        So a dominantly collective reservoir (n gamma_minus < 1e-3 gamma_plus) counts as fully collective.
+        """
+        top = self.rates[-1]
+        return self.modes if top <= 0.0 else self.modes[:, self.rates <= (_DISTINCT_RATIO / self.n) * top]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +177,6 @@ def decay_matrix_common(n: int, gamma: float, epsilon: float) -> DecayMatrix:
     else.  Its eigenvalues split into [1 + (n-1)*epsilon]*gamma on the
     uniform direction and (1-epsilon)*gamma on the complement.
     """
-    if n < 1:
-        raise ModelError("decay matrix needs at least one resonator")
     if gamma < 0.0:
         raise ModelError("decay rate must be nonnegative")
     if not 0.0 <= epsilon <= 1.0:
@@ -185,9 +197,9 @@ def decay_matrix_from_couplings(
     normal mode b_k = sum_m C[k, m] a_m couples to the reservoir with
     s_k = sum_m V[k, m] C[k, m] and decays at the rate sigma * s_k^2.  In the
     secular (rotating-wave) Born-Markov limit cross rates survive only
-    between modes of equal frequency (relative spread within the network's
-    degenerate-cluster tolerance), so Gamma = sigma * C^T (s s^T o P) C with
-    P that mask: symmetric and positive semidefinite by construction
+    within a frequency cluster (network.clusters), so Gamma =
+    sigma * C^T (s s^T o P) C with P that mask, one rank-1 block per cluster:
+    symmetric and positive semidefinite by construction
     (Breuer & Petruccione, The Theory of Open Quantum Systems, sec. 3.3).
     """
     c = np.asarray(decomp.transform)
@@ -195,8 +207,8 @@ def decay_matrix_from_couplings(
     if v.shape != c.shape:
         raise ModelError(f"couplings must be {decomp.n}x{decomp.n}, got {v.shape}")
     s = np.sum(v * c, axis=1)
-    f = np.asarray(decomp.frequencies)
-    same = np.abs(f[:, None] - f) <= network._CLUSTER_RTOL * np.maximum(np.abs(f[:, None]), np.abs(f))
+    group = network.clusters(decomp.frequencies)
+    same = group[:, None] == group
     return DecayMatrix(sigma * c.T @ (np.outer(s, s) * same) @ c)
 
 

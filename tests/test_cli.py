@@ -432,6 +432,21 @@ def test_oracle_compare_pass_and_mismatch(tmp_path):
     assert exc.value.code == 2
 
 
+def test_oracle_compare_accepts_its_default_cutoff_at_large_amplitude(tmp_path):
+    # One resonator at amplitude 8 without oracle.cutoff: the default must
+    # pass the tail check (minimum cutoff 121), not stop at the rule's 120.
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"n": 1, "omega": 10.0, "lambda": 0.5},
+        state={"type": "explicit", "weights": [1.0], "labels": [[8.0]]},
+        evolution={"t_max": 0.1, "steps": 2},
+    )
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "oracle_summary.json").read_text())
+    assert summary["cutoff"] == 121 and summary["passed"] is True
+
+
 def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
     # The README's example scenario: cutoff 13 gives dim 38416 and 22 GiB per
     # density matrix.  The byte estimate stops it before anything is embedded.
@@ -649,8 +664,13 @@ def test_array_keys_are_checked(tmp_path, capsys, section, value, message):
 
 @pytest.mark.parametrize(
     "shorthand",
-    [{"omega": -1.0, "lambda": 0.5}, {"omega": math.nan, "lambda": 0.5}, {"omega": 10.0, "lambda": math.nan}],
-    ids=["omega=-1", "omega=nan", "lambda=nan"],
+    [
+        {"omega": -1.0, "lambda": 0.5},
+        {"omega": math.nan, "lambda": 0.5},
+        {"omega": 10.0, "lambda": math.nan},
+        {"n": -1, "omega": 10.0, "lambda": 0.5},
+    ],
+    ids=["omega=-1", "omega=nan", "lambda=nan", "n=-1"],
 )
 @pytest.mark.parametrize("command", ["modes", "evolve", "classify", "oracle-compare"])
 def test_invalid_network_shorthand_is_rejected_by_every_command(tmp_path, capsys, shorthand, command):

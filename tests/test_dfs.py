@@ -116,6 +116,11 @@ def test_classify_regime_preconditions():
     report = classify(state, spec, _white(0.99), net)
     assert report.regime is Regime.COMMON_EPS_SMALL and not report.is_dfs
     assert classify(state, spec, _white(1.0 - 0.9e-6), net).regime is Regime.COMMON_EPS1
+    # One resonator in white noise: Gamma = sigma has no (1 - eps) rate and
+    # an empty kernel, whatever eps.
+    single = make_superposition([1.0], np.array([[0.3]]))
+    for eps in (0.0, 0.5, 0.999, 1.0):
+        assert classify(single, None, _white(eps), _net(1)).regime is Regime.COMMON_EPS_SMALL
     assert classify(state, spec, _distinct(2.0, 0.5), net).regime is Regime.DISTINCT_STRONG
     p = CouplingProfile(amplitude=1.0, centers=[10.5], widths=[100.0])
     profile = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, profiles=(p, p))
@@ -131,6 +136,29 @@ def test_classify_regime_preconditions():
         classify(state, RSFamilySpec(n=3, r=1, s=1, alpha=0.6), _white(0.5), net)
     with pytest.raises(ModelError, match="network and state"):
         classify(state, spec, _white(0.5), _net(3))
+
+
+def test_classify_diagonalises_gamma_once(monkeypatch):
+    # DecayMatrix's one eigh serves the kernel, the regime and the effective rate.
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    spec = RSFamilySpec(n=3, r=1, s=1, alpha=0.6)
+    state = make_rs_state(spec)
+    for reservoir in (_white(0.5), _white(1.0), ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0)):
+        calls.clear()
+        classify(state, spec, reservoir, _net(3))
+        assert calls == ["eigh"]
 
 
 def test_classify_distinct_collective():

@@ -14,6 +14,7 @@ from resonet import (
     drift_matrix,
     normal_modes,
 )
+from resonet.network import _CLUSTER_RTOL, clusters
 from reference import degenerate_decomposition
 
 
@@ -143,3 +144,13 @@ def test_drift_matrix_value():
     expected = -1j * spec.w_matrix() - 0.5 * gamma
     np.testing.assert_allclose(d, expected, atol=1e-15)
     assert d.dtype == complex and not d.flags.writeable
+
+
+def test_clusters_link_a_complex_chain():
+    # z0, z0 (1 + 0.6e-9), z0 (1 + 1.2e-9): the ends are not close to each
+    # other, but the middle value links them into one cluster.
+    z0 = 3.0 + 4.0j
+    values = np.array([z0 * (1.0 + 1.2e-9), 1.0 - 1.0j, z0 * (1.0 + 0.6e-9), z0, 1.0 - 1.0j + 1e-12, -z0])
+    assert abs(values[0] - values[3]) > _CLUSTER_RTOL * abs(values[0])
+    np.testing.assert_array_equal(clusters(values), [0, 1, 0, 0, 1, 5])
+    np.testing.assert_array_equal(clusters(np.array([2.0])), [0])

@@ -147,6 +147,9 @@ def test_non_finite_amplitudes_are_rejected(bad):
 def test_suggest_cutoff_rule():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     assert oracle.suggest_cutoff(state) == math.ceil(0.36 + 3.6 + 8.0)
+    # From |b| = 8 on the rule falls below the tail-based minimum (120 < 121).
+    large = make_superposition([1.0], np.array([[8.0]]))
+    assert oracle.suggest_cutoff(large) == oracle.minimum_cutoff(8.0) == 121
 
 
 def test_coherent_vector_components():

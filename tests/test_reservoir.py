@@ -86,6 +86,8 @@ def test_decay_matrix_psd_property():
         else:
             g = decay_matrix_distinct(n, float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))
         assert np.min(np.linalg.eigvalsh(g.matrix)) >= -1e-12 * max(1.0, np.max(np.abs(g.matrix)))
+        # rates and modes are one eigendecomposition of the matrix
+        np.testing.assert_allclose(g.modes @ np.diag(g.rates) @ g.modes.T, g.matrix, atol=1e-12)
 
 
 def test_distinct_structure():
@@ -192,6 +194,18 @@ def test_secular_mask_uses_the_cluster_tolerance():
         mask = np.ones((2, 2)) if rank == 1 else np.eye(2)
         np.testing.assert_allclose(g, c.T @ (np.outer(s, s) * mask) @ c, atol=1e-15)
         assert np.linalg.matrix_rank(g, tol=1e-12) == rank
+    # A chain of three modes 0.6e-9 apart: the ends (1.2e-9 apart) are one
+    # cluster through the middle mode, so all cross rates survive and Gamma is
+    # rank 1.  A pairwise mask would drop only the end pair and give a matrix
+    # with a negative eigenvalue, rejected as not positive semidefinite.
+    c3, _ = np.linalg.qr(np.array([[1.0, 0.3, -0.2], [0.4, 1.0, 0.1], [-0.3, 0.2, 1.0]]))
+    v3 = np.array([[0.8, 1.1, 0.5], [0.4, 1.3, 0.9], [1.2, 0.6, 0.7]])
+    s3 = np.sum(v3 * c3, axis=1)
+    assert np.all(np.abs(s3) > 0.1)
+    freqs = 10.0 * (1.0 + np.array([0.0, 0.6, 1.2]) * _CLUSTER_RTOL)
+    decay = decay_matrix_from_couplings(NormalModeDecomposition(transform=c3, frequencies=freqs, symmetric=False), v3, 1.0)
+    np.testing.assert_allclose(decay.matrix, c3.T @ np.outer(s3, s3) @ c3, atol=1e-14)
+    np.testing.assert_allclose(decay.rates, [0.0, 0.0, s3 @ s3], atol=1e-14)
 
 
 def test_profile_decay_matrix_on_a_detuned_network():
