@@ -252,7 +252,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    # Only this command needs scipy (through the oracle), so the other commands never import it.
+    # Only this command needs the oracle, so the other commands never import it.
     from . import oracle
 
     cfg = parse_scenario(load_config(args.config))

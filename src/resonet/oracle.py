@@ -6,29 +6,32 @@ equation
 
     d rho / dt = i [rho, H] + sum_mn (gamma_mn / 2) ([a_n rho, a_m+] + h.c.)
 
-is applied with explicitly constructed mode operators, and each grid
-interval is crossed by the truncated Taylor series of exp(dt L) applied to
-the state (Al-Mohy & Higham 2011), in the frame rotating at the mean mode
-frequency (see LindbladGenerator and integrate).  integrate yields the
-state at each grid time, and compare measures its trace distance to the
-analytic state as it arrives, so only the state being worked on is held.
-Slow but independent.
+is applied matrix-free: on the row-major vec(rho) every term moves the
+flat index by a constant offset fixed by the mode strides of the product
+basis, so the generator is one precomputed weight array per offset (see
+LindbladGenerator).  Each grid interval is crossed by the truncated Taylor
+series of exp(dt L) applied to the state (Al-Mohy & Higham 2011), in the
+frame rotating at the mean mode frequency (see integrate).  integrate
+yields the state at each grid time, and compare measures its trace
+distance to the analytic state as it arrives, so only the state being
+worked on is held.  Slow but independent, and numpy only.
 
-Every dense array here is dim x dim complex, and integration and comparison
-hold a fixed number of them whatever the grid, so memory is bounded up
-front: a basis whose working set exceeds _BYTE_BUDGET is rejected with
-ModelError before anything is allocated.
+Every dense array here, the generator's weights included, has up to
+dim x dim complex entries, and integration and comparison hold a fixed
+number of them whatever the grid, so memory is bounded up front: a basis
+whose working set exceeds _BYTE_BUDGET is rejected with ModelError before
+anything is allocated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
 from .evolve import Block
@@ -39,7 +42,6 @@ __all__ = [
     "FockBasisSpec",
     "LindbladGenerator",
     "ComparisonReport",
-    "mode_lowering_ops",
     "poisson_tail",
     "minimum_cutoff",
     "suggest_cutoff",
@@ -56,11 +58,14 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = 1e-10
-# Dense dim x dim arrays compare(blocks, integrate(...), basis) holds at once:
-# integrate's state, partial sum and current term, apply's output, transpose
-# buffer and product, the yielded state, and compare's analytic state and
-# difference.
-_WORKING_ARRAYS = 9
+# Dense dim x dim arrays an oracle run holds at once besides the generator's
+# weights: the generator's diagonal and scratch vector (2), the caller's
+# initial state (1), integrate's state, two series terms, product and real
+# work array (5, the last a half counted whole), and at most 4 more: while
+# integrate makes a state, the one compare holds, the new one and a ufunc
+# iteration buffer (128 KiB at most); while compare measures a state, that
+# state, the difference, its Hermitian part and eigvalsh's copy of it.
+_WORKING_ARRAYS = 12
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1
 # (unit roundoff 2^-53): the degree-m Taylor polynomial of exp(A) has backward
 # error below the unit roundoff while ||A||_1 <= theta_m.
@@ -91,10 +96,11 @@ def working_set_bytes(n: int, cutoff: int) -> int:
     """Bytes of dense complex arrays the oracle holds on n modes at this cutoff.
 
     _WORKING_ARRAYS arrays of dim^2 * 16 bytes with dim = (cutoff + 1)^n,
-    whatever the number of grid times.
+    plus one weight array per generator offset: at most n (n - 1) row hops,
+    n (n - 1) column hops and n^2 jumps, whatever the number of grid times.
     """
     dim = (cutoff + 1) ** n
-    return _WORKING_ARRAYS * dim * dim * 16
+    return (_WORKING_ARRAYS + 3 * n * n - 2 * n) * dim * dim * 16
 
 
 def check_working_set(n: int, cutoff: int, labels=None) -> None:
@@ -114,23 +120,6 @@ def check_working_set(n: int, cutoff: int, labels=None) -> None:
         low = minimum_cutoff(_largest_amplitude(labels))
         msg += f"; the state's minimum cutoff is {low}, needing {_sci(working_set_bytes(n, low))} bytes"
     raise ModelError(msg)
-
-
-def _onenorm(op: sp.csr_array) -> float:
-    """Largest absolute column sum of a sparse matrix."""
-    return float(np.max(abs(op).sum(axis=0), initial=0.0))
-
-
-def mode_lowering_ops(basis: FockBasisSpec) -> list[sp.csr_array]:
-    """Sparse lowering operator for each mode (mode 0 is the outermost factor)."""
-    c = basis.cutoff
-    single = sp.diags_array(np.sqrt(np.arange(1.0, c + 1.0)), offsets=1).astype(complex)
-    eye = sp.eye_array(c + 1, dtype=complex)
-    ops = []
-    for m in range(basis.n):
-        factors = [single if k == m else eye for k in range(basis.n)]
-        ops.append(sp.csr_array(reduce(lambda x, y: sp.kron(x, y, format="csr"), factors)))
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +251,29 @@ class LindbladGenerator:
     the mean mode frequency wbar = tr(W) / n and the generator of the shifted
     network W - wbar I.  `apply` is the second alone, the generator in the
     frame rotating at wbar; integrate rotates its states back to the lab
-    frame.  It is grouped as B rho + rho B+ + sum_n a_n rho J_n+ with
-    B = -i H' - (1/2) sum_mn gamma_mn a_m+ a_n, H' built from W - wbar I, and
-    J_n = sum_m gamma_mn a_m, which is algebraically identical to the
-    defining form.
+    frame.  It is grouped as B rho + rho B+ + sum_mk gamma_mk a_k rho a_m+
+    with B = sum_mk b_mk a_m+ a_k, b_mk = -i (W - wbar I)_mk - gamma_mk / 2,
+    which is algebraically identical to the defining form.
 
-    On the row-major vec(rho) `apply` is the matrix
-    L = B (x) I + I (x) conj(B) + sum_n a_n (x) conj(J_n).  `shift` is the
-    mean of its diagonal, 2 Re(mean diag B) since no a_n has a diagonal, and
-    `norm_bound` bounds ||L - shift I||_1 without forming L, by the triangle
-    inequality and ||X (x) Y||_1 = ||X||_1 ||Y||_1:
-    2 ||B - (shift / 2) I||_1 + sum_n ||a_n||_1 ||J_n||_1.  integrate sizes
-    its Taylor series from the bound.
+    Nothing is assembled.  With s_m = (cutoff + 1)^(n - 1 - m) the stride of
+    mode m in the product basis, a_m+ a_k moves a basis index by s_m - s_k,
+    so on the row-major vec(rho) (flat index i dim + j) every term reads its
+    source at a constant offset from its destination: (s_k - s_m) dim for
+    the row hops of B rho, s_k - s_m for the column hops of rho B+ and
+    s_k dim + s_m for the jumps.  Each offset carries one complex weight
+    array over its destination slice (the matrix elements, zero wherever
+    the source state lies outside the truncation), and the diagonal terms
+    of B and B+ one more over the whole vector; `apply` is one diagonal
+    multiply and a multiply-add per offset.
+
+    As a matrix on vec(rho), L = B (x) I + I (x) conj(B) +
+    sum_mk gamma_mk a_k (x) conj(a_m).  `shift` is the mean of its diagonal,
+    2 Re(mean diag B) since no a_m has a diagonal, and `norm_bound` bounds
+    ||L - shift I||_1 by the triangle inequality and
+    ||X (x) Y||_1 = ||X||_1 ||Y||_1:
+    2 ||B - (shift / 2) I||_1 + sum_k ||a_k||_1 ||J_k||_1 with
+    J_k = sum_m gamma_mk a_m; the column sums come from the same weights.
+    integrate sizes its Taylor series from the bound.
     """
 
     def __init__(self, basis: FockBasisSpec, w: np.ndarray, gamma: np.ndarray) -> None:
@@ -285,57 +285,77 @@ class LindbladGenerator:
         self.basis = basis
         self.omega_bar = float(np.trace(w)) / n
         shifted = w - self.omega_bar * np.eye(n)
-        lower = mode_lowering_ops(basis)
-        raise_ops = [op.conj().T.tocsr() for op in lower]
-        ham = None
-        anti = None
-        for m in range(n):
-            for k in range(n):
-                if shifted[m, k] != 0.0:
-                    t = shifted[m, k] * (raise_ops[m] @ lower[k])
-                    ham = t if ham is None else ham + t
-                if gamma[m, k] != 0.0:
-                    t = gamma[m, k] * (raise_ops[m] @ lower[k])
-                    anti = t if anti is None else anti + t
-        dim = basis.dim
-        zero = sp.csr_array((dim, dim), dtype=complex)
-        ham = zero if ham is None else ham
-        anti = zero if anti is None else anti
-        self._b = (-1j * ham - 0.5 * anti).tocsr()
-        # conjugate copy so rho @ B+ can run sparse-on-the-left and stay
-        # linear in rho (dyad columns of the superoperator need linearity)
-        self._bc = self._b.conj().tocsr()
-        self._lower = lower
-        # transposed right factors so every product is sparse-on-the-left
-        self._jump_t = []
+        dim, c = basis.dim, basis.cutoff
+        digits = _occupation_digits(basis)
+        stride = [(c + 1) ** (n - 1 - m) for m in range(n)]
+        root = np.sqrt(np.arange(1.0, c + 1.0))
+        # <d - e_m| a_m |d> and <d|a_m |d + e_m> at each basis state d
+        rise = [np.concatenate(([0.0], root))[digits[:, m]] for m in range(n)]
+        low = [np.concatenate((root, [0.0]))[digits[:, m]] for m in range(n)]
+        # B's diagonal, and b_mk <d|a_m+ a_k|d - e_m + e_k> for m != k by source offset s_k - s_m
+        b = -1j * shifted - 0.5 * gamma
+        b_diag = sum(b[m, m] * (rise[m] * rise[m]) for m in range(n))
+        b_hops = {
+            stride[k] - stride[m]: b[m, k] * (rise[m] * low[k])
+            for m in range(n)
+            for k in range(n)
+            if m != k and b[m, k] != 0.0
+        }
+        self.shift = 2.0 * float(np.mean(b_diag.real))
+        # column sums of |B - (shift / 2) I| and of |J_k|, entries taken in row
+        # order: row i of a hop with source offset o lies in column i + o
+        cols = np.zeros(dim)
+        for off in sorted([0, *b_hops], reverse=True):
+            if off == 0:
+                cols += np.abs(b_diag - 0.5 * self.shift)
+            else:
+                cols[max(0, off) : dim + min(0, off)] += np.abs(b_hops[off][max(0, -off) : dim - max(0, off)])
+        jumps = 0.0
         for k in range(n):
-            j = None
-            for m in range(n):
-                if gamma[m, k] != 0.0:
-                    t = gamma[m, k] * lower[m]
-                    j = t if j is None else j + t
-            self._jump_t.append(None if j is None else j.conj().tocsr())
-        # total excitation number of each basis state
-        self._occ = _occupation_digits(basis).sum(axis=1)
-        self.shift = 2.0 * float(np.mean(self._b.diagonal().real))
-        centred = self._b - (0.5 * self.shift) * sp.eye_array(dim, dtype=complex)
-        self.norm_bound = 2.0 * _onenorm(centred) + sum(
-            _onenorm(a) * _onenorm(jt) for a, jt in zip(lower, self._jump_t) if jt is not None
-        )
+            jk = [np.abs(gamma[m, k] * rise[m]) for m in range(n) if gamma[m, k] != 0.0]
+            if jk:
+                jumps += float(np.max(rise[k])) * float(np.max(sum(jk)))
+        self.norm_bound = 2.0 * float(np.max(cols)) + jumps
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        # Each right product X M+ runs as (conj(M) X^T)^T, with X^T copied
-        # into one C-ordered buffer: scipy would copy a transposed view on
-        # every product, and the page faults of those transient dim^2 arrays
-        # cost more than the sparse products themselves.
-        t = np.array(rho.T, dtype=complex, order="C")
-        out = self._b @ rho
-        out += (self._bc @ t).T
-        for k, jt in enumerate(self._jump_t):
-            if jt is not None:
-                np.copyto(t, (self._lower[k] @ rho).T)
-                out += (jt @ t).T
+        self._diag = (b_diag[:, None] + b_diag.conj()[None, :]).ravel()
+        # (offset, weights over the whole vector), made one at a time and cut
+        # to the destination slice [lo, hi) whose sources lie in the vector
+        weights = itertools.chain(
+            ((off * dim, np.repeat(v, dim)) for off, v in b_hops.items()),
+            ((off, np.tile(v.conj(), dim)) for off, v in b_hops.items()),
+            (
+                (stride[k] * dim + stride[m], gamma[m, k] * np.outer(low[k], low[m]).ravel())
+                for m in range(n)
+                for k in range(n)
+                if gamma[m, k] != 0.0
+            ),
+        )
+        size = dim * dim
+        self._hops = []
+        for off, weight in weights:
+            lo, hi = max(0, -off), size - max(0, off)
+            self._hops.append((lo, hi, off, weight[lo:hi].astype(complex)))
+        self._scratch = np.empty(size, dtype=complex)
+        # total excitation number of each basis state
+        self._occ = digits.sum(axis=1)
+
+    def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L(rho) for a dim x dim rho, written into `out` when given.
+
+        `out` must be a C-ordered dim x dim complex array that does not share
+        memory with rho.
+        """
+        r = np.asarray(rho, dtype=complex).reshape(-1)
+        if out is None:
+            out = np.empty((self.basis.dim, self.basis.dim), dtype=complex)
+        flat = out.reshape(-1)
+        np.multiply(self._diag, r, out=flat)
+        for lo, hi, off, weight in self._hops:
+            part = self._scratch[: hi - lo]
+            np.multiply(r[lo + off : hi + off], weight, out=part)
+            flat[lo:hi] += part
         return out
+
 
 def build_generator(spec: NetworkSpec, decay, basis: FockBasisSpec) -> LindbladGenerator:
     """Generator for a network and its DecayMatrix on the given basis."""
@@ -370,8 +390,9 @@ def step_size(gen: LindbladGenerator, times) -> float:
     return max(dt / s for dt, _, s in _taylor_plans(gen, times))
 
 
-def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x)))
+def _max_abs(x: np.ndarray, mag: np.ndarray) -> float:
+    """Largest |x|, with `mag` (real, the shape of x) as the work array."""
+    return float(np.abs(x, out=mag).max())
 
 
 def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.ndarray]:
@@ -393,34 +414,49 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
 
     The first state yielded is a copy of rho0.  Only the current state is
     kept, so a consumer that holds at most the latest yielded array (as
-    compare does) works in memory independent of the grid.
+    compare does) works in memory independent of the grid.  The series runs
+    in a fixed set of dim x dim buffers (the state, two terms, one product
+    and one real work array) and allocates only the state it yields.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     plans = _taylor_plans(gen, times)
-    rho = np.array(rho0, dtype=complex, copy=True)
+    rho = np.array(rho0, dtype=complex, order="C", copy=True)
+    terms = (np.empty_like(rho), np.empty_like(rho))
+    product = np.empty_like(rho)
+    mag = np.empty(rho.shape)
     yield rho.copy()
     for i, (dt, m, s) in enumerate(plans):
         h = dt / s
         scale = math.exp(h * gen.shift)
         for _ in range(s):
             term = rho
-            c1 = _max_abs(term)
+            c1 = _max_abs(term, mag)
             for j in range(1, m + 1):
-                term = gen.apply(term) - gen.shift * term
-                term *= h / j
-                c2 = _max_abs(term)
-                rho = rho + term
-                if c1 + c2 <= 2.0**-53 * _max_abs(rho):
+                nxt = terms[term is terms[0]]  # the term buffer not holding term
+                gen.apply(term, out=nxt)
+                nxt -= np.multiply(term, gen.shift, out=product)
+                nxt *= h / j
+                term = nxt
+                c2 = _max_abs(term, mag)
+                rho += term
+                if c1 + c2 <= 2.0**-53 * _max_abs(rho, mag):
                     break
                 c1 = c2
             rho *= scale
-        rho = 0.5 * (rho + rho.conj().T)
+        # rho = (rho + rho+) / 2; a copy of the transpose, unlike a ufunc
+        # reading it, needs no iteration buffer
+        np.copyto(product, rho.T)
+        np.conjugate(product, out=product)
+        product += rho
+        np.multiply(product, 0.5, out=rho)
         t = times[i + 1]
         tr = np.trace(rho).real
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_ABORT:
             raise NumericalError(f"trace drifted to {tr!r} at t = {t:g}; integration aborted")
         phase = np.exp(-1j * gen.omega_bar * (t - times[0]) * gen._occ)
-        yield phase[:, None] * rho * phase.conj()
+        lab = np.multiply(phase[:, None], rho)
+        lab *= phase.conj()
+        yield lab
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +465,22 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
 
 def _occupation_digits(basis: FockBasisSpec) -> np.ndarray:
     idx = np.arange(basis.dim)
-    digits = np.empty((basis.dim, basis.n), dtype=float)
+    digits = np.empty((basis.dim, basis.n), dtype=int)
     for m in range(basis.n - 1, -1, -1):
         digits[:, m] = idx % (basis.cutoff + 1)
         idx = idx // (basis.cutoff + 1)
     return digits
+
+
+def _trace_distance(labels: np.ndarray, coeffs: np.ndarray, rho: np.ndarray, basis: FockBasisSpec) -> float:
+    """0.5 * sum |eigenvalues| of the Hermitian part of (embedded label state - rho)."""
+    delta = embed_labels(labels, coeffs, basis)
+    delta -= rho
+    herm = delta.T.copy()
+    np.conjugate(herm, out=herm)
+    herm += delta
+    herm *= 0.5
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,10 +511,8 @@ def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasi
             rho = next(rhos, None)
             if rho is None:
                 raise ModelError("trajectory and integrated states cover different grids")
-            delta = embed_labels(labels, coeffs, basis) - rho
-            delta = 0.5 * (delta + delta.conj().T)
             times.append(t)
-            dists.append(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
+            dists.append(_trace_distance(labels, coeffs, rho, basis))
     if next(rhos, None) is not None:
         raise ModelError("trajectory and integrated states cover different grids")
     dists = np.array(dists)

@@ -110,21 +110,24 @@ def make_superposition(weights, labels) -> SuperpositionState:
     if w.shape[0] == 0:
         raise ModelError("a state needs at least one term")
 
-    merged_w: list[complex] = []
-    merged_l: list[np.ndarray] = []
+    # A label joins the first earlier kept label within _MERGE_TOL in every
+    # component: one comparison against all kept labels per term.
+    merged_w = np.empty_like(w)
+    merged_l = np.empty_like(lab)
+    count = 0
     for wi, li in zip(w, lab):
-        for k, lk in enumerate(merged_l):
-            if np.all(np.abs(li - lk) <= _MERGE_TOL):
-                merged_w[k] += wi
-                break
+        match = np.flatnonzero(np.all(np.abs(merged_l[:count] - li) <= _MERGE_TOL, axis=1))
+        if match.size:
+            merged_w[match[0]] += wi
         else:
-            merged_w.append(complex(wi))
-            merged_l.append(li)
-    keep = [k for k, wk in enumerate(merged_w) if wk != 0.0]
-    if not keep:
+            merged_w[count] = wi
+            merged_l[count] = li
+            count += 1
+    keep = np.flatnonzero(merged_w[:count] != 0.0)
+    if not keep.size:
         raise ModelError("all terms cancelled: the state has zero norm")
-    wv = np.array([merged_w[k] for k in keep])
-    lv = np.array([merged_l[k] for k in keep])
+    wv = merged_w[keep]
+    lv = merged_l[keep]
 
     g = gram_matrix(lv)
     norm2 = float(np.real(wv.conj() @ g @ wv))

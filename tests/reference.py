@@ -4,6 +4,7 @@ against (no command reaches these), and whole-grid arrays from a label stream.
 
 import math
 from dataclasses import fields, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -135,7 +136,7 @@ def master_equation_reduction_check(
     # Independent route: the collective-channel dissipator
     # strength/2 * (2 L rho L+ - {L+L, rho}) from dense operators, on the
     # row-major vec(rho) where vec(A X B) = (A (x) B^T) vec(X).
-    lam = sum(op.toarray() for op in oracle.mode_lowering_ops(basis)) / np.sqrt(n)
+    lam = sum(mode_lowering_ops(basis)) / np.sqrt(n)
     lam2 = lam.conj().T @ lam
     eye = np.eye(basis.dim)
     single = 0.5 * strength * (2.0 * np.kron(lam, lam.conj()) - np.kron(lam2, eye) - np.kron(eye, lam2.T))
@@ -194,6 +195,13 @@ def mode_occupations(rho: np.ndarray, basis: oracle.FockBasisSpec) -> np.ndarray
     return oracle._occupation_digits(basis).T @ np.real(np.diagonal(rho))
 
 
+def mode_lowering_ops(basis: oracle.FockBasisSpec) -> list[np.ndarray]:
+    """Dense lowering operator of each mode, a Kronecker product (mode 0 is the outermost factor)."""
+    single = np.diag(np.sqrt(np.arange(1.0, basis.cutoff + 1.0)), 1).astype(complex)
+    eye = np.eye(basis.cutoff + 1)
+    return [reduce(np.kron, [single if k == m else eye for k in range(basis.n)]) for m in range(basis.n)]
+
+
 def mean_amplitudes(rho: np.ndarray, basis: oracle.FockBasisSpec) -> np.ndarray:
     """<a_m> for each mode from a Fock-basis density matrix."""
-    return np.array([np.trace(op @ rho) for op in oracle.mode_lowering_ops(basis)])
+    return np.array([np.trace(op @ rho) for op in mode_lowering_ops(basis)])

@@ -25,10 +25,12 @@ from resonet import (
     make_rs_state,
     make_superposition,
     label_flow,
+    normal_modes,
     propagate_with,
     protected_subspace,
 )
 from resonet import cli, oracle
+from resonet.network import clusters
 from reference import collect, master_equation_reduction_check
 
 
@@ -307,6 +309,71 @@ def test_protected_subspace_of_random_block_networks(n):
             assert np.max(np.abs(coherence - coherence[0])) < 1e-10
         else:
             assert coherence[-1] < (1.0 - 1e-3) * coherence[0]
+
+
+def test_protected_dimension_counts_shared_channels():
+    # The paper's main result as a counting rule.  In a common profile
+    # reservoir the g degenerate normal modes of a frequency cluster share one
+    # rank-1 decay channel, so the cluster protects g - 1 modes, or all g when
+    # its channel rate is within Gamma's kernel ratio (1e-3 / n of the largest
+    # rate).  300 seeded networks W = Q diag(Omega) Q^T with repeated Omega
+    # and random two-Gaussian profiles, n = 2..6; classify's verdict on a
+    # random pair agrees with membership of its difference in the subspace.
+    rng = np.random.default_rng(2006)
+    kernel_counted = 0
+    verdicts = [0, 0]
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        levels = rng.uniform(8.0, 12.0, size=int(rng.integers(1, n + 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = q @ np.diag(rng.choice(levels, size=n)) @ q.T
+        w = 0.5 * (w + w.T)
+        net = NetworkSpec(omega=np.diagonal(w), coupling=w - np.diag(np.diagonal(w)))
+        profiles = [
+            CouplingProfile(rng.uniform(0.2, 1.0), rng.uniform(8.0, 12.0, size=2), rng.uniform(0.1, 2.0, size=2))
+            for _ in range(n)
+        ]
+        reservoir = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=profiles)
+        decay = build_decay_matrix(reservoir, net)
+        modes = normal_modes(net)
+        group = clusters(modes.frequencies)
+        rates = {
+            g: float(np.linalg.eigvalsh(modes.transform[group == g] @ decay.matrix @ modes.transform[group == g].T)[-1])
+            for g in np.unique(group)
+        }
+        threshold = 1e-3 / n * decay.rates[-1]
+        expected = sum(int(np.sum(group == g)) - (rate > threshold) for g, rate in rates.items())
+        kernel_counted += sum(0.0 < rate <= threshold for rate in rates.values())
+        basis = protected_subspace(net.w_matrix(), decay)
+        assert basis.shape[1] == expected
+
+        # one pair per network, its difference inside the subspace or generic
+        beta = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        delta = rng.normal(size=n)
+        if expected and rng.random() < 0.5:
+            delta = basis @ (rng.normal(size=expected) + 1j * rng.normal(size=expected))
+        inside = bool(np.linalg.norm(delta - basis @ (basis.conj().T @ delta)) < 1e-6)
+        verdicts[inside] += 1
+        state = make_superposition([1.0, 1.0], np.array([beta, beta + 0.4 * delta]))
+        assert classify(state, None, reservoir, net).is_dfs is inside
+    # the kernel ratio, not only exact zeros, decides some of the cases, and
+    # both verdicts occur often
+    assert kernel_counted > 0
+    assert min(verdicts) > 50
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_distinct_reservoirs_protect_the_zero_rate_modes(n):
+    # The distinct-reservoir counterpart: Gamma has rate gamma_plus on the
+    # uniform mode and gamma_minus on its complement, which the degenerate
+    # network maps into itself, so gamma_minus = 0 protects n - 1 modes.
+    gamma_plus = float(np.random.default_rng(n).uniform(0.5, 2.0))
+    net = degenerate_network(n, 10.0, 0.5)
+    decay = decay_matrix_distinct(n, gamma_plus, 0.0)
+    assert int(np.sum(decay.rates == 0.0)) == n - 1
+    basis = protected_subspace(net.w_matrix(), decay)
+    assert basis.shape == (n, n - 1)
+    np.testing.assert_allclose(basis.T @ np.ones(n), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("omega, protected", [([10.0, 10.3], False), ([10.0, 10.0], True)])

@@ -22,7 +22,14 @@ from resonet import (
     propagate_with,
 )
 from resonet import errors, evolve, oracle
-from reference import coherent_overlap, collect, generator_matrix, mean_amplitudes, mode_occupations
+from reference import (
+    coherent_overlap,
+    collect,
+    generator_matrix,
+    mean_amplitudes,
+    mode_lowering_ops,
+    mode_occupations,
+)
 
 
 def test_basis_dimension_guard():
@@ -34,10 +41,12 @@ def test_basis_dimension_guard():
 
 
 def test_working_set_estimate_and_budget():
-    # 9 dim x dim complex arrays whatever the grid: integrate's state,
-    # partial sum and term, apply's output, transpose buffer and product, the
-    # yielded state, and compare's analytic state and difference
-    assert oracle.working_set_bytes(2, 12) == 9 * 169**2 * 16
+    # 12 dim x dim complex arrays whatever the grid (the generator's diagonal
+    # and scratch, the initial state, integrate's buffers, the states in
+    # flight and compare's difference) plus one weight array per generator
+    # offset: 8 at n = 2, 21 at n = 3, 40 at n = 4
+    assert oracle.working_set_bytes(2, 12) == (12 + 8) * 169**2 * 16
+    assert oracle.working_set_bytes(3, 9) == (12 + 21) * 1000**2 * 16
     oracle.check_working_set(2, 12)
     # n = 4, r = s = 2, alpha = 0.7: suggest_cutoff picks 13 (dim 38416,
     # 22 GiB per density matrix); even the minimum cutoff 10 cannot fit
@@ -84,7 +93,7 @@ def test_max_tail_mass_scans_a_whole_trajectory():
 
 def test_lowering_operator_matrix_elements():
     basis = oracle.FockBasisSpec(n=1, cutoff=4)
-    a = oracle.mode_lowering_ops(basis)[0].toarray()
+    a = mode_lowering_ops(basis)[0]
     for k in range(1, 5):
         assert abs(a[k - 1, k] - math.sqrt(k)) < 1e-15
     # commutator is the identity away from the truncation edge
@@ -94,7 +103,7 @@ def test_lowering_operator_matrix_elements():
 
 def test_lowering_operators_commute_between_modes():
     basis = oracle.FockBasisSpec(n=2, cutoff=3)
-    a0, a1 = (op.toarray() for op in oracle.mode_lowering_ops(basis))
+    a0, a1 = mode_lowering_ops(basis)
     np.testing.assert_allclose(a0 @ a1, a1 @ a0, atol=1e-14)
 
 
@@ -303,7 +312,50 @@ def test_rotating_frame_integration_matches_exact_exponential():
             assert np.max(np.abs(rho - exact)) < 1e-13
 
 
-@pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 4), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n, cutoff", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_generator_matches_the_kron_superoperator(n, cutoff):
+    # The offset form of apply against the superoperator built from dense
+    # Kronecker-product mode operators, on the row-major vec(rho):
+    # L = B (x) I + I (x) conj(B) + sum_k a_k (x) conj(J_k), with
+    # B = -i (W - wbar I)_mk a_m+ a_k - gamma_mk a_m+ a_k / 2 and
+    # J_k = sum_m gamma_mk a_m.  Detuned modes, every coupling and every
+    # cross rate nonzero, so every row hop, column hop and jump is present.
+    basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
+    rng = np.random.default_rng(10 * n + cutoff)
+    coupling = np.triu(rng.uniform(0.2, 0.6, size=(n, n)), 1)
+    spec = NetworkSpec(omega=rng.uniform(1.0, 5.0, size=n), coupling=coupling + coupling.T)
+    x = rng.normal(size=(n, n)) + 0.5
+    gamma = x @ x.T
+    assert np.all(gamma != 0.0)
+    gen = oracle.build_generator(spec, DecayMatrix(gamma), basis)
+    w = spec.w_matrix() - np.trace(spec.w_matrix()) / n * np.eye(n)
+    a = mode_lowering_ops(basis)
+    b = sum((-1j * w[m, k] - 0.5 * gamma[m, k]) * (a[m].conj().T @ a[k]) for m in range(n) for k in range(n))
+    eye = np.eye(basis.dim)
+    want = np.kron(b, eye) + np.kron(eye, b.conj())
+    for k in range(n):
+        want += np.kron(a[k], sum(gamma[m, k] * a[m] for m in range(n)).conj())
+    got = generator_matrix(gen)
+    assert np.max(np.abs(got - want)) < 1e-13
+    # shift and norm_bound by their formulas on the dense operators:
+    # 2 Re(mean diag B) and 2 ||B - (shift / 2) I||_1 + sum_k ||a_k||_1 ||J_k||_1
+    def onenorm(x):
+        return np.max(np.sum(np.abs(x), axis=0))
+
+    shift = 2.0 * np.mean(np.diagonal(b).real)
+    bound = 2.0 * onenorm(b - 0.5 * shift * eye) + sum(
+        onenorm(a[k]) * onenorm(sum(gamma[m, k] * a[m] for m in range(n))) for k in range(n)
+    )
+    assert gen.shift == pytest.approx(shift, rel=1e-14)
+    assert gen.norm_bound == pytest.approx(bound, rel=1e-14)
+    # out= writes the same numbers into the given array and returns it
+    rho = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    out = np.empty_like(rho)
+    assert gen.apply(rho, out=out) is out
+    assert np.array_equal(out, gen.apply(rho))
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
 def test_norm_bound_covers_the_rotating_frame_generator(n, cutoff):
     # The Taylor degree and substep count are chosen from the bound, so the
     # integration error is only guaranteed if it is at least the true norm.
@@ -401,13 +453,14 @@ def test_compare_walks_label_blocks_in_lockstep(monkeypatch):
 def test_oracle_memory_does_not_grow_with_the_grid():
     # compare consumes integrate's states one at a time, so 61 grid points
     # need no more memory than 6, and the peak stays within the estimate.
+    # The window opens before the generator is built, so its weight arrays
+    # count too, and the estimate is close: eigvalsh's copy of the matrix is
+    # the only array it counts that tracemalloc does not see.
     n, cutoff = 2, 8
     basis = oracle.FockBasisSpec(n=n, cutoff=cutoff)
     spec = degenerate_network(n, 2.0, 0.4)
     decay = decay_matrix_common(n, 1.0, 0.5)
-    gen = oracle.build_generator(spec, decay, basis)
     state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.4))
-    rho0 = oracle.embed_state(state, basis)
     flow = label_flow(drift_matrix(spec, decay))
     peaks = []
     for points in (6, 61):
@@ -415,14 +468,18 @@ def test_oracle_memory_does_not_grow_with_the_grid():
         traj = list(propagate_with(state, times, flow))
         tracemalloc.start()
         try:
+            gen = oracle.build_generator(spec, decay, basis)
+            rho0 = oracle.embed_state(state, basis)
             report = oracle.compare(traj, oracle.integrate(rho0, gen, times), basis)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert report.max_distance < 1e-6
+        assert len(gen._hops) == 8
     array_bytes = basis.dim**2 * 16
     assert abs(peaks[1] - peaks[0]) < array_bytes
-    assert max(peaks) <= oracle.working_set_bytes(n, cutoff)
+    need = oracle.working_set_bytes(n, cutoff)
+    assert need - 2 * array_bytes <= max(peaks) <= need
 
 
 def test_trace_abort_in_integrator():

@@ -95,6 +95,50 @@ def test_superposition_merges_identical_labels():
     assert abs(state_norm(state) - 1.0) < 1e-12
 
 
+def _pairwise_merge(weights, labels):
+    """The merge rule term by term: a label joins the first earlier kept label within 1e-14 in every component."""
+    merged_w, merged_l = [], []
+    for wi, li in zip(weights, labels):
+        for k, lk in enumerate(merged_l):
+            if np.all(np.abs(li - lk) <= 1e-14):
+                merged_w[k] += wi
+                break
+        else:
+            merged_w.append(complex(wi))
+            merged_l.append(li)
+    keep = [k for k, wk in enumerate(merged_w) if wk != 0.0]
+    return np.array([merged_w[k] for k in keep]), np.array([merged_l[k] for k in keep])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_superposition_merge_matches_the_pairwise_rule(seed):
+    # Near-duplicates within and just outside the tolerance, chains in which
+    # a label is close to a merged one but not to the label it joined, two
+    # kept labels within reach of one term (the first wins) and exactly
+    # cancelling pairs: the same weights and labels as the term-by-term rule.
+    rng = np.random.default_rng(seed)
+    n = 3
+    base = 0.5 * (rng.normal(size=(12, n)) + 1j * rng.normal(size=(12, n)))
+    rows = [base]
+    for step in (0.4e-14, 0.8e-14, 1.2e-14, 1.6e-14, 2.5e-14):
+        pick = base[rng.integers(0, 12, size=6)]
+        rows.append(pick + step * rng.choice([-1.0, 1.0], size=pick.shape))
+    rows.append(base[:3] + 0.6e-14j)
+    labels = np.concatenate(rows)
+    labels = labels[rng.permutation(len(labels))]
+    weights = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    # a pair of terms cancelling exactly, inserted among the others
+    at = len(labels) // 2
+    labels = np.insert(labels, [at, at + 5], np.full((2, n), 2.0 + 1.0j), axis=0)
+    weights = np.insert(weights, [at, at + 5], [0.7 - 0.2j, -0.7 + 0.2j])
+    want_w, want_l = _pairwise_merge(weights, labels)
+    assert 12 < len(want_w) < len(weights) - 2
+    assert not np.any(np.all(want_l == 2.0 + 1.0j, axis=1))
+    state = make_superposition(weights, labels)
+    assert np.array_equal(state.weights, want_w)
+    assert np.array_equal(state.labels, want_l)
+
+
 def test_zero_state_rejected():
     with pytest.raises(ModelError):
         make_rs_state(RSFamilySpec(n=2, r=0, s=0, alpha=0.0, sign=-1))
