@@ -141,25 +141,12 @@ def _svg_series(times: np.ndarray, values: np.ndarray, label: str, out: TextIO) 
 # shared pipeline
 
 
-def _effective_network(cfg: ScenarioConfig) -> network.NetworkSpec:
-    """Network used for evolution; strong-coupling reservoirs shift the bare
-    degenerate frequency to omega * (1 + ((n-1) lambda / 2 omega)^2)."""
-    if (
-        cfg.degenerate is not None
-        and cfg.reservoir.kind is reservoir.ReservoirKind.DISTINCT_STRONG_COUPLING
-    ):
-        omega0, lam = cfg.degenerate
-        shifted = reservoir.renormalized_frequency(omega0, lam, cfg.network.n)
-        return network.degenerate_network(cfg.network.n, shifted, lam)
-    return cfg.network
-
-
 def _label_flow(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> evolve.LabelFlow:
     if cfg.state is None:
         raise ConfigError("this command needs a 'state' section in the scenario")
     if cfg.times is None:
         raise ConfigError("this command needs an 'evolution' section in the scenario")
-    return evolve.label_flow(network.drift_matrix(_effective_network(cfg), decay))
+    return evolve.label_flow(network.drift_matrix(cfg.network, decay))
 
 
 def _summarize(cfg: ScenarioConfig, flow: evolve.LabelFlow, last: evolve.Block, decay: reservoir.DecayMatrix) -> dict:
@@ -242,7 +229,7 @@ def _cmd_classify(args) -> int:
     out = _outdir(args)
     if cfg.state is None:
         raise ConfigError("classify needs a 'state' section in the scenario")
-    report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir, _effective_network(cfg))
+    report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir, cfg.network)
     _write_json(out / "classification.json", {"n": cfg.network.n, **dataclasses.asdict(report)})
     verdict = "DFS" if report.is_dfs else "not DFS"
     if report.is_rfs:
@@ -262,7 +249,7 @@ def _cmd_oracle_compare(args) -> int:
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
     oracle.check_working_set(cfg.network.n, cutoff, cfg.state.labels)
     basis = oracle.FockBasisSpec(n=cfg.network.n, cutoff=cutoff)
-    gen = oracle.build_generator(_effective_network(cfg), decay, basis)
+    gen = oracle.build_generator(cfg.network, decay, basis)
     rho0 = oracle.embed_state(cfg.state, basis)
     report = oracle.compare(blocks, oracle.integrate(rho0, gen, cfg.times), basis)
 

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import _BYTE_BUDGET, ConfigError, ModelError, _sci
+from .evolve import check_terms
 from .network import NetworkSpec, degenerate_network
-from .reservoir import CouplingProfile, ReservoirKind, ReservoirSpec
+from .reservoir import CouplingProfile, ReservoirKind, ReservoirSpec, renormalized_frequency
 from .states import RSFamilySpec, SuperpositionState, make_rs_state, make_superposition
 
 __all__ = ["ScenarioConfig", "load_config", "parse_scenario"]
@@ -26,7 +27,12 @@ _DEFAULT_THRESHOLD = 5e-3
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Everything a run needs, already validated."""
+    """Everything a run needs, already validated.
+
+    degenerate is the (omega, lambda) of the {n, omega, lambda} shorthand
+    (None for an explicit network); like network, it carries omega already
+    renormalised for distinct strong-coupling reservoirs.
+    """
 
     network: NetworkSpec
     degenerate: tuple[float, float] | None
@@ -212,6 +218,10 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
         raw_l = sec.get("labels")
         if not isinstance(raw_w, list) or not isinstance(raw_l, list) or not raw_w:
             raise ConfigError("state: explicit form needs 'weights' and 'labels' lists")
+        try:
+            check_terms(len(raw_l))
+        except ModelError as exc:
+            raise ConfigError(f"state: {exc}") from exc
         weights = [_complex_entry(w, f"state weight {i}") for i, w in enumerate(raw_w)]
         labels = []
         for i, row in enumerate(raw_l):
@@ -248,6 +258,12 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
     """Validate a raw scenario dictionary into model objects."""
     network, degenerate = _parse_network(_section(cfg, "network"))
     reservoir = _parse_reservoir(_section(cfg, "reservoir"))
+    if degenerate is not None and reservoir.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
+        # Strong coupling to distinct reservoirs shifts the shorthand's bare
+        # frequency; an explicit network is taken as already renormalised.
+        omega0, lam = degenerate
+        degenerate = (renormalized_frequency(omega0, lam, network.n), lam)
+        network = degenerate_network(network.n, *degenerate)
     state, rs = _parse_state(_section(cfg, "state", required=False), network.n)
     outsec = _section(cfg, "output", required=False) or {}
     svg = outsec.get("svg", False)

@@ -19,12 +19,13 @@ Gram matrices, never from a truncated Fock expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .errors import _TRACE_ABORT, ModelError, NumericalError
+from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
 from .network import _CLUSTER_RTOL, clusters
 from .states import SuperpositionState, gram_matrix, log_gram_matrix
 
@@ -44,12 +45,27 @@ __all__ = [
 # block's temporaries stay a few hundred KiB.
 _BLOCK_ELEMENTS = 16 * 1024
 
+# Bytes a run holds per term pair (terms^2) at one grid time: a block's
+# terms x terms arrays plus one CSV row of terms (terms - 1) / 2 values.
+# Measured with tracemalloc as the slope of an `evolve` run's peak traced
+# memory against terms^2 (n = 2 and 8, 200 to 600 terms, one time per block).
+_TERM_PAIR_BYTES = 241
+
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
 _COND_MAX = 1e4
 
 # Labels (terms, n) and a 1-D array of T times -> the (T, terms, n) labels at those times.
 LabelFlow = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def check_terms(terms: int) -> None:
+    """Reject a state whose terms would need more than the byte budget at one grid time."""
+    need = _TERM_PAIR_BYTES * terms * terms
+    if need > _BYTE_BUDGET:
+        raise ModelError(
+            f"{terms} terms need {_sci(need)} bytes per grid time, over the {_sci(_BYTE_BUDGET)}-byte budget"
+        )
 
 
 def _blocks(points: int, per_point: int) -> Iterator[slice]:
@@ -158,15 +174,37 @@ class Block:
 
     labels[i, r] is the coherent label of term r at times[i]; coeffs[i] the
     pair-coefficient matrix (entry (r, s) multiplies |zeta_r><zeta_s|).  The
-    observable arrays are aligned with times.
+    observables (occupations, purity, fidelity), aligned with times, are
+    computed when first read and then kept, from arrays the stream already
+    formed: the pair matrix _pairs = coeffs * G^T, the transposed Gram
+    matrices _gram_t[i, r, s] = <zeta_s|zeta_r> at times[i], and the initial
+    state for the overlaps with it.
     """
 
     times: np.ndarray
     labels: np.ndarray
     coeffs: np.ndarray
-    occupations: np.ndarray
-    purity: np.ndarray
-    fidelity: np.ndarray
+    _pairs: np.ndarray = field(repr=False)
+    _gram_t: np.ndarray = field(repr=False)
+    _state: SuperpositionState = field(repr=False)
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        zeta = self.labels
+        return (zeta * (self._pairs @ zeta.conj())).sum(axis=-2).real
+
+    @cached_property
+    def purity(self) -> np.ndarray:
+        cg = self.coeffs @ np.swapaxes(self._gram_t, -1, -2)
+        return (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
+
+    @cached_property
+    def fidelity(self) -> np.ndarray:
+        terms = self._state.num_terms
+        # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked rows
+        g_in = np.swapaxes(gram_matrix(self._state.labels, self.labels), -1, -2).reshape(-1, terms)
+        w_in = self._state.norm_factor * (g_in @ self._state.weights.conj()).reshape(-1, terms)
+        return (w_in * (self.coeffs @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
 
     @property
     def total_occupation(self) -> np.ndarray:
@@ -180,17 +218,23 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
     checked before anything is evolved.  It is processed in blocks of
     max(1, _BLOCK_ELEMENTS // (terms * (n + terms))) consecutive times: the
     flow is called once per block with the state's labels and a 1-D array of
-    T times and must return the (T, terms, n) stack of evolved labels, every
-    observable of the block is evaluated as one batched array operation, and
-    the block is yielded.  Only the block being worked on is held, so memory
-    does not grow with the grid.  The pair coefficients are built in the log
-    domain, c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
+    T times and must return the (T, terms, n) stack of evolved labels, the
+    block's pair coefficients are formed, and the block is yielded; each of
+    its observables is one batched array operation, evaluated only when read
+    (see Block).  Only the block being worked on is held, so memory does not
+    grow with the grid.  The pair coefficients are built in the log domain,
+    c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
     so overlaps that underflow on their own still give finite coefficients.
 
-    Aborts with NumericalError if the reconstructed trace drifts from 1 by
-    more than 1e-6 at any grid time (the exact coefficients keep it at 1, so
-    a drift means overflow or a flow inconsistent with the labels); the
-    message names the first such time, and no later block is evolved.
+    Aborts with NumericalError if the reconstructed trace, the sum of the
+    pair matrix c * G^T, drifts from 1 by more than 1e-6 at any grid time;
+    the message names the first such time, and no later block is evolved.
+    The check runs on every block before it is yielded, whether or not the
+    block's observables are read.  It catches non-finite or overflowed
+    coefficients, nothing more: the pair matrix equals
+    N^2 w conj(w)^T * G_0^T up to the rounding of exp(a - b) * exp(b)
+    whatever the flow returns, so a flow inconsistent with the labels
+    passes it.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_grid(times)
@@ -225,18 +269,7 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
                 f"trace left 1 by {abs(trace[i] - 1.0):.3e} at t = {tb[i]:g}; "
                 "the label evolution is no longer trustworthy"
             )
-        cg = coeff @ np.swapaxes(gt_t, -1, -2)
-        # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked rows
-        g_in = np.swapaxes(gram_matrix(beta, zeta), -1, -2).reshape(-1, terms)
-        w_in = state.norm_factor * (g_in @ weights.conj()).reshape(-1, terms)
-        yield Block(
-            times=tb,
-            labels=zeta,
-            coeffs=coeff,
-            occupations=(zeta * (m @ zeta.conj())).sum(axis=-2).real,
-            purity=(cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real,
-            fidelity=(w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real,
-        )
+        yield Block(times=tb, labels=zeta, coeffs=coeff, _pairs=m, _gram_t=gt_t, _state=state)
 
 
 def decoherence_time_numeric(

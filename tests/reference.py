@@ -3,7 +3,7 @@ against (no command reaches these), and whole-grid arrays from a label stream.
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import Optional
 
@@ -16,10 +16,24 @@ from resonet.reservoir import decay_matrix_common, decay_matrix_distinct
 from resonet.states import RSFamilySpec, SuperpositionState
 
 
-def collect(blocks) -> Block:
-    """One Block spanning the whole grid, concatenated from the blocks of a label stream."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Whole-grid arrays under a Block's attribute names, so trajectory_to_csv writes them as one block."""
+
+    times: np.ndarray
+    labels: np.ndarray
+    coeffs: np.ndarray
+    occupations: np.ndarray
+    purity: np.ndarray
+    fidelity: np.ndarray
+
+    total_occupation = Block.total_occupation  # the property itself, so both sum the same way
+
+
+def collect(blocks) -> Trajectory:
+    """The arrays of a label stream over the whole grid, concatenated from its blocks."""
     blocks = list(blocks)
-    return Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(Block)})
+    return Trajectory(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(Trajectory)})
 
 
 def propagator_closed_form(

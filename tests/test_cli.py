@@ -267,6 +267,50 @@ def test_evolve_writes_no_file_when_the_summary_fails(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_strong_coupling_shift_is_the_same_for_both_network_spellings(tmp_path):
+    # The {n, omega, lambda} shorthand is renormalised when the scenario is
+    # read; the explicit spelling of the shifted network gives the same files.
+    # modes.json differs only by the shorthand's "split".
+    distinct = {"kind": "distinct_strong_coupling", "gamma_plus": 1.0, "gamma_minus": 0.0}
+    for n, t_max, steps, commands in (
+        (3, 2.0, 20, ("modes", "evolve", "classify")),
+        (2, 0.3, 3, ("modes", "evolve", "classify", "oracle-compare")),
+    ):
+        shifted = reservoir.renormalized_frequency(10.0, 2.0, n)
+        coupling = np.full((n, n), 2.0)
+        np.fill_diagonal(coupling, 0.0)
+        spellings = {
+            "shorthand": {"n": n, "omega": 10.0, "lambda": 2.0},
+            "explicit": {"omega": [shifted] * n, "coupling": coupling.tolist()},
+        }
+        files = {}
+        for name, net in spellings.items():
+            cfg = _write_scenario(
+                tmp_path / f"{name}{n}.json",
+                network=net,
+                reservoir=distinct,
+                evolution={"t_max": t_max, "steps": steps},
+                oracle={"cutoff": 12},
+            )
+            out = tmp_path / f"{name}{n}"
+            for command in commands:
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        modes = json.loads(files["shorthand"].pop("modes.json"))
+        split = modes.pop("split")
+        assert modes == json.loads(files["explicit"].pop("modes.json"))
+        assert split["omega_plus"] == float(f"{shifted + (n - 1) * 2.0:.9g}")
+        assert split["omega_minus"] == float(f"{shifted - 2.0:.9g}")
+        assert files["shorthand"] == files["explicit"]
+        assert "classification.json" in files["shorthand"] and "trajectory.csv" in files["shorthand"]
+        assert ("oracle.csv" in files["shorthand"]) is ("oracle-compare" in commands)
+        if n == 3:
+            # fidelity at t = 2; the bare omega = 10 written explicitly reads 0.937409825
+            header, *_, last = files["shorthand"]["trajectory.csv"].decode().splitlines()
+            last = dict(zip(header.split(","), last.split(",")))
+            assert last["time"] == "2" and last["fidelity"] == "0.469758377"
+
+
 def test_classify_command(tmp_path):
     cfg = _write_scenario(
         tmp_path / "s.json",
@@ -500,6 +544,60 @@ def test_evolve_rejects_a_trajectory_over_budget(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "svg" / "trajectory.csv").exists()
 
 
+def _explicit_state(terms):
+    """A state of `terms` distinct products on 2 resonators, every label amplitude 0.3."""
+    labels = 0.3 * np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(terms, 2)))
+    return {
+        "type": "explicit",
+        "weights": [[1.0, 0.5 * k] for k in range(terms)],
+        "labels": [[[z.real, z.imag] for z in row] for row in labels],
+    }
+
+
+def test_evolve_rejects_a_state_over_the_term_budget(tmp_path, monkeypatch, capsys):
+    # 3 terms: the budget must hold _TERM_PAIR_BYTES per term pair, 9 of them.
+    need = evolve._TERM_PAIR_BYTES * 9
+    cfg = _write_scenario(tmp_path / "s.json", state=_explicit_state(3))
+    out = tmp_path / "out"
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
+
+    def unreachable(*args):
+        raise AssertionError("the state was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(config, "make_superposition", unreachable)
+        for command in ("evolve", "classify", "sweep"):
+            args = ["--sweep-param", "epsilon", "--sweep-values", "0.5"] if command == "sweep" else []
+            assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 1
+            err = capsys.readouterr().err
+            assert f"state: 3 terms need {resonet.errors._sci(need)} bytes per grid time" in err
+            assert f"{resonet.errors._sci(need - 1)}-byte budget" in err
+    assert not out.exists() or not any(out.iterdir())
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    # at the real budget 2,985 terms pass and 5,000 are rejected, without building either
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", resonet.errors._BYTE_BUDGET)
+    evolve.check_terms(2985)
+    with pytest.raises(resonet.ModelError, match="5000 terms need"):
+        evolve.check_terms(5000)
+
+
+def test_term_budget_bounds_the_traced_memory_of_evolve(tmp_path):
+    # The peak grows by at most _TERM_PAIR_BYTES per added term pair.
+    peaks = []
+    for terms in (150, 300):
+        cfg = _write_scenario(
+            tmp_path / f"s{terms}.json", state=_explicit_state(terms), evolution={"t_max": 1.0, "steps": 2}
+        )
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / f"out{terms}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= evolve._TERM_PAIR_BYTES * (300**2 - 150**2)
+
+
 @pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["absent", "present"])
 def test_trace_abort_mid_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, existing):
     # One row per block, and the flow explodes at t = 0.5: the rows of the
@@ -582,6 +680,27 @@ def test_sweep_command(tmp_path):
     header = lines[0].split(",")
     assert last[header.index("tau_d_formula")] == "inf"
     assert abs(float(last[header.index("final_purity")]) - 1.0) < 1e-9
+
+
+def test_sweep_final_values_match_the_last_trajectory_row(tmp_path, monkeypatch):
+    # 2 terms on 2 resonators: 8 elements per grid time, so the 11 times
+    # stream in blocks of 4, 4 and 3 and only the last block is summarised.
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 4)
+    cfg = _write_scenario(tmp_path / "s.json")
+    args = ["--sweep-param", "epsilon", "--sweep-values", "0.7"]
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), *args]) == 0
+    patched = _write_scenario(
+        tmp_path / "p.json", reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 0.7}
+    )
+    assert main(["evolve", "--config", str(patched), "--out", str(tmp_path / "evolve")]) == 0
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    swept = dict(zip(header.split(","), row.split(",")))
+    lines = (tmp_path / "evolve" / "trajectory.csv").read_text().splitlines()
+    last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    assert last["time"] == "1"
+    assert swept["final_purity"] == last["purity"]
+    assert swept["final_fidelity"] == last["fidelity"]
+    assert swept["final_occupation"] == last["occ_total"]
 
 
 def test_sweep_partial_failure(tmp_path):

@@ -16,7 +16,6 @@ from resonet import (
     NumericalError,
     ReservoirKind,
     ReservoirSpec,
-    Block,
     RSFamilySpec,
     build_decay_matrix,
     decay_matrix_common,
@@ -29,11 +28,12 @@ from resonet import (
     label_flow,
     make_rs_state,
     make_superposition,
+    observables,
     propagate_with,
     trajectory_to_csv,
 )
 from resonet import evolve
-from reference import collect, decoherence_time_formula, propagator_closed_form
+from reference import Trajectory, collect, decoherence_time_formula, propagator_closed_form
 
 
 def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
@@ -327,6 +327,56 @@ def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
         assert calls == ([block, block] if block < 100 else [100])
 
 
+def _counting_cross_gram(monkeypatch):
+    """Calls of evolve.gram_matrix (the overlaps <beta_r|zeta_s(t)> behind the fidelity), one entry per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gram_matrix(*args)
+
+    monkeypatch.setattr(evolve, "gram_matrix", counted)
+    return calls
+
+
+def test_observables_are_computed_only_when_read(monkeypatch):
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    times = np.linspace(0.0, 1.0, 20)
+    flow = label_flow(_degenerate_drift())
+    # 2 terms on 2 resonators: 8 elements per grid point, so 4 blocks of 5 times
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 5)
+    whole = collect(propagate_with(state, times, flow))
+    calls = _counting_cross_gram(monkeypatch)
+    for last in propagate_with(state, times, flow):
+        pass
+    assert calls == []
+    final = observables(last, -1)
+    assert len(calls) == 1
+    assert observables(last, -1) == final and len(calls) == 1  # kept once computed
+    assert final["fidelity_to_initial"] == whole.fidelity[-1] and final["purity"] == whole.purity[-1]
+    assert final["mean_occupation"] == whole.occupations[-1].tolist()
+    calls.clear()
+    records = [observables(block, 0) for block in propagate_with(state, times, flow)]
+    assert len(records) == 4 and len(calls) == 4
+
+
+def test_trace_abort_does_not_wait_for_observables(monkeypatch):
+    # The flow turns NaN in block 2 of 4; no block's observables are read.
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    times = np.linspace(0.0, 1.0, 20)
+    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 5)
+    calls = _counting_cross_gram(monkeypatch)
+
+    def flow(beta, t):
+        return np.where(t >= times[5], np.nan, 1.0)[:, None, None] * beta
+
+    blocks = []
+    with pytest.raises(NumericalError, match=f"at t = {times[5]:g};"):
+        for block in propagate_with(state, times, flow):
+            blocks.append(block.times)
+    assert len(blocks) == 1 and calls == []
+
+
 def test_block_size_does_not_change_the_trajectory(monkeypatch):
     rng = np.random.default_rng(2024)
     n, terms = 4, 5
@@ -583,7 +633,7 @@ def test_csv_rows_match_the_per_value_formatter(monkeypatch):
     coeffs[:, 0, 1] = [np.inf, complex(np.nan, 1.0), 5e-324]
     coeffs[:, 0, 2] = [-0.0, 1e300j, 0.1 + 0.2j]
     coeffs[:, 1, 2] = [complex(-0.0, -0.0), 2.2e-308, complex(3.0, -np.inf)]
-    odd = Block(
+    odd = Trajectory(
         times=np.array([-0.0, 1e-320, 2.5]),
         labels=np.zeros((3, 3, 2), dtype=complex),
         coeffs=coeffs,
