@@ -182,7 +182,8 @@ def _cmd_modes(args) -> int:
     payload = {
         "n": cfg.network.n,
         "frequencies": decomp.frequencies,
-        "transform": decomp.transform,
+        # transform entries within 1e-12 of 0 are eigh rounding noise
+        "transform": np.where(np.abs(decomp.transform) <= 1e-12, 0.0, decomp.transform),
         "symmetric": decomp.symmetric,
     }
     if cfg.degenerate is not None and cfg.network.n >= 2:

@@ -19,7 +19,7 @@ Gram matrices, never from a truncated Fock expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
@@ -48,8 +48,8 @@ _BLOCK_ELEMENTS = 16 * 1024
 # Bytes a run holds per term pair (terms^2) at one grid time: a block's
 # terms x terms arrays plus one CSV row of terms (terms - 1) / 2 values.
 # Measured with tracemalloc as the slope of an `evolve` run's peak traced
-# memory against terms^2 (n = 2 and 8, 200 to 600 terms, one time per block).
-_TERM_PAIR_BYTES = 241
+# memory against terms^2 (n = 2 and 8, 300 to 600 terms, one time per block).
+_TERM_PAIR_BYTES = 191
 
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
@@ -172,30 +172,56 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
 class Block:
     """Label-space evolution on a run of consecutive grid times.
 
-    labels[i, r] is the coherent label of term r at times[i]; coeffs[i] the
-    pair-coefficient matrix (entry (r, s) multiplies |zeta_r><zeta_s|).  The
-    observables (occupations, purity, fidelity), aligned with times, are
-    computed when first read and then kept, from arrays the stream already
-    formed: the pair matrix _pairs = coeffs * G^T, the transposed Gram
-    matrices _gram_t[i, r, s] = <zeta_s|zeta_r> at times[i], and the initial
-    state for the overlaps with it.
+    labels[i, r] is the coherent label of term r at times[i].  The rest is
+    computed when first read and then kept: coeffs[i], the pair-coefficient
+    matrix (entry (r, s) multiplies |zeta_r><zeta_s|) formed with the
+    stream's shared pair data _log_g0_t = log G_0^T and _w_outer =
+    N^2 w conj(w)^T, and the observables (occupations, purity, fidelity).
+    Forming the coefficients checks the trace, the sum of c * G^T, and
+    raises NumericalError at the first time it leaves 1 by more than 1e-6;
+    as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
+    labels are, it catches only non-finite or overflowed coefficients.
     """
 
     times: np.ndarray
     labels: np.ndarray
-    coeffs: np.ndarray
-    _pairs: np.ndarray = field(repr=False)
-    _gram_t: np.ndarray = field(repr=False)
+    _log_g0_t: np.ndarray = field(repr=False)
+    _w_outer: np.ndarray = field(repr=False)
     _state: SuperpositionState = field(repr=False)
+
+    @cached_property
+    def _formed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """coeffs, the transposed Gram matrices G^T[i, r, s] = <zeta_s|zeta_r> and the pair matrix c * G^T."""
+        log_gt_t = np.swapaxes(log_gram_matrix(self.labels), -1, -2)
+        gt_t = np.exp(log_gt_t)
+        # An exploding flow overflows coeff; the trace check below is the arbiter.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff = np.exp(self._log_g0_t - log_gt_t)
+            coeff *= self._w_outer
+            m = coeff * gt_t
+            trace = m.sum(axis=(-2, -1))
+        ok = np.abs(trace - 1.0) <= _TRACE_ABORT
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise NumericalError(
+                f"trace left 1 by {abs(trace[i] - 1.0):.3e} at t = {self.times[i]:g}; "
+                "the label evolution is no longer trustworthy"
+            )
+        return coeff, gt_t, m
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._formed[0]
 
     @cached_property
     def occupations(self) -> np.ndarray:
         zeta = self.labels
-        return (zeta * (self._pairs @ zeta.conj())).sum(axis=-2).real
+        return (zeta * (self._formed[2] @ zeta.conj())).sum(axis=-2).real
 
     @cached_property
     def purity(self) -> np.ndarray:
-        cg = self.coeffs @ np.swapaxes(self._gram_t, -1, -2)
+        coeff, gt_t, _ = self._formed
+        cg = coeff @ np.swapaxes(gt_t, -1, -2)
         return (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
 
     @cached_property
@@ -210,6 +236,11 @@ class Block:
     def total_occupation(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
 
+    def at(self, index: int) -> Block:
+        """The one-time Block at times[index]: views of this block's arrays, nothing computed carried over."""
+        i = range(self.times.size)[index]
+        return replace(self, times=self.times[i : i + 1], labels=self.labels[i : i + 1])
+
 
 def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:
     """Evolve a state along a label flow (see label_flow), one Block at a time.
@@ -218,23 +249,22 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
     checked before anything is evolved.  It is processed in blocks of
     max(1, _BLOCK_ELEMENTS // (terms * (n + terms))) consecutive times: the
     flow is called once per block with the state's labels and a 1-D array of
-    T times and must return the (T, terms, n) stack of evolved labels, the
-    block's pair coefficients are formed, and the block is yielded; each of
-    its observables is one batched array operation, evaluated only when read
-    (see Block).  Only the block being worked on is held, so memory does not
+    T times and must return the (T, terms, n) stack of evolved labels, which
+    are checked and yielded as a Block.  Its pair coefficients and
+    observables are formed only when read (see Block): `evolve`'s CSV and
+    `oracle-compare` read every block's coefficients, `sweep` those of its
+    final time.  Only the block being worked on is held, so memory does not
     grow with the grid.  The pair coefficients are built in the log domain,
     c_rs = N^2 w_r conj(w_s) exp(log<beta_s|beta_r> - log<zeta_s|zeta_r>),
     so overlaps that underflow on their own still give finite coefficients.
 
-    Aborts with NumericalError if the reconstructed trace, the sum of the
-    pair matrix c * G^T, drifts from 1 by more than 1e-6 at any grid time;
-    the message names the first such time, and no later block is evolved.
-    The check runs on every block before it is yielded, whether or not the
-    block's observables are read.  It catches non-finite or overflowed
-    coefficients, nothing more: the pair matrix equals
-    N^2 w conj(w)^T * G_0^T up to the rounding of exp(a - b) * exp(b)
-    whatever the flow returns, so a flow inconsistent with the labels
-    passes it.
+    Before a block is yielded its labels must be finite and keep
+    |zeta_r(t)|^2 <= |beta_r|^2 (1 + 1e-6), the contraction a positive
+    semidefinite Gamma guarantees (d|zeta|^2/dt = -zeta^H Gamma zeta);
+    otherwise NumericalError names the first failing time and no later block
+    is evolved.  DecayMatrix admits eigenvalues down to -slack, so a valid
+    run can reach the bound only when slack * t_max > 1e-6.  The trace check
+    runs whenever a block's coefficients are formed (see Block).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_grid(times)
@@ -246,30 +276,24 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
     terms, n = beta.shape
     weights = np.asarray(state.weights)
     w_outer = state.norm_factor**2 * np.outer(weights, weights.conj())
-    # The *_t arrays are transposed Gram matrices: log_g0_t[r, s] = log<beta_s|beta_r>,
-    # and log_gt_t / gt_t hold the same for zeta at each time of a block.
     log_g0_t = log_gram_matrix(beta).T
+    b = beta.view(float)  # squared norms by einsum over float views: half the time of np.abs(z) ** 2
+    bound = np.einsum("ri,ri->r", b, b) * (1.0 + _TRACE_ABORT)
     for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]
-        zeta = np.asarray(flow(beta, tb))
+        zeta = np.ascontiguousarray(flow(beta, tb), dtype=complex)
         if zeta.shape != (tb.size, terms, n):
             raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
-        log_gt_t = np.swapaxes(log_gram_matrix(zeta), -1, -2)
-        gt_t = np.exp(log_gt_t)
-        # An exploding flow overflows coeff; the trace check below is the arbiter.
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeff = np.exp(log_g0_t - log_gt_t)
-            coeff *= w_outer
-            m = coeff * gt_t
-            trace = m.sum(axis=(-2, -1))
-        ok = np.abs(trace - 1.0) <= _TRACE_ABORT
+        z = zeta.view(float)
+        # NaN fails the comparison too, so this also rejects non-finite labels.
+        ok = (np.einsum("tri,tri->tr", z, z) <= bound).all(axis=-1)
         if not ok.all():
             i = int(np.argmin(ok))
             raise NumericalError(
-                f"trace left 1 by {abs(trace[i] - 1.0):.3e} at t = {tb[i]:g}; "
-                "the label evolution is no longer trustworthy"
+                f"labels are non-finite or outgrew |zeta_r|^2 <= |beta_r|^2 (1 + {_TRACE_ABORT:g}) "
+                f"at t = {tb[i]:g}; the label evolution is no longer trustworthy"
             )
-        yield Block(times=tb, labels=zeta, coeffs=coeff, _pairs=m, _gram_t=gt_t, _state=state)
+        yield Block(times=tb, labels=zeta, _log_g0_t=log_g0_t, _w_outer=w_outer, _state=state)
 
 
 def decoherence_time_numeric(
@@ -304,14 +328,14 @@ def decoherence_time_numeric(
 
 
 def observables(block: Block, index: int) -> dict:
-    """Observable record at one grid point of a block."""
-    i = int(index)
+    """Observable record at one grid point of a block, computed for that time alone (see Block.at)."""
+    one = block.at(index)
     return {
-        "time": float(block.times[i]),
-        "mean_occupation": [float(x) for x in block.occupations[i]],
-        "total_occupation": float(block.total_occupation[i]),
-        "purity": float(block.purity[i]),
-        "fidelity_to_initial": float(block.fidelity[i]),
+        "time": float(one.times[0]),
+        "mean_occupation": [float(x) for x in one.occupations[0]],
+        "total_occupation": float(one.total_occupation[0]),
+        "purity": float(one.purity[0]),
+        "fidelity_to_initial": float(one.fidelity[0]),
     }
 
 
@@ -331,16 +355,13 @@ def trajectory_to_csv(blocks: Iterable[Block], out: TextIO) -> Iterator[Block]:
         if row is None:
             _, terms, n = block.labels.shape
             first, second = np.triu_indices(terms, 1)
-            header = (
-                ["time"]
-                + [f"occ_{m + 1}" for m in range(n)]
-                + ["occ_total", "purity", "fidelity"]
-                + [f"coh_{a}_{b}" for a, b in zip(first, second)]
-            )
-            row = ",".join(["%.9g"] * len(header)) + "\n"
-            out.write(",".join(header) + "\n")
+            header = ["time", *(f"occ_{m + 1}" for m in range(n)), "occ_total", "purity", "fidelity"]
+            # the terms (terms - 1) / 2 coherence names live only while the header is written
+            out.write(",".join(header + [f"coh_{a}_{b}" for a, b in zip(first, second)]) + "\n")
+            width = len(header) + first.size
+            row = ",".join(["%.9g"] * width) + "\n"
         columns = (block.times, block.occupations, block.total_occupation, block.purity, block.fidelity)
-        for rows in _blocks(block.times.size, len(header)):
+        for rows in _blocks(block.times.size, width):
             table = np.column_stack([c[rows] for c in columns] + [np.abs(block.coeffs[rows, first, second])])
             out.write("".join(row % tuple(values) for values in table.tolist()))
         yield block

@@ -1,5 +1,6 @@
 """Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
-against (no command reaches these), and whole-grid arrays from a label stream.
+against (no command reaches these), whole-grid arrays from a label stream, and a label flow the
+stream must refuse.
 """
 
 import math
@@ -34,6 +35,18 @@ def collect(blocks) -> Trajectory:
     """The arrays of a label stream over the whole grid, concatenated from its blocks."""
     blocks = list(blocks)
     return Trajectory(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(Trajectory)})
+
+
+def probe_flow(n, seed=3):
+    """A label flow inconsistent with any drift: a fixed random unitary turns the labels, then 1 + t/2 scales them.
+
+    Its pair coefficients stay finite and their trace stays 1, so only the
+    label-norm guard can stop it; unguarded, it takes the n = 2, alpha = 0.6
+    cat to purity 1.8e3 and fidelity 6.7 at t = 2.
+    """
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return lambda beta, t: (1.0 + 0.5 * np.asarray(t))[:, None, None] * (np.asarray(beta) @ u.T)
 
 
 def propagator_closed_form(

@@ -15,6 +15,7 @@ import pytest
 import resonet
 from resonet import cli, config, dfs, evolve, network, reservoir
 from resonet.cli import main
+from reference import probe_flow
 
 
 def _write_scenario(path, **overrides):
@@ -50,6 +51,21 @@ def test_modes_explicit_network(tmp_path):
     assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "modes.json").read_text())
     assert "split" not in payload
+
+
+def test_modes_writes_no_rounding_noise_as_a_transform_entry(tmp_path):
+    # The renormalised n = 3 network's first degenerate mode has an exact 0
+    # where eigh leaves about 6e-17.
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"n": 3, "omega": 10.0, "lambda": 2.0},
+        reservoir={"kind": "distinct_strong_coupling", "gamma_plus": 1.0, "gamma_minus": 0.0},
+    )
+    out = tmp_path / "out"
+    assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
+    transform = json.loads((out / "modes.json").read_text())["transform"]
+    assert transform[0] == [0.0, 0.707106781, -0.707106781]
+    assert all(x == 0.0 or abs(x) > 1e-12 for row in transform for x in row)
 
 
 def test_evolve_outputs(tmp_path):
@@ -575,9 +591,9 @@ def test_evolve_rejects_a_state_over_the_term_budget(tmp_path, monkeypatch, caps
     assert not out.exists() or not any(out.iterdir())
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-    # at the real budget 2,985 terms pass and 5,000 are rejected, without building either
+    # at the real budget 3,353 terms pass and 5,000 are rejected, without building either
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", resonet.errors._BYTE_BUDGET)
-    evolve.check_terms(2985)
+    evolve.check_terms(3353)
     with pytest.raises(resonet.ModelError, match="5000 terms need"):
         evolve.check_terms(5000)
 
@@ -628,6 +644,15 @@ def test_trace_abort_mid_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, 
     if existing is not None:
         assert (out / "trajectory.csv").read_text() == existing
     assert sorted(p.name for p in out.iterdir()) == ([] if existing is None else ["trajectory.csv"])
+
+
+def test_label_guard_stops_evolve_on_a_flow_that_grows_the_labels(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(evolve, "label_flow", lambda drift: probe_flow(2))
+    cfg = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "outgrew" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists() and not (out / "summary.json").exists()
 
 
 def test_evolve_memory_does_not_grow_with_the_grid(tmp_path):
@@ -701,6 +726,41 @@ def test_sweep_final_values_match_the_last_trajectory_row(tmp_path, monkeypatch)
     assert swept["final_purity"] == last["purity"]
     assert swept["final_fidelity"] == last["fidelity"]
     assert swept["final_occupation"] == last["occ_total"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_finals_match_the_evolve_summary(tmp_path, seed):
+    # sweep forms its final record from a one-time block, as evolve's summary does.
+    rng = np.random.default_rng(seed)
+    n, terms = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    labels = rng.uniform(0.2, 1.5) * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    state = {
+        "type": "explicit",
+        "weights": [[w.real, w.imag] for w in weights],
+        "labels": [[[b.real, b.imag] for b in row] for row in labels],
+    }
+    evolution = {"t_max": float(rng.uniform(1.0, 5.0)), "steps": int(rng.integers(10, 3000))}
+    values = [round(float(v), 3) for v in rng.uniform(0.0, 1.0, size=2)]
+    network = {"n": n, "omega": 10.0, "lambda": 0.5}
+    cfg = _write_scenario(tmp_path / "s.json", network=network, state=state, evolution=evolution)
+    args = ["--sweep-param", "epsilon", "--sweep-values", ",".join(map(str, values))]
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), *args]) == 0
+    header, *rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    for value, row in zip(values, rows):
+        swept = dict(zip(header.split(","), row.split(",")))
+        patched = _write_scenario(
+            tmp_path / "p.json",
+            network=network,
+            reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": value},
+            state=state,
+            evolution=evolution,
+        )
+        assert main(["evolve", "--config", str(patched), "--out", str(tmp_path / "evolve")]) == 0
+        final = json.loads((tmp_path / "evolve" / "summary.json").read_text())["final"]
+        assert swept["final_purity"] == cli._fmt(final["purity"])
+        assert swept["final_fidelity"] == cli._fmt(final["fidelity_to_initial"])
+        assert swept["final_occupation"] == cli._fmt(final["total_occupation"])
 
 
 def test_sweep_partial_failure(tmp_path):

@@ -1,5 +1,6 @@
 """Label-space evolution: propagators, trajectories, decoherence times."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -33,7 +34,8 @@ from resonet import (
     trajectory_to_csv,
 )
 from resonet import evolve
-from reference import Trajectory, collect, decoherence_time_formula, propagator_closed_form
+from resonet.states import log_gram_matrix
+from reference import Trajectory, collect, decoherence_time_formula, probe_flow, propagator_closed_form
 
 
 def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
@@ -339,6 +341,19 @@ def _counting_cross_gram(monkeypatch):
     return calls
 
 
+def _counting_self_gram(monkeypatch):
+    """Shapes of the label stacks evolve.log_gram_matrix is called on, one entry per call that forms coefficients."""
+    shapes = []
+
+    def counted(labels_a, labels_b=None):
+        if np.ndim(labels_a) == 3:
+            shapes.append(np.shape(labels_a))
+        return log_gram_matrix(labels_a, labels_b)
+
+    monkeypatch.setattr(evolve, "log_gram_matrix", counted)
+    return shapes
+
+
 def test_observables_are_computed_only_when_read(monkeypatch):
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     times = np.linspace(0.0, 1.0, 20)
@@ -347,17 +362,25 @@ def test_observables_are_computed_only_when_read(monkeypatch):
     monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 5)
     whole = collect(propagate_with(state, times, flow))
     calls = _counting_cross_gram(monkeypatch)
+    formed = _counting_self_gram(monkeypatch)
     for last in propagate_with(state, times, flow):
         pass
-    assert calls == []
+    # draining the stream forms no coefficients and no observables
+    assert calls == [] and formed == []
     final = observables(last, -1)
-    assert len(calls) == 1
-    assert observables(last, -1) == final and len(calls) == 1  # kept once computed
+    # the final record forms coefficients for its one time only
+    assert len(calls) == 1 and formed == [(1, 2, 2)]
     assert final["fidelity_to_initial"] == whole.fidelity[-1] and final["purity"] == whole.purity[-1]
     assert final["mean_occupation"] == whole.occupations[-1].tolist()
+    assert final["total_occupation"] == whole.total_occupation[-1] and final["time"] == 1.0
+    formed.clear()
+    assert last.purity[-1] == last.purity[-1] == final["purity"]  # a block keeps what it computed
+    assert formed == [(5, 2, 2)]
     calls.clear()
+    formed.clear()
     records = [observables(block, 0) for block in propagate_with(state, times, flow)]
-    assert len(records) == 4 and len(calls) == 4
+    assert len(records) == 4 and len(calls) == 4 and formed == [(1, 2, 2)] * 4
+    assert [r["purity"] for r in records] == whole.purity[::5].tolist()
 
 
 def test_trace_abort_does_not_wait_for_observables(monkeypatch):
@@ -375,6 +398,85 @@ def test_trace_abort_does_not_wait_for_observables(monkeypatch):
         for block in propagate_with(state, times, flow):
             blocks.append(block.times)
     assert len(blocks) == 1 and calls == []
+
+
+@pytest.mark.parametrize(
+    "times, first",
+    [
+        (np.linspace(0.0, 2.0, 201), 0.01),
+        # (1 + t/2)^2 passes 1 + 1e-6 between t = 9.9e-7 and 1.1e-6
+        (np.array([0.0, 1e-7, 5e-7, 9.9e-7, 1.1e-6, 1e-3, 2.0]), 1.1e-6),
+    ],
+)
+def test_label_guard_stops_a_flow_that_grows_the_labels(times, first):
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    blocks = []
+    with pytest.raises(NumericalError, match=f"outgrew .* at t = {first:g};"):
+        for block in propagate_with(state, times, probe_flow(2)):
+            blocks.append(block.times)
+    # the guard fires before the block holding the first failing time is yielded
+    assert all(t < first for b in blocks for t in b)
+
+
+def test_trace_check_runs_when_coefficients_are_formed():
+    # Pair data that no longer matches the state puts the trace at 2 from t = 0;
+    # the stream cannot tell, the coefficients can.
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift()))
+    broken = dataclasses.replace(block, _w_outer=2.0 * block._w_outer)
+    for read in ("coeffs", "occupations", "purity", "fidelity"):
+        with pytest.raises(NumericalError, match="trace left 1 by 1.000e[+]00 at t = 0;"):
+            getattr(broken, read)
+    with pytest.raises(NumericalError, match="at t = 0.75;"):
+        observables(broken, -2)
+    assert np.all(np.isfinite(block.coeffs))
+
+
+def _growth(state, times, drift):
+    """Largest relative growth max |zeta_r(t)|^2 / |beta_r|^2 - 1 of a drift's flow; the stream must accept it."""
+    traj = collect(propagate_with(state, times, label_flow(drift)))
+    assert np.all(np.isfinite(traj.purity)) and np.all(np.isfinite(traj.fidelity))
+    beta2 = np.sum(np.abs(state.labels) ** 2, axis=-1)
+    zeta2 = np.sum(np.abs(traj.labels) ** 2, axis=-1)
+    return float(np.max(zeta2[:, beta2 > 0] / beta2[beta2 > 0] - 1.0))
+
+
+def test_label_guard_has_headroom_on_valid_flows():
+    # Every label flow of a positive-semidefinite Gamma contracts the labels;
+    # rounding lets them grow by at most 6.7e-12 here, far below the guard's 1e-6.
+    rng = np.random.default_rng(4242)
+    profile = CouplingProfile(amplitude=1.0, centers=[2.0], widths=[0.5])
+    growth = []
+    for n in range(2, 7):
+        for _ in range(4):
+            terms = int(rng.integers(1, 6))
+            labels = rng.uniform(0.1, 2.0) * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+            state = make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels)
+            sigma, eps, gamma_plus, gamma_minus = rng.uniform(0.2, 2.0, size=4)
+            for reservoir in (
+                ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=sigma, epsilon=eps / 2.0),
+                ReservoirSpec(
+                    kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=gamma_plus, gamma_minus=gamma_minus
+                ),
+                ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=sigma, profiles=(profile,) * n),
+            ):
+                net = _random_network(rng, n)  # detuned: random frequencies in [1, 3]
+                times = np.linspace(0.0, float(rng.uniform(1.0, 20.0)), 301)
+                growth.append(_growth(state, times, drift_matrix(net, build_decay_matrix(reservoir, net))))
+    # Near the exceptional point of Gamma = diag(1, 0) with coupling g = gamma / 4,
+    # and on the Taylor fallback exactly there.
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    for offset in (-1e-7, -3e-8, -1e-8, 0.0, 1e-8, 3e-8, 1e-7):
+        g = 0.25 + offset
+        net = NetworkSpec(omega=[10.0, 10.0], coupling=[[0.0, g], [g, 0.0]])
+        drift = drift_matrix(net, DecayMatrix(np.diag([1.0, 0.0])))
+        assert (evolve._eigenbasis(drift) is None) is (offset == 0.0)
+        growth.append(_growth(state, np.linspace(0.0, 40.0, 401), drift))
+    # white noise at full correlation, Gamma t_max = 1e4: the protected modes never decay
+    for n in (2, 6):
+        state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.8))
+        growth.append(_growth(state, np.linspace(0.0, 1e4, 4001), _degenerate_drift(n, 1.0, 1.0)))
+    assert max(growth) < 1e-9
 
 
 def test_block_size_does_not_change_the_trajectory(monkeypatch):
