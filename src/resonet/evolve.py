@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -39,17 +39,26 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-# Complex elements per block of grid points: propagate_with and
-# trajectory_to_csv take max(1, _BLOCK_ELEMENTS // elements per point)
-# points at a time, so the Python overhead is paid once per block while a
-# block's temporaries stay a few hundred KiB.
+# Complex elements per block of grid points: propagate_with takes
+# max(1, _BLOCK_ELEMENTS // elements per point) points at a time, so the
+# Python overhead is paid once per block while a block's temporaries stay a
+# few hundred KiB.
 _BLOCK_ELEMENTS = 16 * 1024
 
+# Values per piece of CSV text: trajectory_to_csv copies rows into a buffer of
+# this many floats and formats it at once (see _G9Rows), so its working set is
+# a few hundred KiB whatever the block size or the row width.
+_CSV_PIECE = 4 * 1024
+
 # Bytes a run holds per term pair (terms^2) at one grid time: a block's
-# terms x terms arrays plus one CSV row of terms (terms - 1) / 2 values.
-# Measured with tracemalloc as the slope of an `evolve` run's peak traced
-# memory against terms^2 (n = 2 and 8, 300 to 600 terms, one time per block).
-_TERM_PAIR_BYTES = 191
+# terms x terms arrays.  Measured with tracemalloc as the slope of an `evolve`
+# run's peak traced memory against terms^2 (n = 2 and 8, 300 to 600 terms,
+# one time per block).
+_TERM_PAIR_BYTES = 178
+
+# Physical bounds on the observables, with this much room for rounding:
+# purity <= 1, fidelity in [0, 1], occupations >= 0 (relative to max(1, total)).
+_BOUND_SLACK = 1e-9
 
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
@@ -72,6 +81,13 @@ def _blocks(points: int, per_point: int) -> Iterator[slice]:
     """Consecutive slices of range(points), max(1, _BLOCK_ELEMENTS // per_point) long."""
     size = max(1, _BLOCK_ELEMENTS // per_point)
     return (slice(start, start + size) for start in range(0, points, size))
+
+
+def _require(ok: np.ndarray, times: np.ndarray, failure: Callable[[int], str]) -> None:
+    """Raise NumericalError naming the first time where ok is False, described by failure(index)."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NumericalError(f"{failure(i)} at t = {times[i]:g}; the label evolution is no longer trustworthy")
 
 
 def _check_grid(times: np.ndarray) -> None:
@@ -181,6 +197,11 @@ class Block:
     raises NumericalError at the first time it leaves 1 by more than 1e-6;
     as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
     labels are, it catches only non-finite or overflowed coefficients.
+    Each observable is checked against its physical bound when formed:
+    purity <= 1, fidelity in [0, 1] and every occupation >= 0, each up to
+    _BOUND_SLACK (relative to max(1, total occupation) for occupations), so
+    coefficients that describe no density matrix raise NumericalError at
+    the first time that breaks a bound.
     """
 
     times: np.ndarray
@@ -200,13 +221,8 @@ class Block:
             coeff *= self._w_outer
             m = coeff * gt_t
             trace = m.sum(axis=(-2, -1))
-        ok = np.abs(trace - 1.0) <= _TRACE_ABORT
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise NumericalError(
-                f"trace left 1 by {abs(trace[i] - 1.0):.3e} at t = {self.times[i]:g}; "
-                "the label evolution is no longer trustworthy"
-            )
+        drift = np.abs(trace - 1.0)
+        _require(drift <= _TRACE_ABORT, self.times, lambda i: f"trace left 1 by {drift[i]:.3e}")
         return coeff, gt_t, m
 
     @property
@@ -216,13 +232,19 @@ class Block:
     @cached_property
     def occupations(self) -> np.ndarray:
         zeta = self.labels
-        return (zeta * (self._formed[2] @ zeta.conj())).sum(axis=-2).real
+        occ = (zeta * (self._formed[2] @ zeta.conj())).sum(axis=-2).real
+        low = occ.min(axis=-1)
+        ok = low >= -_BOUND_SLACK * np.maximum(1.0, occ.sum(axis=-1))
+        _require(ok, self.times, lambda i: f"occupation {low[i]:.3e} is negative")
+        return occ
 
     @cached_property
     def purity(self) -> np.ndarray:
         coeff, gt_t, _ = self._formed
         cg = coeff @ np.swapaxes(gt_t, -1, -2)
-        return (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
+        purity = (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
+        _require(purity <= 1.0 + _BOUND_SLACK, self.times, lambda i: f"purity {purity[i]:.9g} exceeds 1")
+        return purity
 
     @cached_property
     def fidelity(self) -> np.ndarray:
@@ -230,7 +252,10 @@ class Block:
         # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked rows
         g_in = np.swapaxes(gram_matrix(self._state.labels, self.labels), -1, -2).reshape(-1, terms)
         w_in = self._state.norm_factor * (g_in @ self._state.weights.conj()).reshape(-1, terms)
-        return (w_in * (self.coeffs @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
+        fidelity = (w_in * (self.coeffs @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
+        ok = (fidelity >= -_BOUND_SLACK) & (fidelity <= 1.0 + _BOUND_SLACK)
+        _require(ok, self.times, lambda i: f"fidelity {fidelity[i]:.9g} leaves [0, 1]")
+        return fidelity
 
     @property
     def total_occupation(self) -> np.ndarray:
@@ -286,13 +311,11 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
             raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
         z = zeta.view(float)
         # NaN fails the comparison too, so this also rejects non-finite labels.
-        ok = (np.einsum("tri,tri->tr", z, z) <= bound).all(axis=-1)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise NumericalError(
-                f"labels are non-finite or outgrew |zeta_r|^2 <= |beta_r|^2 (1 + {_TRACE_ABORT:g}) "
-                f"at t = {tb[i]:g}; the label evolution is no longer trustworthy"
-            )
+        _require(
+            (np.einsum("tri,tri->tr", z, z) <= bound).all(axis=-1),
+            tb,
+            lambda i: f"labels are non-finite or outgrew |zeta_r|^2 <= |beta_r|^2 (1 + {_TRACE_ABORT:g})",
+        )
         yield Block(times=tb, labels=zeta, _log_g0_t=log_g0_t, _w_outer=w_outer, _state=state)
 
 
@@ -339,29 +362,185 @@ def observables(block: Block, index: int) -> dict:
     }
 
 
+@cache
+def _ascii_words() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The uint32 words, four ASCII bytes each with NUL for nothing, that _g9 assembles its text from.
+
+    Built on the first call, so commands that write no CSV never pay for it.
+
+    groups: 3 digits of 0..999 at v + 1000 (2 c + t).  The decimal point
+    follows digit c of the group for c = 1, 2, 3; c = 0 puts the group after
+    the point and c = 4 before it.  t = 1 says every later digit of the
+    number is 0, so the group's trailing fraction zeros read NUL, and its
+    point too when no fraction digit is left ("1.20" -> "1.2", "1.00" -> "1").
+    head: [separator, sign, "0", "."] at s + 13 (negative + 2 separator),
+    with "0." for s >= 9 (no integer digit) and separators ",", newline and
+    none.  zeros: the fraction's leading zeros, max(0, s - 9) of them, at s.
+    s = 8 - E for the decimal exponent E.  offsets[g, s]: where the groups of
+    digits 1-3, 4-6 and 7-9 (g = 0, 1, 2) find their class c, and t = 1 for
+    the last group, which nothing follows.
+    """
+    v = np.arange(1000)[:, None]
+    digits = 48 + v // np.array([100, 10, 1]) % 10
+    zero_from = v % np.array([1000, 100, 10]) == 0  # digits k.. of the group are all 0
+    nul = np.zeros_like(v)
+    groups = []
+    for c in range(5):
+        first = 0 if c == 0 else min(c, 3)  # the group's first fraction digit
+        for t in (0, 1):
+            chars = np.where(zero_from & (np.arange(3) >= first) & bool(t), 0, digits)
+            if 1 <= c <= 3:
+                point = np.where(t and (first == 3 or zero_from[:, first : first + 1]), 0, 46 + nul)
+                groups.append(np.hstack([chars[:, :c], point, chars[:, c:]]))
+            else:
+                groups.append(np.hstack([chars, nul]))
+    s = np.arange(13)
+    point = np.where((s >= 9)[:, None], [48, 46], 0)
+    head = [
+        np.hstack([np.full((13, 1), sep), np.full((13, 1), sign), point])
+        for sep in (44, 10, 0)
+        for sign in (0, 45)
+    ]
+    zeros = np.where(np.arange(4) < np.maximum(0, s - 9)[:, None], 48, 0)
+    offsets = 2000 * np.clip(9 - np.array([[0], [3], [6]]) - s, 0, 4) + np.array([[0], [0], [1000]])
+    words = (np.concatenate(w).astype(np.uint8).view(np.uint32).ravel() for w in (groups, head, [zeros]))
+    return (*words, offsets)
+
+
+_POW10 = np.array([10**k for k in range(14)], dtype=float)  # exact doubles
+
+
+def _g9(values: np.ndarray, column: int, width: int, records: np.ndarray) -> str:
+    """The text of "%.9g" % v for each value, each followed by "," or, at a row's last column, "\\n".
+
+    values[0] sits at `column` of rows `width` values wide.  `records` is a
+    scratch uint32 array of shape (>= values.size, 5): each value gets five
+    4-byte words from the tables of _ascii_words, padded with NUL, which are
+    dropped at the end.  The first word holds the separator that precedes
+    the value (none for values[0]) and the sign; the separator after the
+    last value is appended.
+
+    A finite value in [9e-5, 9.99e8) whose rounded decimal exponent E lies
+    in [-4, 8] is printed in fixed notation from the 9 significant digits
+    m = rint(|x| 10^s), s = 8 - E, 10^8 <= m < 10^9: 10^s <= 10^14 is an
+    exact double, so the product has one rounding, below 1.2e-7 for
+    m < 10^9.  s comes from floor(log10 |x|), and m = 10^9 carries into
+    E + 1.  A value whose product lands outside [10^8, 10^9) (floor(log10)
+    one off next to a power of ten) or within 1e-6 of a half-integer (where
+    that rounding could decide the last digit), and every other value (0,
+    -0, inf, nan, exponent notation), is formatted by "%.9g" itself, so the
+    text is exactly Python's, value by value.
+    """
+    groups, heads, zeros, offsets = _ascii_words()
+    count = values.size
+    a = np.abs(values)
+    fast = (a >= 9e-5) & (a < 9.99e8)
+    np.copyto(a, 1.0, where=~fast)  # keeps log10 finite; these are formatted by "%.9g"
+    s = (8.0 - np.floor(np.log10(a))).astype(np.intp)  # in [0, 13] for a in [9e-5, 9.99e8)
+    y = a * _POW10[s]
+    m = np.rint(y)
+    # outside [10^8, 10^9) floor(log10) was one off, next to a power of ten
+    fast &= (y >= 1e8) & (y < 1e9) & (np.abs(y - m) < 0.5 - 1e-6)
+    carry = m == 1e9
+    m[carry] = 1e8
+    s -= carry
+    fast &= s <= 12
+    slow = ~fast
+    np.copyto(m, 1e8, where=slow)
+    np.copyto(s, 0, where=slow)
+    digits = m.astype(np.int64)
+    a_digits = digits // 1_000_000
+    rest = digits - 1_000_000 * a_digits
+    b_digits = rest // 1000
+    c_digits = rest - 1000 * b_digits
+    head = s + 13 * (values < 0.0)
+    head[(width - column) % width :: width] += 26  # a row's first value follows a newline
+    head[0] = head[0] % 26 + 52  # none before values[0]: the previous piece ended with it
+    r = records[:count]
+    r[:, 0] = heads[head]
+    r[:, 1] = zeros[s]
+    r[:, 2] = groups[a_digits + offsets[0, s] + 1000 * (rest == 0)]
+    r[:, 3] = groups[b_digits + offsets[1, s] + 1000 * (c_digits == 0)]
+    r[:, 4] = groups[c_digits + offsets[2, s]]
+    slow = np.flatnonzero(slow)
+    if slow.size:  # after the separator byte
+        text = b"".join(("%.9g" % v).encode().ljust(19, b"\0") for v in values[slow].tolist())
+        r.view(np.uint8)[slow, 1:] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 19)
+    last = "\n" if (column + count) % width == 0 else ","
+    return r.tobytes().translate(None, b"\0").decode("ascii") + last
+
+
+class _G9Rows:
+    """Rows of `width` floats written to the text file `out` as "%.9g" CSV (see _g9).
+
+    feed copies values, in row order, into a buffer of _CSV_PIECE floats,
+    formatting and writing it whenever it fills; flush writes what it holds.
+    A piece may end inside a row.
+    """
+
+    def __init__(self, width: int, out: TextIO):
+        self.width, self.out = width, out
+        self.buffer = np.empty(_CSV_PIECE)
+        self.records = np.empty((_CSV_PIECE, 5), dtype=np.uint32)
+        self.fill = self.column = 0
+
+    def feed(self, values: np.ndarray) -> None:
+        values = np.ravel(values)
+        while values.size:
+            take = min(values.size, self.buffer.size - self.fill)
+            self.buffer[self.fill : self.fill + take] = values[:take]
+            self.fill += take
+            values = values[take:]
+            if self.fill == self.buffer.size:
+                self.flush()
+
+    def flush(self) -> None:
+        if self.fill:
+            self.out.write(_g9(self.buffer[: self.fill], self.column, self.width, self.records))
+            self.column = (self.column + self.fill) % self.width
+            self.fill = 0
+
+
+def _csv_header(terms: int, n: int) -> str:
+    """The CSV header line; its terms (terms - 1) / 2 coherence names live only while it is built."""
+    first, second = np.triu_indices(terms, 1)
+    header = ["time", *(f"occ_{m + 1}" for m in range(n)), "occ_total", "purity", "fidelity"]
+    return ",".join(header + [f"coh_{a}_{b}" for a, b in zip(first, second)]) + "\n"
+
+
 def trajectory_to_csv(blocks: Iterable[Block], out: TextIO) -> Iterator[Block]:
     """Write a label stream as CSV: time, per-resonator and total occupation, purity, fidelity, |c_rs| pairs.
 
     Each block is yielded on once its rows are written to the open text file
     `out`, so the caller sees the stream as it passes; nothing is written
     until the result is iterated.  Coherence columns cover ordered pairs
-    r < s (0-based indices in the header), all floats printed with 9
-    significant digits.  A block's rows are formatted and written
-    max(1, _BLOCK_ELEMENTS // columns) at a time, so only that much text is
-    ever held.
+    r < s (0-based indices in the header), selected by an upper-triangle
+    mask; every float is printed exactly as "%.9g" prints it, by a numpy
+    kernel (_g9).  Rows are copied into a buffer of _CSV_PIECE values that
+    is formatted and written whenever it fills and at the end of each
+    block; a row wider than a piece is copied a few upper-triangle rows of
+    coefficients at a time, so neither the block size nor the row width
+    sets how much is held.
     """
-    row = None
+    rows = None
     for block in blocks:
-        if row is None:
+        if rows is None:
             _, terms, n = block.labels.shape
-            first, second = np.triu_indices(terms, 1)
-            header = ["time", *(f"occ_{m + 1}" for m in range(n)), "occ_total", "purity", "fidelity"]
-            # the terms (terms - 1) / 2 coherence names live only while the header is written
-            out.write(",".join(header + [f"coh_{a}_{b}" for a, b in zip(first, second)]) + "\n")
-            width = len(header) + first.size
-            row = ",".join(["%.9g"] * width) + "\n"
+            upper = np.triu(np.ones((terms, terms), dtype=bool), 1)
+            out.write(_csv_header(terms, n))
+            rows = _G9Rows(n + 4 + terms * (terms - 1) // 2, out)
+            # coefficient rows taken at once: all of them unless a CSV row is wider than a piece
+            span = terms if rows.width <= _CSV_PIECE else max(1, _CSV_PIECE // terms)
         columns = (block.times, block.occupations, block.total_occupation, block.purity, block.fidelity)
-        for rows in _blocks(block.times.size, width):
-            table = np.column_stack([c[rows] for c in columns] + [np.abs(block.coeffs[rows, first, second])])
-            out.write("".join(row % tuple(values) for values in table.tolist()))
+        columns = [np.reshape(c, (block.times.size, -1)) for c in columns]
+        coeffs = block.coeffs
+        per_piece = max(1, _CSV_PIECE // rows.width)
+        for start in range(0, block.times.size, per_piece):
+            times = slice(start, start + per_piece)
+            head = [c[times] for c in columns]
+            for a in range(0, terms, span):
+                pairs = np.abs(coeffs[times, a : a + span][:, upper[a : a + span]])
+                rows.feed(np.hstack(head + [pairs]) if head else pairs)
+                head = []
+        rows.flush()
         yield block

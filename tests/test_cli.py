@@ -591,9 +591,9 @@ def test_evolve_rejects_a_state_over_the_term_budget(tmp_path, monkeypatch, caps
     assert not out.exists() or not any(out.iterdir())
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-    # at the real budget 3,353 terms pass and 5,000 are rejected, without building either
+    # at the real budget 3,473 terms pass and 5,000 are rejected, without building either
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", resonet.errors._BYTE_BUDGET)
-    evolve.check_terms(3353)
+    evolve.check_terms(3473)
     with pytest.raises(resonet.ModelError, match="5000 terms need"):
         evolve.check_terms(5000)
 

@@ -432,6 +432,34 @@ def test_trace_check_runs_when_coefficients_are_formed():
     assert np.all(np.isfinite(block.coeffs))
 
 
+def _unphysical(weights, delta):
+    """A valid block and one whose pair data N^2 w conj(w)^T + delta diag(1, -1) keeps
+    the trace at 1 (every <zeta_r|zeta_r> = 1) but describes no density matrix."""
+    state = make_superposition(np.array(weights), np.array([[1.0, 0.0], [0.0, 0.5j]]))
+    (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift()))
+    return block, dataclasses.replace(block, _w_outer=block._w_outer + delta * np.diag([1.0, -1.0]))
+
+
+def test_observables_outside_their_physical_bounds_raise():
+    block, broken = _unphysical([1.0, 2.0], -0.3)
+    trace = np.sum(broken.coeffs * np.swapaxes(gram_matrix(broken.labels), -1, -2), axis=(-2, -1))
+    np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12)
+    for read, message in (
+        ("purity", "purity 1.308[0-9]* exceeds 1"),
+        ("fidelity", "fidelity 1.089[0-9]* leaves \\[0, 1\\]"),
+        ("occupations", "occupation -1.600e-01 is negative"),
+    ):
+        with pytest.raises(NumericalError, match=f"{message} at t = 0;"):
+            getattr(broken, read)
+        getattr(block, read)  # the valid block is within every bound
+    with pytest.raises(NumericalError, match="at t = 0.75;"):
+        observables(broken, -2)
+    # equal weights: the occupations leave their bound first at the second time
+    _, broken = _unphysical([1.0, 1.0], 0.3)
+    with pytest.raises(NumericalError, match="occupation -2.37[0-9]e-03 is negative at t = 0.25;"):
+        broken.occupations
+
+
 def _growth(state, times, drift):
     """Largest relative growth max |zeta_r(t)|^2 / |beta_r|^2 - 1 of a drift's flow; the stream must accept it."""
     traj = collect(propagate_with(state, times, label_flow(drift)))
@@ -743,12 +771,70 @@ def test_csv_rows_match_the_per_value_formatter(monkeypatch):
         purity=np.array([-0.0, np.inf, 2.2e-308]),
         fidelity=np.array([np.nan, 1.0, -np.inf]),
     )
-    # The default budget writes each table in one block; 30 elements write 3
-    # rows of 8 (or 9) columns per block; 1 element writes one row per block.
-    for budget, blocks_41, blocks_odd in ((evolve._BLOCK_ELEMENTS, 1, 1), (30, 14, 1), (1, 41, 3)):
+    # Each table is one block of fewer than _CSV_PIECE values, so whatever the
+    # label block budget it is written in one piece.
+    for budget, blocks_41, blocks_odd in ((evolve._BLOCK_ELEMENTS, 1, 1), (30, 1, 1), (1, 1, 1)):
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", budget)
         text, blocks = _streamed_csv(traj)
         assert text == _per_value_csv(traj) and blocks == blocks_41
         text, blocks = _streamed_csv(odd)
         assert text == _per_value_csv(odd) and blocks == blocks_odd
         assert "inf" in text and "nan" in text and "-0" in text and "4.94065646e-324" in text
+
+
+def _kernel_values(rng):
+    """About 1e6 floats, a multiple of 7, that reach every branch of the CSV kernel (evolve._g9), in random order.
+
+    Next to a power of ten floor(log10) is one off (21 values here), and
+    those go to the "%.9g" fallback with the ties and the values outside
+    fixed notation.
+    """
+    powers = 10.0 ** np.arange(-12, 14)
+    # exact ties: odd multiples of 2^(E - 9) in [10^E, 10^(E+1)) carry a 5 in the tenth significant digit
+    exact = np.concatenate(
+        [
+            (2 * rng.integers(int(10.0**E * 2 ** (8 - E)), int(10.0 ** (E + 1) * 2 ** (8 - E)), 3000) + 1)
+            / 2.0 ** (9 - E)
+            for E in range(-4, 9)
+        ]
+    )
+    near = ((rng.integers(10**8, 10**9, (16, 2000)) + 0.5) * 10.0 ** np.arange(-14, 2)[:, None]).ravel()
+    values = np.concatenate(
+        [
+            # fixed notation, the fast path, with random mantissas
+            rng.uniform(1.0, 10.0, 700_000) * 10.0 ** rng.integers(-5, 10, 700_000),
+            # exponents across the double range, subnormals included
+            np.ldexp(rng.uniform(0.5, 1.0, 50_000), rng.integers(-1074, 1024, 50_000)),
+            *(np.nextafter(np.nextafter(powers, to), to) for to in (0.0, np.inf)),
+            *(np.nextafter(powers, to) for to in (0.0, np.inf)),
+            powers,
+            *(np.nextafter(x, to) for x in (exact, near) for to in (0.0, np.inf)),
+            exact,
+            near,
+            rng.integers(-(10**10), 10**10, 50_000).astype(float),
+            np.arange(10_001.0),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ]
+    )
+    values *= rng.choice([-1.0, 1.0], values.size)
+    rng.shuffle(values)
+    return values[: values.size // 7 * 7]
+
+
+def test_csv_kernel_matches_the_percent_formatter(monkeypatch):
+    # Pieces of 997 values split the 7-column rows at every offset, and the
+    # values are fed in chunks of random sizes.
+    monkeypatch.setattr(evolve, "_CSV_PIECE", 997)
+    rng = np.random.default_rng(19)
+    values = _kernel_values(rng)
+    assert values.size >= 10**6
+    out = io.StringIO()
+    rows = evolve._G9Rows(7, out)
+    for chunk in np.split(values, np.sort(rng.integers(0, values.size, 3000))):
+        rows.feed(chunk)
+    rows.flush()
+    row = ",".join(["%.9g"] * 7) + "\n"
+    if out.getvalue() != "".join(row % tuple(r) for r in values.reshape(-1, 7).tolist()):
+        got = out.getvalue().replace("\n", ",").split(",")
+        bad = next(i for i, v in enumerate(values.tolist()) if got[i] != "%.9g" % v)
+        pytest.fail(f"{values[bad]!r} gave {got[bad]!r}, not {'%.9g' % values[bad]!r}")
