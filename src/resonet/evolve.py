@@ -39,16 +39,12 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-# Complex elements per block of grid points: propagate_with takes
-# max(1, _BLOCK_ELEMENTS // elements per point) points at a time, so the
-# Python overhead is paid once per block while a block's temporaries stay a
-# few hundred KiB.
+# Elements per block (see _blocks): propagate_with takes max(1,
+# _BLOCK_ELEMENTS // elements per point) grid points at a time, and the same
+# rule cuts the pieces of CSV text trajectory_to_csv formats at once and the
+# chunks of SVG points, so the Python overhead is paid once per block while a
+# block's temporaries stay a few hundred KiB.
 _BLOCK_ELEMENTS = 16 * 1024
-
-# Values per piece of CSV text: trajectory_to_csv copies rows into a buffer of
-# this many floats and formats it at once (see _G9Rows), so its working set is
-# a few hundred KiB whatever the block size or the row width.
-_CSV_PIECE = 4 * 1024
 
 # Bytes a run holds per term pair (terms^2) at one grid time: a block's
 # terms x terms arrays.  Measured with tracemalloc as the slope of an `evolve`
@@ -410,12 +406,12 @@ def _ascii_words() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 _POW10 = np.array([10**k for k in range(14)], dtype=float)  # exact doubles
 
 
-def _g9(values: np.ndarray, column: int, width: int, records: np.ndarray) -> str:
+def _g9(values: np.ndarray, column: int, width: int) -> str:
     """The text of "%.9g" % v for each value, each followed by "," or, at a row's last column, "\\n".
 
-    values[0] sits at `column` of rows `width` values wide.  `records` is a
-    scratch uint32 array of shape (>= values.size, 5): each value gets five
-    4-byte words from the tables of _ascii_words, padded with NUL, which are
+    values (1-D, nonempty) starts at `column` of rows `width` values wide,
+    so a piece may begin or end inside a row.  Each value gets five 4-byte
+    words from the tables of _ascii_words, padded with NUL, which are
     dropped at the end.  The first word holds the separator that precedes
     the value (none for values[0]) and the sign; the separator after the
     last value is appended.
@@ -456,7 +452,7 @@ def _g9(values: np.ndarray, column: int, width: int, records: np.ndarray) -> str
     head = s + 13 * (values < 0.0)
     head[(width - column) % width :: width] += 26  # a row's first value follows a newline
     head[0] = head[0] % 26 + 52  # none before values[0]: the previous piece ended with it
-    r = records[:count]
+    r = np.empty((count, 5), dtype=np.uint32)
     r[:, 0] = heads[head]
     r[:, 1] = zeros[s]
     r[:, 2] = groups[a_digits + offsets[0, s] + 1000 * (rest == 0)]
@@ -468,37 +464,6 @@ def _g9(values: np.ndarray, column: int, width: int, records: np.ndarray) -> str
         r.view(np.uint8)[slow, 1:] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 19)
     last = "\n" if (column + count) % width == 0 else ","
     return r.tobytes().translate(None, b"\0").decode("ascii") + last
-
-
-class _G9Rows:
-    """Rows of `width` floats written to the text file `out` as "%.9g" CSV (see _g9).
-
-    feed copies values, in row order, into a buffer of _CSV_PIECE floats,
-    formatting and writing it whenever it fills; flush writes what it holds.
-    A piece may end inside a row.
-    """
-
-    def __init__(self, width: int, out: TextIO):
-        self.width, self.out = width, out
-        self.buffer = np.empty(_CSV_PIECE)
-        self.records = np.empty((_CSV_PIECE, 5), dtype=np.uint32)
-        self.fill = self.column = 0
-
-    def feed(self, values: np.ndarray) -> None:
-        values = np.ravel(values)
-        while values.size:
-            take = min(values.size, self.buffer.size - self.fill)
-            self.buffer[self.fill : self.fill + take] = values[:take]
-            self.fill += take
-            values = values[take:]
-            if self.fill == self.buffer.size:
-                self.flush()
-
-    def flush(self) -> None:
-        if self.fill:
-            self.out.write(_g9(self.buffer[: self.fill], self.column, self.width, self.records))
-            self.column = (self.column + self.fill) % self.width
-            self.fill = 0
 
 
 def _csv_header(terms: int, n: int) -> str:
@@ -516,31 +481,30 @@ def trajectory_to_csv(blocks: Iterable[Block], out: TextIO) -> Iterator[Block]:
     until the result is iterated.  Coherence columns cover ordered pairs
     r < s (0-based indices in the header), selected by an upper-triangle
     mask; every float is printed exactly as "%.9g" prints it, by a numpy
-    kernel (_g9).  Rows are copied into a buffer of _CSV_PIECE values that
-    is formatted and written whenever it fills and at the end of each
-    block; a row wider than a piece is copied a few upper-triangle rows of
-    coefficients at a time, so neither the block size nor the row width
-    sets how much is held.
+    kernel (_g9).  Each piece of text is formatted at once from the whole
+    rows that _blocks gives for the row width; a row wider than
+    _BLOCK_ELEMENTS is cut instead at the upper-triangle coefficient rows
+    that _blocks gives for terms per row, so neither the block size nor the
+    row width sets how much is held.
     """
-    rows = None
+    spans = None
     for block in blocks:
-        if rows is None:
+        if spans is None:
             _, terms, n = block.labels.shape
             upper = np.triu(np.ones((terms, terms), dtype=bool), 1)
             out.write(_csv_header(terms, n))
-            rows = _G9Rows(n + 4 + terms * (terms - 1) // 2, out)
-            # coefficient rows taken at once: all of them unless a CSV row is wider than a piece
-            span = terms if rows.width <= _CSV_PIECE else max(1, _CSV_PIECE // terms)
+            width = n + 4 + terms * (terms - 1) // 2
+            spans = [slice(0, terms)] if width <= _BLOCK_ELEMENTS else list(_blocks(terms, terms))
         columns = (block.times, block.occupations, block.total_occupation, block.purity, block.fidelity)
         columns = [np.reshape(c, (block.times.size, -1)) for c in columns]
-        coeffs = block.coeffs
-        per_piece = max(1, _CSV_PIECE // rows.width)
-        for start in range(0, block.times.size, per_piece):
-            times = slice(start, start + per_piece)
-            head = [c[times] for c in columns]
-            for a in range(0, terms, span):
-                pairs = np.abs(coeffs[times, a : a + span][:, upper[a : a + span]])
-                rows.feed(np.hstack(head + [pairs]) if head else pairs)
+        for rows in _blocks(block.times.size, width):
+            head = [c[rows] for c in columns]
+            coeffs = block.coeffs[rows]
+            column = 0  # of the piece's first value, when a row is cut
+            for span in spans:
+                values = np.hstack(head + [np.abs(coeffs[:, span][:, upper[span]])])
+                if values.size:  # the last coefficient row has no upper entry
+                    out.write(_g9(values.ravel(), column, width))
+                column += values.shape[1]
                 head = []
-        rows.flush()
         yield block

@@ -133,7 +133,10 @@ def _canonical_cluster_rows(columns: np.ndarray) -> np.ndarray:
 
     Seeds modified Gram-Schmidt with the projections of the canonical basis
     vectors in index order, which makes the result independent of whatever
-    arbitrary intra-cluster mixture the eigensolver produced.
+    arbitrary intra-cluster mixture the eigensolver produced.  The columns
+    are orthonormal (from eigh), so while fewer than k vectors are chosen
+    the seeds' squared residuals sum to at least 1 and some seed clears the
+    threshold: all k are always found.
     """
     n, k = columns.shape
     proj = columns @ columns.T
@@ -147,9 +150,6 @@ def _canonical_cluster_rows(columns: np.ndarray) -> np.ndarray:
             chosen.append(w / nw)
             if len(chosen) == k:
                 break
-    if len(chosen) < k:
-        # Nearly never reached: fall back to the solver's own (deterministic) basis.
-        return columns.T
     for i in range(k):  # second pass tightens orthogonality
         w = chosen[i]
         for u in chosen[:i]:

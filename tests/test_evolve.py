@@ -747,7 +747,7 @@ class _CountingWriter(io.StringIO):
 
 
 def _streamed_csv(traj):
-    """The CSV text and the number of blocks it was written in (one write is the header)."""
+    """The CSV text and the number of pieces it was written in (one write is the header)."""
     out = _CountingWriter()
     for _ in trajectory_to_csv([traj], out):
         pass
@@ -771,14 +771,15 @@ def test_csv_rows_match_the_per_value_formatter(monkeypatch):
         purity=np.array([-0.0, np.inf, 2.2e-308]),
         fidelity=np.array([np.nan, 1.0, -np.inf]),
     )
-    # Each table is one block of fewer than _CSV_PIECE values, so whatever the
-    # label block budget it is written in one piece.
-    for budget, blocks_41, blocks_odd in ((evolve._BLOCK_ELEMENTS, 1, 1), (30, 1, 1), (1, 1, 1)):
+    # Pieces follow _blocks: whole rows (3 of 8 columns at budget 30), and at
+    # budget 1 each upper-triangle coefficient row of its own, the odd table's
+    # empty last one skipped (2 pieces per row).
+    for budget, pieces_41, pieces_odd in ((evolve._BLOCK_ELEMENTS, 1, 1), (30, 14, 1), (1, 41, 6)):
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", budget)
-        text, blocks = _streamed_csv(traj)
-        assert text == _per_value_csv(traj) and blocks == blocks_41
-        text, blocks = _streamed_csv(odd)
-        assert text == _per_value_csv(odd) and blocks == blocks_odd
+        text, pieces = _streamed_csv(traj)
+        assert text == _per_value_csv(traj) and pieces == pieces_41
+        text, pieces = _streamed_csv(odd)
+        assert text == _per_value_csv(odd) and pieces == pieces_odd
         assert "inf" in text and "nan" in text and "-0" in text and "4.94065646e-324" in text
 
 
@@ -821,20 +822,16 @@ def _kernel_values(rng):
     return values[: values.size // 7 * 7]
 
 
-def test_csv_kernel_matches_the_percent_formatter(monkeypatch):
-    # Pieces of 997 values split the 7-column rows at every offset, and the
-    # values are fed in chunks of random sizes.
-    monkeypatch.setattr(evolve, "_CSV_PIECE", 997)
+def test_csv_kernel_matches_the_percent_formatter():
+    # Chunks of random sizes begin and end at every column of the 7-column rows.
     rng = np.random.default_rng(19)
     values = _kernel_values(rng)
     assert values.size >= 10**6
-    out = io.StringIO()
-    rows = evolve._G9Rows(7, out)
-    for chunk in np.split(values, np.sort(rng.integers(0, values.size, 3000))):
-        rows.feed(chunk)
-    rows.flush()
+    starts = np.sort(rng.integers(0, values.size, 3000))
+    chunks = zip(np.concatenate([[0], starts]), np.split(values, starts))
+    text = "".join(evolve._g9(chunk, start % 7, 7) for start, chunk in chunks if chunk.size)
     row = ",".join(["%.9g"] * 7) + "\n"
-    if out.getvalue() != "".join(row % tuple(r) for r in values.reshape(-1, 7).tolist()):
-        got = out.getvalue().replace("\n", ",").split(",")
+    if text != "".join(row % tuple(r) for r in values.reshape(-1, 7).tolist()):
+        got = text.replace("\n", ",").split(",")
         bad = next(i for i, v in enumerate(values.tolist()) if got[i] != "%.9g" % v)
         pytest.fail(f"{values[bad]!r} gave {got[bad]!r}, not {'%.9g' % values[bad]!r}")

@@ -1,13 +1,18 @@
 """The package's public surface: the README's library example runs as documented, and every export resolves."""
 
 import importlib
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import resonet
+from resonet import evolve
+from resonet.errors import _BYTE_BUDGET, ModelError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +38,15 @@ def test_every_exported_name_resolves():
         assert moved.isdisjoint(vars(module)), module.__name__
     assert not hasattr(importlib.import_module("resonet.oracle").LindbladGenerator, "matrix")
     assert not hasattr(importlib.import_module("resonet.dfs").ClassificationReport, "to_json_dict")
+
+
+def test_readme_budget_numbers_match_the_code():
+    text = " ".join(README.read_text().split())  # sentences run across line breaks
+    budget = evolve._BLOCK_ELEMENTS
+    assert f"a budget of {budget // 1024} Ki complex elements, max(1, {budget} // (terms" in text
+    assert f"holds {evolve._TERM_PAIR_BYTES} bytes per pair of terms" in text
+    ceiling = math.isqrt(_BYTE_BUDGET // evolve._TERM_PAIR_BYTES)
+    assert f"more than {ceiling:,} terms is rejected" in text
+    evolve.check_terms(ceiling)
+    with pytest.raises(ModelError, match=f"{ceiling + 1} terms need"):
+        evolve.check_terms(ceiling + 1)
