@@ -6,10 +6,10 @@ at the rate delta(t)^dagger Gamma delta(t) / 2 with delta(t) = Theta(t)
 (beta_r - beta_s).  That rate vanishes at all times exactly when delta(0)
 lies in the largest W-invariant subspace inside the kernel of Gamma: the
 unobservable subspace of the pair (D, Gamma) in Kalman's observability test.
-A state is decoherence-free when every branch difference lies in that
-subspace and relaxation-free when every branch does.  The test reads only
-the network and its decay matrix, so every reservoir kind gets the same
-criterion; Gamma's kernel is the numerical one of DecayMatrix.kernel.
+W is real symmetric, so it is spanned by the eigenvectors of W inside
+Gamma's kernel (DecayMatrix.kernel, a numerical one).  A state is
+decoherence-free when every branch difference lies in it and relaxation-free
+when every branch does.  Every reservoir kind gets this one criterion.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .network import NetworkSpec
+from .network import NetworkSpec, clusters
 from .reservoir import DecayMatrix, ReservoirKind, ReservoirSpec, build_decay_matrix
 from .states import RSFamilySpec, SuperpositionState, rs_branch_labels
 
@@ -75,31 +75,31 @@ def collective_lowering_eigencheck(state: SuperpositionState) -> tuple[bool, Opt
 
 
 def protected_subspace(w, decay: DecayMatrix) -> np.ndarray:
-    """Orthonormal basis (columns) of the largest W-invariant subspace inside Gamma's kernel.
+    """Orthonormal basis (columns) of the eigenvectors of W inside Gamma's kernel.
 
-    The kernel of the decay matrix Gamma (DecayMatrix.kernel) is shrunk,
-    Q <- Q null((I - Q Q^dagger) W Q), until W maps it into itself, which
-    takes at most n rounds (rank tolerance 1e-10 * max(1, max |W|)).  Each
-    round works on W Q alone; the stacked Kalman matrix [Gamma; Gamma W; ...]
-    is avoided because its blocks grow as |W|^k.  Returns an (n, 0) array
-    when nothing is protected.
+    With K = DecayMatrix.kernel, x = K u is an eigenvector of W exactly when
+    u is one of K^dagger W K, with eigenvalue mu, and W x - mu x = 0.  So one
+    eigh of K^dagger W K gives Q = K U, and each cluster of mu (the clusters
+    rule) keeps Q times the null space of its residual columns W Q - Q mu
+    (rank tolerance 1e-10 * max(1, max |W|)).  The span is the largest
+    W-invariant subspace inside the kernel (Kalman's unobservable subspace).
+    Returns an (n, 0) array when nothing is protected.
     """
     w = np.asarray(w)
     n = decay.n
     if w.shape != (n, n):
         raise ModelError(f"network and decay matrix must both be {n}x{n}")
-    q = decay.kernel
+    k = decay.kernel
     tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
-    for _ in range(n):
-        if q.shape[1] == 0:
-            break
-        wq = w @ q
-        _, sv, vh = np.linalg.svd(wq - q @ (q.conj().T @ wq))
-        null = vh[np.count_nonzero(sv > tol):].conj().T
-        if null.shape[1] == q.shape[1]:
-            break
-        q = q @ null
-    return q
+    mu, u = np.linalg.eigh(k.conj().T @ w @ k)
+    q = k @ u
+    residual = w @ q - q * mu
+    group = clusters(mu)
+    parts = [np.zeros((n, 0))]
+    for g in np.unique(group):
+        _, sv, vh = np.linalg.svd(residual[:, group == g], full_matrices=False)
+        parts.append(q[:, group == g] @ vh[np.count_nonzero(sv > tol):].conj().T)
+    return np.hstack(parts)
 
 
 def decoherence_time(spec: Optional[RSFamilySpec], decay: DecayMatrix) -> Optional[float]:

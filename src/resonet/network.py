@@ -171,7 +171,7 @@ def clusters(values) -> np.ndarray:
     close = np.abs(values[:, None] - values) <= _CLUSTER_RTOL * np.maximum(mag[:, None], mag)
     group = np.arange(n)
     while True:  # every value takes the smallest index it is linked to
-        linked = np.min(np.where(close, group, n), axis=1)
+        linked = np.min(np.where(close, group, n), axis=1, initial=n)
         if np.array_equal(linked, group):
             return group
         group = linked

@@ -105,7 +105,7 @@ class DecayMatrix:
     """Symmetric positive-semidefinite matrix of decay rates.
 
     Diagonal entries are direct rates, off-diagonal entries cross-decay
-    rates.  Positive semidefiniteness (up to -1e-12 * norm rounding slack) is
+    rates.  Positive semidefiniteness (up to a -slack rounding slack) is
     what makes the induced master equation a valid quantum channel generator.
     One eigendecomposition at construction gives `rates`, the eigenvalues in
     ascending order with those within the slack of zero set to 0, and
@@ -143,8 +143,8 @@ class DecayMatrix:
 
     @property
     def slack(self) -> float:
-        """Rounding slack 1e-12 * max(1, max |gamma|): rates within it count as zero."""
-        return 1e-12 * max(1.0, float(np.max(np.abs(self.matrix), initial=0.0)))
+        """Rounding slack 1e-12 * max(1, largest column sum of |gamma|): rates within it count as zero."""
+        return 1e-12 * max(1.0, float(np.max(np.sum(np.abs(self.matrix), axis=0))))
 
     @property
     def kernel(self) -> np.ndarray:

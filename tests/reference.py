@@ -1,6 +1,6 @@
 """Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
-against (no command reaches these), whole-grid arrays from a label stream, and a label flow the
-stream must refuse.
+against (no command reaches these), whole-grid arrays from a label stream, a label flow the
+stream must refuse, and the kernel-shrinking construction of the protected subspace.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 from resonet import Block, errors, oracle
 from resonet.errors import ModelError, _sci
 from resonet.network import NormalModeDecomposition, degenerate_modes
-from resonet.reservoir import decay_matrix_common, decay_matrix_distinct
+from resonet.reservoir import DecayMatrix, decay_matrix_common, decay_matrix_distinct
 from resonet.states import RSFamilySpec, SuperpositionState
 
 
@@ -196,6 +196,34 @@ def degenerate_decomposition(n: int, omega0: float, lambda0: float) -> NormalMod
         return NormalModeDecomposition(h, freqs, True)
     order = np.argsort(freqs, kind="stable")
     return NormalModeDecomposition(h[order], freqs[order], False)
+
+
+def protected_subspace_shrink(w, decay: DecayMatrix) -> np.ndarray:
+    """Orthonormal basis (columns) of the largest W-invariant subspace inside Gamma's kernel.
+
+    The kernel of the decay matrix Gamma (DecayMatrix.kernel) is shrunk,
+    Q <- Q null((I - Q Q^dagger) W Q), until W maps it into itself, which
+    takes at most n rounds (rank tolerance 1e-10 * max(1, max |W|)).  Each
+    round works on W Q alone; the stacked Kalman matrix [Gamma; Gamma W; ...]
+    is avoided because its blocks grow as |W|^k.  Returns an (n, 0) array
+    when nothing is protected.
+    """
+    w = np.asarray(w)
+    n = decay.n
+    if w.shape != (n, n):
+        raise ModelError(f"network and decay matrix must both be {n}x{n}")
+    q = decay.kernel
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+    for _ in range(n):
+        if q.shape[1] == 0:
+            break
+        wq = w @ q
+        _, sv, vh = np.linalg.svd(wq - q @ (q.conj().T @ wq))
+        null = vh[np.count_nonzero(sv > tol):].conj().T
+        if null.shape[1] == q.shape[1]:
+            break
+        q = q @ null
+    return q
 
 
 def coherent_overlap(a, b) -> complex:

@@ -31,7 +31,7 @@ from resonet import (
 )
 from resonet import cli, oracle
 from resonet.network import clusters
-from reference import collect, master_equation_reduction_check
+from reference import collect, master_equation_reduction_check, protected_subspace_shrink
 
 
 def _white(epsilon, sigma=1.0):
@@ -141,15 +141,16 @@ def test_classify_regime_preconditions():
 
 
 def test_classify_diagonalises_gamma_once(monkeypatch):
-    # DecayMatrix's one eigh serves the kernel, the regime and the effective rate.
+    # DecayMatrix's one eigh serves the kernel, the regime and the effective
+    # rate; the only other one is protected_subspace's, of W on the kernel.
     calls = []
 
     def counted(name):
         solver = getattr(np.linalg, name)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return solver(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solver(a, *args, **kwargs)
 
         return wrapper
 
@@ -157,10 +158,11 @@ def test_classify_diagonalises_gamma_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     spec = RSFamilySpec(n=3, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
-    for reservoir in (_white(0.5), _white(1.0), ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0)):
+    distinct = ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0)
+    for reservoir, kernel_dim in ((_white(0.5), 0), (_white(1.0), 2), (distinct, 2)):
         calls.clear()
         classify(state, spec, reservoir, _net(3))
-        assert calls == ["eigh"]
+        assert calls == [("eigh", (3, 3)), ("eigh", (kernel_dim, kernel_dim))]
 
 
 def test_classify_distinct_collective():
@@ -394,3 +396,98 @@ def test_oracle_purity_follows_the_verdict(omega, protected):
         assert abs(purity - 1.0) < 1e-6
     else:
         assert purity < 1.0 - 1e-3
+
+
+def _same_subspace(w, decay):
+    """protected_subspace against the kernel-shrinking reference: its dimension, after checking the projectors agree."""
+    basis = protected_subspace(w, decay)
+    reference = protected_subspace_shrink(w, decay)
+    assert basis.shape == reference.shape
+    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
+    np.testing.assert_allclose(basis @ basis.T, reference @ reference.T, atol=1e-6)
+    return basis.shape[1]
+
+
+def test_protected_subspace_matches_the_shrinking_kernel():
+    # 300 random block networks, n = 2..8, with repeated W levels and a random
+    # PSD Gamma whose kernel holds W eigenvectors or random directions.
+    rng = np.random.default_rng(21)
+    dims = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        levels = rng.uniform(8.0, 12.0, size=int(rng.integers(1, n + 1)))
+        w = q @ np.diag(rng.choice(levels, size=n)) @ q.T
+        w = 0.5 * (w + w.T)
+        k = int(rng.integers(0, n + 1))
+        a = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+        dark = q[:, rng.permutation(n)[:k]] if rng.random() < 0.5 else rng.normal(size=(n, k))
+        if k:
+            dark, _ = np.linalg.qr(dark)
+            a -= dark @ (dark.T @ a)
+        dims.add(_same_subspace(w, DecayMatrix(a @ a.T)))
+    assert dims == set(range(9))
+
+    # the 300 profile networks of test_protected_dimension_counts_shared_channels:
+    # the same seed, and the same draws for the pair that test picks
+    rng = np.random.default_rng(2006)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        levels = rng.uniform(8.0, 12.0, size=int(rng.integers(1, n + 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = q @ np.diag(rng.choice(levels, size=n)) @ q.T
+        w = 0.5 * (w + w.T)
+        net = NetworkSpec(omega=np.diagonal(w), coupling=w - np.diag(np.diagonal(w)))
+        profiles = [
+            CouplingProfile(rng.uniform(0.2, 1.0), rng.uniform(8.0, 12.0, size=2), rng.uniform(0.1, 2.0, size=2))
+            for _ in range(n)
+        ]
+        reservoir = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=profiles)
+        dim = _same_subspace(net.w_matrix(), build_decay_matrix(reservoir, net))
+        rng.normal(size=(3, n))
+        if dim and rng.random() < 0.5:
+            rng.normal(size=(2, dim))
+
+
+@pytest.mark.parametrize("split, dim", [(1e-13, 2), (1e-12, 2), (1e-10, 2), (1e-9, 1), (1e-8, 1), (1e-7, 1)])
+def test_protected_subspace_of_a_split_degenerate_network(split, dim):
+    # Fully correlated white noise on the n = 3 degenerate network protects
+    # the two modes orthogonal to the uniform one; detuning W[0, 0] by a
+    # relative split beyond W's 1e-10 rank tolerance leaves one.
+    w = degenerate_network(3, 10.0, 0.5).w_matrix()
+    w[0, 0] *= 1.0 + split
+    assert _same_subspace(w, decay_matrix_common(3, 1.0, 1.0)) == dim
+
+
+def test_protected_subspace_near_a_tiny_gap():
+    # Two W levels 2e-9 apart, Gamma's kernel holding the eigenvector of the
+    # first and one direction that mixes the others: one protected mode,
+    # although eigh of W alone resolves those two eigenvectors only to
+    # about eps |W| / gap.
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        w = q @ np.diag([10.0, 10.0 + 2e-9, rng.uniform(8.0, 9.0), rng.uniform(11.0, 12.0)]) @ q.T
+        channels = q[:, 1:] @ rng.normal(size=(3, 2))
+        assert _same_subspace(0.5 * (w + w.T), DecayMatrix(channels @ channels.T)) == 1
+
+
+def test_protected_subspace_passes_each_kernel_column_to_svd_once(monkeypatch):
+    # One pass: the residual columns of each cluster go to one thin SVD, so
+    # the SVDs see dim ker Gamma columns in all; protected_subspace_shrink
+    # passes 1,770 (one round per lost dimension) on this network.
+    rng = np.random.default_rng(60)
+    n = 60
+    coupling = np.triu(rng.normal(0.0, 0.1, size=(n, n)), 1)
+    net = NetworkSpec(omega=rng.uniform(10.0, 11.0, size=n), coupling=coupling + coupling.T)
+    decay = build_decay_matrix(_white(1.0), net)
+    columns = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        columns.append(np.shape(a)[1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert protected_subspace(net.w_matrix(), decay).shape == (n, 0)
+    assert sum(columns) == decay.kernel.shape[1] == n - 1

@@ -154,3 +154,4 @@ def test_clusters_link_a_complex_chain():
     assert abs(values[0] - values[3]) > _CLUSTER_RTOL * abs(values[0])
     np.testing.assert_array_equal(clusters(values), [0, 1, 0, 0, 1, 5])
     np.testing.assert_array_equal(clusters(np.array([2.0])), [0])
+    np.testing.assert_array_equal(clusters(np.zeros(0)), [])

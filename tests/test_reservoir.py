@@ -90,6 +90,16 @@ def test_decay_matrix_psd_property():
         np.testing.assert_allclose(g.modes @ np.diag(g.rates) @ g.modes.T, g.matrix, atol=1e-12)
 
 
+def test_fully_correlated_white_noise_builds_at_large_n():
+    # eigh's rounding grows with ||Gamma|| = n sigma, so the slack scales with
+    # the largest column sum of |Gamma|; 1e-12 * max |gamma| alone rejected
+    # these as not positive semidefinite.
+    for n in (700, 1000):
+        decay = decay_matrix_common(n, 1.0, 1.0)
+        assert decay.slack == pytest.approx(1e-12 * n)
+        assert int(np.sum(decay.rates == 0.0)) == n - 1
+
+
 def test_distinct_structure():
     n, gp, gm = 4, 3.0, 0.5
     g = decay_matrix_distinct(n, gp, gm).matrix
