@@ -44,8 +44,8 @@ from .evolve import (
     label_flow,
     observables,
     propagate_with,
-    trajectory_to_csv,
 )
+from .artifacts import trajectory_to_csv
 from .dfs import (
     ClassificationReport,
     Regime,

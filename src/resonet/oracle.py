@@ -187,9 +187,9 @@ def max_tail_mass(labels: np.ndarray, cutoff: int) -> float:
 
 
 def _check_tails(labels: np.ndarray, basis: FockBasisSpec) -> None:
-    amp = _largest_amplitude(labels)
-    worst = poisson_tail(amp**2, basis.cutoff)
+    worst = max_tail_mass(labels, basis.cutoff)
     if worst >= _TAIL_LIMIT:
+        amp = _largest_amplitude(labels)
         raise ModelError(
             f"inadequate cutoff {basis.cutoff}: truncated mass {worst:.3e} for amplitude "
             f"{amp:g}; required minimum cutoff is {minimum_cutoff(amp)}"
@@ -500,13 +500,13 @@ def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasi
     integrated state is compared as it arrives against the analytic state of
     its block, embedded on the same truncated basis; distances are
     0.5 * sum |eigenvalues| of the Hermitian difference.  Of the label
-    stream only the current block and the largest label amplitude so far are
-    held.  Streams of different lengths raise ModelError.
+    stream only the current block and, per term and mode, the largest
+    |label| so far are held.  Streams of different lengths raise ModelError.
     """
     rhos = iter(rhos)
-    times, dists, amp = [], [], 0.0
+    times, dists, envelope = [], [], 0.0
     for block in blocks:
-        amp = max(amp, _largest_amplitude(block.labels))
+        envelope = np.maximum(envelope, np.abs(block.labels).max(axis=0))
         for t, labels, coeffs in zip(block.times, block.labels, block.coeffs):
             rho = next(rhos, None)
             if rho is None:
@@ -516,4 +516,4 @@ def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasi
     if next(rhos, None) is not None:
         raise ModelError("trajectory and integrated states cover different grids")
     dists = np.array(dists)
-    return ComparisonReport(np.array(times), dists, float(np.max(dists)), max_tail_mass(amp, basis.cutoff))
+    return ComparisonReport(np.array(times), dists, float(np.max(dists)), max_tail_mass(envelope, basis.cutoff))

@@ -19,7 +19,7 @@ from resonet.states import RSFamilySpec, SuperpositionState
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Whole-grid arrays under a Block's attribute names, so trajectory_to_csv writes them as one block."""
+    """Whole-grid arrays under a Block's attribute names, so artifacts.trajectory_to_csv writes them as one block."""
 
     times: np.ndarray
     labels: np.ndarray

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import resonet
-from resonet import cli, config, dfs, evolve, network, reservoir
+from resonet import artifacts, config, dfs, evolve, network, oracle, reservoir
 from resonet.cli import main
 from reference import probe_flow
 
@@ -480,6 +480,20 @@ def test_oracle_compare_pass_and_mismatch(tmp_path):
     assert exc.value.code == 2
 
 
+def test_oracle_csv_prints_each_value_as_percent_9g(tmp_path, monkeypatch):
+    # The table goes through the CSV kernel; its text must be format(x, ".9g") of every value, the kernel's
+    # fallbacks (zeros, a subnormal, inf, nan) included.  The exit code depends on nan and is not the point.
+    values = np.array([0.0, -0.0, 5e-324, 4.8e-8, 0.1, np.inf, np.nan])
+    times, distances = values, values[::-1]
+    report = oracle.ComparisonReport(times, distances, float(np.max(distances)), 0.0)
+    monkeypatch.setattr(oracle, "compare", lambda blocks, rhos, basis: report)
+    cfg = _write_scenario(tmp_path / "s.json", evolution={"t_max": 0.3, "steps": 3}, oracle={"cutoff": 12})
+    out = tmp_path / "out"
+    main(["oracle-compare", "--config", str(cfg), "--out", str(out)])
+    rows = "".join(f"{format(t, '.9g')},{format(d, '.9g')}\n" for t, d in zip(times, distances))
+    assert (out / "oracle.csv").read_text() == "time,trace_distance\n" + rows
+
+
 def test_oracle_compare_accepts_its_default_cutoff_at_large_amplitude(tmp_path):
     # One resonator at amplitude 8 without oracle.cutoff: the default must
     # pass the tail check (minimum cutoff 121), not stop at the rule's 120.
@@ -516,7 +530,7 @@ def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
 def test_failed_csv_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, existing):
     # One row per block; the write after the header and the first row fails.
     monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 1)
-    original = evolve.trajectory_to_csv
+    original = artifacts.trajectory_to_csv
 
     class FailingFile:
         def __init__(self, fh):
@@ -528,7 +542,7 @@ def test_failed_csv_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, exist
                 raise OSError("disk full")
             return self.fh.write(text)
 
-    monkeypatch.setattr(evolve, "trajectory_to_csv", lambda traj, out: original(traj, FailingFile(out)))
+    monkeypatch.setattr(artifacts, "trajectory_to_csv", lambda traj, out: original(traj, FailingFile(out)))
     cfg = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
     out.mkdir()
@@ -619,7 +633,7 @@ def test_trace_abort_mid_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, 
     # One row per block, and the flow explodes at t = 0.5: the rows of the
     # five earlier times reach the temp file before the abort is known.
     monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 1)
-    label_flow, trajectory_to_csv = evolve.label_flow, evolve.trajectory_to_csv
+    label_flow, trajectory_to_csv = evolve.label_flow, artifacts.trajectory_to_csv
 
     def exploding(drift):
         flow = label_flow(drift)
@@ -633,7 +647,7 @@ def test_trace_abort_mid_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, 
             yield block
 
     monkeypatch.setattr(evolve, "label_flow", exploding)
-    monkeypatch.setattr(evolve, "trajectory_to_csv", watched)
+    monkeypatch.setattr(artifacts, "trajectory_to_csv", watched)
     cfg = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
     out.mkdir()
@@ -758,9 +772,9 @@ def test_sweep_finals_match_the_evolve_summary(tmp_path, seed):
         )
         assert main(["evolve", "--config", str(patched), "--out", str(tmp_path / "evolve")]) == 0
         final = json.loads((tmp_path / "evolve" / "summary.json").read_text())["final"]
-        assert swept["final_purity"] == cli._fmt(final["purity"])
-        assert swept["final_fidelity"] == cli._fmt(final["fidelity_to_initial"])
-        assert swept["final_occupation"] == cli._fmt(final["total_occupation"])
+        assert swept["final_purity"] == artifacts._fmt(final["purity"])
+        assert swept["final_fidelity"] == artifacts._fmt(final["fidelity_to_initial"])
+        assert swept["final_occupation"] == artifacts._fmt(final["total_occupation"])
 
 
 def test_sweep_partial_failure(tmp_path):
@@ -924,7 +938,7 @@ def test_svg_series_writes_chunks_identical_to_per_point_text(tmp_path, shape):
     values = np.random.default_rng(3).normal(size=points) if shape == "random" else np.full(points, 0.25)
     path = tmp_path / "series.svg"
     with path.open("w") as fh:
-        cli._svg_series(times, values, "purity", fh)
+        artifacts._svg_series(times, values, "purity", fh)
     assert path.read_text() == _svg_series_per_point(times, values, "purity")
 
 
@@ -937,7 +951,7 @@ def test_svg_series_memory_stays_within_the_grid_guard(tmp_path):
     with (tmp_path / "series.svg").open("w") as fh:
         tracemalloc.start()
         try:
-            cli._svg_series(times, values, "fidelity", fh)
+            artifacts._svg_series(times, values, "fidelity", fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

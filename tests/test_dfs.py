@@ -29,7 +29,7 @@ from resonet import (
     propagate_with,
     protected_subspace,
 )
-from resonet import cli, oracle
+from resonet import artifacts, oracle
 from resonet.network import clusters
 from reference import collect, master_equation_reduction_check, protected_subspace_shrink
 
@@ -205,7 +205,7 @@ def test_is_rfs_implies_is_dfs_property():
 
 def _report_json(report):
     """The report as `resonet classify` writes it (without the "n" key)."""
-    return json.loads(json.dumps(cli._jsonable(dataclasses.asdict(report))))
+    return json.loads(json.dumps(artifacts._jsonable(dataclasses.asdict(report))))
 
 
 def test_report_json_dict():

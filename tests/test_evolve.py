@@ -33,7 +33,7 @@ from resonet import (
     propagate_with,
     trajectory_to_csv,
 )
-from resonet import evolve
+from resonet import artifacts, evolve
 from resonet.states import log_gram_matrix
 from reference import Trajectory, collect, decoherence_time_formula, probe_flow, propagator_closed_form
 
@@ -784,7 +784,7 @@ def test_csv_rows_match_the_per_value_formatter(monkeypatch):
 
 
 def _kernel_values(rng):
-    """About 1e6 floats, a multiple of 7, that reach every branch of the CSV kernel (evolve._g9), in random order.
+    """About 1e6 floats, a multiple of 7, that reach every branch of the CSV kernel (artifacts._g9), in random order.
 
     Next to a power of ten floor(log10) is one off (21 values here), and
     those go to the "%.9g" fallback with the ties and the values outside
@@ -829,7 +829,7 @@ def test_csv_kernel_matches_the_percent_formatter():
     assert values.size >= 10**6
     starts = np.sort(rng.integers(0, values.size, 3000))
     chunks = zip(np.concatenate([[0], starts]), np.split(values, starts))
-    text = "".join(evolve._g9(chunk, start % 7, 7) for start, chunk in chunks if chunk.size)
+    text = "".join(artifacts._g9(chunk, start % 7, 7) for start, chunk in chunks if chunk.size)
     row = ",".join(["%.9g"] * 7) + "\n"
     if text != "".join(row % tuple(r) for r in values.reshape(-1, 7).tolist()):
         got = text.replace("\n", ",").split(",")

@@ -1,5 +1,6 @@
 """The package's public surface: the README's library example runs as documented, and every export resolves."""
 
+import ast
 import importlib
 import math
 import os
@@ -32,12 +33,34 @@ def test_every_exported_name_resolves():
     moved = {"DriftMatrix", "degenerate_decomposition", "coherent_overlap", "swap_resonators", "mode_occupations",
              "mean_amplitudes", "propagator_closed_form", "decoherence_time_formula", "master_equation_reduction_check",
              "validate_network"}
-    for name in ("", ".cli", ".config", ".dfs", ".evolve", ".network", ".oracle", ".reservoir", ".states"):
+    modules = ("", ".artifacts", ".cli", ".config", ".dfs", ".evolve", ".network", ".oracle", ".reservoir", ".states")
+    for name in modules:
         module = importlib.import_module("resonet" + name)
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
         assert moved.isdisjoint(vars(module)), module.__name__
     assert not hasattr(importlib.import_module("resonet.oracle").LindbladGenerator, "matrix")
     assert not hasattr(importlib.import_module("resonet.dfs").ClassificationReport, "to_json_dict")
+
+
+def _package_imports(module: str) -> set[str]:
+    """The resonet modules that src/resonet/<module>.py imports, by any spelling."""
+    dotted = []
+    for node in ast.walk(ast.parse((Path(resonet.__file__).parent / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["resonet" if node.level else "", node.module]))
+            dotted += [f"{base}.{a.name}" for a in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("resonet.")}
+
+
+def test_modules_import_one_way():
+    # evolve -> artifacts -> cli: the label physics knows nothing of the artifact bytes, and the bytes know
+    # nothing of the commands, the scenario format or the oracle.
+    assert {"evolve"} <= _package_imports("artifacts") and {"artifacts", "evolve"} <= _package_imports("cli")
+    assert _package_imports("evolve").isdisjoint({"artifacts", "cli"})
+    assert _package_imports("artifacts").isdisjoint({"cli", "config", "oracle"})
+    assert "artifacts" not in _package_imports("oracle")
 
 
 def test_readme_budget_numbers_match_the_code():
