@@ -182,35 +182,38 @@ def _cmd_oracle_compare(args) -> int:
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
-_SWEEP_PARAMS = ("epsilon", "N", "alpha", "lambda")
+# sweep parameter -> (scenario section, key it sets, whether the section
+# takes it, the error when it does not)
+_SWEEPS = {
+    "epsilon": (
+        "reservoir",
+        "epsilon",
+        lambda sec: sec.get("kind") == "common_white_noise",
+        "epsilon sweeps need a white-noise reservoir scenario",
+    ),
+    "N": ("network", "n", lambda sec: "n" in sec, "N sweeps need the degenerate network shorthand"),
+    "alpha": (
+        "state",
+        "alpha",
+        lambda sec: sec.get("type", "rs") == "rs",
+        "alpha sweeps need the two-branch state form",
+    ),
+    "lambda": ("network", "lambda", lambda sec: "n" in sec, "lambda sweeps need the degenerate network shorthand"),
+}
+_SWEEP_PARAMS = tuple(_SWEEPS)
 
 
 def _patched(raw: dict, param: str, value: float) -> dict:
+    section, key, takes, message = _SWEEPS[param]
     patched = copy.deepcopy(raw)
-    if param == "epsilon":
-        sec = patched.get("reservoir")
-        if not isinstance(sec, dict) or sec.get("kind") != "common_white_noise":
-            raise ConfigError("epsilon sweeps need a white-noise reservoir scenario")
-        sec["epsilon"] = value
-    elif param == "N":
-        sec = patched.get("network")
-        if not isinstance(sec, dict) or "n" not in sec:
-            raise ConfigError("N sweeps need the degenerate network shorthand")
+    sec = patched.get(section)
+    if not isinstance(sec, dict) or not takes(sec):
+        raise ConfigError(message)
+    if param == "N":
         if not float(value).is_integer() or value < 1:
             raise ConfigError(f"N sweep values must be positive integers, got {value!r}")
-        sec["n"] = int(value)
-    elif param == "alpha":
-        sec = patched.get("state")
-        if not isinstance(sec, dict) or sec.get("type", "rs") != "rs":
-            raise ConfigError("alpha sweeps need the two-branch state form")
-        sec["alpha"] = value
-    elif param == "lambda":
-        sec = patched.get("network")
-        if not isinstance(sec, dict) or "n" not in sec:
-            raise ConfigError("lambda sweeps need the degenerate network shorthand")
-        sec["lambda"] = value
-    else:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
+        value = int(value)
+    sec[key] = value
     return patched
 
 

@@ -7,6 +7,7 @@ can patch the raw dictionary and re-parse.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -72,6 +73,15 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict | None:
     return sec
 
 
+@contextlib.contextmanager
+def _model_errors(where: str):
+    """Re-raise a ModelError from the block as a ConfigError prefixed with `where`."""
+    try:
+        yield
+    except ModelError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _number(sec: dict, key: str, where: str, default=None):
     if key not in sec:
         if default is not None:
@@ -123,11 +133,7 @@ def _parse_network(sec: dict) -> tuple[NetworkSpec, tuple[float, float] | None]:
         n = _integer(sec, "n", "network")
         omega0 = _number(sec, "omega", "network")
         lam = _number(sec, "lambda", "network")
-        try:
-            spec = degenerate_network(n, omega0, lam)
-        except ModelError as exc:
-            raise ConfigError(f"network: {exc}") from exc
-        return spec, (omega0, lam)
+        return degenerate_network(n, omega0, lam), (omega0, lam)
     if "omega" not in sec or "coupling" not in sec:
         raise ConfigError(
             "network needs either the shorthand {n, omega, lambda} or explicit "
@@ -135,10 +141,7 @@ def _parse_network(sec: dict) -> tuple[NetworkSpec, tuple[float, float] | None]:
         )
     omega = _array(sec["omega"], "omega", "network")
     coupling = _array(sec["coupling"], "coupling", "network")
-    try:
-        return NetworkSpec(omega=omega, coupling=coupling), None
-    except ModelError as exc:
-        raise ConfigError(f"network: {exc}") from exc
+    return NetworkSpec(omega=omega, coupling=coupling), None
 
 
 def _parse_profiles(raw, where: str) -> tuple[CouplingProfile, ...]:
@@ -149,7 +152,7 @@ def _parse_profiles(raw, where: str) -> tuple[CouplingProfile, ...]:
         at = f"{where}: profile {i}"
         if not isinstance(item, dict):
             raise ConfigError(f"{at} must be an object")
-        try:
+        with _model_errors(at):
             out.append(
                 CouplingProfile(
                     amplitude=_number(item, "amplitude", at),
@@ -157,8 +160,6 @@ def _parse_profiles(raw, where: str) -> tuple[CouplingProfile, ...]:
                     widths=_array(item.get("widths", []), "widths", at),
                 )
             )
-        except ModelError as exc:
-            raise ConfigError(f"{at}: {exc}") from exc
     return tuple(out)
 
 
@@ -171,29 +172,26 @@ def _parse_reservoir(sec: dict) -> ReservoirSpec:
     except ValueError:
         valid = ", ".join(k.value for k in ReservoirKind)
         raise ConfigError(f"reservoir kind {kind_name!r} unknown (one of: {valid})") from None
-    try:
-        if kind is ReservoirKind.COMMON_WHITE_NOISE:
-            if "Gamma" in sec and "sigma" in sec:
-                raise ConfigError("reservoir: give either 'Gamma' or 'sigma', not both")
-            key = "sigma" if "sigma" in sec else "Gamma"
-            return ReservoirSpec(
-                kind=kind,
-                sigma=_number(sec, key, "reservoir"),
-                epsilon=_number(sec, "epsilon", "reservoir", default=0.0),
-            )
-        if kind is ReservoirKind.COMMON_PROFILE:
-            return ReservoirSpec(
-                kind=kind,
-                sigma=_number(sec, "sigma", "reservoir"),
-                profiles=_parse_profiles(sec.get("profiles"), "reservoir"),
-            )
+    if kind is ReservoirKind.COMMON_WHITE_NOISE:
+        if "Gamma" in sec and "sigma" in sec:
+            raise ConfigError("reservoir: give either 'Gamma' or 'sigma', not both")
+        key = "sigma" if "sigma" in sec else "Gamma"
         return ReservoirSpec(
             kind=kind,
-            gamma_plus=_number(sec, "gamma_plus", "reservoir"),
-            gamma_minus=_number(sec, "gamma_minus", "reservoir"),
+            sigma=_number(sec, key, "reservoir"),
+            epsilon=_number(sec, "epsilon", "reservoir", default=0.0),
         )
-    except ModelError as exc:
-        raise ConfigError(f"reservoir: {exc}") from exc
+    if kind is ReservoirKind.COMMON_PROFILE:
+        return ReservoirSpec(
+            kind=kind,
+            sigma=_number(sec, "sigma", "reservoir"),
+            profiles=_parse_profiles(sec.get("profiles"), "reservoir"),
+        )
+    return ReservoirSpec(
+        kind=kind,
+        gamma_plus=_number(sec, "gamma_plus", "reservoir"),
+        gamma_minus=_number(sec, "gamma_minus", "reservoir"),
+    )
 
 
 def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, RSFamilySpec | None]:
@@ -201,37 +199,28 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
         return None, None
     kind = sec.get("type", "rs")
     if kind == "rs":
-        try:
-            rs = RSFamilySpec(
-                n=n,
-                r=_integer(sec, "r", "state"),
-                s=_integer(sec, "s", "state"),
-                alpha=_complex_entry(sec.get("alpha", 0.0), "state alpha"),
-                eta=_complex_entry(sec.get("eta", 0.0), "state eta"),
-                sign=sec.get("sign", 1),
-            )
-            return make_rs_state(rs), rs
-        except ModelError as exc:
-            raise ConfigError(f"state: {exc}") from exc
+        rs = RSFamilySpec(
+            n=n,
+            r=_integer(sec, "r", "state"),
+            s=_integer(sec, "s", "state"),
+            alpha=_complex_entry(sec.get("alpha", 0.0), "state alpha"),
+            eta=_complex_entry(sec.get("eta", 0.0), "state eta"),
+            sign=sec.get("sign", 1),
+        )
+        return make_rs_state(rs), rs
     if kind == "explicit":
         raw_w = sec.get("weights")
         raw_l = sec.get("labels")
         if not isinstance(raw_w, list) or not isinstance(raw_l, list) or not raw_w:
             raise ConfigError("state: explicit form needs 'weights' and 'labels' lists")
-        try:
-            check_terms(len(raw_l))
-        except ModelError as exc:
-            raise ConfigError(f"state: {exc}") from exc
+        check_terms(len(raw_l))
         weights = [_complex_entry(w, f"state weight {i}") for i, w in enumerate(raw_w)]
         labels = []
         for i, row in enumerate(raw_l):
             if not isinstance(row, list) or len(row) != n:
                 raise ConfigError(f"state: label {i} must list {n} mode amplitudes")
             labels.append([_complex_entry(x, f"state label {i}") for x in row])
-        try:
-            return make_superposition(np.array(weights), np.array(labels)), None
-        except ModelError as exc:
-            raise ConfigError(f"state: {exc}") from exc
+        return make_superposition(np.array(weights), np.array(labels)), None
     raise ConfigError(f"state type {kind!r} unknown (use 'rs' or 'explicit')")
 
 
@@ -256,15 +245,18 @@ def _parse_times(sec: dict | None, svg: bool) -> np.ndarray | None:
 
 def parse_scenario(cfg: dict) -> ScenarioConfig:
     """Validate a raw scenario dictionary into model objects."""
-    network, degenerate = _parse_network(_section(cfg, "network"))
-    reservoir = _parse_reservoir(_section(cfg, "reservoir"))
+    with _model_errors("network"):
+        network, degenerate = _parse_network(_section(cfg, "network"))
+    with _model_errors("reservoir"):
+        reservoir = _parse_reservoir(_section(cfg, "reservoir"))
     if degenerate is not None and reservoir.kind is ReservoirKind.DISTINCT_STRONG_COUPLING:
         # Strong coupling to distinct reservoirs shifts the shorthand's bare
         # frequency; an explicit network is taken as already renormalised.
         omega0, lam = degenerate
         degenerate = (renormalized_frequency(omega0, lam, network.n), lam)
         network = degenerate_network(network.n, *degenerate)
-    state, rs = _parse_state(_section(cfg, "state", required=False), network.n)
+    with _model_errors("state"):
+        state, rs = _parse_state(_section(cfg, "state", required=False), network.n)
     outsec = _section(cfg, "output", required=False) or {}
     svg = outsec.get("svg", False)
     if not isinstance(svg, bool):

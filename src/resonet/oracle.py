@@ -156,14 +156,16 @@ def poisson_tail(mean: float, cutoff: int) -> float:
 
 
 def minimum_cutoff(amplitude: float) -> int:
-    """Smallest per-mode cutoff keeping the Poisson tail below 1e-10."""
+    """Smallest per-mode cutoff up to 10000 keeping the Poisson tail below 1e-10, found by bisection."""
     mean = amplitude * amplitude
-    c = 1
-    while poisson_tail(mean, c) >= _TAIL_LIMIT:
-        c += 1
-        if c > 10_000:
-            raise ModelError("amplitude too large for any reasonable truncation")
-    return c
+    if poisson_tail(mean, 10_000) >= _TAIL_LIMIT:
+        raise ModelError("amplitude too large for any reasonable truncation")
+    # the tail falls as the cutoff grows; tail(hi) < 1e-10 <= tail(lo), and lo = 0 is never evaluated
+    lo, hi = 0, 10_000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if poisson_tail(mean, mid) < _TAIL_LIMIT else (mid, hi)
+    return hi
 
 
 def _largest_amplitude(labels) -> float:
@@ -266,14 +268,12 @@ class LindbladGenerator:
     of B and B+ one more over the whole vector; `apply` is one diagonal
     multiply and a multiply-add per offset.
 
-    As a matrix on vec(rho), L = B (x) I + I (x) conj(B) +
-    sum_mk gamma_mk a_k (x) conj(a_m).  `shift` is the mean of its diagonal,
-    2 Re(mean diag B) since no a_m has a diagonal, and `norm_bound` bounds
-    ||L - shift I||_1 by the triangle inequality and
-    ||X (x) Y||_1 = ||X||_1 ||Y||_1:
-    2 ||B - (shift / 2) I||_1 + sum_k ||a_k||_1 ||J_k||_1 with
-    J_k = sum_m gamma_mk a_m; the column sums come from the same weights.
-    integrate sizes its Taylor series from the bound.
+    `shift` is the mean of L's diagonal, 2 Re(mean diag B).  `norm_bound`
+    bounds ||L - shift I||_1 by the triangle inequality over the terms
+    `apply` adds: an offset puts at most one weight in each column, so its
+    1-norm is its largest weight (2 max |b_dd - shift / 2| on the diagonal,
+    cutoff |gamma_mk| for a jump).  integrate sizes its Taylor series from
+    this sum of the terms' largest weights.
     """
 
     def __init__(self, basis: FockBasisSpec, w: np.ndarray, gamma: np.ndarray) -> None:
@@ -302,20 +302,11 @@ class LindbladGenerator:
             if m != k and b[m, k] != 0.0
         }
         self.shift = 2.0 * float(np.mean(b_diag.real))
-        # column sums of |B - (shift / 2) I| and of |J_k|, entries taken in row
-        # order: row i of a hop with source offset o lies in column i + o
-        cols = np.zeros(dim)
-        for off in sorted([0, *b_hops], reverse=True):
-            if off == 0:
-                cols += np.abs(b_diag - 0.5 * self.shift)
-            else:
-                cols[max(0, off) : dim + min(0, off)] += np.abs(b_hops[off][max(0, -off) : dim - max(0, off)])
-        jumps = 0.0
-        for k in range(n):
-            jk = [np.abs(gamma[m, k] * rise[m]) for m in range(n) if gamma[m, k] != 0.0]
-            if jk:
-                jumps += float(np.max(rise[k])) * float(np.max(sum(jk)))
-        self.norm_bound = 2.0 * float(np.max(cols)) + jumps
+        self.norm_bound = (
+            2.0 * float(np.max(np.abs(b_diag - 0.5 * self.shift)))
+            + 2.0 * sum(float(np.max(np.abs(v))) for v in b_hops.values())
+            + c * float(np.sum(np.abs(gamma)))
+        )
 
         self._diag = (b_diag[:, None] + b_diag.conj()[None, :]).ravel()
         # (offset, weights over the whole vector), made one at a time and cut
@@ -464,12 +455,7 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
 
 
 def _occupation_digits(basis: FockBasisSpec) -> np.ndarray:
-    idx = np.arange(basis.dim)
-    digits = np.empty((basis.dim, basis.n), dtype=int)
-    for m in range(basis.n - 1, -1, -1):
-        digits[:, m] = idx % (basis.cutoff + 1)
-        idx = idx // (basis.cutoff + 1)
-    return digits
+    return np.indices((basis.cutoff + 1,) * basis.n).reshape(basis.n, -1).T
 
 
 def _trace_distance(labels: np.ndarray, coeffs: np.ndarray, rho: np.ndarray, basis: FockBasisSpec) -> float:

@@ -777,6 +777,47 @@ def test_sweep_finals_match_the_evolve_summary(tmp_path, seed):
         assert swept["final_occupation"] == artifacts._fmt(final["total_occupation"])
 
 
+@pytest.mark.parametrize("param, values", [("alpha", (0.3, 1.1)), ("lambda", (0.2, 1.5))])
+def test_sweep_rows_match_the_evolve_summary_of_the_patched_scenario(tmp_path, param, values):
+    cfg = _write_scenario(tmp_path / "s.json")
+    raw = json.loads(cfg.read_text())
+    section = "state" if param == "alpha" else "network"
+    args = ["--sweep-param", param, "--sweep-values", ",".join(map(str, values))]
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), *args]) == 0
+    header, *rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == len(values)
+    for value, row in zip(values, rows):
+        swept = dict(zip(header.split(","), row.split(",")))
+        assert swept[param] == artifacts._fmt(value) and swept["status"] == "ok"
+        patched = _write_scenario(tmp_path / "p.json", **{section: {**raw[section], param: value}})
+        assert main(["evolve", "--config", str(patched), "--out", str(tmp_path / "evolve")]) == 0
+        summary = json.loads((tmp_path / "evolve" / "summary.json").read_text())
+        want = {
+            **{key: summary[key] for key in ("gamma_down", "gamma_up", "tau_d_formula", "tau_d_numeric")},
+            "final_purity": summary["final"]["purity"],
+            "final_fidelity": summary["final"]["fidelity_to_initial"],
+            "final_occupation": summary["final"]["total_occupation"],
+        }
+        for key, v in want.items():
+            assert swept[key] == (v if isinstance(v, str) else artifacts._fmt(v))
+
+
+@pytest.mark.parametrize(
+    "param, override, message",
+    [
+        ("alpha", {"state": {"type": "explicit", "weights": [1.0], "labels": [[0.5, 0.5]]}},
+         "alpha sweeps need the two-branch state form"),
+        ("lambda", {"network": {"omega": [10.0, 10.0], "coupling": [[0.0, 0.5], [0.5, 0.0]]}},
+         "lambda sweeps need the degenerate network shorthand"),
+    ],
+)
+def test_sweep_rejects_a_scenario_without_the_swept_key(tmp_path, param, override, message):
+    cfg = _write_scenario(tmp_path / "s.json", **override)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--sweep-param", param, "--sweep-values", "0.5"]) == 1
+    assert json.loads((out / "sweep_summary.json").read_text())["errors"] == {"0.5": message}
+
+
 def test_sweep_partial_failure(tmp_path):
     cfg = _write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
@@ -879,6 +920,33 @@ def test_non_finite_reservoir_fields_are_rejected(tmp_path, capsys, value):
     cfg = _write_scenario(tmp_path / "s.json", reservoir=value)
     assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: reservoir: ")
+
+
+_GOOD = {"amplitude": 1.0, "centers": [10.0], "widths": [0.1]}
+
+
+@pytest.mark.parametrize(
+    "section, value, line",
+    [
+        ("network", {"n": 0, "omega": 10.0, "lambda": 0.5}, "network: network needs at least one resonator"),
+        ("network", {"omega": [10.0, 10.0], "coupling": [[0.0, 0.5], [0.4, 0.0]]},
+         "network: coupling matrix must be symmetric"),
+        ("reservoir", {"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.5},
+         "reservoir: epsilon must lie in [0, 1]"),
+        ("reservoir", {"kind": "common_profile", "sigma": 1.0, "profiles": [_GOOD, {**_GOOD, "widths": [-0.1]}]},
+         "reservoir: profile 1: profile widths must be positive and finite"),
+        ("state", {"type": "rs", "r": 2, "s": 1, "alpha": 0.6}, "state: R + S cannot exceed the number of resonators"),
+        ("state", {"type": "explicit", "weights": [1.0, -1.0], "labels": [[0.5, 0.5], [0.5, 0.5]]},
+         "state: all terms cancelled: the state has zero norm"),
+        ("state", {"type": "explicit", "weights": [1.0], "labels": [0] * 4000},
+         "state: 4000 terms need 2.85e9 bytes per grid time, over the 2.15e9-byte budget"),
+    ],
+    ids=["shorthand-network", "explicit-network", "reservoir", "profile", "rs-state", "explicit-state", "term-budget"],
+)
+def test_model_errors_name_their_section(tmp_path, capsys, section, value, line):
+    cfg = _write_scenario(tmp_path / "s.json", **{section: value})
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_usage_error_exits_via_argparse(tmp_path):

@@ -117,6 +117,26 @@ def test_poisson_tail_and_minimum_cutoff():
     assert oracle.poisson_tail(4.0, c - 1) >= 1e-10
 
 
+def test_minimum_cutoff_bisects(monkeypatch):
+    # The tail falls as the cutoff grows, so a cutoff takes at most one call
+    # at the largest cutoff and 14 bisection steps on [1, 10000]; amplitude
+    # 1e3 fits no cutoff and is rejected after the first.
+    calls = []
+
+    def counted(mean, cutoff):
+        calls.append(cutoff)
+        return tail(mean, cutoff)
+
+    tail = oracle.poisson_tail
+    monkeypatch.setattr(oracle, "poisson_tail", counted)
+    assert oracle.minimum_cutoff(95.0) == 9636
+    assert len(calls) <= 16
+    calls.clear()
+    with pytest.raises(ModelError, match="amplitude too large"):
+        oracle.minimum_cutoff(1e3)
+    assert len(calls) <= 16
+
+
 def test_poisson_tail_keeps_relative_precision_for_tiny_tails():
     # 1 - sum_{k<=12} gives 3.33e-16 here, rounding noise of 1; the tail is
     # 1.96e-16.  Terms beyond k = 60 are below 1e-80 of it.
@@ -337,14 +357,14 @@ def test_generator_matches_the_kron_superoperator(n, cutoff):
         want += np.kron(a[k], sum(gamma[m, k] * a[m] for m in range(n)).conj())
     got = generator_matrix(gen)
     assert np.max(np.abs(got - want)) < 1e-13
-    # shift and norm_bound by their formulas on the dense operators:
-    # 2 Re(mean diag B) and 2 ||B - (shift / 2) I||_1 + sum_k ||a_k||_1 ||J_k||_1
-    def onenorm(x):
-        return np.max(np.sum(np.abs(x), axis=0))
-
+    # shift and norm_bound by their formulas on the dense B and Gamma:
+    # 2 Re(mean diag B), and 2 max |diag B - shift / 2| + 2 sum over B's
+    # off-diagonals (one per hop) of their largest |entry| + cutoff sum |gamma_mk|
     shift = 2.0 * np.mean(np.diagonal(b).real)
-    bound = 2.0 * onenorm(b - 0.5 * shift * eye) + sum(
-        onenorm(a[k]) * onenorm(sum(gamma[m, k] * a[m] for m in range(n))) for k in range(n)
+    bound = (
+        2.0 * np.max(np.abs(np.diagonal(b) - 0.5 * shift))
+        + 2.0 * sum(np.max(np.abs(np.diagonal(b, o))) for o in range(1 - basis.dim, basis.dim) if o != 0)
+        + cutoff * np.sum(np.abs(gamma))
     )
     assert gen.shift == pytest.approx(shift, rel=1e-14)
     assert gen.norm_bound == pytest.approx(bound, rel=1e-14)
