@@ -253,8 +253,9 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
         # Strong coupling to distinct reservoirs shifts the shorthand's bare
         # frequency; an explicit network is taken as already renormalised.
         omega0, lam = degenerate
-        degenerate = (renormalized_frequency(omega0, lam, network.n), lam)
-        network = degenerate_network(network.n, *degenerate)
+        with _model_errors("network"):
+            degenerate = (renormalized_frequency(omega0, lam, network.n), lam)
+            network = degenerate_network(network.n, *degenerate)
     with _model_errors("state"):
         state, rs = _parse_state(_section(cfg, "state", required=False), network.n)
     outsec = _section(cfg, "output", required=False) or {}

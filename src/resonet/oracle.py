@@ -60,12 +60,12 @@ __all__ = [
 _TAIL_LIMIT = 1e-10
 # Dense dim x dim arrays an oracle run holds at once besides the generator's
 # weights: the generator's diagonal and scratch vector (2), the caller's
-# initial state (1), integrate's state, two series terms, product and real
-# work array (5, the last a half counted whole), and at most 4 more: while
-# integrate makes a state, the one compare holds, the new one and a ufunc
-# iteration buffer (128 KiB at most); while compare measures a state, that
-# state, the difference, its Hermitian part and eigvalsh's copy of it.
-_WORKING_ARRAYS = 12
+# initial state (1), integrate's state, two series terms and product (4),
+# and at most 4 more: while integrate makes a state, the one compare holds,
+# the new one and a ufunc iteration buffer (128 KiB at most); while compare
+# measures a state, that state, the difference, its Hermitian part and
+# eigvalsh's copy of it.
+_WORKING_ARRAYS = 11
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1
 # (unit roundoff 2^-53): the degree-m Taylor polynomial of exp(A) has backward
 # error below the unit roundoff while ||A||_1 <= theta_m.
@@ -268,12 +268,11 @@ class LindbladGenerator:
     of B and B+ one more over the whole vector; `apply` is one diagonal
     multiply and a multiply-add per offset.
 
-    `shift` is the mean of L's diagonal, 2 Re(mean diag B).  `norm_bound`
-    bounds ||L - shift I||_1 by the triangle inequality over the terms
+    `norm_bound` bounds ||L||_1 by the triangle inequality over the terms
     `apply` adds: an offset puts at most one weight in each column, so its
-    1-norm is its largest weight (2 max |b_dd - shift / 2| on the diagonal,
-    cutoff |gamma_mk| for a jump).  integrate sizes its Taylor series from
-    this sum of the terms' largest weights.
+    1-norm is its largest weight (2 max |b_dd| on the diagonal, cutoff
+    |gamma_mk| for a jump).  integrate sizes its Taylor series from this sum
+    of the terms' largest weights.
     """
 
     def __init__(self, basis: FockBasisSpec, w: np.ndarray, gamma: np.ndarray) -> None:
@@ -301,9 +300,8 @@ class LindbladGenerator:
             for k in range(n)
             if m != k and b[m, k] != 0.0
         }
-        self.shift = 2.0 * float(np.mean(b_diag.real))
         self.norm_bound = (
-            2.0 * float(np.max(np.abs(b_diag - 0.5 * self.shift)))
+            2.0 * float(np.max(np.abs(b_diag)))
             + 2.0 * sum(float(np.max(np.abs(v))) for v in b_hops.values())
             + c * float(np.sum(np.abs(gamma)))
         )
@@ -381,20 +379,24 @@ def step_size(gen: LindbladGenerator, times) -> float:
     return max(dt / s for dt, _, s in _taylor_plans(gen, times))
 
 
-def _max_abs(x: np.ndarray, mag: np.ndarray) -> float:
-    """Largest |x|, with `mag` (real, the shape of x) as the work array."""
-    return float(np.abs(x, out=mag).max())
+def _max_abs(x: np.ndarray) -> float:
+    """Largest |Re| or |Im| over a C-ordered complex array, read from its float view."""
+    parts = x.view(float)
+    return max(float(parts.max()), -float(parts.min()))
 
 
 def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.ndarray]:
     """Yield the state at each grid time, integrating by the Taylor action of exp(dt L).
 
     Each grid interval dt is split into s substeps h = dt / s, and each
-    substep applies the degree-m Taylor polynomial of exp(h (L - shift I)),
-    scaled by exp(h shift), with (m, s) from the generator's norm bound
-    (see _taylor_plans).  A series stops early once two consecutive terms
-    fall below 2^-53 of the partial sum in max norm, as in Al-Mohy & Higham
-    (2011), Algorithm 3.2.
+    substep applies the degree-m Taylor polynomial of exp(h L), with (m, s)
+    from the generator's norm bound (see _taylor_plans).  A series stops
+    early once two consecutive terms fall below 2^-53 of the partial sum in
+    the max norm over real and imaginary parts, as in Al-Mohy & Higham
+    (2011), Algorithm 3.2.  L is not shifted: at zero temperature the vacuum
+    is stationary, so the series stops soonest for states near it, which
+    a shift by the mean of L's diagonal, -cutoff tr(Gamma) / 2, would move
+    away from zero.
 
     L is `gen.apply`, the generator in the frame rotating at the mean mode
     frequency omega_bar, where the fast phase of omega_bar N is gone; each
@@ -406,34 +408,30 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
     The first state yielded is a copy of rho0.  Only the current state is
     kept, so a consumer that holds at most the latest yielded array (as
     compare does) works in memory independent of the grid.  The series runs
-    in a fixed set of dim x dim buffers (the state, two terms, one product
-    and one real work array) and allocates only the state it yields.
+    in a fixed set of dim x dim buffers (the state, two terms and one
+    product) and allocates only the state it yields.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     plans = _taylor_plans(gen, times)
     rho = np.array(rho0, dtype=complex, order="C", copy=True)
     terms = (np.empty_like(rho), np.empty_like(rho))
     product = np.empty_like(rho)
-    mag = np.empty(rho.shape)
     yield rho.copy()
     for i, (dt, m, s) in enumerate(plans):
         h = dt / s
-        scale = math.exp(h * gen.shift)
         for _ in range(s):
             term = rho
-            c1 = _max_abs(term, mag)
+            c1 = _max_abs(term)
             for j in range(1, m + 1):
                 nxt = terms[term is terms[0]]  # the term buffer not holding term
                 gen.apply(term, out=nxt)
-                nxt -= np.multiply(term, gen.shift, out=product)
                 nxt *= h / j
                 term = nxt
-                c2 = _max_abs(term, mag)
+                c2 = _max_abs(term)
                 rho += term
-                if c1 + c2 <= 2.0**-53 * _max_abs(rho, mag):
+                if c1 + c2 <= 2.0**-53 * _max_abs(rho):
                     break
                 c1 = c2
-            rho *= scale
         # rho = (rho + rho+) / 2; a copy of the transpose, unlike a ufunc
         # reading it, needs no iteration buffer
         np.copyto(product, rho.T)

@@ -1,0 +1,43 @@
+"""The benchmark's own output checks, run on each of its workloads at the recorded seed.
+
+perfbench/scenarios.py and perfbench/checks.py are loaded from their files,
+unchanged: the same scenario JSON, the same artifact checks and the same
+comparison with the recorded reference numbers as a benchmark run, without
+its timing.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from resonet.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+scenarios = _load("scenarios")
+checks = _load("checks")
+
+
+@pytest.mark.parametrize("name", scenarios.WORKLOADS)
+def test_workload_passes_the_benchmark_checks(tmp_path, name):
+    workload = scenarios.make_workload(name, 0)
+    config, out = tmp_path / "scenario.json", tmp_path / "out"
+    workload.write(config)
+    out.mkdir()
+    assert main(workload.argv(config, out)) == 0
+    outcome = checks.Outcome()
+    checks.check_artifacts(workload, out, outcome)
+    checks.compare_reference(workload, out, outcome)
+    assert outcome.failures == []
+    assert outcome.details["reference"] == "numbers match"

@@ -926,25 +926,30 @@ _GOOD = {"amplitude": 1.0, "centers": [10.0], "widths": [0.1]}
 
 
 @pytest.mark.parametrize(
-    "section, value, line",
+    "sections, line",
     [
-        ("network", {"n": 0, "omega": 10.0, "lambda": 0.5}, "network: network needs at least one resonator"),
-        ("network", {"omega": [10.0, 10.0], "coupling": [[0.0, 0.5], [0.4, 0.0]]},
+        ({"network": {"n": 0, "omega": 10.0, "lambda": 0.5}}, "network: network needs at least one resonator"),
+        ({"network": {"omega": [10.0, 10.0], "coupling": [[0.0, 0.5], [0.4, 0.0]]}},
          "network: coupling matrix must be symmetric"),
-        ("reservoir", {"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.5},
+        # the shorthand's frequency renormalised by strong coupling to distinct reservoirs overflows
+        ({"network": {"n": 3, "omega": 1e-200, "lambda": 1e200},
+          "reservoir": {"kind": "distinct_strong_coupling", "gamma_plus": 1.0, "gamma_minus": 0.1}},
+         "network: resonator frequencies must be positive and finite"),
+        ({"reservoir": {"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.5}},
          "reservoir: epsilon must lie in [0, 1]"),
-        ("reservoir", {"kind": "common_profile", "sigma": 1.0, "profiles": [_GOOD, {**_GOOD, "widths": [-0.1]}]},
+        ({"reservoir": {"kind": "common_profile", "sigma": 1.0, "profiles": [_GOOD, {**_GOOD, "widths": [-0.1]}]}},
          "reservoir: profile 1: profile widths must be positive and finite"),
-        ("state", {"type": "rs", "r": 2, "s": 1, "alpha": 0.6}, "state: R + S cannot exceed the number of resonators"),
-        ("state", {"type": "explicit", "weights": [1.0, -1.0], "labels": [[0.5, 0.5], [0.5, 0.5]]},
+        ({"state": {"type": "rs", "r": 2, "s": 1, "alpha": 0.6}}, "state: R + S cannot exceed the number of resonators"),
+        ({"state": {"type": "explicit", "weights": [1.0, -1.0], "labels": [[0.5, 0.5], [0.5, 0.5]]}},
          "state: all terms cancelled: the state has zero norm"),
-        ("state", {"type": "explicit", "weights": [1.0], "labels": [0] * 4000},
+        ({"state": {"type": "explicit", "weights": [1.0], "labels": [0] * 4000}},
          "state: 4000 terms need 2.85e9 bytes per grid time, over the 2.15e9-byte budget"),
     ],
-    ids=["shorthand-network", "explicit-network", "reservoir", "profile", "rs-state", "explicit-state", "term-budget"],
+    ids=["shorthand-network", "explicit-network", "renormalised-network", "reservoir", "profile", "rs-state",
+         "explicit-state", "term-budget"],
 )
-def test_model_errors_name_their_section(tmp_path, capsys, section, value, line):
-    cfg = _write_scenario(tmp_path / "s.json", **{section: value})
+def test_model_errors_name_their_section(tmp_path, capsys, sections, line):
+    cfg = _write_scenario(tmp_path / "s.json", **sections)
     assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
 
