@@ -178,7 +178,10 @@ def _cmd_oracle_compare(args) -> int:
         },
     )
     status = "OK" if passed else "MISMATCH"
-    print(f"oracle max trace distance {_fmt(report.max_distance)} vs threshold {_fmt(cfg.oracle_threshold)}: {status}")
+    # Per-sector bound on the trace distance (see oracle.compare), not the distance itself.
+    print(
+        f"oracle max trace distance bound {_fmt(report.max_distance)} vs threshold {_fmt(cfg.oracle_threshold)}: {status}"
+    )
     return EXIT_OK if passed else EXIT_MISMATCH
 
 

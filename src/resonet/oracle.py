@@ -16,6 +16,18 @@ yields the state at each grid time, and compare measures its trace
 distance to the analytic state as it arrives, so only the state being
 worked on is held.  Slow but independent, and numpy only.
 
+The master equation keeps every coherence order N_a - N_b apart (H
+conserves the total excitation number N, and every jump lowers N on both
+sides), so a state with nonzero entries only at coherence orders divisible
+by g stays block-diagonal in the classes of N mod g; the cats of the paper
+are parity states, g = 2.  compare takes g from the first integrated state
+and measures each time sector by sector: one eigvalsh per diagonal block of
+the difference, plus 0.5 sqrt(dim) times the Frobenius norm of the
+difference outside the blocks.  By the pinching inequality that sum is
+never below the trace distance, whatever the states, and exceeds it by at
+most the second term, which is rounding level while both states keep the
+symmetry.  With g = 1 there is one block, the whole matrix.
+
 Every dense array here, the generator's weights included, has up to
 dim x dim complex entries, and integration and comparison hold a fixed
 number of them whatever the grid, so memory is bounded up front: a basis
@@ -61,10 +73,15 @@ _TAIL_LIMIT = 1e-10
 # Dense dim x dim arrays an oracle run holds at once besides the generator's
 # weights: the generator's diagonal and scratch vector (2), the caller's
 # initial state (1), integrate's state, two series terms and product (4),
-# and at most 4 more: while integrate makes a state, the one compare holds,
-# the new one and a ufunc iteration buffer (128 KiB at most); while compare
-# measures a state, that state, the difference, its Hermitian part and
-# eigvalsh's copy of it.
+# and at most 4 more.  compare holds its gather index into sector order
+# (dim^2 integers, half an array) throughout, and besides it: while
+# integrate makes a state, the one compare holds, the new one and a ufunc
+# iteration buffer (128 KiB at most); while compare measures a state, that
+# state and the difference, then the difference in sector order (the first
+# copy is dropped once it is made) and one of: a sector's conjugate
+# transpose, eigvalsh's copy of the sector, or a flat copy of one rectangle
+# outside the sectors.  The integer and boolean masks _sectors reads the
+# first state with take less than one array.
 _WORKING_ARRAYS = 11
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1
 # (unit roundoff 2^-53): the degree-m Taylor polynomial of exp(A) has backward
@@ -456,20 +473,48 @@ def _occupation_digits(basis: FockBasisSpec) -> np.ndarray:
     return np.indices((basis.cutoff + 1,) * basis.n).reshape(basis.n, -1).T
 
 
-def _trace_distance(labels: np.ndarray, coeffs: np.ndarray, rho: np.ndarray, basis: FockBasisSpec) -> float:
-    """0.5 * sum |eigenvalues| of the Hermitian part of (embedded label state - rho)."""
+def _sectors(rho0: np.ndarray, basis: FockBasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The basis order and bounds of the symmetry sectors that rho0 fixes.
+
+    g is the gcd of the coherence orders |N_a - N_b| on which rho0 is nonzero,
+    and the sectors are the classes of the total excitation number N mod g
+    (of N itself when g = 0), in which the master equation keeps rho0 block-
+    diagonal.  Sector i is order[bounds[i]:bounds[i + 1]]; with g = 1 the one
+    sector is the whole basis in its own order.
+    """
+    occ = _occupation_digits(basis).sum(axis=1, dtype=np.int32)
+    orders = np.abs(occ[:, None] - occ[None, :])[rho0 != 0]
+    g = int(np.gcd.reduce(np.flatnonzero(np.bincount(orders))))
+    key = occ % g if g else occ
+    return np.argsort(key, kind="stable"), np.concatenate(([0], np.cumsum(np.bincount(key))))
+
+
+def _hermitian_trace_norm(x: np.ndarray) -> float:
+    """sum |eigenvalues| of the Hermitian part (x + x^dagger) / 2, which overwrites x."""
+    x += np.conjugate(x.T)
+    x *= 0.5
+    return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+
+
+def _trace_distance(labels, coeffs, rho: np.ndarray, basis: FockBasisSpec, index: np.ndarray, bounds: np.ndarray) -> float:
+    """Upper bound on the trace distance of the embedded label state and rho, per sector (see compare).
+
+    The difference is taken once into sector order (delta.take(index) is
+    delta[order][:, order] flattened), so each diagonal block and each
+    rectangle outside them is a view of it.
+    """
     delta = embed_labels(labels, coeffs, basis)
     delta -= rho
-    herm = delta.T.copy()
-    np.conjugate(herm, out=herm)
-    herm += delta
-    herm *= 0.5
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    delta = delta.take(index).reshape(basis.dim, basis.dim)
+    cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    total = sum(_hermitian_trace_norm(delta[lo:hi, lo:hi]) for lo, hi in cuts)
+    off = sum(np.vdot(x, x).real for lo, hi in cuts for x in (delta[lo:hi, :lo], delta[lo:hi, hi:]))
+    return 0.5 * total + 0.5 * math.sqrt(basis.dim * off)
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Trace distances between analytic and integrated states per grid time, and max_tail_mass of all labels."""
+    """Per grid time, an upper bound on the trace distance between analytic and integrated states (see compare), and max_tail_mass of all labels."""
 
     times: np.ndarray
     distances: np.ndarray
@@ -478,14 +523,23 @@ class ComparisonReport:
 
 
 def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasisSpec) -> ComparisonReport:
-    """Trace distance between a label stream and a stream of integrated Fock states.
+    """Upper bound on the trace distance between a label stream and a stream of integrated Fock states.
 
     The two streams are walked in lockstep, one grid time at a time: each
     integrated state is compared as it arrives against the analytic state of
-    its block, embedded on the same truncated basis; distances are
-    0.5 * sum |eigenvalues| of the Hermitian difference.  Of the label
-    stream only the current block and, per term and mode, the largest
-    |label| so far are held.  Streams of different lengths raise ModelError.
+    its block, embedded on the same truncated basis.  The reported distance
+    is taken per symmetry sector of the first integrated state (see
+    _sectors): the sum over sectors S of 0.5 ||Herm(Delta)_SS||_1, one
+    eigvalsh per sector, plus 0.5 sqrt(dim) ||Delta_off||_F for the
+    difference Delta outside the sectors.  By the pinching inequality this
+    is never below the trace distance and exceeds it by at most the second
+    term, which is rounding level while both states keep the first one's
+    symmetry, so a value is a measured distance only when that term is
+    small; with one sector (g = 1) the second term is 0 and the value is
+    0.5 sum |eigenvalues| of Herm(Delta).  Of the label stream
+    only the current block and, per term and mode, the largest |label| so
+    far are held.  Streams of different lengths, or an empty grid, raise
+    ModelError.
     """
     rhos = iter(rhos)
     times, dists, envelope = [], [], 0.0
@@ -495,9 +549,14 @@ def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasi
             rho = next(rhos, None)
             if rho is None:
                 raise ModelError("trajectory and integrated states cover different grids")
+            if not dists:
+                order, bounds = _sectors(rho, basis)
+                index = (order[:, None] * basis.dim + order).ravel()
             times.append(t)
-            dists.append(_trace_distance(labels, coeffs, rho, basis))
+            dists.append(_trace_distance(labels, coeffs, rho, basis, index, bounds))
     if next(rhos, None) is not None:
         raise ModelError("trajectory and integrated states cover different grids")
+    if not dists:
+        raise ModelError("comparison grid is empty: no label block and no integrated state")
     dists = np.array(dists)
     return ComparisonReport(np.array(times), dists, float(np.max(dists)), max_tail_mass(envelope, basis.cutoff))

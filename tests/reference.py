@@ -1,6 +1,7 @@
 """Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
 against (no command reaches these), whole-grid arrays from a label stream, a label flow the
-stream must refuse, and the kernel-shrinking construction of the protected subspace.
+stream must refuse, the kernel-shrinking construction of the protected subspace, and the oracle's
+full-matrix trace distance.
 """
 
 import math
@@ -260,3 +261,14 @@ def mode_lowering_ops(basis: oracle.FockBasisSpec) -> list[np.ndarray]:
 def mean_amplitudes(rho: np.ndarray, basis: oracle.FockBasisSpec) -> np.ndarray:
     """<a_m> for each mode from a Fock-basis density matrix."""
     return np.array([np.trace(op @ rho) for op in mode_lowering_ops(basis)])
+
+
+def trace_distance_full(labels, coeffs, rho: np.ndarray, basis: oracle.FockBasisSpec) -> float:
+    """0.5 * sum |eigenvalues| of the Hermitian part of (embedded label state - rho), one eigvalsh of the whole matrix."""
+    delta = oracle.embed_labels(labels, coeffs, basis)
+    delta -= rho
+    herm = delta.T.copy()
+    np.conjugate(herm, out=herm)
+    herm += delta
+    herm *= 0.5
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))

@@ -29,6 +29,7 @@ from reference import (
     mean_amplitudes,
     mode_lowering_ops,
     mode_occupations,
+    trace_distance_full,
 )
 
 
@@ -497,6 +498,134 @@ def test_compare_walks_label_blocks_in_lockstep(monkeypatch):
     assert np.array_equal(reports[0].times, times) and reports[0].max_distance < 1e-6
     labels = collect(propagate_with(state, times, flow)).labels
     assert reports[0].tail_mass == reports[1].tail_mass == oracle.max_tail_mass(labels, basis.cutoff)
+
+
+def test_compare_rejects_an_empty_grid():
+    basis = oracle.FockBasisSpec(n=2, cutoff=3)
+    with pytest.raises(ModelError, match="comparison grid is empty"):
+        oracle.compare([], [], basis)
+    with pytest.raises(ModelError, match="different grids"):
+        oracle.compare([], [np.eye(basis.dim)], basis)
+
+
+def _random_generator(n, cutoff, rng):
+    """Generator of a detuned network with every coupling and a random positive semidefinite decay matrix."""
+    coupling = np.triu(rng.uniform(0.2, 0.6, size=(n, n)), 1)
+    spec = NetworkSpec(omega=rng.uniform(1.0, 5.0, size=n), coupling=coupling + coupling.T)
+    x = rng.normal(scale=0.5, size=(n, n))
+    return oracle.build_generator(spec, DecayMatrix(x @ x.T), oracle.FockBasisSpec(n=n, cutoff=cutoff))
+
+
+def _off_sectors(basis, order, bounds):
+    """Mask of the basis pairs (a, b) that lie in different sectors."""
+    sector = np.empty(basis.dim, dtype=int)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        sector[order[lo:hi]] = i
+    return sector[:, None] != sector[None, :]
+
+
+@pytest.mark.parametrize("n, cutoffs", [(1, (9, 10)), (2, (8, 9)), (3, (4, 5))])
+def test_parity_cats_stay_exactly_in_their_sectors(n, cutoffs):
+    # A cat of beta and -beta is a parity eigenstate, so the sectors are the
+    # classes of N mod 2; the master equation keeps each coherence order
+    # N_a - N_b apart, so every integrated state is exactly zero outside them,
+    # on random networks and decay matrices and at odd and even cutoffs.
+    # An eta != 0 mode breaks the parity and leaves one sector.
+    rng = np.random.default_rng(n)
+    beta = 0.15 * np.exp(2j * np.pi * rng.uniform(size=n))
+    cats = [make_superposition([1.0, sign], [beta, -beta]) for sign in (1.0, -1.0)]
+    cats += [make_rs_state(RSFamilySpec(n=n, r=1, s=min(1, n - 1), alpha=0.15, sign=sign)) for sign in (1, -1)]
+    if n == 3:
+        cats.append(make_rs_state(RSFamilySpec(n=3, r=2, s=1, alpha=0.15)))
+    times = np.array([0.0, 0.1, 0.25])
+    for cutoff in cutoffs:
+        gen = _random_generator(n, cutoff, rng)
+        for state in cats:
+            rho0 = oracle.embed_state(state, gen.basis)
+            order, bounds = oracle._sectors(rho0, gen.basis)
+            assert len(bounds) == 3
+            occ = oracle._occupation_digits(gen.basis).sum(axis=1)
+            assert np.array_equal(occ[order] % 2, np.repeat([0, 1], np.diff(bounds)))
+            off = _off_sectors(gen.basis, order, bounds)
+            for rho in oracle.integrate(rho0, gen, times):
+                assert np.all(rho[off] == 0.0)
+    if n == 3:
+        broken = make_rs_state(RSFamilySpec(n=3, r=1, s=1, alpha=0.15, eta=0.1))
+        order, bounds = oracle._sectors(oracle.embed_state(broken, gen.basis), gen.basis)
+        assert np.array_equal(order, np.arange(gen.basis.dim)) and list(bounds) == [0, gen.basis.dim]
+
+
+def test_sector_distance_bounds_the_full_distance():
+    # With entries planted outside the sectors of the first state, the
+    # reported distance is never below the full-matrix trace distance and
+    # exceeds it by at most 0.5 sqrt(dim) ||Delta_off||_F; without them it
+    # is the full distance to rounding.  The oracle benchmark's network and
+    # decay with an n = 2, r = s = 1 cat.
+    basis = oracle.FockBasisSpec(n=2, cutoff=10)
+    spec, decay = degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.5)
+    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
+    times = np.linspace(0.0, 0.5, 6)
+    gen = oracle.build_generator(spec, decay, basis)
+    rhos = list(oracle.integrate(oracle.embed_state(state, basis), gen, times))
+    blocks = list(propagate_with(state, times, label_flow(drift_matrix(spec, decay))))
+    order, bounds = oracle._sectors(rhos[0], basis)
+    off = _off_sectors(basis, order, bounds)
+    rng = np.random.default_rng(11)
+    planted = [rhos[0]]
+    for rho, scale in zip(rhos[1:], (1e-12, 1e-10, 1e-9, 1e-8, 1e-6)):
+        x = rng.normal(scale=scale, size=rho.shape) + 1j * rng.normal(scale=scale, size=rho.shape)
+        planted.append(rho + np.where(off, x + x.conj().T, 0.0))
+    (block,) = blocks
+    reports = []
+    for rhos_in in (rhos, planted):
+        reports.append(oracle.compare(blocks, rhos_in, basis))
+        for dist, labels, coeffs, rho in zip(reports[-1].distances, block.labels, block.coeffs, rhos_in):
+            full = trace_distance_full(labels, coeffs, rho, basis)
+            delta_off = np.linalg.norm((oracle.embed_labels(labels, coeffs, basis) - rho)[off])
+            assert full - 1e-15 <= dist <= full + 0.5 * math.sqrt(basis.dim) * delta_off
+            if rhos_in is rhos:
+                assert delta_off < 1e-15
+    assert reports[1].distances[-1] > reports[0].distances[-1] + 1e-6
+
+
+def test_one_sector_gives_the_full_distance_bit_for_bit():
+    # A generic explicit state has every coherence order (g = 1): one sector,
+    # the whole matrix, and the very numbers of one eigvalsh of it.
+    spec = NetworkSpec(omega=[9.4, 10.7], coupling=[[0.0, 0.6], [0.6, 0.0]])
+    decay = decay_matrix_common(2, 1.0, 0.7)
+    state = make_superposition([1.0, 0.5 + 0.3j], np.array([[0.5 + 0.1j, -0.3], [0.1 - 0.4j, 0.6 + 0.2j]]))
+    basis = oracle.FockBasisSpec(n=2, cutoff=12)
+    gen = oracle.build_generator(spec, decay, basis)
+    times = np.linspace(0.0, 1.0, 6)
+    rhos = list(oracle.integrate(oracle.embed_state(state, basis), gen, times))
+    order, bounds = oracle._sectors(rhos[0], basis)
+    assert np.array_equal(order, np.arange(basis.dim)) and list(bounds) == [0, basis.dim]
+    blocks = list(propagate_with(state, times, label_flow(drift_matrix(spec, decay))))
+    report = oracle.compare(blocks, rhos, basis)
+    block = collect(blocks)
+    full = [trace_distance_full(*args, basis) for args in zip(block.labels, block.coeffs, rhos)]
+    assert np.array_equal(report.distances, full)
+
+
+def test_vacuum_has_one_sector_per_excitation_number():
+    # The vacuum has only coherence order 0 (g = 0): one sector per value of
+    # N, 0 to n cutoff, and it stays the vacuum, at distance 0.
+    basis = oracle.FockBasisSpec(n=2, cutoff=5)
+    spec, decay = degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.5)
+    state = make_superposition([1.0], np.zeros((1, 2)))
+    rho0 = oracle.embed_state(state, basis)
+    order, bounds = oracle._sectors(rho0, basis)
+    occ = oracle._occupation_digits(basis).sum(axis=1)
+    assert len(bounds) == 2 * 5 + 2
+    assert np.array_equal(occ[order], np.repeat(np.arange(11), np.diff(bounds)))
+    times = np.linspace(0.0, 0.5, 4)
+    gen = oracle.build_generator(spec, decay, basis)
+    rhos = list(oracle.integrate(rho0, gen, times))
+    blocks = list(propagate_with(state, times, label_flow(drift_matrix(spec, decay))))
+    report = oracle.compare(blocks, rhos, basis)
+    block = collect(blocks)
+    full = [trace_distance_full(*args, basis) for args in zip(block.labels, block.coeffs, rhos)]
+    assert np.array_equal(report.distances, full) and report.max_distance == 0.0
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():
