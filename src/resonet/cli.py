@@ -40,12 +40,6 @@ EXIT_MISMATCH = 3
 # shared pipeline
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _label_flow(cfg: ScenarioConfig, decay: reservoir.DecayMatrix) -> evolve.LabelFlow:
     if cfg.state is None:
         raise ConfigError("this command needs a 'state' section in the scenario")
@@ -82,9 +76,7 @@ def _summarize(cfg: ScenarioConfig, flow: evolve.LabelFlow, last: evolve.Block, 
 # subcommands
 
 
-def _cmd_modes(args) -> int:
-    cfg = parse_scenario(load_config(args.config))
-    out = _outdir(args)
+def _cmd_modes(cfg: ScenarioConfig, out: Path) -> int:
     decomp = network.normal_modes(cfg.network)
     payload = {
         "n": cfg.network.n,
@@ -106,9 +98,7 @@ def _cmd_modes(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
-    cfg = parse_scenario(load_config(args.config))
-    out = _outdir(args)
+def _cmd_evolve(cfg: ScenarioConfig, out: Path) -> int:
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     flow = _label_flow(cfg, decay)
     # total occupation, purity and fidelity per time, for the SVG plots
@@ -132,9 +122,7 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    cfg = parse_scenario(load_config(args.config))
-    out = _outdir(args)
+def _cmd_classify(cfg: ScenarioConfig, out: Path) -> int:
     if cfg.state is None:
         raise ConfigError("classify needs a 'state' section in the scenario")
     report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir, cfg.network)
@@ -146,12 +134,10 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_compare(args) -> int:
+def _cmd_oracle_compare(cfg: ScenarioConfig, out: Path) -> int:
     # Only this command needs the oracle, so the other commands never import it.
     from . import oracle
 
-    cfg = parse_scenario(load_config(args.config))
-    out = _outdir(args)
     decay = reservoir.build_decay_matrix(cfg.reservoir, cfg.network)
     blocks = evolve.propagate_with(cfg.state, cfg.times, _label_flow(cfg, decay))
     cutoff = cfg.oracle_cutoff or oracle.suggest_cutoff(cfg.state)
@@ -244,15 +230,11 @@ def _sweep_one(raw: dict, param: str, value: float) -> tuple:
     )
 
 
-def _cmd_sweep(args) -> int:
-    raw = load_config(args.config)
-    parse_scenario(raw)
-    out = _outdir(args)
-    param = args.sweep_param
+def _cmd_sweep(raw: dict, out: Path, param: str, sweep_values: str) -> int:
     try:
-        values = [float(v) for v in args.sweep_values.split(",") if v.strip() != ""]
+        values = [float(v) for v in sweep_values.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"cannot parse sweep values {args.sweep_values!r}") from None
+        raise ConfigError(f"cannot parse sweep values {sweep_values!r}") from None
     if not values:
         raise ConfigError("sweep needs at least one value")
 
@@ -318,14 +300,19 @@ _HANDLERS = {
     "evolve": _cmd_evolve,
     "classify": _cmd_classify,
     "oracle-compare": _cmd_oracle_compare,
-    "sweep": _cmd_sweep,
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        raw = load_config(args.config)
+        cfg = parse_scenario(raw)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command == "sweep":
+            return _cmd_sweep(raw, out, args.sweep_param, args.sweep_values)
+        return _HANDLERS[args.command](cfg, out)
     except (ConfigError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -157,9 +157,16 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     times to zeta = (exp(lam t) * beta V^-T) V^T, of shape (T, terms, n),
     without forming exp(t D).  When the eigenvectors are unusable it takes
     zeta = beta exp(t D)^T with the Taylor expm of the stack t D instead.
+    A factorisation that fails, as for a drift near the float range,
+    raises NumericalError instead of warning; one that is not finite gives
+    non-finite labels, which propagate_with rejects.
     """
     d = np.asarray(drift)
-    basis = _eigenbasis(d)
+    with np.errstate(all="ignore"):
+        try:
+            basis = _eigenbasis(d)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"the drift matrix cannot be factorised: {exc}") from None
     if basis is None:
 
         def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -301,7 +308,9 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
     bound = np.einsum("ri,ri->r", b, b) * (1.0 + _TRACE_ABORT)
     for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]
-        zeta = np.ascontiguousarray(flow(beta, tb), dtype=complex)
+        # An exploding flow overflows; the label guard below is the arbiter.
+        with np.errstate(over="ignore", invalid="ignore"):
+            zeta = np.ascontiguousarray(flow(beta, tb), dtype=complex)
         if zeta.shape != (tb.size, terms, n):
             raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
         z = zeta.view(float)

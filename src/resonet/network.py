@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NumericalError
+from .errors import _BYTE_BUDGET, ModelError, NumericalError, _sci
 
 __all__ = [
     "NetworkSpec",
@@ -29,6 +29,13 @@ __all__ = [
 
 # Values closer than this (relative) are linked into one cluster (see clusters).
 _CLUSTER_RTOL = 1e-9
+
+# Bytes a command holds per entry of an n x n network matrix.  Measured with
+# tracemalloc as the slope of the peak traced memory against n^2 of `modes`,
+# `evolve`, `classify` and `sweep` runs on the {n, omega, lambda} shorthand
+# (n = 100 to 400, common white-noise and distinct reservoirs); `sweep`, the
+# largest, holds 176.
+_NETWORK_ENTRY_BYTES = 176
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -83,9 +90,16 @@ class NetworkSpec:
 
 
 def degenerate_network(n: int, omega0: float, lambda0: float) -> NetworkSpec:
-    """All-to-all network: every resonator at omega0, every pair coupled at lambda0."""
+    """All-to-all network: every resonator at omega0, every pair coupled at lambda0.
+
+    An n whose run would need more than the byte budget is rejected before
+    any n x n array is made.
+    """
     if n < 1:
         raise ModelError("network needs at least one resonator")
+    need = _NETWORK_ENTRY_BYTES * n * n
+    if need > _BYTE_BUDGET:
+        raise ModelError(f"{n} resonators need {_sci(need)} bytes, over the {_sci(_BYTE_BUDGET)}-byte budget")
     coupling = np.full((n, n), float(lambda0))
     np.fill_diagonal(coupling, 0.0)
     return NetworkSpec(omega=np.full(n, float(omega0)), coupling=coupling)

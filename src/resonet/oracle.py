@@ -9,9 +9,11 @@ equation
 is applied matrix-free: on the row-major vec(rho) every term moves the
 flat index by a constant offset fixed by the mode strides of the product
 basis, so the generator is one precomputed weight array per offset (see
-LindbladGenerator).  Each grid interval is crossed by the truncated Taylor
-series of exp(dt L) applied to the state (Al-Mohy & Higham 2011), in the
-frame rotating at the mean mode frequency (see integrate).  integrate
+LindbladGenerator).  Each grid interval is crossed in substeps by the
+Taylor series of exp(dt L) applied to the state, of degree 55 at most and
+stopped once its terms fall below the unit roundoff (Al-Mohy & Higham
+2011), in the frame rotating at the mean mode frequency (see integrate).
+The series keeps the state Hermitian up to rounding.  integrate
 yields the state at each grid time, and compare measures its trace
 distance to the analytic state as it arrives, so only the state being
 worked on is held.  Slow but independent, and numpy only.
@@ -72,21 +74,22 @@ __all__ = [
 _TAIL_LIMIT = 1e-10
 # Dense dim x dim arrays an oracle run holds at once besides the generator's
 # weights: the generator's diagonal and scratch vector (2), the caller's
-# initial state (1), integrate's state, two series terms and product (4),
-# and at most 4 more.  compare holds its gather index into sector order
-# (dim^2 integers, half an array) throughout, and besides it: while
-# integrate makes a state, the one compare holds, the new one and a ufunc
-# iteration buffer (128 KiB at most); while compare measures a state, that
-# state and the difference, then the difference in sector order (the first
-# copy is dropped once it is made) and one of: a sector's conjugate
-# transpose, eigvalsh's copy of the sector, or a flat copy of one rectangle
-# outside the sectors.  The integer and boolean masks _sectors reads the
-# first state with take less than one array.
-_WORKING_ARRAYS = 11
-# theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, Table 3.1
-# (unit roundoff 2^-53): the degree-m Taylor polynomial of exp(A) has backward
-# error below the unit roundoff while ||A||_1 <= theta_m.
-_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+# initial state (1), integrate's state and two series terms (3), and at
+# most 4 more.  compare holds its gather index into sector order (dim^2
+# integers, half an array) throughout, and besides it: while integrate
+# makes a state, the one compare holds, the new one and a ufunc iteration
+# buffer (128 KiB at most); while compare measures a state, that state and
+# the difference, then the difference in sector order (the first copy is
+# dropped once it is made) and one of: a sector's conjugate transpose,
+# eigvalsh's copy of the sector, or a flat copy of one rectangle outside
+# the sectors.  The integer and boolean masks _sectors reads the first
+# state with take less than one array.
+_WORKING_ARRAYS = 10
+# The Taylor degree cap and its theta_55 of Al-Mohy & Higham, SIAM J. Sci.
+# Comput. 33 (2011) 488, Table 3.1 (unit roundoff 2^-53): the degree-55
+# Taylor polynomial of exp(A) has backward error below the unit roundoff
+# while ||A||_1 <= 9.9.
+_DEGREE, _THETA = 55, 9.9
 
 
 @dataclass(frozen=True)
@@ -292,6 +295,8 @@ class LindbladGenerator:
     of the terms' largest weights.
     """
 
+    # Weights that overflow make norm_bound non-finite, which _taylor_plans rejects.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, basis: FockBasisSpec, w: np.ndarray, gamma: np.ndarray) -> None:
         n = basis.n
         w = np.asarray(w, dtype=float)
@@ -369,11 +374,12 @@ def build_generator(spec: NetworkSpec, decay, basis: FockBasisSpec) -> LindbladG
 
 
 def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float, int, int]]:
-    """(dt, degree m, substeps s) of the Taylor action on each grid interval.
+    """(dt, degree cap m, substeps s) of the Taylor action on each grid interval.
 
-    The rule of Al-Mohy & Higham (2011), Algorithm 3.2 with their eq. 3.13
-    branch: the pair minimising m * s with (dt / s) * norm_bound <= theta_m.
-    A zero generator needs no terms.
+    m is _DEGREE, and s = max(1, ceil(dt norm_bound / theta_m)) keeps each
+    substep's ||h L||_1 <= theta_m; a series usually stops well before m
+    (see integrate).  A norm bound that is not finite times dt, as from
+    inputs near the float range, raises NumericalError.
     """
     if times.size < 2:
         raise ModelError("integration needs at least two grid times")
@@ -382,11 +388,9 @@ def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float
         if not dt > 0.0:
             raise ModelError("time grid must be strictly increasing")
         x = dt * gen.norm_bound
-        if x == 0.0:
-            plans.append((dt, 0, 1))
-        else:
-            m, s = min(((m, math.ceil(x / theta)) for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
-            plans.append((dt, m, s))
+        if not math.isfinite(x):
+            raise NumericalError(f"the generator's norm bound {gen.norm_bound:g} times dt = {dt:g} is not finite")
+        plans.append((dt, _DEGREE, max(1, math.ceil(x / _THETA))))
     return plans
 
 
@@ -405,9 +409,9 @@ def _max_abs(x: np.ndarray) -> float:
 def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.ndarray]:
     """Yield the state at each grid time, integrating by the Taylor action of exp(dt L).
 
-    Each grid interval dt is split into s substeps h = dt / s, and each
-    substep applies the degree-m Taylor polynomial of exp(h L), with (m, s)
-    from the generator's norm bound (see _taylor_plans).  A series stops
+    Each grid interval dt is split into s substeps h = dt / s, with s from
+    the generator's norm bound (see _taylor_plans), and each substep applies
+    the Taylor series of exp(h L) up to degree 55 at most.  A series stops
     early once two consecutive terms fall below 2^-53 of the partial sum in
     the max norm over real and imaginary parts, as in Al-Mohy & Higham
     (2011), Algorithm 3.2.  L is not shifted: at zero temperature the vacuum
@@ -419,20 +423,20 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
     frequency omega_bar, where the fast phase of omega_bar N is gone; each
     yielded state is rotated back to the lab frame, rho_ab(t) =
     exp(-i omega_bar (t - t0) (N_a - N_b)) rho_I,ab(t), which changes neither
-    trace nor Hermiticity.  The state is re-hermitised at every grid time;
-    trace drift beyond 1e-6 aborts with NumericalError naming that time.
+    trace nor Hermiticity.  L(rho+) = L(rho)+, so the series keeps the
+    state Hermitian up to rounding and it is never projected; trace drift
+    beyond 1e-6 aborts with NumericalError naming that time.
 
     The first state yielded is a copy of rho0.  Only the current state is
     kept, so a consumer that holds at most the latest yielded array (as
     compare does) works in memory independent of the grid.  The series runs
-    in a fixed set of dim x dim buffers (the state, two terms and one
-    product) and allocates only the state it yields.
+    in a fixed set of dim x dim buffers (the state and two terms) and
+    allocates only the state it yields.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     plans = _taylor_plans(gen, times)
     rho = np.array(rho0, dtype=complex, order="C", copy=True)
     terms = (np.empty_like(rho), np.empty_like(rho))
-    product = np.empty_like(rho)
     yield rho.copy()
     for i, (dt, m, s) in enumerate(plans):
         h = dt / s
@@ -449,12 +453,6 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
                 if c1 + c2 <= 2.0**-53 * _max_abs(rho):
                     break
                 c1 = c2
-        # rho = (rho + rho+) / 2; a copy of the transpose, unlike a ufunc
-        # reading it, needs no iteration buffer
-        np.copyto(product, rho.T)
-        np.conjugate(product, out=product)
-        product += rho
-        np.multiply(product, 0.5, out=rho)
         t = times[i + 1]
         tr = np.trace(rho).real
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_ABORT:

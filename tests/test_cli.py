@@ -922,6 +922,75 @@ def test_non_finite_reservoir_fields_are_rejected(tmp_path, capsys, value):
     assert capsys.readouterr().err.startswith("error: reservoir: ")
 
 
+@pytest.mark.parametrize(
+    "overrides, command, message",
+    [
+        ({"network": {"n": 2, "omega": 1e308, "lambda": 0.5}}, "evolve", "the drift matrix cannot be factorised"),
+        ({"network": {"n": 2, "omega": 1e308, "lambda": 0.5}}, "oracle-compare",
+         "the drift matrix cannot be factorised"),
+        ({"network": {"n": 2, "omega": 10.0, "lambda": 1e308}}, "oracle-compare", "the generator's norm bound inf"),
+        ({"reservoir": {"kind": "common_white_noise", "Gamma": 1e308, "epsilon": 0.5}}, "oracle-compare",
+         "the generator's norm bound inf"),
+        ({"evolution": {"t_max": 1e308, "steps": 10}}, "evolve", "labels are non-finite"),
+        ({"evolution": {"t_max": 1e308, "steps": 10}}, "oracle-compare", "labels are non-finite"),
+    ],
+    ids=["omega-evolve", "omega-oracle", "lambda-oracle", "Gamma-oracle", "t_max-evolve", "t_max-oracle"],
+)
+def test_overflowing_inputs_are_numerical_failures(tmp_path, capsys, overrides, command, message):
+    # Inputs near the float range overflow inside numpy; the run ends with exit 2 and one line, no warning.
+    cfg = _write_scenario(tmp_path / "s.json", **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"numerical failure: {message}")
+
+
+def test_overflowing_sweep_points_are_error_rows(tmp_path):
+    cfg = _write_scenario(tmp_path / "s.json", network={"n": 2, "omega": 1e308, "lambda": 0.5})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--sweep-param", "epsilon",
+                     "--sweep-values", "0.5"]) == 1
+    assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",error")
+    error = json.loads((out / "sweep_summary.json").read_text())["errors"]["0.5"]
+    assert error.startswith("the drift matrix cannot be factorised")
+
+
+@pytest.mark.parametrize("n", [2**70, 10**6], ids=["2^70", "10^6"])
+def test_shorthand_n_over_the_byte_budget_fails_fast(tmp_path, capsys, n):
+    cfg = _write_scenario(tmp_path / "s.json", network={"n": n, "omega": 10.0, "lambda": 0.5})
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    need = resonet.errors._sci(network._NETWORK_ENTRY_BYTES * n * n)
+    assert capsys.readouterr().err == f"error: network: {n} resonators need {need} bytes, over the 2.15e9-byte budget\n"
+
+
+def test_shorthand_n_budget_boundary(monkeypatch):
+    # The budget holds _NETWORK_ENTRY_BYTES per entry of an n x n matrix: 3 resonators need 9 of them.
+    monkeypatch.setattr(network, "_BYTE_BUDGET", network._NETWORK_ENTRY_BYTES * 9)
+    assert network.degenerate_network(3, 10.0, 0.5).n == 3
+    with pytest.raises(resonet.ModelError, match="4 resonators need"):
+        network.degenerate_network(4, 10.0, 0.5)
+
+
+def test_n_sweep_writes_an_error_row_for_an_n_over_the_budget(tmp_path):
+    cfg = _write_scenario(tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--sweep-param", "N",
+                 "--sweep-values", "2,1e30"]) == 1
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in rows[1:]] == ["ok", "error"]
+    error = json.loads((out / "sweep_summary.json").read_text())["errors"]["1e+30"]
+    assert error.startswith("network: 1000000000000000019884624838656 resonators need")
+
+
 _GOOD = {"amplitude": 1.0, "centers": [10.0], "widths": [0.1]}
 
 

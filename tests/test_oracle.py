@@ -42,12 +42,12 @@ def test_basis_dimension_guard():
 
 
 def test_working_set_estimate_and_budget():
-    # 11 dim x dim complex arrays whatever the grid (the generator's diagonal
+    # 10 dim x dim complex arrays whatever the grid (the generator's diagonal
     # and scratch, the initial state, integrate's buffers, the states in
     # flight and compare's difference) plus one weight array per generator
     # offset: 8 at n = 2, 21 at n = 3, 40 at n = 4
-    assert oracle.working_set_bytes(2, 12) == (11 + 8) * 169**2 * 16
-    assert oracle.working_set_bytes(3, 9) == (11 + 21) * 1000**2 * 16
+    assert oracle.working_set_bytes(2, 12) == (10 + 8) * 169**2 * 16
+    assert oracle.working_set_bytes(3, 9) == (10 + 21) * 1000**2 * 16
     oracle.check_working_set(2, 12)
     # n = 4, r = s = 2, alpha = 0.7: suggest_cutoff picks 13 (dim 38416,
     # 22 GiB per density matrix); even the minimum cutoff 10 cannot fit
@@ -427,13 +427,10 @@ def test_taylor_substep_rule():
     basis = oracle.FockBasisSpec(n=2, cutoff=3)
     gen = oracle.build_generator(degenerate_network(2, 10.0, 0.5), decay_matrix_common(2, 1.0, 0.0), basis)
     b = gen.norm_bound
-    # (degree, substeps) minimising degree * substeps over the theta table:
-    # ||dt L||_1 = 7 fits theta_45 = 7.2 in one substep; 10 takes two of
-    # degree 40 (80 terms, against 90 for two of 45 or three of 30); 20 takes
-    # three of degree 45 (135, against 150 for three of 50 and 160 for four
-    # of 40).
+    # (degree cap, substeps) with the one degree 55 and theta_55 = 9.9:
+    # ||dt L||_1 = 7 fits one substep, 10 takes two and 20 takes three.
     plans = oracle._taylor_plans(gen, np.array([0.0, 7.0, 17.0, 37.0]) / b)
-    assert [(m, s) for _, m, s in plans] == [(45, 1), (40, 2), (45, 3)]
+    assert [(m, s) for _, m, s in plans] == [(55, 1), (55, 2), (55, 3)]
     assert oracle.step_size(gen, [0.0, 7.0 / b]) == 7.0 / b
     # the largest substep of a non-uniform grid: 20 / 3 beats 1
     assert oracle.step_size(gen, [0.0, 1.0 / b, 21.0 / b]) == pytest.approx(20.0 / (3.0 * b), rel=1e-14)
@@ -441,7 +438,7 @@ def test_taylor_substep_rule():
         oracle.step_size(gen, [0.0])
     with pytest.raises(ModelError):
         oracle.step_size(gen, [0.0, 0.5, 0.5])
-    # a zero generator needs no terms: one substep per interval, state unchanged
+    # a zero generator: one substep per interval, each series stopped after two zero terms, state unchanged
     zero = oracle.LindbladGenerator(oracle.FockBasisSpec(n=1, cutoff=3), np.zeros((1, 1)), np.zeros((1, 1)))
     assert zero.norm_bound == 0.0
     assert oracle.step_size(zero, [0.0, 0.5, 2.0]) == 1.5
@@ -626,6 +623,20 @@ def test_vacuum_has_one_sector_per_excitation_number():
     block = collect(blocks)
     full = [trace_distance_full(*args, basis) for args in zip(block.labels, block.coeffs, rhos)]
     assert np.array_equal(report.distances, full) and report.max_distance == 0.0
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 8), (2, 6), (3, 4)])
+def test_integrated_states_stay_hermitian_without_a_projection(n, cutoff):
+    # L(rho+) = L(rho)+, so the Taylor action keeps a generic state Hermitian
+    # and its trace at 1 up to rounding, over 51 grid times to t = 10.
+    rng = np.random.default_rng(40 + n)
+    weights = rng.normal(size=3) + 1j * rng.normal(size=3)
+    labels = 0.1 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
+    state = make_superposition(weights, labels)
+    gen = _random_generator(n, max(cutoff, oracle.minimum_cutoff(np.abs(labels).max())), rng)
+    for rho in oracle.integrate(oracle.embed_state(state, gen.basis), gen, np.linspace(0.0, 10.0, 51)):
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import resonet
-from resonet import evolve
-from resonet.errors import _BYTE_BUDGET, ModelError
+from resonet import evolve, network, oracle
+from resonet.errors import _BYTE_BUDGET, ModelError, _sci
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,3 +73,17 @@ def test_readme_budget_numbers_match_the_code():
     evolve.check_terms(ceiling)
     with pytest.raises(ModelError, match=f"{ceiling + 1} terms need"):
         evolve.check_terms(ceiling + 1)
+    assert f"{network._NETWORK_ENTRY_BYTES} bytes per entry of an n x n network" in text
+    largest = math.isqrt(_BYTE_BUDGET // network._NETWORK_ENTRY_BYTES)
+    assert f"an `n` above {largest:,} is rejected" in text
+    with pytest.raises(ModelError, match=f"{largest + 1} resonators need"):
+        network.degenerate_network(largest + 1, 10.0, 0.5)
+    # the oracle-compare paragraph: the array count, the generator's offsets and the n = 4 example
+    arrays = oracle._WORKING_ARRAYS
+    assert f"{arrays} for the states, the integrator's buffers" in text
+    offsets = {n: oracle.working_set_bytes(n, 1) // (4**n * 16) - arrays for n in (2, 3)}
+    assert offsets == {n: 3 * n * n - 2 * n for n in (2, 3)}
+    assert f"3n^2 - 2n of them ({offsets[2]} at n = 2, {offsets[3]} at n = 3)" in text
+    for word, cutoff in (("suggested", 13), ("minimum", 10)):
+        need, array = oracle.working_set_bytes(4, cutoff), (cutoff + 1) ** 8 * 16
+        assert f"{word} cutoff {cutoff} needs {_sci(need)} bytes ({need // array} arrays of {array / 2**30:.2g} GiB)" in text
