@@ -66,7 +66,7 @@ def _summarize(cfg: ScenarioConfig, flow: evolve.LabelFlow, last: evolve.Block, 
         "propagator": "closed_form" if closed_form else "general",
         "gamma_down": decay.rates[0],
         "gamma_up": decay.rates[-1],
-        "tau_d_formula": dfs.decoherence_time(cfg.rs, decay),
+        "tau_d_formula": dfs.decoherence_time(cfg.state, decay),
         "tau_d_numeric": tau_numeric,
         "final": evolve.observables(last, -1),
     }
@@ -125,7 +125,7 @@ def _cmd_evolve(cfg: ScenarioConfig, out: Path) -> int:
 def _cmd_classify(cfg: ScenarioConfig, out: Path) -> int:
     if cfg.state is None:
         raise ConfigError("classify needs a 'state' section in the scenario")
-    report = dfs.classify(cfg.state, cfg.rs, cfg.reservoir, cfg.network)
+    report = dfs.classify(cfg.state, cfg.reservoir, cfg.network)
     _write_json(out / "classification.json", {"n": cfg.network.n, **dataclasses.asdict(report)})
     verdict = "DFS" if report.is_dfs else "not DFS"
     if report.is_rfs:

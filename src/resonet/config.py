@@ -39,7 +39,6 @@ class ScenarioConfig:
     degenerate: tuple[float, float] | None
     reservoir: ReservoirSpec
     state: SuperpositionState | None
-    rs: RSFamilySpec | None
     times: np.ndarray | None
     oracle_cutoff: int | None
     oracle_threshold: float
@@ -194,9 +193,9 @@ def _parse_reservoir(sec: dict) -> ReservoirSpec:
     )
 
 
-def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, RSFamilySpec | None]:
+def _parse_state(sec: dict | None, n: int) -> SuperpositionState | None:
     if sec is None:
-        return None, None
+        return None
     kind = sec.get("type", "rs")
     if kind == "rs":
         rs = RSFamilySpec(
@@ -207,7 +206,7 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
             eta=_complex_entry(sec.get("eta", 0.0), "state eta"),
             sign=sec.get("sign", 1),
         )
-        return make_rs_state(rs), rs
+        return make_rs_state(rs)
     if kind == "explicit":
         raw_w = sec.get("weights")
         raw_l = sec.get("labels")
@@ -220,7 +219,7 @@ def _parse_state(sec: dict | None, n: int) -> tuple[SuperpositionState | None, R
             if not isinstance(row, list) or len(row) != n:
                 raise ConfigError(f"state: label {i} must list {n} mode amplitudes")
             labels.append([_complex_entry(x, f"state label {i}") for x in row])
-        return make_superposition(np.array(weights), np.array(labels)), None
+        return make_superposition(np.array(weights), np.array(labels))
     raise ConfigError(f"state type {kind!r} unknown (use 'rs' or 'explicit')")
 
 
@@ -257,7 +256,7 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
             degenerate = (renormalized_frequency(omega0, lam, network.n), lam)
             network = degenerate_network(network.n, *degenerate)
     with _model_errors("state"):
-        state, rs = _parse_state(_section(cfg, "state", required=False), network.n)
+        state = _parse_state(_section(cfg, "state", required=False), network.n)
     outsec = _section(cfg, "output", required=False) or {}
     svg = outsec.get("svg", False)
     if not isinstance(svg, bool):
@@ -277,7 +276,6 @@ def parse_scenario(cfg: dict) -> ScenarioConfig:
         degenerate=degenerate,
         reservoir=reservoir,
         state=state,
-        rs=rs,
         times=times,
         oracle_cutoff=cutoff,
         oracle_threshold=threshold,

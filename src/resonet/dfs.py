@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ModelError
 from .network import NetworkSpec, clusters
 from .reservoir import DecayMatrix, ReservoirKind, ReservoirSpec, build_decay_matrix
-from .states import RSFamilySpec, SuperpositionState, rs_branch_labels
+from .states import SuperpositionState
 
 __all__ = [
     "Regime",
@@ -102,21 +102,20 @@ def protected_subspace(w, decay: DecayMatrix) -> np.ndarray:
     return np.hstack(parts)
 
 
-def decoherence_time(spec: Optional[RSFamilySpec], decay: DecayMatrix) -> Optional[float]:
-    """Two-branch decoherence time of the family under the decay matrix.
+def decoherence_time(state: SuperpositionState, decay: DecayMatrix) -> Optional[float]:
+    """Decoherence time of a two-term state under the decay matrix.
 
-    tau_d = 2 / (delta^dagger Gamma delta) with delta the difference of the
-    two branch labels; infinite when that rate is within the decay matrix's
-    rounding slack of zero.  For the white-noise and distinct reservoirs it
-    equals the paper's closed form on their collective rate split.
-    None when there is no two-branch spec with a nonzero amplitude.
+    tau_d = 2 / (delta^dagger Gamma delta) with delta = labels[0] - labels[1];
+    infinite when that rate is within the decay matrix's rounding slack of
+    zero.  For the two-branch family in the white-noise and distinct
+    reservoirs it equals the paper's closed form on their collective rate
+    split.  None unless the state has exactly two terms.
     """
-    if spec is None or complex(spec.alpha) == 0.0:
+    if state.num_terms != 2:
         return None
-    if decay.n != spec.n:
-        raise ModelError("family spec and decay matrix disagree on the resonator count")
-    first, second = rs_branch_labels(spec)
-    delta = first - second
+    if decay.n != state.n:
+        raise ModelError("state and decay matrix disagree on the resonator count")
+    delta = state.labels[0] - state.labels[1]
     rate = float(np.real(delta.conj() @ decay.matrix @ delta))
     if rate <= decay.slack * float(np.real(np.vdot(delta, delta))):
         return math.inf
@@ -131,12 +130,7 @@ def _regime(reservoir: ReservoirSpec, decay: DecayMatrix) -> Regime:
     return Regime.DISTINCT_STRONG
 
 
-def classify(
-    state: SuperpositionState,
-    spec: Optional[RSFamilySpec],
-    reservoir: ReservoirSpec,
-    net: NetworkSpec,
-) -> ClassificationReport:
+def classify(state: SuperpositionState, reservoir: ReservoirSpec, net: NetworkSpec) -> ClassificationReport:
     """Classify a state as decoherence-free / relaxation-free on a network.
 
     The reservoir's decay matrix on `net` and the network's W give the
@@ -144,15 +138,13 @@ def classify(
     when every difference of two branch labels lies in it (within 1e-10)
     and relaxation-free when every branch label does (within 1e-12).  The
     effective decay rate is the largest of Gamma's rates whose mode some
-    branch label touches (0 for the vacuum), tau_d comes from
-    decoherence_time when the two-branch spec is available, and the regime
+    branch label touches (0 for the vacuum), tau_d is decoherence_time
+    (infinite for a state without exactly two terms), and the regime
     only names the reservoir: white noise whose decay matrix has a nonempty
     kernel (DecayMatrix.kernel) is COMMON_EPS1, other white noise
     COMMON_EPS_SMALL, then COMMON_PROFILE and DISTINCT_STRONG.
     """
     n = state.n
-    if spec is not None and spec.n != n:
-        raise ModelError("family spec and state disagree on the resonator count")
     if net.n != n:
         raise ModelError("network and state disagree on the resonator count")
     decay = build_decay_matrix(reservoir, net)
@@ -172,7 +164,7 @@ def classify(
     rate = float(np.max(decay.rates[touched], initial=0.0))
 
     _, eig = collective_lowering_eigencheck(state)
-    tau_d = decoherence_time(spec, decay)
+    tau_d = decoherence_time(state, decay)
     return ClassificationReport(
         is_dfs=is_dfs,
         is_rfs=is_rfs,

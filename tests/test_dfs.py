@@ -80,27 +80,27 @@ def test_eigencheck_single_product():
 
 def test_classify_full_correlation():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
+    report = classify(make_rs_state(spec), _white(1.0), _net(spec.n))
     assert report.is_dfs and report.is_rfs
     assert math.isinf(report.tau_d)
     assert report.effective_decay_rate == 0.0
 
     spec2 = RSFamilySpec(n=4, r=1, s=1, alpha=0.5, eta=0.4)
-    report2 = classify(make_rs_state(spec2), spec2, _white(1.0), _net(spec2.n))
+    report2 = classify(make_rs_state(spec2), _white(1.0), _net(spec2.n))
     assert report2.is_dfs and not report2.is_rfs
 
     spec3 = RSFamilySpec(n=2, r=1, s=0, alpha=0.6)
-    report3 = classify(make_rs_state(spec3), spec3, _white(1.0), _net(spec3.n))
+    report3 = classify(make_rs_state(spec3), _white(1.0), _net(spec3.n))
     assert not report3.is_dfs and not report3.is_rfs
     assert math.isfinite(report3.tau_d)
 
 
 def test_classify_weak_correlation():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _white(0.4), _net(spec.n))
+    report = classify(make_rs_state(spec), _white(0.4), _net(spec.n))
     assert not report.is_dfs
     single = make_superposition([1.0], np.array([[0.3, 0.3]]))
-    report2 = classify(single, None, _white(0.4), _net(2))
+    report2 = classify(single, _white(0.4), _net(2))
     assert report2.is_dfs and not report2.is_rfs
 
 
@@ -113,31 +113,29 @@ def test_classify_regime_preconditions():
     net = _net(2)
     # The regime label and the verdict read one kernel threshold: 1 - eps
     # up to (1e-3 / n)(1 + (n-1) eps), 9.9975e-4 at n = 2.
-    report = classify(state, spec, _white(0.9995), net)
+    report = classify(state, _white(0.9995), net)
     assert report.regime is Regime.COMMON_EPS1 and report.is_dfs and report.is_rfs
-    report = classify(state, spec, _white(0.99), net)
+    report = classify(state, _white(0.99), net)
     assert report.regime is Regime.COMMON_EPS_SMALL and not report.is_dfs
-    assert classify(state, spec, _white(1.0 - 0.9e-6), net).regime is Regime.COMMON_EPS1
+    assert classify(state, _white(1.0 - 0.9e-6), net).regime is Regime.COMMON_EPS1
     # One resonator in white noise: Gamma = sigma has no (1 - eps) rate and
     # an empty kernel, whatever eps.
     single = make_superposition([1.0], np.array([[0.3]]))
     for eps in (0.0, 0.5, 0.999, 1.0):
-        assert classify(single, None, _white(eps), _net(1)).regime is Regime.COMMON_EPS_SMALL
-    assert classify(state, spec, _distinct(2.0, 0.5), net).regime is Regime.DISTINCT_STRONG
+        assert classify(single, _white(eps), _net(1)).regime is Regime.COMMON_EPS_SMALL
+    assert classify(state, _distinct(2.0, 0.5), net).regime is Regime.DISTINCT_STRONG
     p = CouplingProfile(amplitude=1.0, centers=[10.5], widths=[100.0])
     profile = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, profiles=(p, p))
-    report = classify(state, spec, profile, net)
+    report = classify(state, profile, net)
     assert report.regime is Regime.COMMON_PROFILE
     assert report.is_dfs and report.is_rfs and math.isinf(report.tau_d)
     # gamma_plus = 0 leaves only the relative channel: the balanced pair,
     # which lives there, decoheres at 2 |alpha|^2 (R+S) gamma_minus.
-    report = classify(state, spec, _distinct(0.0, 0.5), net)
+    report = classify(state, _distinct(0.0, 0.5), net)
     assert not report.is_dfs
     assert report.tau_d == pytest.approx(1.0 / 0.72, rel=1e-12)
-    with pytest.raises(ModelError, match="family spec and state"):
-        classify(state, RSFamilySpec(n=3, r=1, s=1, alpha=0.6), _white(0.5), net)
     with pytest.raises(ModelError, match="network and state"):
-        classify(state, spec, _white(0.5), _net(3))
+        classify(state, _white(0.5), _net(3))
 
 
 def test_classify_diagonalises_gamma_once(monkeypatch):
@@ -161,18 +159,18 @@ def test_classify_diagonalises_gamma_once(monkeypatch):
     distinct = ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0)
     for reservoir, kernel_dim in ((_white(0.5), 0), (_white(1.0), 2), (distinct, 2)):
         calls.clear()
-        classify(state, spec, reservoir, _net(3))
+        classify(state, reservoir, _net(3))
         assert calls == [("eigh", (3, 3)), ("eigh", (kernel_dim, kernel_dim))]
 
 
 def test_classify_distinct_collective():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
-    report = classify(state, spec, _distinct(2.0, 0.0), _net(2))
+    report = classify(state, _distinct(2.0, 0.0), _net(2))
     assert report.is_dfs and report.is_rfs
     assert math.isinf(report.tau_d)
     # a residual gamma_minus spoils the single-channel picture
-    report2 = classify(state, spec, _distinct(2.0, 1.0), _net(2))
+    report2 = classify(state, _distinct(2.0, 1.0), _net(2))
     assert not report2.is_dfs
 
 
@@ -180,7 +178,7 @@ def test_classify_distinct_with_gamma_minus_above_gamma_plus():
     # gamma_minus > gamma_plus is a valid (positive-semidefinite) reservoir;
     # the balanced pair decoheres at 2 |alpha|^2 (R+S) gamma_minus = 2.88.
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _distinct(1.0, 2.0), _net(spec.n))
+    report = classify(make_rs_state(spec), _distinct(1.0, 2.0), _net(spec.n))
     assert abs(report.tau_d - 1.0 / 2.88) < 1e-12
     assert not report.is_dfs
     assert report.effective_decay_rate == 2.0
@@ -198,7 +196,7 @@ def test_is_rfs_implies_is_dfs_property():
         if r == 0 and s == 0 and sign == -1:
             continue
         spec = RSFamilySpec(n=n, r=r, s=s, alpha=alpha, eta=eta, sign=sign)
-        report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
+        report = classify(make_rs_state(spec), _white(1.0), _net(spec.n))
         if report.is_rfs:
             assert report.is_dfs
 
@@ -210,7 +208,7 @@ def _report_json(report):
 
 def test_report_json_dict():
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
-    report = classify(make_rs_state(spec), spec, _white(1.0), _net(spec.n))
+    report = classify(make_rs_state(spec), _white(1.0), _net(spec.n))
     d = _report_json(report)
     assert d["tau_d"] == "inf"
     assert d["is_dfs"] is True and d["is_rfs"] is True
@@ -218,7 +216,7 @@ def test_report_json_dict():
     assert d["regime"] == "common_eps1"
     # a finite tau_d and a non-null eigenvalue, both rounded through %.9g
     spec = RSFamilySpec(n=3, r=1, s=1, alpha=0.6, eta=0.3)
-    report = classify(make_rs_state(spec), spec, _white(0.5), _net(spec.n))
+    report = classify(make_rs_state(spec), _white(0.5), _net(spec.n))
     d = _report_json(report)
     assert d["tau_d"] == float(f"{report.tau_d:.9g}") and math.isfinite(d["tau_d"])
     eig = report.lindblad_eigenvalue
@@ -268,11 +266,11 @@ def test_classify_detuned_network_is_not_protected():
     # protection, although the short-time rate delta^T Gamma delta is 0.
     net = _detuned_net([10.0, 10.3, 9.6], 0.4)
     spec = RSFamilySpec(n=3, r=1, s=1, alpha=0.7)
-    report = classify(make_rs_state(spec), spec, _white(1.0), net)
+    report = classify(make_rs_state(spec), _white(1.0), net)
     assert not report.is_dfs and not report.is_rfs
     assert math.isinf(report.tau_d)
     spec = RSFamilySpec(n=3, r=1, s=0, alpha=0.7)
-    report = classify(make_rs_state(spec), spec, _white(1.0), net)
+    report = classify(make_rs_state(spec), _white(1.0), net)
     assert not report.is_dfs
     assert report.tau_d == pytest.approx(1.0 / (2 * 0.49 * 1.0), rel=1e-12)
 
@@ -357,7 +355,7 @@ def test_protected_dimension_counts_shared_channels():
         inside = bool(np.linalg.norm(delta - basis @ (basis.conj().T @ delta)) < 1e-6)
         verdicts[inside] += 1
         state = make_superposition([1.0, 1.0], np.array([beta, beta + 0.4 * delta]))
-        assert classify(state, None, reservoir, net).is_dfs is inside
+        assert classify(state, reservoir, net).is_dfs is inside
     # the kernel ratio, not only exact zeros, decides some of the cases, and
     # both verdicts occur often
     assert kernel_counted > 0
@@ -387,7 +385,7 @@ def test_oracle_purity_follows_the_verdict(omega, protected):
     spec = RSFamilySpec(n=2, r=1, s=1, alpha=0.6)
     state = make_rs_state(spec)
     reservoir = _white(1.0)
-    assert classify(state, spec, reservoir, net).is_dfs is protected
+    assert classify(state, reservoir, net).is_dfs is protected
     basis = oracle.FockBasisSpec(n=2, cutoff=oracle.minimum_cutoff(0.6))
     gen = oracle.build_generator(net, build_decay_matrix(reservoir, net), basis)
     rho = list(oracle.integrate(oracle.embed_state(state, basis), gen, np.linspace(0.0, 2.0, 3)))[-1]
