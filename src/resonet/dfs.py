@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NumericalError
 from .network import NetworkSpec, clusters
 from .reservoir import DecayMatrix, ReservoirKind, ReservoirSpec, build_decay_matrix
 from .states import SuperpositionState
@@ -109,14 +109,18 @@ def decoherence_time(state: SuperpositionState, decay: DecayMatrix) -> Optional[
     infinite when that rate is within the decay matrix's rounding slack of
     zero.  For the two-branch family in the white-noise and distinct
     reservoirs it equals the paper's closed form on their collective rate
-    split.  None unless the state has exactly two terms.
+    split.  None unless the state has exactly two terms; a rate that is not
+    finite, as for decay rates near the float range, raises NumericalError.
     """
     if state.num_terms != 2:
         return None
     if decay.n != state.n:
         raise ModelError("state and decay matrix disagree on the resonator count")
     delta = state.labels[0] - state.labels[1]
-    rate = float(np.real(delta.conj() @ decay.matrix @ delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = float(np.real(delta.conj() @ decay.matrix @ delta))
+    if not math.isfinite(rate):
+        raise NumericalError(f"the two-branch decay rate is not finite ({rate!r})")
     if rate <= decay.slack * float(np.real(np.vdot(delta, delta))):
         return math.inf
     return 2.0 / rate

@@ -109,8 +109,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     norm = float(np.max(np.sum(np.abs(a), axis=-2), initial=0.0))
     if not math.isfinite(norm):
         raise ModelError("expm argument must be finite")
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    b = a / (2.0**squarings)
+    # log2(norm) + 1 and the factor 2^-squarings stay finite for a norm near the float range
+    squarings = 0 if norm <= 0.5 else math.ceil(math.log2(norm)) + 1
+    b = a * 2.0**-squarings
     acc = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     for k in range(1, 21):
@@ -170,7 +171,13 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     if basis is None:
 
         def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
-            theta = expm(d * np.asarray(t, dtype=float)[:, None, None])
+            # A t D whose 1-norm is past the float range gives NaN labels at that time,
+            # which propagate_with rejects.
+            with np.errstate(over="ignore", invalid="ignore"):
+                td = d * np.asarray(t, dtype=float)[:, None, None]
+                finite = np.isfinite(np.sum(np.abs(td), axis=-2)).all(axis=-1)
+            theta = np.full(td.shape, np.nan, dtype=complex)
+            theta[finite] = expm(td[finite])
             return np.asarray(beta) @ np.swapaxes(theta, -1, -2)
 
         return flow

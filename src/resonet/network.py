@@ -205,7 +205,9 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
     n = spec.n
 
     rows = vectors.T.copy()
-    scale = max(np.max(np.abs(values)), np.sqrt(np.sum(w * w)), 1e-300)
+    # The Frobenius norm of W, scaled by max |W| so that entries near the float range cannot overflow.
+    top = np.max(np.abs(w))
+    scale = max(np.max(np.abs(values)), top * np.sqrt(np.sum((w / top) ** 2)), 1e-300)
     group = clusters(values)
     for g in np.unique(group):
         members = np.flatnonzero(group == g)

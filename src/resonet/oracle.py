@@ -90,6 +90,11 @@ _WORKING_ARRAYS = 10
 # Taylor polynomial of exp(A) has backward error below the unit roundoff
 # while ||A||_1 <= 9.9.
 _DEGREE, _THETA = 55, 9.9
+# Most Taylor substeps one integration may plan; a longer plan is refused
+# before the first substep.  The largest plan of the test suite takes 100
+# substeps (dim 169) and the oracle benchmark's 10, so this leaves 10^4 times
+# headroom while a plan that could never finish fails at once.
+_MAX_SUBSTEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,11 @@ def embed_state(state: SuperpositionState, basis: FockBasisSpec) -> np.ndarray:
 
     Rejects cutoffs whose per-mode truncated mass reaches 1e-10 (the error
     names the required minimum); the embedded matrix is renormalised to unit
-    trace.
+    trace.  It forms psi psi^dagger instead of calling embed_labels with the
+    pair coefficients on purpose: compare takes its symmetry sectors from the
+    exact zeros of the first state (see _sectors), and psi psi^dagger is
+    exactly zero between the parity sectors of a cat, where V C V^dagger
+    leaves rounding noise and so a single sector.
     """
     _check_tails(state.labels, basis)
     psi = np.zeros(basis.dim, dtype=complex)
@@ -373,13 +382,14 @@ def build_generator(spec: NetworkSpec, decay, basis: FockBasisSpec) -> LindbladG
     return LindbladGenerator(basis, spec.w_matrix(), decay.matrix)
 
 
-def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float, int, int]]:
-    """(dt, degree cap m, substeps s) of the Taylor action on each grid interval.
+def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float, int]]:
+    """(dt, substeps s) of the Taylor action on each grid interval.
 
-    m is _DEGREE, and s = max(1, ceil(dt norm_bound / theta_m)) keeps each
-    substep's ||h L||_1 <= theta_m; a series usually stops well before m
-    (see integrate).  A norm bound that is not finite times dt, as from
-    inputs near the float range, raises NumericalError.
+    s = max(1, ceil(dt norm_bound / theta_55)) keeps each substep's
+    ||h L||_1 <= theta_55, for a series of degree _DEGREE at most that
+    usually stops well before it (see integrate).  A norm bound that is not
+    finite times dt, as from inputs near the float range, raises
+    NumericalError; more than _MAX_SUBSTEPS substeps in all raise ModelError.
     """
     if times.size < 2:
         raise ModelError("integration needs at least two grid times")
@@ -390,14 +400,17 @@ def _taylor_plans(gen: LindbladGenerator, times: np.ndarray) -> list[tuple[float
         x = dt * gen.norm_bound
         if not math.isfinite(x):
             raise NumericalError(f"the generator's norm bound {gen.norm_bound:g} times dt = {dt:g} is not finite")
-        plans.append((dt, _DEGREE, max(1, math.ceil(x / _THETA))))
+        plans.append((dt, max(1, math.ceil(x / _THETA))))
+    total = sum(s for _, s in plans)
+    if total > _MAX_SUBSTEPS:
+        raise ModelError(f"the Taylor plan needs {_sci(total)} substeps, over the {_sci(_MAX_SUBSTEPS)}-substep limit")
     return plans
 
 
 def step_size(gen: LindbladGenerator, times) -> float:
     """Largest Taylor substep dt / s integrate takes on this grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return max(dt / s for dt, _, s in _taylor_plans(gen, times))
+    return max(dt / s for dt, s in _taylor_plans(gen, times))
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -438,12 +451,12 @@ def integrate(rho0: np.ndarray, gen: LindbladGenerator, times) -> Iterator[np.nd
     rho = np.array(rho0, dtype=complex, order="C", copy=True)
     terms = (np.empty_like(rho), np.empty_like(rho))
     yield rho.copy()
-    for i, (dt, m, s) in enumerate(plans):
+    for i, (dt, s) in enumerate(plans):
         h = dt / s
         for _ in range(s):
             term = rho
             c1 = _max_abs(term)
-            for j in range(1, m + 1):
+            for j in range(1, _DEGREE + 1):
                 nxt = terms[term is terms[0]]  # the term buffer not holding term
                 gen.apply(term, out=nxt)
                 nxt *= h / j

@@ -209,7 +209,10 @@ def decay_matrix_from_couplings(
     s = np.sum(v * c, axis=1)
     group = network.clusters(decomp.frequencies)
     same = group[:, None] == group
-    return DecayMatrix(sigma * c.T @ (np.outer(s, s) * same) @ c)
+    # Couplings near the float range overflow here; DecayMatrix rejects the non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = sigma * c.T @ (np.outer(s, s) * same) @ c
+    return DecayMatrix(gamma)
 
 
 def decay_matrix_distinct(n: int, gamma_plus: float, gamma_minus: float) -> DecayMatrix:

@@ -129,8 +129,10 @@ def make_superposition(weights, labels) -> SuperpositionState:
     wv = merged_w[keep]
     lv = merged_l[keep]
 
-    g = gram_matrix(lv)
-    norm2 = float(np.real(wv.conj() @ g @ wv))
+    # Labels near the float range overflow the overlaps; the finite-norm check decides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gram_matrix(lv)
+        norm2 = float(np.real(wv.conj() @ g @ wv))
     if not np.isfinite(norm2) or norm2 <= 0.0:
         raise ModelError("state has zero (or undefined) norm")
     state = SuperpositionState(weights=wv, labels=lv, norm_factor=1.0 / np.sqrt(norm2))

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -254,6 +256,22 @@ def test_distinct_tau_formula_matches_classify(tmp_path):
     report = json.loads((out / "classification.json").read_text())
     assert math.isfinite(summary["tau_d_formula"])
     assert report["tau_d"] == summary["tau_d_formula"]
+
+
+def test_explicit_cat_reads_its_tau_d_in_both_files(tmp_path):
+    # The two-branch cat written out as an explicit state: tau_d comes from
+    # its two labels, 2 / (delta^T Gamma delta) = 2 / 1.44 with
+    # delta = (1.2, -1.2), the same in summary.json and classification.json.
+    cfg = _write_scenario(
+        tmp_path / "s.json", state={"type": "explicit", "weights": [1, 1], "labels": [[0.6, -0.6], [-0.6, 0.6]]}
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tau_d_formula"] == 1.38888889
+    assert summary["tau_d_numeric"] == pytest.approx(1.38888889, rel=1e-3)
+    assert json.loads((out / "classification.json").read_text())["tau_d"] == 1.38888889
 
 
 def test_distinct_reservoir_with_gamma_minus_above_gamma_plus(tmp_path):
@@ -524,6 +542,21 @@ def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "budget" in err and "minimum cutoff is 10" in err
     assert not (out / "oracle.csv").exists()
+
+
+def test_oracle_compare_refuses_a_taylor_plan_it_cannot_finish(tmp_path, capsys, monkeypatch):
+    # t_max = 1e300 plans about 1e300 Taylor substeps; the plan is refused before the generator is applied once.
+    def never(*args, **kwargs):
+        raise AssertionError("the generator was applied")
+
+    monkeypatch.setattr(oracle.LindbladGenerator, "apply", never)
+    cfg = _write_scenario(tmp_path / "s.json", evolution={"t_max": 1e300, "steps": 10}, oracle={"cutoff": 12})
+    start = time.perf_counter()
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: the Taylor plan needs \d\.\d\de300 substeps, over the 1\.00e6-substep limit", err[0])
 
 
 @pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["absent", "present"])
@@ -846,6 +879,22 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["modes", "--config", str(badkind), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, section, line",
+    [
+        ("evolve", "evolution", "error: this command needs an 'evolution' section in the scenario"),
+        ("classify", "state", "error: classify needs a 'state' section in the scenario"),
+    ],
+)
+def test_commands_name_the_section_they_miss(tmp_path, capsys, command, section, line):
+    cfg = _write_scenario(tmp_path / "s.json")
+    raw = json.loads(cfg.read_text())
+    del raw[section]
+    cfg.write_text(json.dumps(raw))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_threshold_and_t_max_are_rejected(tmp_path, capsys, value):
     # json writes these as NaN and Infinity, which the reader accepts
@@ -956,6 +1005,54 @@ def test_overflowing_sweep_points_are_error_rows(tmp_path):
     assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",error")
     error = json.loads((out / "sweep_summary.json").read_text())["errors"]["0.5"]
     assert error.startswith("the drift matrix cannot be factorised")
+
+
+_HUGE_PROFILE = {"amplitude": 1e200, "centers": [10.5], "widths": [0.1]}
+
+
+@pytest.mark.parametrize(
+    "overrides, command, code, line",
+    [
+        ({"network": {"n": 3, "omega": 1e200, "lambda": 1e200}}, "modes", 0, None),
+        ({"reservoir": {"kind": "common_white_noise", "Gamma": 1e308, "epsilon": 0.1}}, "evolve", 2,
+         "numerical failure: the two-branch decay rate is not finite"),
+        ({"reservoir": {"kind": "common_white_noise", "Gamma": 1e308, "epsilon": 0.1}}, "classify", 2,
+         "numerical failure: the two-branch decay rate is not finite"),
+        ({"state": {"r": 1, "s": 1, "alpha": 1e200}}, "evolve", 1, "error: state: state has zero (or undefined) norm"),
+        ({"state": {"r": 1, "s": 1, "alpha": 1e200}}, "classify", 1, "error: state: state has zero (or undefined) norm"),
+        ({"reservoir": {"kind": "common_profile", "sigma": 1e308, "profiles": [_HUGE_PROFILE] * 2}}, "evolve", 1,
+         "error: decay rates must be finite"),
+        ({**_EXCEPTIONAL_POINT, "evolution": {"t_max": 1e308, "steps": 10}}, "evolve", 2,
+         "numerical failure: labels are non-finite"),
+    ],
+    ids=["modes-omega-lambda", "evolve-Gamma", "classify-Gamma", "evolve-alpha", "classify-alpha", "evolve-profile",
+         "evolve-exceptional-t_max"],
+)
+def test_inputs_near_the_float_range_end_in_one_line(tmp_path, capsys, overrides, command, code, line):
+    # Each command evaluates its overflowing arithmetic quietly and lets its guard decide: the documented
+    # exit code and one stderr line (none on success), never a numpy warning.
+    cfg = _write_scenario(tmp_path / "s.json", **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    if line is None:
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith(line)
+
+
+def test_sweep_point_with_a_non_finite_decay_rate_is_an_error_row(tmp_path, capsys):
+    cfg = _write_scenario(tmp_path / "s.json", reservoir={"kind": "common_white_noise", "Gamma": 1e308, "epsilon": 0.5})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--sweep-param", "epsilon",
+                     "--sweep-values", "0.1"]) == 1
+    assert capsys.readouterr().err == ""
+    assert (out / "sweep.csv").read_text().splitlines()[1] == "0.1,nan,nan,nan,nan,nan,nan,nan,error"
+    error = json.loads((out / "sweep_summary.json").read_text())["errors"]["0.1"]
+    assert error.startswith("the two-branch decay rate is not finite")
 
 
 @pytest.mark.parametrize("n", [2**70, 10**6], ids=["2^70", "10^6"])

@@ -21,13 +21,17 @@ from resonet import (
     collective_lowering_eigencheck,
     decay_matrix_common,
     decay_matrix_distinct,
+    decoherence_time,
+    decoherence_time_numeric,
     degenerate_network,
+    drift_matrix,
     make_rs_state,
     make_superposition,
     label_flow,
     normal_modes,
     propagate_with,
     protected_subspace,
+    rs_branch_labels,
 )
 from resonet import artifacts, oracle
 from resonet.network import clusters
@@ -182,6 +186,75 @@ def test_classify_distinct_with_gamma_minus_above_gamma_plus():
     assert abs(report.tau_d - 1.0 / 2.88) < 1e-12
     assert not report.is_dfs
     assert report.effective_decay_rate == 2.0
+
+
+def _random_reservoir(rng, n, kind):
+    """One of the three reservoir kinds with random rates; white noise and distinct baths get a kernel half the time."""
+    if kind == 0:
+        epsilon = 1.0 if rng.random() < 0.5 else rng.uniform(0.0, 1.0)
+        return _white(epsilon, sigma=rng.uniform(0.2, 2.0))
+    if kind == 1:
+        return _distinct(rng.uniform(0.2, 2.0), 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 2.0))
+    profiles = [
+        CouplingProfile(rng.uniform(0.2, 1.0), rng.uniform(8.0, 12.0, size=2), rng.uniform(0.1, 2.0, size=2))
+        for _ in range(n)
+    ]
+    return ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=rng.uniform(0.2, 2.0), profiles=profiles)
+
+
+def test_tau_d_of_every_two_term_state_matches_the_numeric_slope():
+    # Random two-term states on random detuned networks in all three
+    # reservoir kinds; half the pairs whose decay matrix has zero rates take
+    # their difference there, where tau_d is infinite.  The numeric slope
+    # (forward difference over h = 1e-6 / gamma) agrees to the benchmark's
+    # 1e-3 wherever tau_d is finite, and reads infinity only where tau_d
+    # does.  Where tau_d is infinite the slope may also read rounding noise,
+    # a finite time above 1e6 / gamma.
+    rng = np.random.default_rng(2027)
+    infinite = finite_numeric_of_infinite = 0
+    for case in range(300):
+        n = int(rng.integers(2, 7))
+        coupling = rng.normal(scale=0.3, size=(n, n))
+        coupling = coupling + coupling.T
+        np.fill_diagonal(coupling, 0.0)
+        net = NetworkSpec(omega=rng.uniform(8.0, 12.0, size=n), coupling=coupling)
+        reservoir = _random_reservoir(rng, n, case % 3)
+        decay = build_decay_matrix(reservoir, net)
+        beta = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        delta = rng.normal(size=n) + 1j * rng.normal(size=n)
+        zero = decay.modes[:, decay.rates == 0.0]
+        if zero.shape[1] and rng.random() < 0.5:
+            delta = zero @ (rng.normal(size=zero.shape[1]) + 1j * rng.normal(size=zero.shape[1]))
+        weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+        state = make_superposition(weights, np.array([beta, beta - 0.4 * delta]))
+        tau = decoherence_time(state, decay)
+        gamma = float(np.max(np.diagonal(decay.matrix)))
+        numeric = decoherence_time_numeric(label_flow(drift_matrix(net, decay)), state, 0.01, gamma)
+        assert classify(state, reservoir, net).tau_d == tau
+        if math.isfinite(tau):
+            assert numeric == pytest.approx(tau, rel=1e-3)
+        else:
+            infinite += 1
+            finite_numeric_of_infinite += math.isfinite(numeric)
+            assert numeric * gamma > 1e6
+    assert infinite > 30 and finite_numeric_of_infinite < infinite
+
+
+def test_tau_d_reads_the_two_labels_whichever_form_built_the_state():
+    # delta = labels[0] - labels[1]: the family and the same two labels given
+    # explicitly, in either order, read one tau_d; other term counts read None.
+    spec = RSFamilySpec(n=3, r=2, s=1, alpha=0.6, eta=0.2)
+    decay = build_decay_matrix(_white(0.5), _net(3))
+    labels = rs_branch_labels(spec)
+    tau = decoherence_time(make_rs_state(spec), decay)
+    assert math.isfinite(tau)
+    assert decoherence_time(make_superposition([1.0, 1.0], labels), decay) == tau
+    assert decoherence_time(make_superposition([0.3, -2.0j], labels[::-1]), decay) == tau
+    assert decoherence_time(make_superposition([1.0], labels[:1]), decay) is None
+    three = make_superposition([1.0, 1.0, 1.0], np.vstack([labels, [0.0, 0.0, 0.3]]))
+    assert decoherence_time(three, decay) is None
+    with pytest.raises(ModelError, match="state and decay matrix"):
+        decoherence_time(make_rs_state(spec), build_decay_matrix(_white(0.5), _net(2)))
 
 
 def test_is_rfs_implies_is_dfs_property():

@@ -190,6 +190,20 @@ def test_label_flow_falls_back_to_taylor_at_an_exceptional_point():
     np.testing.assert_allclose(_theta(label_flow(drift), 2, times), want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("size", [2, 3])
+def test_label_flow_falls_back_to_taylor_on_a_jordan_block(monkeypatch, size):
+    # eig returns the one eigenvalue -1 `size` times, but the null space of
+    # D + I is a single vector, smaller than the cluster: _eigenbasis gives up
+    # there, before its conditioning check (switched off here).  Taken as
+    # diagonalisable, the flow would be e^-t I.
+    d = -np.eye(size, dtype=complex) + np.diag(np.ones(size - 1), 1)
+    monkeypatch.setattr(evolve, "_COND_MAX", math.inf)
+    assert evolve._eigenbasis(d) is None
+    times = np.linspace(0.0, 5.0, 11)
+    want = np.array([scipy.linalg.expm(t * d) for t in times])
+    np.testing.assert_allclose(_theta(label_flow(d), size, times), want, rtol=0, atol=1e-14)
+
+
 def test_trajectory_initial_point():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     traj = _evolve(state)
