@@ -9,8 +9,8 @@ coefficient
     c_rs(t) = N^2 * w_r * conj(w_s) * <beta_s|beta_r> / <zeta_s|zeta_r>
 
 multiplying |zeta_r><zeta_s|.  label_flow gives that flow for every network
-and reservoir from one eigendecomposition of D (Moler & Van Loan, SIAM
-Review 45, 2003, method 14, with a Taylor fallback, method 3).
+and reservoir from one eigendecomposition of D, one exponential per eigenvalue
+cluster (Sylvester's form; Moler & Van Loan, SIAM Review 45, 2003, methods 14 and 3).
 
 All observables (occupations, purity, fidelity) are evaluated from the label
 Gram matrices, never from a truncated Fock expansion.
@@ -55,12 +55,16 @@ _TERM_PAIR_BYTES = 178
 # purity <= 1, fidelity in [0, 1], occupations >= 0 (relative to max(1, total)).
 _BOUND_SLACK = 1e-9
 
+# decoherence_time_numeric reads a drop of |delta|^2 within this many units of n 2^-53 |delta|^2 as rounding: over
+# random networks, 1,009 pairs in Gamma's kernel dropped by at most 10.7 units, 5,000 decaying ones by 6e6 or more.
+_ROUNDING_UNITS = 32
+
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
 _COND_MAX = 1e4
 
-# Labels (terms, n) and a 1-D array of T times -> the (T, terms, n) labels at those times.
-LabelFlow = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# Labels (terms, n), split once -> the map from a 1-D array of T times to the (T, terms, n) labels then.
+LabelFlow = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
 def check_terms(terms: int) -> None:
@@ -122,11 +126,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigenvalues lam, eigenvectors V and V^-1 of d, or None if V is unusable.
+def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigenvalues lam, eigenvectors V, V^-1 and cluster labels of d, or None if V is unusable.
 
-    Each cluster of eigenvalues (network.clusters) shares its mean value,
-    and its vectors are replaced by an orthonormal basis of the null space
+    Each cluster of eigenvalues (labelled by network.clusters) shares its mean
+    value, and its vectors are replaced by an orthonormal basis of the null space
     of d - mean * I: on degenerate networks the solver's own vectors are
     nearly dependent.  None when a cluster's null space is smaller than the
     cluster (d is defective there) or cond(V) exceeds _COND_MAX.
@@ -147,20 +151,31 @@ def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndar
     u, sv, wh = np.linalg.svd(v)
     if sv[0] > _COND_MAX * sv[-1]:
         return None
-    return lam, v, (wh.conj().T / sv) @ u.conj().T
+    return lam, v, (wh.conj().T / sv) @ u.conj().T, group
+
+
+def check_images(clusters: int, terms: int, n: int) -> None:
+    """Reject labels whose images on the drift's eigenvalue clusters (see label_flow) would exceed the byte budget."""
+    need = 16 * clusters * terms * n
+    if need > _BYTE_BUDGET:
+        raise ModelError(
+            f"{terms} terms on {n} resonators in {clusters} frequency clusters need {_sci(need)} bytes of"
+            f" label images, over the {_sci(_BYTE_BUDGET)}-byte budget"
+        )
 
 
 def label_flow(drift: np.ndarray) -> LabelFlow:
     """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift D (see network.drift_matrix).
 
-    D is factorised once, D = V diag(lam) V^-1 (see _eigenbasis), and the
-    returned flow(beta, t) maps labels beta (terms, n) and a 1-D array of T
-    times to zeta = (exp(lam t) * beta V^-T) V^T, of shape (T, terms, n),
-    without forming exp(t D).  When the eigenvectors are unusable it takes
-    zeta = beta exp(t D)^T with the Taylor expm of the stack t D instead.
-    A factorisation that fails, as for a drift near the float range,
-    raises NumericalError instead of warning; one that is not finite gives
-    non-finite labels, which propagate_with rejects.
+    D = V diag(lam) V^-1 is factorised once (see _eigenbasis); its k eigenvalue clusters c give
+    Sylvester's form exp(t D) = sum_c exp(lam_c t) P_c with P_c = V[:, c] V^-1[c, :].  flow(beta)
+    splits labels beta (terms, n) once into their images B_c = beta P_c^T (16 k terms n bytes,
+    see check_images) and returns the map from a 1-D array of T times to the (T, terms, n)
+    labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per
+    time.  When the eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor
+    expm of the stack t D.  A factorisation that fails, as for a drift near the float range,
+    raises NumericalError instead of warning; one that is not finite gives non-finite labels,
+    which propagate_with rejects.
     """
     d = np.asarray(drift)
     with np.errstate(all="ignore"):
@@ -170,7 +185,7 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
             raise NumericalError(f"the drift matrix cannot be factorised: {exc}") from None
     if basis is None:
 
-        def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
+        def transposed_expm(t: np.ndarray) -> np.ndarray:
             # A t D whose 1-norm is past the float range gives NaN labels at that time,
             # which propagate_with rejects.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -178,17 +193,22 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
                 finite = np.isfinite(np.sum(np.abs(td), axis=-2)).all(axis=-1)
             theta = np.full(td.shape, np.nan, dtype=complex)
             theta[finite] = expm(td[finite])
-            return np.asarray(beta) @ np.swapaxes(theta, -1, -2)
+            return np.swapaxes(theta, -1, -2)
 
-        return flow
-    lam, v, v_inv = basis
+        return lambda beta: lambda t: np.asarray(beta) @ transposed_expm(t)
+    lam, v, v_inv, group = basis
+    heads = np.unique(group)
+    members = [np.flatnonzero(group == g) for g in heads]
 
-    def flow(beta: np.ndarray, t: np.ndarray) -> np.ndarray:
-        modes = np.asarray(beta) @ v_inv.T
-        evolved = np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * modes
-        # One gemm over the stacked rows: a batched matmul against a shared
-        # matrix makes one BLAS call per time.
-        return (evolved.reshape(-1, lam.size) @ v.T).reshape(evolved.shape)
+    def flow(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        terms, n = np.shape(beta)
+        check_images(heads.size, terms, n)
+        modes = beta @ v_inv.T
+        images = np.empty((heads.size, terms, n), dtype=complex)
+        for image, m in zip(images, members):
+            np.matmul(modes[:, m], v[:, m].T, out=image)
+        rates, flat = lam[heads], images.reshape(heads.size, -1)
+        return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), rates)) @ flat).reshape(-1, terms, n)
 
     return flow
 
@@ -282,9 +302,9 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
     The time grid must be nonempty, start at 0 and increase strictly; it is
     checked before anything is evolved.  It is processed in blocks of
     max(1, _BLOCK_ELEMENTS // (terms * (n + terms))) consecutive times: the
-    flow is called once per block with the state's labels and a 1-D array of
-    T times and must return the (T, terms, n) stack of evolved labels, which
-    are checked and yielded as a Block.  Its pair coefficients and
+    flow is called once with the state's labels, and what it returns once per
+    block with a 1-D array of T times, giving the (T, terms, n) stack of evolved
+    labels, which are checked and yielded as a Block.  Its pair coefficients and
     observables are formed only when read (see Block): `evolve`'s CSV and
     `oracle-compare` read every block's coefficients, `sweep` those of its
     final time.  Only the block being worked on is held, so memory does not
@@ -313,11 +333,12 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
     log_g0_t = log_gram_matrix(beta).T
     b = beta.view(float)  # squared norms by einsum over float views: half the time of np.abs(z) ** 2
     bound = np.einsum("ri,ri->r", b, b) * (1.0 + _TRACE_ABORT)
+    with np.errstate(over="ignore", invalid="ignore"):  # an exploding flow overflows; the label guard is the arbiter
+        at = flow(beta)
     for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]
-        # An exploding flow overflows; the label guard below is the arbiter.
         with np.errstate(over="ignore", invalid="ignore"):
-            zeta = np.ascontiguousarray(flow(beta, tb), dtype=complex)
+            zeta = np.ascontiguousarray(at(tb), dtype=complex)
         if zeta.shape != (tb.size, terms, n):
             raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
         z = zeta.view(float)
@@ -338,8 +359,9 @@ def decoherence_time_numeric(
     The pair coherence D(t) = |<beta_r|beta_s> / <zeta_r(t)|zeta_s(t)>|
     decays from 1; the initial slope of -ln D, taken by a forward difference
     with step min(1e-6 / gamma_rate, step) (step alone when gamma_rate is 0;
-    pass the first step of the time grid), gives 1/tau.  A slope smaller
-    than 1e-12 * gamma_rate (or nonpositive) reports infinity.
+    pass the first step of the time grid), gives 1/tau.  A difference
+    |delta0|^2 - |delta(h)|^2 within _ROUNDING_UNITS * n * 2^-53 * |delta0|^2
+    of zero (or below it) is rounding, not decay, and reports infinity.
     """
     terms = state.num_terms
     if r == s or not (0 <= r < terms and 0 <= s < terms):
@@ -351,14 +373,14 @@ def decoherence_time_numeric(
     if np.max(np.abs(delta0)) <= 1e-14:
         raise ModelError("the chosen terms carry identical labels")
     h = float(step) if gamma_rate == 0.0 else min(1e-6 / gamma_rate, float(step))
-    delta_t = np.asarray(flow(delta0[None, :], np.array([h])))[0, 0]
+    delta_t = np.asarray(flow(delta0[None, :])(np.array([h])))[0, 0]
     # -ln D(h) = (|delta0|^2 - |delta_t|^2) / 2, evaluated from the norms to
     # avoid cancellation inside an exp/log round trip.
-    f = 0.5 * float(np.sum(np.abs(delta0) ** 2) - np.sum(np.abs(delta_t) ** 2))
-    slope = f / h
-    if slope <= 0.0 or abs(slope) < 1e-12 * gamma_rate:
+    norm0 = float(np.sum(np.abs(delta0) ** 2))
+    f = 0.5 * (norm0 - float(np.sum(np.abs(delta_t) ** 2)))
+    if 2.0 * f <= _ROUNDING_UNITS * delta0.size * 2.0**-53 * norm0:
         return math.inf
-    return 1.0 / slope
+    return 1.0 / (f / h)
 
 
 def observables(block: Block, index: int) -> dict:

@@ -1,7 +1,7 @@
 """Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
 against (no command reaches these), whole-grid arrays from a label stream, a label flow the
-stream must refuse, the kernel-shrinking construction of the protected subspace, and the oracle's
-full-matrix trace distance.
+stream must refuse, the per-mode label flow, the kernel-shrinking construction of the protected
+subspace, and the oracle's full-matrix trace distance.
 """
 
 import math
@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from resonet import Block, errors, oracle
+from resonet import Block, errors, evolve, oracle
 from resonet.errors import ModelError, _sci
 from resonet.network import NormalModeDecomposition, degenerate_modes
 from resonet.reservoir import DecayMatrix, decay_matrix_common, decay_matrix_distinct
@@ -47,7 +47,28 @@ def probe_flow(n, seed=3):
     """
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return lambda beta, t: (1.0 + 0.5 * np.asarray(t))[:, None, None] * (np.asarray(beta) @ u.T)
+    return lambda beta: lambda t: (1.0 + 0.5 * np.asarray(t))[:, None, None] * (np.asarray(beta) @ u.T)
+
+
+def mode_form_flow(drift):
+    """The label flow in its per-mode form: zeta = (exp(lam t) * beta V^-T) V^T over every mode.
+
+    It reads the same eigenbasis as evolve.label_flow (which needs a usable
+    one) and takes one exponential per mode and a terms * n^2 gemm per time
+    where label_flow takes one per eigenvalue cluster on the labels' images.
+    """
+    lam, v, v_inv, _ = evolve._eigenbasis(np.asarray(drift))
+
+    def flow(beta):
+        modes = np.asarray(beta) @ v_inv.T
+
+        def at(t):
+            evolved = np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * modes
+            return (evolved.reshape(-1, lam.size) @ v.T).reshape(evolved.shape)
+
+        return at
+
+    return flow
 
 
 def propagator_closed_form(

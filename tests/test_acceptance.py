@@ -232,7 +232,7 @@ def test_criterion_9_closed_form_propagator_consistency():
         assert np.max(np.abs(propagator_closed_form(n, gamma, eps, plus, minus, 0.0) - np.eye(n))) < 1e-12
         for t in np.linspace(0.0, 10.0 / gamma, 9):
             # the labels of the identity are the columns of exp(t D)
-            theta = flow(np.eye(n), np.array([t]))[0].T
+            theta = flow(np.eye(n))(np.array([t]))[0].T
             diff = np.max(np.abs(propagator_closed_form(n, gamma, eps, plus, minus, float(t)) - theta))
             worst = max(worst, float(diff))
             assert diff < 1e-9, f"n={n} t={t}: {diff:.2e}"

@@ -291,6 +291,54 @@ def test_distinct_reservoir_with_gamma_minus_above_gamma_plus(tmp_path):
     assert abs(summary["tau_d_numeric"] - 1.0 / 2.88) < 1e-3
 
 
+def test_protected_pair_reads_an_infinite_numeric_tau_d(tmp_path):
+    # delta = (0.54 - 0.36i)(1, -1) lies in the kernel of the eps = 1 decay
+    # matrix: |delta(h)|^2 differs from |delta0|^2 by rounding alone, which
+    # the forward difference used to read as tau_d_numeric 9007199250 (2^53 h).
+    labels = [[[0.13, 0.64], [-0.13, 0.1]], [[-0.41, 1.0], [0.41, -0.26]]]
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 1.0},
+        state={"type": "explicit", "weights": [1, 1], "labels": labels},
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tau_d_formula"] == summary["tau_d_numeric"] == "inf"
+    assert json.loads((out / "classification.json").read_text())["is_dfs"] is True
+
+
+def test_label_images_over_the_byte_budget_exit_1(tmp_path, monkeypatch, capsys):
+    # 2 terms on the two clusters of the n = 12 shorthand need 16 * 2 * 2 * 12
+    # = 768 bytes of images, more than the 712 bytes check_terms asks for.
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 767)
+    cfg = _write_scenario(tmp_path / "s.json", network={"n": 12, "omega": 10.0, "lambda": 0.5})
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 2 terms on 12 resonators in 2 frequency clusters need 7.68e2 bytes of label images,"
+        " over the 7.67e2-byte budget\n"
+    )
+    assert list(out.iterdir()) == []
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 768)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("sweep", ["--sweep-param", "epsilon", "--sweep-values", "0,0.5,1"]), ("classify", []), ("modes", [])],
+)
+def test_reruns_are_byte_identical(tmp_path, command, extra):
+    cfg = _write_scenario(tmp_path / "s.json", network={"n": 6, "omega": 10.0, "lambda": 0.5})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert first
+
+
 def test_evolve_writes_no_file_when_the_summary_fails(tmp_path, monkeypatch):
     def broken(*args):
         raise resonet.ModelError("no summary")
@@ -670,7 +718,7 @@ def test_trace_abort_mid_stream_leaves_no_trajectory_csv(tmp_path, monkeypatch, 
 
     def exploding(drift):
         flow = label_flow(drift)
-        return lambda beta, t: np.where(t >= 0.5, 30.0, 1.0)[:, None, None] * flow(beta, t)
+        return lambda beta: lambda t: np.where(t >= 0.5, 30.0, 1.0)[:, None, None] * flow(beta)(t)
 
     written = []
 

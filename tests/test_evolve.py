@@ -34,8 +34,16 @@ from resonet import (
     trajectory_to_csv,
 )
 from resonet import artifacts, evolve
+from resonet.errors import _sci
 from resonet.states import log_gram_matrix
-from reference import Trajectory, collect, decoherence_time_formula, probe_flow, propagator_closed_form
+from reference import (
+    Trajectory,
+    collect,
+    decoherence_time_formula,
+    mode_form_flow,
+    probe_flow,
+    propagator_closed_form,
+)
 
 
 def _degenerate_drift(n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
@@ -62,7 +70,7 @@ def _closed_form(t, n=2, gamma=1.0, eps=0.5, omega0=10.0, lam=0.5):
 
 def _theta(flow, n, times):
     """Propagator stack exp(t D) read off a flow: the labels of the identity are its columns."""
-    return np.swapaxes(flow(np.eye(n), np.asarray(times, dtype=float)), -1, -2)
+    return np.swapaxes(flow(np.eye(n))(np.asarray(times, dtype=float)), -1, -2)
 
 
 def test_expm_matches_scipy():
@@ -116,10 +124,10 @@ def test_propagators_accept_a_scalar_or_a_time_array():
         np.testing.assert_allclose(theta, single, rtol=0, atol=1e-15)
     flow = label_flow(_random_drift(rng, 3))
     beta = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    zeta = flow(beta, times)
+    zeta = flow(beta)(times)
     assert zeta.shape == (times.size, 4, 3)
     for t, labels in zip(times, zeta):
-        np.testing.assert_allclose(labels, flow(beta, np.array([t]))[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(labels, flow(beta)(np.array([t]))[0], rtol=0, atol=1e-12)
 
 
 def test_closed_form_identity_at_zero():
@@ -162,7 +170,7 @@ def test_label_flow_matches_scipy_expm_on_random_networks(n):
         net = _random_network(rng, n)
         drift = drift_matrix(net, build_decay_matrix(reservoir, net))
         want = np.array([beta @ scipy.linalg.expm(t * drift).T for t in times])
-        got = label_flow(drift)(beta, times)
+        got = label_flow(drift)(beta)(times)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=reservoir.kind.value)
 
 
@@ -202,6 +210,79 @@ def test_label_flow_falls_back_to_taylor_on_a_jordan_block(monkeypatch, size):
     times = np.linspace(0.0, 5.0, 11)
     want = np.array([scipy.linalg.expm(t * d) for t in times])
     np.testing.assert_allclose(_theta(label_flow(d), size, times), want, rtol=0, atol=1e-14)
+
+
+def _cluster_shapes():
+    """(drift, number of eigenvalue clusters) for every cluster shape the label flow splits onto, with ids."""
+    rng = np.random.default_rng(2028)
+    shorthand = degenerate_network(5, 10.0, 0.5)
+    profile = CouplingProfile(amplitude=1.0, centers=[12.0], widths=[0.5])
+    reservoirs = {
+        "white": ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=1.0, epsilon=0.7),
+        "distinct": ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.3),
+        "profile": ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=(profile,) * 5),
+    }
+    one = NetworkSpec(omega=[10.0], coupling=np.zeros((1, 1)))
+    shapes = [pytest.param(drift_matrix(one, DecayMatrix([[0.8]])), 1, id="one mode")]
+    shapes += [
+        pytest.param(drift_matrix(shorthand, build_decay_matrix(res, shorthand)), 2, id=f"shorthand, {kind}")
+        for kind, res in reservoirs.items()
+    ]
+    # two degenerate blocks and a lone resonator: clusters of 3, 2, 1, 1 and 1 modes
+    coupling = np.zeros((8, 8))
+    coupling[:3, :3] = 0.5
+    coupling[3:7, 3:7] = 0.3
+    np.fill_diagonal(coupling, 0.0)
+    mixed = NetworkSpec(omega=[10.0] * 3 + [12.0] * 4 + [9.0], coupling=coupling)
+    shapes.append(pytest.param(drift_matrix(mixed, decay_matrix_common(8, 0.6, 0.0)), 5, id="mixed sizes"))
+    # Gamma diagonal in W's modes but with two rates on the 3-fold cluster: it splits into 2 + 1
+    q, _ = np.linalg.qr(np.column_stack([np.ones(4), np.eye(4)[:, :3]]))
+    gamma = q @ np.diag([1.0, 0.3, 0.3, 0.8]) @ q.T
+    split = drift_matrix(degenerate_network(4, 10.0, 0.5), DecayMatrix(gamma))
+    shapes.append(pytest.param(split, 3, id="Gamma splits a cluster"))
+    shapes += [pytest.param(_random_drift(rng, n), n, id=f"generic n = {n}") for n in (3, 5, 8)]
+    return shapes
+
+
+@pytest.mark.parametrize("drift, k", _cluster_shapes())
+def test_label_flow_on_every_cluster_shape(drift, k):
+    # Sylvester's form over the eigenvalue clusters against the per-mode form
+    # and the Taylor expm; at t = 0 the images sum back to the labels.
+    n = drift.shape[0]
+    assert np.unique(evolve._eigenbasis(drift)[3]).size == k
+    rng = np.random.default_rng(n + k)
+    beta = 0.6 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
+    times = np.linspace(0.0, 3.0, 7)
+    at = label_flow(drift)(beta)
+    np.testing.assert_allclose(at(times), mode_form_flow(drift)(beta)(times), rtol=0, atol=1e-12)
+    taylor = beta @ np.swapaxes(expm(times[:, None, None] * drift), -1, -2)
+    np.testing.assert_allclose(at(times), taylor, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(at(np.zeros(1))[0], beta, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("drift, k", _cluster_shapes())
+def test_propagation_on_every_cluster_shape_matches_the_mode_form(drift, k):
+    n = drift.shape[0]
+    rng = np.random.default_rng(10 * n + k)
+    weights = rng.normal(size=3) + 1j * rng.normal(size=3)
+    state = make_superposition(weights, 0.6 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))))
+    times = np.linspace(0.0, 3.0, 41)
+    got = collect(propagate_with(state, times, label_flow(drift)))
+    want = collect(propagate_with(state, times, mode_form_flow(drift)))
+    for field in ("labels", "coeffs", "occupations", "purity", "fidelity"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=0, atol=1e-13, err_msg=field)
+
+
+def test_label_images_are_checked_against_the_byte_budget(monkeypatch):
+    # Images of 3 terms on the two clusters of the n = 6 shorthand: 16 * 2 * 3 * 6 bytes.
+    flow = label_flow(_degenerate_drift(n=6))
+    beta = np.ones((3, 6), dtype=complex)
+    need = 16 * 2 * 3 * 6
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
+    with pytest.raises(ModelError, match=f"in 2 frequency clusters need {_sci(need)} bytes of label images"):
+        flow(beta)
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
+    np.testing.assert_allclose(flow(beta)(np.zeros(1))[0], beta, rtol=0, atol=1e-14)
 
 
 def test_trajectory_initial_point():
@@ -299,6 +380,23 @@ def test_decoherence_numeric_infinite_for_protected():
     assert math.isinf(_tau(state, eps=1.0))
 
 
+def test_pairs_in_the_kernel_of_gamma_read_an_infinite_numeric_tau_d():
+    # n = 2 at eps = 1: Gamma's kernel is (1, -1).  Rounding leaves |delta(h)|^2
+    # a few units of 2^-53 off |delta0|^2 for most pairs there; the old cut-off
+    # (slope below 1e-12 gamma) read that as a finite time near 2^53 h.
+    flow = label_flow(_degenerate_drift(n=2, eps=1.0))
+    rng = np.random.default_rng(28)
+    noisy = 0
+    for _ in range(300):
+        beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        delta = complex(rng.normal(), rng.normal()) * np.array([1.0, -1.0])
+        state = make_superposition([1.0, 1.0], np.array([beta, beta - delta]))
+        assert decoherence_time_numeric(flow, state, 0.01, 1.0) == math.inf
+        moved = flow(delta[None, :])(np.array([1e-6]))[0, 0]
+        noisy += bool(np.sum(np.abs(delta) ** 2) > np.sum(np.abs(moved) ** 2))
+    assert noisy > 100
+
+
 def test_decoherence_numeric_argument_checks():
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(ModelError):
@@ -313,7 +411,7 @@ def test_propagator_shape_rejected():
     # A flow must return one (terms, n) label array per time.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(ModelError, match="label flow returned shape"):
-        collect(propagate_with(state, [0.0, 0.1], lambda beta, t: beta))
+        collect(propagate_with(state, [0.0, 0.1], lambda beta: lambda t: beta))
 
 
 def test_trace_abort_on_overflowing_propagator():
@@ -321,7 +419,7 @@ def test_trace_abort_on_overflowing_propagator():
     # reconstructed trace turns non-finite and the run must abort.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     with pytest.raises(NumericalError):
-        collect(propagate_with(state, [0.0, 1.0], lambda beta, t: (1.0 + 29.0 * t)[:, None, None] * beta))
+        collect(propagate_with(state, [0.0, 1.0], lambda beta: lambda t: (1.0 + 29.0 * t)[:, None, None] * beta))
 
 
 def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
@@ -333,9 +431,12 @@ def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * block)
         calls = []
 
-        def flow(beta, t):
-            calls.append(t.size)
-            return np.where(t >= bad, 30.0, 1.0)[:, None, None] * beta
+        def flow(beta):
+            def at(t):
+                calls.append(t.size)
+                return np.where(t >= bad, 30.0, 1.0)[:, None, None] * beta
+
+            return at
 
         with pytest.raises(NumericalError, match=f"at t = {bad:g};"):
             collect(propagate_with(state, times, flow))
@@ -404,8 +505,8 @@ def test_trace_abort_does_not_wait_for_observables(monkeypatch):
     monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 5)
     calls = _counting_cross_gram(monkeypatch)
 
-    def flow(beta, t):
-        return np.where(t >= times[5], np.nan, 1.0)[:, None, None] * beta
+    def flow(beta):
+        return lambda t: np.where(t >= times[5], np.nan, 1.0)[:, None, None] * beta
 
     blocks = []
     with pytest.raises(NumericalError, match=f"at t = {times[5]:g};"):
@@ -550,9 +651,14 @@ def test_sweep_sized_grid_takes_four_flow_calls():
     inner = label_flow(_degenerate_drift(n=6, eps=0.5))
     sizes = []
 
-    def flow(beta, t):
-        sizes.append(t.size)
-        return inner(beta, t)
+    def flow(beta):
+        at = inner(beta)
+
+        def counted(t):
+            sizes.append(t.size)
+            return at(t)
+
+        return counted
 
     traj = collect(propagate_with(state, np.linspace(0.0, 5.0, 4001), flow))
     assert len(sizes) == math.ceil(4001 / 1024) == 4
@@ -636,7 +742,7 @@ def _per_point_reference(state, times, flow):
     g0 = gram_matrix(beta)
     labels, coeffs, occ, purity, fid = [], [], [], [], []
     for t in times:
-        zeta = flow(beta, np.array([t]))[0]
+        zeta = flow(beta)(np.array([t]))[0]
         gt = gram_matrix(zeta)
         coeff = w_outer * (g0 / gt).T
         m = coeff * gt.T
@@ -674,7 +780,7 @@ def test_batched_propagation_matches_per_point_loop(points, path):
     else:
         d = _random_drift(rng, n)
         theta = lambda t: np.array([scipy.linalg.expm(s * d) for s in t])  # noqa: E731
-    ref = _per_point_reference(state, times, lambda beta, t: beta @ np.swapaxes(theta(t), -1, -2))
+    ref = _per_point_reference(state, times, lambda beta: lambda t: beta @ np.swapaxes(theta(t), -1, -2))
     traj = collect(propagate_with(state, times, label_flow(d)))
     for name, want in ref.items():
         np.testing.assert_allclose(getattr(traj, name), want, rtol=1e-12, atol=1e-12, err_msg=name)

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resonet
-from resonet import evolve, network, oracle
+from resonet import evolve, network, oracle, reservoir
 from resonet.errors import _BYTE_BUDGET, ModelError, _sci
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +79,28 @@ def test_readme_budget_numbers_match_the_code():
     assert f"an `n` above {largest:,} is rejected" in text
     with pytest.raises(ModelError, match=f"{largest + 1} resonators need"):
         network.degenerate_network(largest + 1, 10.0, 0.5)
+    # the evolve.py paragraph: the shorthand's cluster count, the images' bytes and the generic size they reject
+    net = network.degenerate_network(6, 10.0, 0.5)
+    kinds = reservoir.ReservoirKind
+    profiles = (reservoir.CouplingProfile(1.0, [12.5], [0.1]),) * 6
+    counts = {
+        np.unique(evolve._eigenbasis(network.drift_matrix(net, reservoir.build_decay_matrix(res, net)))[3]).size
+        for res in (
+            reservoir.ReservoirSpec(kind=kinds.COMMON_WHITE_NOISE, sigma=1.0, epsilon=0.5),
+            reservoir.ReservoirSpec(kind=kinds.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.3),
+            reservoir.ReservoirSpec(kind=kinds.COMMON_PROFILE, sigma=1.0, profiles=profiles),
+        )
+    }
+    (k,) = counts
+    assert f"has k = {k} clusters" in text and "in all three reservoir kinds" in text
+    assert "The images hold 16 k terms n bytes" in text
+    generic = math.isqrt(_BYTE_BUDGET // (16 * 32))
+    evolve.check_images(generic, 32, generic)
+    need = 16 * (generic + 1) * 32 * (generic + 1)
+    with pytest.raises(ModelError, match=f"need {_sci(need)} bytes of label images"):
+        evolve.check_images(generic + 1, 32, generic + 1)
+    assert f"on a generic network with 32 terms, from n = {generic + 1:,} on" in text
+    assert f"within {evolve._ROUNDING_UNITS} n 2^-53 |delta|^2" in text
     # the oracle-compare paragraph: the array count, the generator's offsets and the n = 4 example
     arrays = oracle._WORKING_ARRAYS
     assert f"{arrays} for the states, the integrator's buffers" in text
