@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
 from .network import _CLUSTER_RTOL, clusters
-from .states import SuperpositionState, gram_matrix, log_gram_matrix
+from .states import SuperpositionState, log_gram_matrix
 
 __all__ = [
     "Block",
@@ -213,15 +213,92 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     return flow
 
 
+class _Pairs(NamedTuple):
+    """A stream's fixed pair data: its P = terms (terms - 1) / 2 pairs r < s in np.triu_indices order.
+
+    lower = s terms + r is each pair's flat index below the diagonal of a
+    terms x terms matrix, and mirror (terms^2) the flat index of each entry
+    in a row [values at the P pairs, their conjugates, 1] (see _hermitian).
+    log_g0_t = log <beta_s|beta_r> is per pair, w_outer = N^2 w conj(w)^T
+    is the whole matrix, made exactly Hermitian (the conjugate of each upper
+    entry below the diagonal, a real diagonal), and half_beta = |beta_r|^2 / 2
+    is per term.
+    """
+
+    r: np.ndarray
+    s: np.ndarray
+    lower: np.ndarray
+    mirror: np.ndarray
+    log_g0_t: np.ndarray
+    w_outer: np.ndarray
+    half_beta: np.ndarray
+
+
+def _pairs(state: SuperpositionState, norms: np.ndarray) -> _Pairs:
+    """The pair data of a state (see _Pairs) with squared label norms |beta_r|^2, formed once per stream."""
+    terms = state.num_terms
+    k = np.arange(terms)
+    r, s = np.nonzero(k[:, None] < k)  # np.triu_indices(terms, 1), at a fifth of its cost for few terms
+    upper, lower = r * terms + s, s * terms + r
+    w_outer = state.norm_factor**2 * np.outer(state.weights, state.weights.conj())
+    flat = w_outer.reshape(-1)
+    flat[lower] = flat[upper].conj()
+    flat[:: terms + 1] = flat[:: terms + 1].real
+    mirror = np.full(terms * terms, 2 * r.size)
+    mirror[upper] = np.arange(r.size)
+    mirror[lower] = np.arange(r.size, 2 * r.size)
+    return _Pairs(r, s, lower, mirror, log_gram_matrix(state.labels).ravel()[lower], w_outer, 0.5 * norms)
+
+
+def _log_pair_overlaps(zeta: np.ndarray, norms: np.ndarray, pairs: _Pairs) -> np.ndarray:
+    """log <zeta_s|zeta_r> (T, P) at the pairs r < s of labels zeta (T, terms, n) with squared norms norms (T, terms).
+
+    One batched cross gemm gives conj(zeta_s) . zeta_r at entry (s, r); both
+    half norms are subtracted on the pairs alone.
+    """
+    half = 0.5 * norms
+    logs = (zeta.conj() @ np.swapaxes(zeta, -1, -2)).reshape(zeta.shape[0], -1).take(pairs.lower, axis=1)
+    logs -= half.take(pairs.s, axis=1)
+    logs -= half.take(pairs.r, axis=1)
+    return logs
+
+
+def _initial_overlaps(zeta: np.ndarray, norms: np.ndarray, beta: np.ndarray, half_beta: np.ndarray) -> np.ndarray:
+    """<beta_r|zeta_s(t)> (T terms, terms) in [t, s] rows, from one gemm and its exponents formed in place."""
+    g = zeta.reshape(-1, zeta.shape[-1]) @ beta.conj().T
+    g -= half_beta
+    g -= 0.5 * norms.reshape(-1, 1)
+    return np.exp(g, out=g)
+
+
+def _hermitian(values: np.ndarray, pairs: _Pairs) -> np.ndarray:
+    """The (T, terms, terms) stack with values (T, P) at r < s, their conjugates at s > r and 1 on the diagonal.
+
+    One take from the row [values, conj(values), 1] per time (pairs.mirror).
+    """
+    t, p = values.shape
+    row = np.empty((t, 2 * p + 1), dtype=complex)
+    row[:, :p] = values
+    np.conjugate(values, out=row[:, p:-1])
+    row[:, -1] = 1.0
+    return row.take(pairs.mirror, axis=1).reshape(t, *pairs.w_outer.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Block:
     """Label-space evolution on a run of consecutive grid times.
 
-    labels[i, r] is the coherent label of term r at times[i].  The rest is
-    computed when first read and then kept: coeffs[i], the pair-coefficient
-    matrix (entry (r, s) multiplies |zeta_r><zeta_s|) formed with the
-    stream's shared pair data _log_g0_t = log G_0^T and _w_outer =
-    N^2 w conj(w)^T, and the observables (occupations, purity, fidelity).
+    labels[i, r] is the coherent label of term r at times[i] and _norms[i, r]
+    its squared norm |zeta_r|^2, computed once by the stream's label guard.
+    The rest is computed when first read and then kept: coeffs[i], the
+    pair-coefficient matrix (entry (r, s) multiplies |zeta_r><zeta_s|), and
+    the observables (occupations, purity, fidelity).  Both the coefficients
+    and the Gram matrices are Hermitian, so they are formed on the
+    triangle r < s alone, from the stream's pair data _pairs (see _Pairs):
+    one batched cross gemm per block, the log overlaps and both exponentials
+    for those terms (terms - 1) / 2 pairs only, mirrored by conjugation onto
+    s > r, with the exact diagonal <zeta_r|zeta_r> = 1 and c_rr = N^2 |w_r|^2;
+    coeffs equals its conjugate transpose exactly.
     Forming the coefficients checks the trace, the sum of c * G^T, and
     raises NumericalError at the first time it leaves 1 by more than 1e-6;
     as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
@@ -235,19 +312,23 @@ class Block:
 
     times: np.ndarray
     labels: np.ndarray
-    _log_g0_t: np.ndarray = field(repr=False)
-    _w_outer: np.ndarray = field(repr=False)
+    _norms: np.ndarray = field(repr=False)
+    _pairs: _Pairs = field(repr=False)
     _state: SuperpositionState = field(repr=False)
 
     @cached_property
     def _formed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """coeffs, the transposed Gram matrices G^T[i, r, s] = <zeta_s|zeta_r> and the pair matrix c * G^T."""
-        log_gt_t = np.swapaxes(log_gram_matrix(self.labels), -1, -2)
-        gt_t = np.exp(log_gt_t)
+        p = self._pairs
+        log_gt_t = _log_pair_overlaps(self.labels, self._norms, p)
         # An exploding flow overflows coeff; the trace check below is the arbiter.
         with np.errstate(over="ignore", invalid="ignore"):
-            coeff = np.exp(self._log_g0_t - log_gt_t)
-            coeff *= self._w_outer
+            coeff = p.log_g0_t - log_gt_t
+            # w_outer multiplies the whole matrix, not the P pairs: numpy rounds a complex product
+            # over a one-element array (T = P = 1) differently, which would tie coeffs to the block size
+            coeff = _hermitian(np.exp(coeff, out=coeff), p)
+            coeff *= p.w_outer
+            gt_t = _hermitian(np.exp(log_gt_t, out=log_gt_t), p)
             m = coeff * gt_t
             trace = m.sum(axis=(-2, -1))
         drift = np.abs(trace - 1.0)
@@ -277,10 +358,10 @@ class Block:
 
     @cached_property
     def fidelity(self) -> np.ndarray:
-        terms = self._state.num_terms
-        # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked rows
-        g_in = np.swapaxes(gram_matrix(self._state.labels, self.labels), -1, -2).reshape(-1, terms)
-        w_in = self._state.norm_factor * (g_in @ self._state.weights.conj()).reshape(-1, terms)
+        state = self._state
+        # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked [t, s] rows
+        g_in = _initial_overlaps(self.labels, self._norms, state.labels, self._pairs.half_beta)
+        w_in = state.norm_factor * (g_in @ state.weights.conj()).reshape(-1, state.num_terms)
         fidelity = (w_in * (self.coeffs @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
         ok = (fidelity >= -_BOUND_SLACK) & (fidelity <= 1.0 + _BOUND_SLACK)
         _require(ok, self.times, lambda i: f"fidelity {fidelity[i]:.9g} leaves [0, 1]")
@@ -293,7 +374,7 @@ class Block:
     def at(self, index: int) -> Block:
         """The one-time Block at times[index]: views of this block's arrays, nothing computed carried over."""
         i = range(self.times.size)[index]
-        return replace(self, times=self.times[i : i + 1], labels=self.labels[i : i + 1])
+        return replace(self, times=self.times[i : i + 1], labels=self.labels[i : i + 1], _norms=self._norms[i : i + 1])
 
 
 def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:
@@ -328,11 +409,10 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
 def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> Iterator[Block]:
     beta = np.asarray(state.labels)
     terms, n = beta.shape
-    weights = np.asarray(state.weights)
-    w_outer = state.norm_factor**2 * np.outer(weights, weights.conj())
-    log_g0_t = log_gram_matrix(beta).T
     b = beta.view(float)  # squared norms by einsum over float views: half the time of np.abs(z) ** 2
-    bound = np.einsum("ri,ri->r", b, b) * (1.0 + _TRACE_ABORT)
+    norms = np.einsum("ri,ri->r", b, b)
+    bound = norms * (1.0 + _TRACE_ABORT)
+    pairs = _pairs(state, norms)
     with np.errstate(over="ignore", invalid="ignore"):  # an exploding flow overflows; the label guard is the arbiter
         at = flow(beta)
     for block in _blocks(times.size, terms * (n + terms)):
@@ -342,13 +422,14 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
         if zeta.shape != (tb.size, terms, n):
             raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
         z = zeta.view(float)
+        norms = np.einsum("tri,tri->tr", z, z)
         # NaN fails the comparison too, so this also rejects non-finite labels.
         _require(
-            (np.einsum("tri,tri->tr", z, z) <= bound).all(axis=-1),
+            (norms <= bound).all(axis=-1),
             tb,
             lambda i: f"labels are non-finite or outgrew |zeta_r|^2 <= |beta_r|^2 (1 + {_TRACE_ABORT:g})",
         )
-        yield Block(times=tb, labels=zeta, _log_g0_t=log_g0_t, _w_outer=w_outer, _state=state)
+        yield Block(times=tb, labels=zeta, _norms=norms, _pairs=pairs, _state=state)
 
 
 def decoherence_time_numeric(

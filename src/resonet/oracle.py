@@ -262,9 +262,12 @@ def embed_state(state: SuperpositionState, basis: FockBasisSpec) -> np.ndarray:
 
 
 def embed_labels(labels: np.ndarray, coeffs: np.ndarray, basis: FockBasisSpec) -> np.ndarray:
-    """Dense matrix sum_rs coeffs[r, s] |labels_r><labels_s| on the truncated basis."""
+    """Dense matrix sum_rs coeffs[r, s] |labels_r><labels_s| on the truncated basis.
+
+    The labels' Fock tails are the caller's to check: compare checks them
+    once per label block, from the largest |label| so far.
+    """
     labels = np.atleast_2d(np.asarray(labels, dtype=complex))
-    _check_tails(labels, basis)
     v = np.column_stack([coherent_vector(lab, basis) for lab in labels])
     return v @ np.asarray(coeffs, dtype=complex) @ v.conj().T
 
@@ -549,13 +552,17 @@ def compare(blocks: Iterable[Block], rhos: Iterable[np.ndarray], basis: FockBasi
     small; with one sector (g = 1) the second term is 0 and the value is
     0.5 sum |eigenvalues| of Herm(Delta).  Of the label stream
     only the current block and, per term and mode, the largest |label| so
-    far are held.  Streams of different lengths, or an empty grid, raise
+    far are held; that envelope's Fock tails are checked once per block
+    before its times are compared, so a block with a label whose per-mode
+    truncated mass reaches 1e-10 raises ModelError naming the required
+    minimum cutoff.  Streams of different lengths, or an empty grid, raise
     ModelError.
     """
     rhos = iter(rhos)
     times, dists, envelope = [], [], 0.0
     for block in blocks:
         envelope = np.maximum(envelope, np.abs(block.labels).max(axis=0))
+        _check_tails(envelope, basis)
         for t, labels, coeffs in zip(block.times, block.labels, block.coeffs):
             rho = next(rhos, None)
             if rho is None:

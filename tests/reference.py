@@ -1,7 +1,8 @@
 """Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
 against (no command reaches these), whole-grid arrays from a label stream, a label flow the
-stream must refuse, the per-mode label flow, the kernel-shrinking construction of the protected
-subspace, and the oracle's full-matrix trace distance.
+stream must refuse, the per-mode label flow, a block's pair data and observables formed on the
+full terms x terms matrix, the kernel-shrinking construction of the protected subspace, and the
+oracle's full-matrix trace distance.
 """
 
 import math
@@ -15,7 +16,7 @@ from resonet import Block, errors, evolve, oracle
 from resonet.errors import ModelError, _sci
 from resonet.network import NormalModeDecomposition, degenerate_modes
 from resonet.reservoir import DecayMatrix, decay_matrix_common, decay_matrix_distinct
-from resonet.states import RSFamilySpec, SuperpositionState
+from resonet.states import RSFamilySpec, SuperpositionState, gram_matrix, log_gram_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +70,35 @@ def mode_form_flow(drift):
         return at
 
     return flow
+
+
+def full_matrix_pairs(block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's coefficients, transposed Gram matrices G^T[i, r, s] = <zeta_s|zeta_r> and pair matrix c * G^T.
+
+    Every one of the terms^2 entries is formed on its own, from
+    states.log_gram_matrix of the labels and of the initial ones, where
+    Block forms the triangle r < s and mirrors it by conjugation.
+    """
+    state = block._state
+    log_gt_t = np.swapaxes(log_gram_matrix(block.labels), -1, -2)
+    gt_t = np.exp(log_gt_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = np.exp(log_gram_matrix(state.labels).T - log_gt_t)
+        coeff *= state.norm_factor**2 * np.outer(state.weights, state.weights.conj())
+        return coeff, gt_t, coeff * gt_t
+
+
+def full_matrix_observables(block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, occupations, purity and fidelity of a block from full_matrix_pairs, by Block's expressions."""
+    state, zeta = block._state, block.labels
+    coeff, gt_t, m = full_matrix_pairs(block)
+    occupations = (zeta * (m @ zeta.conj())).sum(axis=-2).real
+    cg = coeff @ np.swapaxes(gt_t, -1, -2)
+    purity = (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
+    g_in = np.swapaxes(gram_matrix(state.labels, zeta), -1, -2).reshape(-1, state.num_terms)
+    w_in = state.norm_factor * (g_in @ state.weights.conj()).reshape(-1, state.num_terms)
+    fidelity = (w_in * (coeff @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
+    return coeff, occupations, purity, fidelity
 
 
 def propagator_closed_form(

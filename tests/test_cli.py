@@ -575,6 +575,25 @@ def test_oracle_compare_accepts_its_default_cutoff_at_large_amplitude(tmp_path):
     assert summary["cutoff"] == 121 and summary["passed"] is True
 
 
+def test_oracle_compare_rejects_labels_that_outgrow_the_cutoff(tmp_path, capsys):
+    # The label (2, 2i) passes the initial tail check at cutoff 22 (its minimum), but
+    # the coupling gathers it onto one resonator, |zeta_1| -> 2 sqrt(2) e^(-Gamma t / 4)
+    # at t = pi / 2: the grid is refused, naming the cutoff its largest label needs.
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        reservoir={"kind": "common_white_noise", "Gamma": 0.01, "epsilon": 0.5},
+        state={"type": "explicit", "weights": [1.0], "labels": [[2.0, [0.0, 2.0]]]},
+        evolution={"t_max": 5.0, "steps": 20},
+        oracle={"cutoff": 22},
+    )
+    assert oracle.minimum_cutoff(2.0) == 22
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "inadequate cutoff 22" in err and "amplitude 2.80555; required minimum cutoff is 31" in err
+    assert not (out / "oracle.csv").exists()
+
+
 def test_oracle_compare_rejects_a_working_set_over_budget(tmp_path, capsys):
     # The README's example scenario: cutoff 13 gives dim 38416 and 22 GiB per
     # density matrix.  The byte estimate stops it before anything is embedded.

@@ -35,11 +35,11 @@ from resonet import (
 )
 from resonet import artifacts, evolve
 from resonet.errors import _sci
-from resonet.states import log_gram_matrix
 from reference import (
     Trajectory,
     collect,
     decoherence_time_formula,
+    full_matrix_observables,
     mode_form_flow,
     probe_flow,
     propagator_closed_form,
@@ -445,27 +445,28 @@ def test_trace_abort_names_first_failing_time_inside_a_block(monkeypatch):
 
 
 def _counting_cross_gram(monkeypatch):
-    """Calls of evolve.gram_matrix (the overlaps <beta_r|zeta_s(t)> behind the fidelity), one entry per call."""
+    """Calls of evolve._initial_overlaps (the overlaps <beta_r|zeta_s(t)> behind the fidelity), one entry per call."""
     calls = []
+    initial_overlaps = evolve._initial_overlaps
 
     def counted(*args):
         calls.append(args)
-        return gram_matrix(*args)
+        return initial_overlaps(*args)
 
-    monkeypatch.setattr(evolve, "gram_matrix", counted)
+    monkeypatch.setattr(evolve, "_initial_overlaps", counted)
     return calls
 
 
 def _counting_self_gram(monkeypatch):
-    """Shapes of the label stacks evolve.log_gram_matrix is called on, one entry per call that forms coefficients."""
+    """Shapes of the label stacks evolve._log_pair_overlaps is called on, one entry per call that forms coefficients."""
     shapes = []
+    log_pair_overlaps = evolve._log_pair_overlaps
 
-    def counted(labels_a, labels_b=None):
-        if np.ndim(labels_a) == 3:
-            shapes.append(np.shape(labels_a))
-        return log_gram_matrix(labels_a, labels_b)
+    def counted(zeta, norms, pairs):
+        shapes.append(np.shape(zeta))
+        return log_pair_overlaps(zeta, norms, pairs)
 
-    monkeypatch.setattr(evolve, "log_gram_matrix", counted)
+    monkeypatch.setattr(evolve, "_log_pair_overlaps", counted)
     return shapes
 
 
@@ -538,7 +539,8 @@ def test_trace_check_runs_when_coefficients_are_formed():
     # the stream cannot tell, the coefficients can.
     state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
     (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift()))
-    broken = dataclasses.replace(block, _w_outer=2.0 * block._w_outer)
+    pairs = block._pairs
+    broken = dataclasses.replace(block, _pairs=pairs._replace(w_outer=2.0 * pairs.w_outer))
     for read in ("coeffs", "occupations", "purity", "fidelity"):
         with pytest.raises(NumericalError, match="trace left 1 by 1.000e[+]00 at t = 0;"):
             getattr(broken, read)
@@ -552,7 +554,8 @@ def _unphysical(weights, delta):
     the trace at 1 (every <zeta_r|zeta_r> = 1) but describes no density matrix."""
     state = make_superposition(np.array(weights), np.array([[1.0, 0.0], [0.0, 0.5j]]))
     (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift()))
-    return block, dataclasses.replace(block, _w_outer=block._w_outer + delta * np.diag([1.0, -1.0]))
+    pairs = block._pairs._replace(w_outer=block._pairs.w_outer + delta * np.diag([1.0, -1.0]))
+    return block, dataclasses.replace(block, _pairs=pairs)
 
 
 def test_observables_outside_their_physical_bounds_raise():
@@ -620,6 +623,54 @@ def test_label_guard_has_headroom_on_valid_flows():
         state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.8))
         growth.append(_growth(state, np.linspace(0.0, 1e4, 4001), _degenerate_drift(n, 1.0, 1.0)))
     assert max(growth) < 1e-9
+
+
+def _pair_data_cases(rng):
+    """(state, drift, times) cases for the pair data: random multi-term states on random detuned
+    networks, n = 2 to 8, in each reservoir kind; a well-separated cat whose overlaps underflow;
+    and the exceptional point, where label_flow takes the Taylor expm."""
+    profile = CouplingProfile(amplitude=1.0, centers=[2.0], widths=[0.5])
+    for n in range(2, 9):
+        sigma, eps, gamma_plus, gamma_minus = rng.uniform(0.2, 2.0, size=4)
+        for reservoir in (
+            ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=sigma, epsilon=eps / 2.0),
+            ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=gamma_plus, gamma_minus=gamma_minus),
+            ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=sigma, profiles=(profile,) * n),
+        ):
+            terms = int(rng.integers(2, 7))
+            labels = rng.uniform(0.2, 1.5) * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+            state = make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels)
+            net = _random_network(rng, n)
+            yield state, drift_matrix(net, build_decay_matrix(reservoir, net)), np.linspace(0.0, 3.0, 13)
+    cat = make_rs_state(RSFamilySpec(n=4, r=2, s=2, alpha=10.0))
+    assert gram_matrix(cat.labels)[0, 1] == 0.0  # <beta_1|beta_2> = exp(-800)
+    yield cat, _degenerate_drift(4, 1.0, 0.5), np.linspace(0.0, 2.0, 9)
+    drift = drift_matrix(NetworkSpec(omega=[10.0, 10.5], coupling=np.zeros((2, 2))), decay_matrix_common(2, 1.0, 0.5))
+    assert evolve._eigenbasis(drift) is None
+    yield make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.8)), drift, np.linspace(0.0, 5.0, 11)
+
+
+def _assert_close(got, want):
+    """got matches want to 1e-12 relative to the largest |want| at each time."""
+    scale = np.max(np.abs(want).reshape(want.shape[0], -1), axis=1)
+    assert np.all(np.abs(got - want).reshape(want.shape[0], -1) <= 1e-12 * scale[:, None])
+
+
+def test_pair_data_on_the_triangle_matches_the_full_matrix(monkeypatch):
+    # Blocks of 5 times or fewer and single times (Block.at): coeffs is exactly
+    # Hermitian, and coefficients and observables agree with the full-matrix formation.
+    rng = np.random.default_rng(2929)
+    for state, drift, times in _pair_data_cases(rng):
+        terms, n = state.labels.shape
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 5 * terms * (n + terms))
+        for block in propagate_with(state, times, label_flow(drift)):
+            for part in (block, block.at(-1)):
+                assert np.array_equal(part.coeffs, np.swapaxes(part.coeffs, -1, -2).conj())
+                coeffs, occupations, purity, fidelity = full_matrix_observables(part)
+                _assert_close(part.coeffs, coeffs)
+                _assert_close(part.occupations, occupations)
+                _assert_close(part.purity[:, None], purity[:, None])
+                _assert_close(part.fidelity[:, None], fidelity[:, None])
 
 
 def test_block_size_does_not_change_the_trajectory(monkeypatch):

@@ -170,8 +170,10 @@ def test_non_finite_amplitudes_are_rejected(bad):
         oracle.max_tail_mass(labels, 3)
     with pytest.raises(ModelError, match="finite and nonnegative"):
         oracle.minimum_cutoff(abs(bad))
+    # compare checks a label block's tails before it takes an integrated state
+    (block,) = propagate_with(make_superposition([1.0], np.array([[0.5, 0.0]])), [0.0], label_flow(-0.5 * np.eye(2)))
     with pytest.raises(ModelError, match="finite and nonnegative"):
-        oracle.embed_labels(labels, np.ones((1, 1)), oracle.FockBasisSpec(n=2, cutoff=3))
+        oracle.compare([dataclasses.replace(block, labels=labels[None])], [], oracle.FockBasisSpec(n=2, cutoff=3))
 
 
 def test_suggest_cutoff_rule():
