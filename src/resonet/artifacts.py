@@ -250,10 +250,10 @@ def trajectory_to_csv(blocks: Iterable[evolve.Block], out: TextIO) -> Iterator[e
         columns = [np.reshape(c, (block.times.size, -1)) for c in columns]
         for rows in evolve._blocks(block.times.size, width):
             head = [c[rows] for c in columns]
-            coeffs = block.coeffs[rows]
             column = 0  # of the piece's first value, when a row is cut
             for span in spans:
-                values = np.hstack(head + [np.abs(coeffs[:, span][:, upper[span]])])
+                # no view of the coefficients outlives the loop, so the next block forms without them
+                values = np.hstack(head + [np.abs(block.coeffs[rows, span][:, upper[span]])])
                 if values.size:  # the last coefficient row has no upper entry
                     out.write(_g9(values.ravel(), column, width))
                 column += values.shape[1]

@@ -110,8 +110,12 @@ def _cmd_evolve(cfg: ScenarioConfig, out: Path) -> int:
                 stop = start + block.times.size
                 series[start:stop] = np.column_stack((block.total_occupation, block.purity, block.fidelity))
                 start = stop
+            # only the final time is summarised; the loop variable would hold this block's
+            # pair arrays while the next block forms its own
+            last = block.at(-1)
+            del block
         # inside the temp file's block, so a failed summary leaves no trajectory.csv
-        summary = _summarize(cfg, flow, block, decay)
+        summary = _summarize(cfg, flow, last, decay)
     _write_json(out / "summary.json", summary)
     if cfg.svg:
         plots = (("occupation", "total occupation"), ("purity", "purity"), ("fidelity", "fidelity"))

@@ -12,8 +12,18 @@ multiplying |zeta_r><zeta_s|.  label_flow gives that flow for every network
 and reservoir from one eigendecomposition of D, one exponential per eigenvalue
 cluster (Sylvester's form; Moler & Van Loan, SIAM Review 45, 2003, methods 14 and 3).
 
-All observables (occupations, purity, fidelity) are evaluated from the label
-Gram matrices, never from a truncated Fock expansion.
+All observables (occupations, purity, fidelity) are evaluated from bilinear
+forms in the labels, never from a truncated Fock expansion, on one of two
+paths chosen once per stream (see _images).  When label_flow split the labels
+into images on k eigenvalue clusters with k^2 <= n (the shorthand network has
+k = 2 in every reservoir kind), each form is a sum of k or k^2 exponentials with
+constant weights formed once per stream, k^2 work per pair and time instead of
+n; otherwise (generic networks with k = n, n = 2 with k = 2, the Taylor
+fallback, other flows, images that cancel) the forms are gemms of the labels
+themselves.  The
+occupations on the image path read the constant pair matrix
+m0 = N^2 w conj(w)^T * G_0^T in place of c * G^T; that is exact, since by the
+coefficient above c_rs(t) <zeta_s|zeta_r> = m0_rs at every t.
 """
 
 from __future__ import annotations
@@ -62,6 +72,12 @@ _ROUNDING_UNITS = 32
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
 _COND_MAX = 1e4
+
+# The image path's forms sum products of images, so images that cancel in beta = sum_c B_c cost it
+# about sum_c |B_c[r]|^2 / |beta_r|^2 times the labels' rounding: next to an exceptional point (cond(V)
+# 7e3, that growth 2e7) its purity left [0, 1] at t = 0, while at growth 176 the two paths still
+# agreed to 3.5e-14 relative (n = 4, 4 terms, 41 times).  Above this growth a stream takes the label path.
+_IMAGE_GROWTH = 100.0
 
 # Labels (terms, n), split once -> the map from a 1-D array of T times to the (T, terms, n) labels then.
 LabelFlow = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
@@ -172,10 +188,11 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     splits labels beta (terms, n) once into their images B_c = beta P_c^T (16 k terms n bytes,
     see check_images) and returns the map from a 1-D array of T times to the (T, terms, n)
     labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per
-    time.  When the eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor
-    expm of the stack t D.  A factorisation that fails, as for a drift near the float range,
-    raises NumericalError instead of warning; one that is not finite gives non-finite labels,
-    which propagate_with rejects.
+    time.  That map is a _Sylvester, which also carries the images and their eigenvalues for
+    the blocks' image path (see _images).  When the eigenvectors are unusable the map is
+    t -> beta exp(t D)^T with the Taylor expm of the stack t D.  A factorisation that fails, as
+    for a drift near the float range, raises NumericalError instead of warning; one that is not
+    finite gives non-finite labels, which propagate_with rejects.
     """
     d = np.asarray(drift)
     with np.errstate(all="ignore"):
@@ -200,17 +217,33 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     heads = np.unique(group)
     members = [np.flatnonzero(group == g) for g in heads]
 
-    def flow(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def flow(beta: np.ndarray) -> _Sylvester:
         terms, n = np.shape(beta)
         check_images(heads.size, terms, n)
         modes = beta @ v_inv.T
         images = np.empty((heads.size, terms, n), dtype=complex)
         for image, m in zip(images, members):
             np.matmul(modes[:, m], v[:, m].T, out=image)
-        rates, flat = lam[heads], images.reshape(heads.size, -1)
-        return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), rates)) @ flat).reshape(-1, terms, n)
+        return _Sylvester(lam[heads], images)
 
     return flow
+
+
+class _Sylvester(NamedTuple):
+    """What label_flow's flow(beta) returns on a usable eigenbasis.
+
+    images B_c (k, terms, n) are the labels' images on the drift's eigenvalue
+    clusters and rates (k) the clusters' eigenvalues; called with a 1-D array
+    of T times it gives the (T, terms, n) labels sum_c exp(rates_c t) B_c.
+    """
+
+    rates: np.ndarray
+    images: np.ndarray
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        k, terms, n = self.images.shape
+        exps = np.exp(np.multiply.outer(np.asarray(t, dtype=float), self.rates))
+        return (exps @ self.images.reshape(k, -1)).reshape(-1, terms, n)
 
 
 class _Pairs(NamedTuple):
@@ -250,24 +283,37 @@ def _pairs(state: SuperpositionState, norms: np.ndarray) -> _Pairs:
     return _Pairs(r, s, lower, mirror, log_gram_matrix(state.labels).ravel()[lower], w_outer, 0.5 * norms)
 
 
-def _log_pair_overlaps(zeta: np.ndarray, norms: np.ndarray, pairs: _Pairs) -> np.ndarray:
-    """log <zeta_s|zeta_r> (T, P) at the pairs r < s of labels zeta (T, terms, n) with squared norms norms (T, terms).
+def _log_pair_overlaps(block: Block) -> np.ndarray:
+    """log <zeta_s|zeta_r> (T, P) at the pairs r < s of a block.
 
-    One batched cross gemm gives conj(zeta_s) . zeta_r at entry (s, r); both
-    half norms are subtracted on the pairs alone.
+    conj(zeta_s) . zeta_r comes from the stream's images (see _Images) or,
+    without them, from one batched cross gemm of the labels (entry (s, r));
+    both half norms are subtracted on the pairs alone.
     """
-    half = 0.5 * norms
-    logs = (zeta.conj() @ np.swapaxes(zeta, -1, -2)).reshape(zeta.shape[0], -1).take(pairs.lower, axis=1)
+    pairs, half = block._pairs, 0.5 * block._norms
+    if block._images is None:
+        zeta = block.labels
+        logs = (zeta.conj() @ np.swapaxes(zeta, -1, -2)).reshape(zeta.shape[0], -1).take(pairs.lower, axis=1)
+    else:
+        logs = block._images.pair_cross(block._exps)
     logs -= half.take(pairs.s, axis=1)
     logs -= half.take(pairs.r, axis=1)
     return logs
 
 
-def _initial_overlaps(zeta: np.ndarray, norms: np.ndarray, beta: np.ndarray, half_beta: np.ndarray) -> np.ndarray:
-    """<beta_r|zeta_s(t)> (T terms, terms) in [t, s] rows, from one gemm and its exponents formed in place."""
-    g = zeta.reshape(-1, zeta.shape[-1]) @ beta.conj().T
-    g -= half_beta
-    g -= 0.5 * norms.reshape(-1, 1)
+def _initial_overlaps(block: Block) -> np.ndarray:
+    """<beta_r|zeta_s(t)> (T terms, terms) in [t, s] rows of a block, its exponents formed in place.
+
+    zeta_s . conj(beta_r) comes from the stream's images (see _Images) or,
+    without them, from one gemm of the labels.
+    """
+    if block._images is None:
+        zeta = block.labels
+        g = zeta.reshape(-1, zeta.shape[-1]) @ block._state.labels.conj().T
+    else:
+        g = block._images.initial_cross(block.times)
+    g -= block._pairs.half_beta
+    g -= 0.5 * block._norms.reshape(-1, 1)
     return np.exp(g, out=g)
 
 
@@ -284,6 +330,131 @@ def _hermitian(values: np.ndarray, pairs: _Pairs) -> np.ndarray:
     return row.take(pairs.mirror, axis=1).reshape(t, *pairs.w_outer.shape)
 
 
+def _gemm(exps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """exps (T, K) @ weights (K, M) through gemm also for T = 1, where numpy would call gemv.
+
+    gemm rounds each row alike whatever the number of rows, and gemv rounds
+    differently, so this way Block.at reads the same numbers as the block it
+    is taken from (the tests check it bitwise).
+    """
+    if exps.shape[0] == 1:
+        return (np.repeat(exps, 2, axis=0) @ weights)[:1]
+    return exps @ weights
+
+
+def _image_bytes(k: int, terms: int, n: int) -> int:
+    """Bytes of a stream's _Images weights for k clusters, with the terms x terms temporary that forms them."""
+    return 16 * (k * k * (terms * (terms - 1) // 2 + n + terms) + (k + 1) * terms * terms)
+
+
+@dataclass(frozen=True, eq=False)
+class _Images:
+    """A stream's labels as images B_c (k, terms, n) on k eigenvalue clusters with eigenvalues rates (k).
+
+    zeta_r(t) = sum_c exp(rates_c t) B_c[r] (see label_flow), so the labels
+    and each bilinear form a block reads from them are sums over k or k^2
+    exponentials with constant weights, and each read is one exponential
+    row times one gemm (see _gemm).  The k^2 rows are exps[t, (c, d)] =
+    exp(pair_rates_cd t), pair_rates_cd = conj(rates_c) + rates_d:
+    - norms: |zeta_r|^2 = Re sum_cd exps_cd conj(B_c[r]) . B_d[r] (weights
+      k^2 x terms, formed with the images, since every block's label guard reads them);
+    - pair_cross: conj(zeta_s) . zeta_r = sum_cd exps_cd conj(B_c[s]) . B_d[r]
+      on the pairs r < s (weights k^2 x P);
+    - occupations: Re sum_rs m0_rs zeta_r conj(zeta_s) = Re sum_cd exps_cd Q_cd
+      (weights k^2 x n), with the constant pair matrix
+      m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not an
+      approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
+      so sum_rs (c * G^T)_rs zeta_r conj(zeta_s) needs no coefficient;
+    - labels (the images are their weights) and initial_cross:
+      zeta_s . conj(beta_r) = sum_c exp(rates_c t) B_c[s] . conj(beta_r)
+      (weights k x terms^2), both on the k rows exp(rates_c t).
+    The pair, occupation and initial weights are formed on their first read
+    with plain gemms and then kept for the stream; m0 lives only while Q is formed.
+    """
+
+    rates: np.ndarray
+    pair_rates: np.ndarray
+    images: np.ndarray
+    norm_weights: np.ndarray
+    beta: np.ndarray
+    pairs: _Pairs
+
+    @cached_property
+    def _pair_weights(self) -> np.ndarray:
+        k, terms, _ = self.images.shape
+        weights = np.empty((k, k, self.pairs.lower.size), dtype=complex)
+        full = np.empty((terms, terms), dtype=complex)  # the one terms x terms temporary
+        for c, image in enumerate(self.images.conj()):
+            for d, other in enumerate(self.images):
+                np.matmul(image, other.T, out=full)  # conj(B_c[s]) . B_d[r] at (s, r)
+                np.take(full, self.pairs.lower, out=weights[c, d])
+        return weights.reshape(k * k, -1)
+
+    @cached_property
+    def _initial_weights(self) -> np.ndarray:
+        k, _, n = self.images.shape
+        return (self.images.reshape(-1, n) @ self.beta.conj().T).reshape(k, -1)
+
+    @cached_property
+    def _occupation_weights(self) -> np.ndarray:
+        p = self.pairs
+        m0 = _hermitian(np.exp(p.log_g0_t)[None], p)[0]
+        m0 *= p.w_outer
+        k, _, n = self.images.shape
+        # x_c = m0 conj(B_c), then Q_cd[i] = sum_r x_c[r, i] B_d[r, i]: one (k, terms) x (terms, k) product per i
+        x = m0 @ self.images.conj()
+        q = np.transpose(x, (2, 0, 1)) @ np.transpose(self.images, (2, 1, 0))
+        return np.transpose(q, (1, 2, 0)).reshape(k * k, n)
+
+    def exps(self, times: np.ndarray) -> np.ndarray:
+        """The (T, k^2) rows exp(pair_rates t)."""
+        return np.exp(np.multiply.outer(times, self.pair_rates))
+
+    def norms(self, exps: np.ndarray) -> np.ndarray:
+        """|zeta_r|^2 (T, terms)."""
+        return (exps @ self.norm_weights).real
+
+    def pair_cross(self, exps: np.ndarray) -> np.ndarray:
+        """conj(zeta_s) . zeta_r (T, P) at the pairs r < s."""
+        return _gemm(exps, self._pair_weights)
+
+    def occupations(self, exps: np.ndarray) -> np.ndarray:
+        """The mean occupations (T, n)."""
+        return _gemm(exps, self._occupation_weights).real
+
+    def labels(self, times: np.ndarray) -> np.ndarray:
+        """zeta (T, terms, n)."""
+        k, terms, n = self.images.shape
+        return _gemm(np.exp(np.multiply.outer(times, self.rates)), self.images.reshape(k, -1)).reshape(-1, terms, n)
+
+    def initial_cross(self, times: np.ndarray) -> np.ndarray:
+        """zeta_s(t) . conj(beta_r) (T terms, terms) in [t, s] rows."""
+        exps = np.exp(np.multiply.outer(times, self.rates))
+        return _gemm(exps, self._initial_weights).reshape(-1, self.images.shape[1])
+
+
+def _images(at: Callable[[np.ndarray], np.ndarray], beta: np.ndarray, pairs: _Pairs) -> Optional[_Images]:
+    """The stream's _Images when the flow split the labels into k clusters with k^2 <= n.
+
+    Otherwise (the Taylor fallback or another flow, a generic network with
+    k = n, n = 2), when the weights would not fit the byte budget next to a
+    grid time's pair arrays, or when the images cancel by more than
+    _IMAGE_GROWTH (sum_c |B_c[r]|^2 > _IMAGE_GROWTH |beta_r|^2 for some term;
+    it is 1 for a normal drift), None, and the blocks read their forms from
+    the labels.
+    """
+    if not isinstance(at, _Sylvester):
+        return None
+    k, terms, n = at.images.shape
+    if k * k > n or _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) > _BYTE_BUDGET:
+        return None
+    images, rates = at.images, at.rates
+    norm_weights = np.einsum("cri,dri->cdr", images.conj(), images).reshape(k * k, terms)
+    if np.any(norm_weights[:: k + 1].real.sum(axis=0) > _IMAGE_GROWTH * 2.0 * pairs.half_beta):
+        return None
+    return _Images(rates, np.add.outer(rates.conj(), rates).ravel(), images, norm_weights, beta, pairs)
+
+
 @dataclass(frozen=True, eq=False)
 class Block:
     """Label-space evolution on a run of consecutive grid times.
@@ -295,10 +466,23 @@ class Block:
     the observables (occupations, purity, fidelity).  Both the coefficients
     and the Gram matrices are Hermitian, so they are formed on the
     triangle r < s alone, from the stream's pair data _pairs (see _Pairs):
-    one batched cross gemm per block, the log overlaps and both exponentials
-    for those terms (terms - 1) / 2 pairs only, mirrored by conjugation onto
-    s > r, with the exact diagonal <zeta_r|zeta_r> = 1 and c_rr = N^2 |w_r|^2;
-    coeffs equals its conjugate transpose exactly.
+    the cross products conj(zeta_s) . zeta_r, the log overlaps and both
+    exponentials for those terms (terms - 1) / 2 pairs only, mirrored by
+    conjugation onto s > r, with the exact diagonal <zeta_r|zeta_r> = 1 and
+    c_rr = N^2 |w_r|^2; coeffs equals its conjugate transpose exactly.
+
+    The bilinear forms in the labels (the pairs' cross products, the
+    fidelity's zeta_s . conj(beta_r) and the occupations) come from one of two
+    paths, chosen once per stream (see _images).  On the label path (_images
+    None) _zeta holds the flow's labels and each form is a gemm of them,
+    terms^2 n work per time.  On the image path the stream's _Images holds the
+    labels' images on k clusters with k^2 <= n and _exps the block's k^2
+    exponential rows; each form is one exponential row times constant weights
+    (see _Images), and the labels themselves are formed only when read.  The
+    occupations there take the constant m0_rs = c_rs(t) <zeta_s|zeta_r> =
+    N^2 w_r conj(w_s) <beta_s|beta_r> in place of c * G^T, exactly.
+    Block.at evaluates the forms of its one time through gemm (see _gemm),
+    so its numbers are bitwise those of its block's row.
     Forming the coefficients checks the trace, the sum of c * G^T, and
     raises NumericalError at the first time it leaves 1 by more than 1e-6;
     as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
@@ -311,16 +495,22 @@ class Block:
     """
 
     times: np.ndarray
-    labels: np.ndarray
+    _zeta: Optional[np.ndarray] = field(repr=False)
     _norms: np.ndarray = field(repr=False)
     _pairs: _Pairs = field(repr=False)
     _state: SuperpositionState = field(repr=False)
+    _images: Optional[_Images] = field(repr=False)
+    _exps: Optional[np.ndarray] = field(repr=False)
 
     @cached_property
-    def _formed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """coeffs, the transposed Gram matrices G^T[i, r, s] = <zeta_s|zeta_r> and the pair matrix c * G^T."""
+    def labels(self) -> np.ndarray:
+        return self._zeta if self._images is None else self._images.labels(self.times)
+
+    @cached_property
+    def _formed(self) -> tuple[np.ndarray, np.ndarray]:
+        """coeffs and the transposed Gram matrices G^T[i, r, s] = <zeta_s|zeta_r>."""
         p = self._pairs
-        log_gt_t = _log_pair_overlaps(self.labels, self._norms, p)
+        log_gt_t = _log_pair_overlaps(self)
         # An exploding flow overflows coeff; the trace check below is the arbiter.
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = p.log_g0_t - log_gt_t
@@ -329,11 +519,10 @@ class Block:
             coeff = _hermitian(np.exp(coeff, out=coeff), p)
             coeff *= p.w_outer
             gt_t = _hermitian(np.exp(log_gt_t, out=log_gt_t), p)
-            m = coeff * gt_t
-            trace = m.sum(axis=(-2, -1))
+            trace = np.einsum("tij,tij->t", coeff, gt_t)
         drift = np.abs(trace - 1.0)
         _require(drift <= _TRACE_ABORT, self.times, lambda i: f"trace left 1 by {drift[i]:.3e}")
-        return coeff, gt_t, m
+        return coeff, gt_t
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -341,8 +530,12 @@ class Block:
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        zeta = self.labels
-        occ = (zeta * (self._formed[2] @ zeta.conj())).sum(axis=-2).real
+        coeff, gt_t = self._formed  # forming the coefficients runs the trace check
+        if self._images is None:
+            zeta = self.labels
+            occ = (zeta * ((coeff * gt_t) @ zeta.conj())).sum(axis=-2).real
+        else:
+            occ = self._images.occupations(self._exps)
         low = occ.min(axis=-1)
         ok = low >= -_BOUND_SLACK * np.maximum(1.0, occ.sum(axis=-1))
         _require(ok, self.times, lambda i: f"occupation {low[i]:.3e} is negative")
@@ -350,7 +543,7 @@ class Block:
 
     @cached_property
     def purity(self) -> np.ndarray:
-        coeff, gt_t, _ = self._formed
+        coeff, gt_t = self._formed
         cg = coeff @ np.swapaxes(gt_t, -1, -2)
         purity = (cg * np.swapaxes(cg, -1, -2)).sum(axis=(-2, -1)).real
         _require(purity <= 1.0 + _BOUND_SLACK, self.times, lambda i: f"purity {purity[i]:.9g} exceeds 1")
@@ -360,7 +553,7 @@ class Block:
     def fidelity(self) -> np.ndarray:
         state = self._state
         # w_in[t, s] = N sum_r conj(w_r) <beta_r|zeta_s(t)>, one gemv over the stacked [t, s] rows
-        g_in = _initial_overlaps(self.labels, self._norms, state.labels, self._pairs.half_beta)
+        g_in = _initial_overlaps(self)
         w_in = state.norm_factor * (g_in @ state.weights.conj()).reshape(-1, state.num_terms)
         fidelity = (w_in * (self.coeffs @ w_in.conj()[..., None])[..., 0]).sum(axis=-1).real
         ok = (fidelity >= -_BOUND_SLACK) & (fidelity <= 1.0 + _BOUND_SLACK)
@@ -374,7 +567,9 @@ class Block:
     def at(self, index: int) -> Block:
         """The one-time Block at times[index]: views of this block's arrays, nothing computed carried over."""
         i = range(self.times.size)[index]
-        return replace(self, times=self.times[i : i + 1], labels=self.labels[i : i + 1], _norms=self._norms[i : i + 1])
+        one = slice(i, i + 1)
+        zeta, exps = (None if a is None else a[one] for a in (self._zeta, self._exps))
+        return replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one], _exps=exps)
 
 
 def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:
@@ -385,7 +580,9 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
     max(1, _BLOCK_ELEMENTS // (terms * (n + terms))) consecutive times: the
     flow is called once with the state's labels, and what it returns once per
     block with a 1-D array of T times, giving the (T, terms, n) stack of evolved
-    labels, which are checked and yielded as a Block.  Its pair coefficients and
+    labels, which are checked and yielded as a Block.  When the flow split the
+    labels into images on k clusters with k^2 <= n (see Block), the block's norms
+    come from the images instead and its labels are formed only when read.  Its pair coefficients and
     observables are formed only when read (see Block): `evolve`'s CSV and
     `oracle-compare` read every block's coefficients, `sweep` those of its
     final time.  Only the block being worked on is held, so memory does not
@@ -415,21 +612,27 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
     pairs = _pairs(state, norms)
     with np.errstate(over="ignore", invalid="ignore"):  # an exploding flow overflows; the label guard is the arbiter
         at = flow(beta)
+    images = _images(at, beta, pairs)
+    zeta = exps = None
     for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]
         with np.errstate(over="ignore", invalid="ignore"):
-            zeta = np.ascontiguousarray(at(tb), dtype=complex)
-        if zeta.shape != (tb.size, terms, n):
-            raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
-        z = zeta.view(float)
-        norms = np.einsum("tri,tri->tr", z, z)
+            if images is None:
+                zeta = np.ascontiguousarray(at(tb), dtype=complex)
+                if zeta.shape != (tb.size, terms, n):
+                    raise ModelError(f"label flow returned shape {zeta.shape}, expected {(tb.size, terms, n)}")
+                z = zeta.view(float)
+                norms = np.einsum("tri,tri->tr", z, z)
+            else:
+                exps = images.exps(tb)
+                norms = images.norms(exps)
         # NaN fails the comparison too, so this also rejects non-finite labels.
         _require(
             (norms <= bound).all(axis=-1),
             tb,
             lambda i: f"labels are non-finite or outgrew |zeta_r|^2 <= |beta_r|^2 (1 + {_TRACE_ABORT:g})",
         )
-        yield Block(times=tb, labels=zeta, _norms=norms, _pairs=pairs, _state=state)
+        yield Block(tb, zeta, norms, pairs, state, images, exps)
 
 
 def decoherence_time_numeric(

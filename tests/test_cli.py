@@ -674,9 +674,9 @@ def test_evolve_rejects_a_trajectory_over_budget(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "svg" / "trajectory.csv").exists()
 
 
-def _explicit_state(terms):
-    """A state of `terms` distinct products on 2 resonators, every label amplitude 0.3."""
-    labels = 0.3 * np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(terms, 2)))
+def _explicit_state(terms, n=2):
+    """A state of `terms` distinct products on n resonators, every label amplitude 0.3."""
+    labels = 0.3 * np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(terms, n)))
     return {
         "type": "explicit",
         "weights": [[1.0, 0.5 * k] for k in range(terms)],
@@ -712,20 +712,59 @@ def test_evolve_rejects_a_state_over_the_term_budget(tmp_path, monkeypatch, caps
         evolve.check_terms(5000)
 
 
-def test_term_budget_bounds_the_traced_memory_of_evolve(tmp_path):
-    # The peak grows by at most _TERM_PAIR_BYTES per added term pair.
-    peaks = []
-    for terms in (150, 300):
-        cfg = _write_scenario(
-            tmp_path / f"s{terms}.json", state=_explicit_state(terms), evolution={"t_max": 1.0, "steps": 2}
-        )
-        tracemalloc.start()
-        try:
-            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / f"out{terms}")]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= evolve._TERM_PAIR_BYTES * (300**2 - 150**2)
+def _spy_images(monkeypatch):
+    """Whether each label stream took the image path (evolve._images made its constants), one entry per stream."""
+    paths = []
+    images = evolve._images
+
+    def spied(*args):
+        made = images(*args)
+        paths.append(made is not None)
+        return made
+
+    monkeypatch.setattr(evolve, "_images", spied)
+    return paths
+
+
+def test_term_budget_bounds_the_traced_memory_of_evolve(tmp_path, monkeypatch):
+    # The peak grows by at most _TERM_PAIR_BYTES per added term pair, also on n = 8,
+    # where the shorthand network's k = 2 clusters (k^2 <= n) add the images' weights.
+    paths = _spy_images(monkeypatch)
+    for n in (2, 8):
+        peaks = []
+        for terms in (150, 300):
+            cfg = _write_scenario(
+                tmp_path / f"s{n}_{terms}.json",
+                network={"n": n, "omega": 10.0, "lambda": 0.5},
+                state=_explicit_state(terms, n),
+                evolution={"t_max": 1.0, "steps": 2},
+            )
+            tracemalloc.start()
+            try:
+                assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / f"out{n}_{terms}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= evolve._TERM_PAIR_BYTES * (300**2 - 150**2)
+    assert paths == [False, False, True, True]
+
+
+def test_image_weights_over_the_budget_take_the_label_path(tmp_path, monkeypatch):
+    # 3 terms on the n = 4 shorthand network (k = 2): the images' weights are counted on top of
+    # _TERM_PAIR_BYTES per term pair; a budget one byte short of both runs on the labels, exit 0.
+    paths = _spy_images(monkeypatch)
+    need = evolve._TERM_PAIR_BYTES * 9 + evolve._image_bytes(2, 3, 4)
+    network = {"n": 4, "omega": 10.0, "lambda": 0.5}
+    cfg = _write_scenario(tmp_path / "s.json", network=network, state=_explicit_state(3, 4))
+    rows = {}
+    for budget in (need - 1, need):
+        monkeypatch.setattr(evolve, "_BYTE_BUDGET", budget)
+        out = tmp_path / f"out{budget}"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        rows[budget] = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert paths == [False, True]
+    assert rows[need].shape == (11, 1 + 4 + 3 + 3)  # time, 4 occupations, total, purity, fidelity, 3 pairs
+    np.testing.assert_allclose(rows[need - 1], rows[need], rtol=1e-8, atol=1e-12)
 
 
 @pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["absent", "present"])
@@ -822,24 +861,29 @@ def test_sweep_command(tmp_path):
 
 
 def test_sweep_final_values_match_the_last_trajectory_row(tmp_path, monkeypatch):
-    # 2 terms on 2 resonators: 8 elements per grid time, so the 11 times
-    # stream in blocks of 4, 4 and 3 and only the last block is summarised.
-    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 4)
-    cfg = _write_scenario(tmp_path / "s.json")
-    args = ["--sweep-param", "epsilon", "--sweep-values", "0.7"]
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), *args]) == 0
-    patched = _write_scenario(
-        tmp_path / "p.json", reservoir={"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 0.7}
-    )
-    assert main(["evolve", "--config", str(patched), "--out", str(tmp_path / "evolve")]) == 0
-    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    swept = dict(zip(header.split(","), row.split(",")))
-    lines = (tmp_path / "evolve" / "trajectory.csv").read_text().splitlines()
-    last = dict(zip(lines[0].split(","), lines[-1].split(",")))
-    assert last["time"] == "1"
-    assert swept["final_purity"] == last["purity"]
-    assert swept["final_fidelity"] == last["fidelity"]
-    assert swept["final_occupation"] == last["occ_total"]
+    # 2 terms on n resonators: 2 (n + 2) elements per grid time, so the 11 times
+    # stream in blocks of 4, 4 and 3 and only the last block is summarised.  On
+    # n = 4 the blocks read their forms from the label images, and sweep's
+    # final time evaluates its own exponential row.
+    paths = _spy_images(monkeypatch)
+    for n in (2, 4):
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 2 * (n + 2) * 4)
+        network = {"n": n, "omega": 10.0, "lambda": 0.5}
+        cfg = _write_scenario(tmp_path / f"s{n}.json", network=network)
+        args = ["--sweep-param", "epsilon", "--sweep-values", "0.7"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"sweep{n}"), *args]) == 0
+        reservoir = {"kind": "common_white_noise", "Gamma": 1.0, "epsilon": 0.7}
+        patched = _write_scenario(tmp_path / f"p{n}.json", network=network, reservoir=reservoir)
+        assert main(["evolve", "--config", str(patched), "--out", str(tmp_path / f"evolve{n}")]) == 0
+        header, row = (tmp_path / f"sweep{n}" / "sweep.csv").read_text().splitlines()
+        swept = dict(zip(header.split(","), row.split(",")))
+        lines = (tmp_path / f"evolve{n}" / "trajectory.csv").read_text().splitlines()
+        last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        assert last["time"] == "1"
+        assert swept["final_purity"] == last["purity"]
+        assert swept["final_fidelity"] == last["fidelity"]
+        assert swept["final_occupation"] == last["occ_total"]
+    assert paths == [False, False, True, True]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -458,45 +458,51 @@ def _counting_cross_gram(monkeypatch):
 
 
 def _counting_self_gram(monkeypatch):
-    """Shapes of the label stacks evolve._log_pair_overlaps is called on, one entry per call that forms coefficients."""
+    """Label shapes of the blocks evolve._log_pair_overlaps is called on, one entry per call that forms coefficients."""
     shapes = []
     log_pair_overlaps = evolve._log_pair_overlaps
 
-    def counted(zeta, norms, pairs):
-        shapes.append(np.shape(zeta))
-        return log_pair_overlaps(zeta, norms, pairs)
+    def counted(block):
+        shapes.append(np.shape(block.labels))
+        return log_pair_overlaps(block)
 
     monkeypatch.setattr(evolve, "_log_pair_overlaps", counted)
     return shapes
 
 
 def test_observables_are_computed_only_when_read(monkeypatch):
-    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    times = np.linspace(0.0, 1.0, 20)
-    flow = label_flow(_degenerate_drift())
-    # 2 terms on 2 resonators: 8 elements per grid point, so 4 blocks of 5 times
-    monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 8 * 5)
-    whole = collect(propagate_with(state, times, flow))
     calls = _counting_cross_gram(monkeypatch)
     formed = _counting_self_gram(monkeypatch)
-    for last in propagate_with(state, times, flow):
-        pass
-    # draining the stream forms no coefficients and no observables
-    assert calls == [] and formed == []
-    final = observables(last, -1)
-    # the final record forms coefficients for its one time only
-    assert len(calls) == 1 and formed == [(1, 2, 2)]
-    assert final["fidelity_to_initial"] == whole.fidelity[-1] and final["purity"] == whole.purity[-1]
-    assert final["mean_occupation"] == whole.occupations[-1].tolist()
-    assert final["total_occupation"] == whole.total_occupation[-1] and final["time"] == 1.0
-    formed.clear()
-    assert last.purity[-1] == last.purity[-1] == final["purity"]  # a block keeps what it computed
-    assert formed == [(5, 2, 2)]
-    calls.clear()
-    formed.clear()
-    records = [observables(block, 0) for block in propagate_with(state, times, flow)]
-    assert len(records) == 4 and len(calls) == 4 and formed == [(1, 2, 2)] * 4
-    assert [r["purity"] for r in records] == whole.purity[::5].tolist()
+    # n = 2 reads the forms from the labels, n = 4 (k = 2 clusters) from the images
+    for n in (2, 4):
+        state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
+        times = np.linspace(0.0, 1.0, 20)
+        flow = label_flow(_degenerate_drift(n))
+        # 2 terms on n resonators: 2 (n + 2) elements per grid point, so 4 blocks of 5 times
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 2 * (n + 2) * 5)
+        whole = collect(propagate_with(state, times, flow))
+        calls.clear()
+        formed.clear()
+        for last in propagate_with(state, times, flow):
+            pass
+        # draining the stream forms no coefficients, no observables and none of the images' weights
+        assert calls == [] and formed == []
+        assert (last._images is None) is (n == 2)
+        assert n == 2 or not {"_pair_weights", "_initial_weights", "_occupation_weights"} & vars(last._images).keys()
+        final = observables(last, -1)
+        # the final record forms coefficients for its one time only
+        assert len(calls) == 1 and formed == [(1, 2, n)]
+        assert final["fidelity_to_initial"] == whole.fidelity[-1] and final["purity"] == whole.purity[-1]
+        assert final["mean_occupation"] == whole.occupations[-1].tolist()
+        assert final["total_occupation"] == whole.total_occupation[-1] and final["time"] == 1.0
+        formed.clear()
+        assert last.purity[-1] == last.purity[-1] == final["purity"]  # a block keeps what it computed
+        assert formed == [(5, 2, n)]
+        calls.clear()
+        formed.clear()
+        records = [observables(block, 0) for block in propagate_with(state, times, flow)]
+        assert len(records) == 4 and len(calls) == 4 and formed == [(1, 2, n)] * 4
+        assert [r["purity"] for r in records] == whole.purity[::5].tolist()
 
 
 def test_trace_abort_does_not_wait_for_observables(monkeypatch):
@@ -536,46 +542,59 @@ def test_label_guard_stops_a_flow_that_grows_the_labels(times, first):
 
 def test_trace_check_runs_when_coefficients_are_formed():
     # Pair data that no longer matches the state puts the trace at 2 from t = 0;
-    # the stream cannot tell, the coefficients can.
-    state = make_rs_state(RSFamilySpec(n=2, r=1, s=1, alpha=0.6))
-    (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift()))
-    pairs = block._pairs
-    broken = dataclasses.replace(block, _pairs=pairs._replace(w_outer=2.0 * pairs.w_outer))
-    for read in ("coeffs", "occupations", "purity", "fidelity"):
-        with pytest.raises(NumericalError, match="trace left 1 by 1.000e[+]00 at t = 0;"):
-            getattr(broken, read)
-    with pytest.raises(NumericalError, match="at t = 0.75;"):
-        observables(broken, -2)
-    assert np.all(np.isfinite(block.coeffs))
+    # the stream cannot tell, the coefficients can.  Reading the occupations runs the
+    # check on both paths (n = 2 labels, n = 4 images), though the images' need no coefficient.
+    for n in (2, 4):
+        state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
+        (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift(n)))
+        assert (block._images is None) is (n == 2)
+        pairs = block._pairs
+        broken = dataclasses.replace(block, _pairs=pairs._replace(w_outer=2.0 * pairs.w_outer))
+        for read in ("coeffs", "occupations", "purity", "fidelity"):
+            with pytest.raises(NumericalError, match="trace left 1 by 1.000e[+]00 at t = 0;"):
+                getattr(broken, read)
+        with pytest.raises(NumericalError, match="at t = 0.75;"):
+            observables(broken, -2)
+        assert np.all(np.isfinite(block.coeffs))
 
 
-def _unphysical(weights, delta):
+def _unphysical(weights, delta, n=2):
     """A valid block and one whose pair data N^2 w conj(w)^T + delta diag(1, -1) keeps
-    the trace at 1 (every <zeta_r|zeta_r> = 1) but describes no density matrix."""
-    state = make_superposition(np.array(weights), np.array([[1.0, 0.0], [0.0, 0.5j]]))
-    (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift()))
+    the trace at 1 (every <zeta_r|zeta_r> = 1) but describes no density matrix.
+
+    The labels are (1, 0) and (0, 0.5i), padded with zeros to n resonators; from n = 4 on
+    the block reads its occupations from the images' constants, which take the same pair data.
+    """
+    labels = np.zeros((2, n), dtype=complex)
+    labels[0, 0], labels[1, 1] = 1.0, 0.5j
+    state = make_superposition(np.array(weights), labels)
+    (block,) = propagate_with(state, np.linspace(0.0, 1.0, 5), label_flow(_degenerate_drift(n)))
+    assert (block._images is None) is (n == 2)
     pairs = block._pairs._replace(w_outer=block._pairs.w_outer + delta * np.diag([1.0, -1.0]))
-    return block, dataclasses.replace(block, _pairs=pairs)
+    images = None if block._images is None else dataclasses.replace(block._images, pairs=pairs)
+    return block, dataclasses.replace(block, _pairs=pairs, _images=images)
 
 
 def test_observables_outside_their_physical_bounds_raise():
-    block, broken = _unphysical([1.0, 2.0], -0.3)
-    trace = np.sum(broken.coeffs * np.swapaxes(gram_matrix(broken.labels), -1, -2), axis=(-2, -1))
-    np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12)
-    for read, message in (
-        ("purity", "purity 1.308[0-9]* exceeds 1"),
-        ("fidelity", "fidelity 1.089[0-9]* leaves \\[0, 1\\]"),
-        ("occupations", "occupation -1.600e-01 is negative"),
-    ):
-        with pytest.raises(NumericalError, match=f"{message} at t = 0;"):
-            getattr(broken, read)
-        getattr(block, read)  # the valid block is within every bound
-    with pytest.raises(NumericalError, match="at t = 0.75;"):
-        observables(broken, -2)
-    # equal weights: the occupations leave their bound first at the second time
-    _, broken = _unphysical([1.0, 1.0], 0.3)
-    with pytest.raises(NumericalError, match="occupation -2.37[0-9]e-03 is negative at t = 0.25;"):
-        broken.occupations
+    # n = 2 reads the forms from the labels, n = 4 from the images
+    for n, later in ((2, "-2.37[0-9]e-03"), (4, "-1.23[0-9]e-03")):
+        block, broken = _unphysical([1.0, 2.0], -0.3, n)
+        trace = np.sum(broken.coeffs * np.swapaxes(gram_matrix(broken.labels), -1, -2), axis=(-2, -1))
+        np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-12)
+        for read, message in (
+            ("purity", "purity 1.308[0-9]* exceeds 1"),
+            ("fidelity", "fidelity 1.089[0-9]* leaves \\[0, 1\\]"),
+            ("occupations", "occupation -1.600e-01 is negative"),
+        ):
+            with pytest.raises(NumericalError, match=f"{message} at t = 0;"):
+                getattr(broken, read)
+            getattr(block, read)  # the valid block is within every bound
+        with pytest.raises(NumericalError, match="at t = 0.75;"):
+            observables(broken, -2)
+        # equal weights: the occupations leave their bound first at the second time
+        _, broken = _unphysical([1.0, 1.0], 0.3, n)
+        with pytest.raises(NumericalError, match=f"occupation {later} is negative at t = 0.25;"):
+            broken.occupations
 
 
 def _growth(state, times, drift):
@@ -673,6 +692,106 @@ def test_pair_data_on_the_triangle_matches_the_full_matrix(monkeypatch):
                 _assert_close(part.fidelity[:, None], fidelity[:, None])
 
 
+def _hidden_images(flow):
+    """The same flow behind a plain function, so its blocks read their forms from the labels (no _Images)."""
+
+    def hidden(beta):
+        at = flow(beta)
+        return lambda t: at(t)
+
+    return hidden
+
+
+def _block_drift(rng):
+    """W = I_2 (x) A and Gamma = I_2 (x) G with [A, G] != 0: a non-normal drift on n = 4 whose two
+    eigenvalues are each doubled, so k = 2 with non-orthogonal cluster projectors."""
+    while True:
+        a = rng.normal(scale=0.5, size=(2, 2))
+        a = a + a.T
+        np.fill_diagonal(a, rng.uniform(1.0, 3.0, size=2))
+        g = rng.normal(size=(2, 2))
+        g = g @ g.T
+        if np.max(np.abs(a @ g - g @ a)) > 0.1:
+            break
+    net = NetworkSpec(omega=np.tile(np.diagonal(a), 2), coupling=np.kron(np.eye(2), a - np.diag(np.diagonal(a))))
+    return drift_matrix(net, DecayMatrix(np.kron(np.eye(2), g)))
+
+
+def _near_exceptional_drift(g):
+    """Gamma = diag(1, 0) and coupling g in each of two 2 x 2 blocks (n = 4, k = 2); g = 1/4 is exceptional."""
+    net = NetworkSpec(omega=[10.0] * 4, coupling=np.kron(np.eye(2), [[0.0, g], [g, 0.0]]))
+    return drift_matrix(net, DecayMatrix(np.kron(np.eye(2), np.diag([1.0, 0.0]))))
+
+
+def _image_path_cases(rng):
+    """(state, drift, times) cases whose drift has k = 2 <= sqrt(n) eigenvalue clusters: shorthand
+    networks n = 4 to 8 in each reservoir kind (a profile at omega_+ and a detuned one), each with a
+    random state of 1 to 6 terms and an rs state with eta != 0; a well-separated cat; and block drifts."""
+    for n in range(4, 9):
+        omega, lam = 10.0, float(rng.uniform(0.2, 1.0))
+        net = degenerate_network(n, omega, lam)
+        sigma, eps, gamma_plus, gamma_minus = rng.uniform(0.2, 2.0, size=4)
+        omega_plus = omega + (n - 1) * lam
+        for reservoir in (
+            ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=sigma, epsilon=eps / 2.0),
+            ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=gamma_plus, gamma_minus=gamma_minus),
+            ReservoirSpec(
+                kind=ReservoirKind.COMMON_PROFILE,
+                sigma=sigma,
+                profiles=(CouplingProfile(amplitude=1.0, centers=[omega_plus], widths=[0.1]),) * n,
+            ),
+            ReservoirSpec(
+                kind=ReservoirKind.COMMON_PROFILE,
+                sigma=sigma,
+                profiles=(CouplingProfile(amplitude=1.0, centers=[omega - 0.5 * lam], widths=[0.5]),) * n,
+            ),
+        ):
+            drift = drift_matrix(net, build_decay_matrix(reservoir, net))
+            times = np.linspace(0.0, float(rng.uniform(1.0, 5.0)), 13)
+            terms = int(rng.integers(1, 7))
+            labels = rng.uniform(0.2, 1.5) * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+            yield make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels), drift, times
+            eta = complex(*rng.uniform(-0.5, 0.5, size=2))
+            yield make_rs_state(RSFamilySpec(n=n, r=2, s=1, alpha=0.8, eta=eta, sign=-1)), drift, times
+    cat = make_rs_state(RSFamilySpec(n=4, r=2, s=2, alpha=10.0))
+    assert gram_matrix(cat.labels)[0, 1] == 0.0  # <beta_1|beta_2> = exp(-800)
+    yield cat, _degenerate_drift(4, 1.0, 0.5), np.linspace(0.0, 2.0, 9)
+    for drift in (*(_block_drift(rng) for _ in range(4)), _near_exceptional_drift(0.26)):
+        terms = int(rng.integers(2, 6))
+        labels = rng.normal(size=(terms, 4)) + 1j * rng.normal(size=(terms, 4))
+        state = make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels)
+        yield state, drift, np.linspace(0.0, 4.0, 13)
+
+
+def test_image_path_matches_the_label_path(monkeypatch):
+    # Drifts with k^2 <= n read the blocks' forms from the label images; the same flow with its
+    # images hidden reads them from the labels.  Blocks of 5 times or fewer and single times agree
+    # to 1e-12, and Block.at reads exactly the numbers of its block's row.
+    rng = np.random.default_rng(3030)
+    for state, drift, times in _image_path_cases(rng):
+        terms, n = state.labels.shape
+        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 5 * terms * (n + terms))
+        flow = label_flow(drift)
+        blocks = zip(propagate_with(state, times, flow), propagate_with(state, times, _hidden_images(flow)))
+        for block, reference in blocks:
+            assert block._images is not None and reference._images is None
+            for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
+                got, want = getattr(block, name), getattr(reference, name)
+                _assert_close(got.reshape(got.shape[0], -1), want.reshape(want.shape[0], -1))
+                for i in range(block.times.size):
+                    np.testing.assert_array_equal(getattr(block.at(i), name)[0], got[i], err_msg=name)
+    # A generic network (k = n), the Taylor fallback at the exceptional point, a drift 1e-8 from it
+    # (cond(V) 7e3: images that cancel, on which the image path's purity left [0, 1]) and the n = 2 shorthand
+    exceptional = _near_exceptional_drift(0.25)
+    assert evolve._eigenbasis(exceptional) is None
+    near = _near_exceptional_drift(0.25 + 1e-8)
+    for n, drift in ((4, _random_drift(rng, 4)), (4, exceptional), (4, near), (2, _degenerate_drift(2))):
+        state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
+        blocks = list(propagate_with(state, times, label_flow(drift)))
+        assert all(block._images is None for block in blocks)
+        assert np.all(np.isfinite(collect(blocks).purity))
+
+
 def test_block_size_does_not_change_the_trajectory(monkeypatch):
     rng = np.random.default_rng(2024)
     n, terms = 4, 5
@@ -680,18 +799,22 @@ def test_block_size_does_not_change_the_trajectory(monkeypatch):
     labels = 0.7 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
     state = make_superposition(weights, labels)
     times = np.linspace(0.0, 3.0, 50)
-    flow = label_flow(_random_drift(rng, n))
     per_point = terms * (n + terms)
-    runs = {}
-    # one-point blocks, 7-point blocks (the last one holds 1), one block for the whole grid
-    for block in (1, 7, times.size):
-        monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", block * per_point)
-        runs[block] = collect(propagate_with(state, times, flow))
-    for block in (1, 7):
-        for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
-            np.testing.assert_allclose(
-                getattr(runs[block], name), getattr(runs[times.size], name), rtol=0, atol=1e-13, err_msg=name
-            )
+    # a generic drift (k = n = 4) reads the forms from the labels, a block drift (k = 2) from the images
+    for drift, images in ((_random_drift(rng, n), False), (_block_drift(rng), True)):
+        flow = label_flow(drift)
+        runs = {}
+        # one-point blocks, 7-point blocks (the last one holds 1), one block for the whole grid
+        for block in (1, 7, times.size):
+            monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", block * per_point)
+            blocks = list(propagate_with(state, times, flow))
+            assert all((b._images is not None) is images for b in blocks)
+            runs[block] = collect(blocks)
+        for block in (1, 7):
+            for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
+                np.testing.assert_allclose(
+                    getattr(runs[block], name), getattr(runs[times.size], name), rtol=0, atol=1e-13, err_msg=name
+                )
 
 
 def test_sweep_sized_grid_takes_four_flow_calls():

@@ -172,8 +172,10 @@ def test_non_finite_amplitudes_are_rejected(bad):
         oracle.minimum_cutoff(abs(bad))
     # compare checks a label block's tails before it takes an integrated state
     (block,) = propagate_with(make_superposition([1.0], np.array([[0.5, 0.0]])), [0.0], label_flow(-0.5 * np.eye(2)))
+    # a label-path block (k = 1 would read its labels from the images)
+    broken = dataclasses.replace(block, _zeta=labels[None], _images=None)
     with pytest.raises(ModelError, match="finite and nonnegative"):
-        oracle.compare([dataclasses.replace(block, labels=labels[None])], [], oracle.FockBasisSpec(n=2, cutoff=3))
+        oracle.compare([broken], [], oracle.FockBasisSpec(n=2, cutoff=3))
 
 
 def test_suggest_cutoff_rule():
