@@ -11,16 +11,21 @@ coefficient
 multiplying |zeta_r><zeta_s|.  label_flow gives that flow for every network
 and reservoir from one eigendecomposition of D, one exponential per eigenvalue
 cluster (Sylvester's form; Moler & Van Loan, SIAM Review 45, 2003, methods 14 and 3).
+D is factorised in W's eigenbasis, block by block: where Gamma commutes with W,
+as for every reservoir of the paper, in real arithmetic with orthogonal
+eigenvectors (Golub & Van Loan, Matrix Computations, on commuting symmetric
+matrices).
 
 All observables (occupations, purity, fidelity) are evaluated from bilinear
 forms in the labels, never from a truncated Fock expansion, on one of two
 paths chosen once per stream (see _images).  When label_flow split the labels
 into images on k eigenvalue clusters with k^2 <= n (the shorthand network has
-k = 2 in every reservoir kind), each form is a sum of k or k^2 exponentials with
-constant weights formed once per stream, k^2 work per pair and time instead of
-n; otherwise (generic networks with k = n, n = 2 with k = 2, the Taylor
-fallback, other flows, images that cancel) the forms are gemms of the labels
-themselves.  The
+k = 2 in every reservoir kind), each form is a sum of at most k^2 exponentials
+with constant weights formed once per stream, k^2 work per pair and time
+instead of n; the inner products keep only the cluster pairs whose images are
+not orthogonal, k real exponentials on a real factorisation.  Otherwise
+(generic networks with k = n, n = 2 with k = 2, the Taylor fallback, other
+flows, images that cancel) the forms are gemms of the labels themselves.  The
 occupations on the image path read the constant pair matrix
 m0 = N^2 w conj(w)^T * G_0^T in place of c * G^T; that is exact, since by the
 coefficient above c_rs(t) <zeta_s|zeta_r> = m0_rs at every t.
@@ -36,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
-from .network import _CLUSTER_RTOL, clusters
+from .network import _CLUSTER_RTOL, _components, clusters
 from .states import SuperpositionState, log_gram_matrix
 
 __all__ = [
@@ -142,32 +147,111 @@ def expm(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _eigenbasis(d: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigenvalues lam, eigenvectors V, V^-1 and cluster labels of d, or None if V is unusable.
+class _Eigenbasis(NamedTuple):
+    """d = V diag(lam) V^-1 (see _eigenbasis).
 
-    Each cluster of eigenvalues (labelled by network.clusters) shares its mean
-    value, and its vectors are replaced by an orthonormal basis of the null space
-    of d - mean * I: on degenerate networks the solver's own vectors are
-    nearly dependent.  None when a cluster's null space is smaller than the
-    cluster (d is defective there) or cond(V) exceeds _COND_MAX.
+    group labels each eigenvalue's cluster (network.clusters), block the complex block of W's
+    eigenbasis it comes from (-1 on a real block), and v_inv is v.T when every block is real.
+    """
+
+    lam: np.ndarray
+    v: np.ndarray
+    v_inv: np.ndarray
+    group: np.ndarray
+    block: np.ndarray
+
+
+def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
+    """Eigenvalues lam, eigenvectors V, V^-1, cluster and block labels of d, or None if V is unusable.
+
+    d = -i W - Gamma / 2 is factorised in W's eigenbasis Q (eigh).  Entries of Gamma' = Q^T Gamma Q
+    above the slack 1e-12 max(1, |Gamma|_1) (DecayMatrix.slack) link W's clusters (network.clusters)
+    into blocks, on which d is block diagonal.  A block that is one W cluster is -i w I - Gamma'/2
+    there, diagonalised by a real eigh of Gamma'; a larger block goes through a complex eig.  A d
+    whose W or Gamma is asymmetric beyond the slack, whose Gamma' is not finite, or whose blocks join
+    into one that is not a W cluster (a generic network) is one complex block, eig of d itself.
+    Each cluster of eigenvalues (network.clusters) shares its mean value.  In a complex block the
+    cluster's vectors become an orthonormal basis of the null space of the block minus that mean,
+    since the solver's own vectors are nearly dependent on degenerate networks (see _complex_block).
+    When every block is real, V is real and orthogonal, V^-1 = V^T and no SVD is taken.  Eigenvalues
+    that are not finite (a W near the float range) raise LinAlgError.
     """
     n = d.shape[0]
-    lam, v = np.linalg.eig(d)
+    w, g = -d.imag, -2.0 * d.real
+    slack = 1e-12 * max(1.0, float(np.abs(g).sum(axis=0).max()))
+    # (modes, matrix, frequency): a block of d for a complex eig (frequency None), or Gamma' on one W cluster
+    basis, blocks = None, [(np.arange(n), d, None)]
+    if np.abs(w - w.T).max() <= slack and np.abs(g - g.T).max() <= slack:
+        freq, q = np.linalg.eigh(w)
+        gp = q.T @ (0.5 * (g + g.T)) @ q
+        wc = clusters(freq)
+        same, strong = wc[:, None] == wc, np.abs(gp) > slack
+        block = _components(strong | same) if np.any(strong & ~same) else wc
+        if np.isfinite(gp).all() and (block.max() > 0 or wc.max() == 0):
+            basis, blocks = q, []
+            for b in np.unique(block):
+                idx = np.flatnonzero(block == b)
+                sub = gp[idx][:, idx]
+                if np.all(wc[idx] == wc[idx[0]]):
+                    blocks.append((idx, sub, freq[idx].mean()))
+                else:
+                    blocks.append((idx, -1j * np.diag(freq[idx]) - 0.5 * sub, None))
+    lam = np.empty(n, dtype=complex)
+    vectors = []
+    for idx, sub, frequency in blocks:
+        if frequency is None:
+            lam[idx], u = np.linalg.eig(sub)
+        else:
+            rates, u = np.linalg.eigh(sub) if idx.size > 1 else (sub[0], np.ones((1, 1)))
+            lam[idx] = -1j * frequency - 0.5 * rates
+        vectors.append(u)
+    if not np.isfinite(lam).all():
+        raise np.linalg.LinAlgError("its eigenvalues are not finite")
     group = clusters(lam)
-    for g in np.unique(group):
-        members = np.flatnonzero(group == g)
+    means = np.zeros(n, dtype=complex)
+    np.add.at(means, group, lam)
+    lam = means[group] / np.bincount(group, minlength=n)[group]
+    real = all(frequency is not None for *_, frequency in blocks)
+    v = np.empty((n, n), dtype=float if real else complex)
+    v_inv = v.T if real else np.empty((n, n), dtype=complex)
+    labels = np.full(n, -1)
+    for (idx, sub, frequency), u in zip(blocks, vectors):
+        if frequency is None:
+            labels[idx] = idx[0]
+            inverse = _complex_block(sub, u, lam[idx], group[idx])
+            if inverse is None:
+                return None
+            if basis is None:
+                return _Eigenbasis(lam, u, inverse, group, labels)
+            v[:, idx] = basis[:, idx] @ u
+            v_inv[idx] = inverse @ basis[:, idx].T
+        else:
+            v[:, idx] = basis[:, idx] @ u
+            if not real:
+                v_inv[idx] = v[:, idx].T
+    return _Eigenbasis(lam, v, v_inv, group, labels)
+
+
+def _complex_block(sub: np.ndarray, u: np.ndarray, lam: np.ndarray, group: np.ndarray) -> Optional[np.ndarray]:
+    """The inverse of the eigenvectors u of one complex block sub, or None if they are unusable.
+
+    The vectors of each cluster (labelled by group, lam its shared mean) become, in place, an
+    orthonormal basis of the null space of sub - lam I.  None when that null space is smaller
+    than the cluster (sub is defective there) or cond(u) exceeds _COND_MAX.
+    """
+    for h in np.unique(group):
+        members = np.flatnonzero(group == h)
         if members.size == 1:
             continue
-        mean = lam[members].mean()
-        _, sv, vh = np.linalg.svd(d - mean * np.eye(n))
-        if sv[-members.size] > _CLUSTER_RTOL * max(sv[0], abs(mean)):
+        value = lam[members[0]]
+        _, sv, vh = np.linalg.svd(sub - value * np.eye(sub.shape[0]))
+        if sv[-members.size] > _CLUSTER_RTOL * max(sv[0], abs(value)):
             return None
-        lam[members] = mean
-        v[:, members] = vh[-members.size :].conj().T
-    u, sv, wh = np.linalg.svd(v)
+        u[:, members] = vh[-members.size :].conj().T
+    left, sv, wh = np.linalg.svd(u)
     if sv[0] > _COND_MAX * sv[-1]:
         return None
-    return lam, v, (wh.conj().T / sv) @ u.conj().T, group
+    return (wh.conj().T / sv) @ left.conj().T
 
 
 def check_images(clusters: int, terms: int, n: int) -> None:
@@ -180,19 +264,41 @@ def check_images(clusters: int, terms: int, n: int) -> None:
         )
 
 
+def _matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for a stack x (..., K) as one gemm; a real m multiplies x's real and imaginary parts, in real arithmetic.
+
+    numpy would first cast a real m to complex, an n x n copy for V.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    if np.iscomplexobj(m):
+        out = rows @ m
+    else:
+        out = np.empty((rows.shape[0], m.shape[1]), dtype=complex)
+        np.matmul(rows.real, m, out=out.real)
+        np.matmul(rows.imag, m, out=out.imag)
+    return out.reshape(x.shape[:-1] + m.shape[-1:])
+
+
 def label_flow(drift: np.ndarray) -> LabelFlow:
     """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift D (see network.drift_matrix).
 
-    D = V diag(lam) V^-1 is factorised once (see _eigenbasis); its k eigenvalue clusters c give
-    Sylvester's form exp(t D) = sum_c exp(lam_c t) P_c with P_c = V[:, c] V^-1[c, :].  flow(beta)
-    splits labels beta (terms, n) once into their images B_c = beta P_c^T (16 k terms n bytes,
-    see check_images) and returns the map from a 1-D array of T times to the (T, terms, n)
-    labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per
-    time.  That map is a _Sylvester, which also carries the images and their eigenvalues for
-    the blocks' image path (see _images).  When the eigenvectors are unusable the map is
-    t -> beta exp(t D)^T with the Taylor expm of the stack t D.  A factorisation that fails, as
-    for a drift near the float range, raises NumericalError instead of warning; one that is not
-    finite gives non-finite labels, which propagate_with rejects.
+    D = V diag(lam) V^-1 is factorised once in the eigenbasis of W (see _eigenbasis): on the paper's
+    networks, where Gamma commutes with W, in real arithmetic with V^-1 = V^T.  Its k eigenvalue
+    clusters c give Sylvester's form exp(t D) = sum_c exp(lam_c t) P_c with P_c = V[:, c] V^-1[c, :].
+    When k^2 <= n (the shorthand network has k = 2 in every reservoir kind), flow(beta) splits labels
+    beta (terms, n) once into their images B_c = beta P_c^T (16 k terms n bytes, see check_images)
+    and returns the map from a 1-D array of T times to the (T, terms, n) labels
+    sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per time.  That
+    map is a _Sylvester, which also carries the images, their eigenvalues and the cluster pairs whose
+    inner products conj(B_c) . B_d do not vanish, for the blocks' image path (see _images): every
+    (c, c), and (c, d) when both clusters have vectors in one complex block; on a real
+    factorisation the P_c are orthogonal projectors and the pairs c != d vanish.  Otherwise the
+    images would not pay (a generic network has k = n), and flow(beta) forms the eigen-coordinates
+    M = beta V^-T once (= beta V on a real factorisation) and returns t -> (M * exp(lam t)) V^T, the
+    same k terms n work per time in terms n memory.  When the eigenvectors are unusable the map is
+    t -> beta exp(t D)^T with the Taylor expm of the stack t D.  A factorisation that fails, as for a
+    drift near the float range, raises NumericalError instead of warning; one that is not finite
+    gives non-finite labels, which propagate_with rejects.
     """
     d = np.asarray(drift)
     with np.errstate(all="ignore"):
@@ -213,32 +319,46 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
             return np.swapaxes(theta, -1, -2)
 
         return lambda beta: lambda t: np.asarray(beta) @ transposed_expm(t)
-    lam, v, v_inv, group = basis
-    heads = np.unique(group)
-    members = [np.flatnonzero(group == g) for g in heads]
+    lam, v, v_inv, group, block = basis
+    heads = np.flatnonzero(group == np.arange(group.size))
+    k = heads.size
+    if k * k > d.shape[0]:
+
+        def coordinates(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            m = _matmul(np.asarray(beta), v_inv.T)
+            return lambda t: _matmul(np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m, v.T)
+
+        return coordinates
+    members = [np.flatnonzero(group == h) for h in heads]
+    shared = [set(block[m].tolist()) - {-1} for m in members]
+    rows = [(c, c) for c in range(k)] + [(c, e) for c in range(k) for e in range(k) if c != e and shared[c] & shared[e]]
+    rates, rows = lam[heads], np.array(rows)
 
     def flow(beta: np.ndarray) -> _Sylvester:
         terms, n = np.shape(beta)
-        check_images(heads.size, terms, n)
-        modes = beta @ v_inv.T
-        images = np.empty((heads.size, terms, n), dtype=complex)
+        check_images(k, terms, n)
+        modes = _matmul(np.asarray(beta), v_inv.T)
+        images = np.empty((k, terms, n), dtype=complex)
         for image, m in zip(images, members):
-            np.matmul(modes[:, m], v[:, m].T, out=image)
-        return _Sylvester(lam[heads], images)
+            image[...] = _matmul(modes[:, m], v[:, m].T)
+        return _Sylvester(rates, images, rows)
 
     return flow
 
 
 class _Sylvester(NamedTuple):
-    """What label_flow's flow(beta) returns on a usable eigenbasis.
+    """What label_flow's flow(beta) returns when it splits the labels into images.
 
     images B_c (k, terms, n) are the labels' images on the drift's eigenvalue
-    clusters and rates (k) the clusters' eigenvalues; called with a 1-D array
-    of T times it gives the (T, terms, n) labels sum_c exp(rates_c t) B_c.
+    clusters, rates (k) the clusters' eigenvalues and rows (m, 2) the cluster
+    pairs (c, d) whose inner products conj(B_c) . B_d do not vanish, the k
+    pairs (c, c) first; called with a 1-D array of T times it gives the
+    (T, terms, n) labels sum_c exp(rates_c t) B_c.
     """
 
     rates: np.ndarray
     images: np.ndarray
+    rows: np.ndarray
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         k, terms, n = self.images.shape
@@ -335,15 +455,18 @@ def _gemm(exps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     gemm rounds each row alike whatever the number of rows, and gemv rounds
     differently, so this way Block.at reads the same numbers as the block it
-    is taken from (the tests check it bitwise).
+    is taken from (the tests check it bitwise).  Real exps multiply complex
+    weights through their float view, one real gemm.
     """
+    if exps.dtype != weights.dtype:
+        return _gemm(exps, weights.view(float)).view(complex)
     if exps.shape[0] == 1:
         return (np.repeat(exps, 2, axis=0) @ weights)[:1]
     return exps @ weights
 
 
 def _image_bytes(k: int, terms: int, n: int) -> int:
-    """Bytes of a stream's _Images weights for k clusters, with the terms x terms temporary that forms them."""
+    """Bytes of a stream's _Images weights for k clusters, at most, with the terms x terms temporary that forms them."""
     return 16 * (k * k * (terms * (terms - 1) // 2 + n + terms) + (k + 1) * terms * terms)
 
 
@@ -352,28 +475,33 @@ class _Images:
     """A stream's labels as images B_c (k, terms, n) on k eigenvalue clusters with eigenvalues rates (k).
 
     zeta_r(t) = sum_c exp(rates_c t) B_c[r] (see label_flow), so the labels
-    and each bilinear form a block reads from them are sums over k or k^2
-    exponentials with constant weights, and each read is one exponential
-    row times one gemm (see _gemm).  The k^2 rows are exps[t, (c, d)] =
-    exp(pair_rates_cd t), pair_rates_cd = conj(rates_c) + rates_d:
-    - norms: |zeta_r|^2 = Re sum_cd exps_cd conj(B_c[r]) . B_d[r] (weights
-      k^2 x terms, formed with the images, since every block's label guard reads them);
-    - pair_cross: conj(zeta_s) . zeta_r = sum_cd exps_cd conj(B_c[s]) . B_d[r]
-      on the pairs r < s (weights k^2 x P);
-    - occupations: Re sum_rs m0_rs zeta_r conj(zeta_s) = Re sum_cd exps_cd Q_cd
-      (weights k^2 x n), with the constant pair matrix
-      m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not an
-      approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
-      so sum_rs (c * G^T)_rs zeta_r conj(zeta_s) needs no coefficient;
-    - labels (the images are their weights) and initial_cross:
-      zeta_s . conj(beta_r) = sum_c exp(rates_c t) B_c[s] . conj(beta_r)
-      (weights k x terms^2), both on the k rows exp(rates_c t).
+    and each bilinear form a block reads from them are sums of exponentials
+    with constant weights, and each read is one exponential row times one
+    gemm (see _gemm).  The inner products conj(zeta_s) . zeta_r sum over the
+    cluster pairs rows (c, d) whose conj(B_c[s]) . B_d[r] do not vanish (see
+    label_flow), exps[t, j] = exp(row_rates_j t) with row_rates_j =
+    conj(rates_c) + rates_d: on a real factorisation the k rows (c, c) alone,
+    with real rates 2 Re rates_c and a real exponential row.  From these:
+    - norms: |zeta_r|^2 = Re sum_j exps_j conj(B_c[r]) . B_d[r] (weights
+      rows x terms, formed with the images, since every block's label guard reads them);
+    - pair_cross: conj(zeta_s) . zeta_r = sum_j exps_j conj(B_c[s]) . B_d[r]
+      on the pairs r < s (weights rows x P).
+    The occupations sum per resonator, where the pairs c != d do not vanish,
+    so they read all k^2 rows (all_exps, complex): Re sum_rs m0_rs zeta_r
+    conj(zeta_s) = Re sum_cd exps_cd Q_cd (weights k^2 x n), with the constant
+    pair matrix m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not
+    an approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
+    so sum_rs (c * G^T)_rs zeta_r conj(zeta_s) needs no coefficient.  The
+    labels (the images are their weights) and initial_cross
+    zeta_s . conj(beta_r) = sum_c exp(rates_c t) B_c[s] . conj(beta_r)
+    (weights k x terms^2) read the k rows exp(rates_c t).
     The pair, occupation and initial weights are formed on their first read
     with plain gemms and then kept for the stream; m0 lives only while Q is formed.
     """
 
     rates: np.ndarray
-    pair_rates: np.ndarray
+    rows: np.ndarray
+    row_rates: np.ndarray
     images: np.ndarray
     norm_weights: np.ndarray
     beta: np.ndarray
@@ -381,14 +509,14 @@ class _Images:
 
     @cached_property
     def _pair_weights(self) -> np.ndarray:
-        k, terms, _ = self.images.shape
-        weights = np.empty((k, k, self.pairs.lower.size), dtype=complex)
+        terms = self.images.shape[1]
+        weights = np.empty((len(self.rows), self.pairs.lower.size), dtype=complex)
         full = np.empty((terms, terms), dtype=complex)  # the one terms x terms temporary
-        for c, image in enumerate(self.images.conj()):
-            for d, other in enumerate(self.images):
-                np.matmul(image, other.T, out=full)  # conj(B_c[s]) . B_d[r] at (s, r)
-                np.take(full, self.pairs.lower, out=weights[c, d])
-        return weights.reshape(k * k, -1)
+        conj = self.images.conj()
+        for row, (c, d) in zip(weights, self.rows):
+            np.matmul(conj[c], self.images[d].T, out=full)  # conj(B_c[s]) . B_d[r] at (s, r)
+            np.take(full, self.pairs.lower, out=row)
+        return weights
 
     @cached_property
     def _initial_weights(self) -> np.ndarray:
@@ -406,9 +534,17 @@ class _Images:
         q = np.transpose(x, (2, 0, 1)) @ np.transpose(self.images, (2, 1, 0))
         return np.transpose(q, (1, 2, 0)).reshape(k * k, n)
 
+    @cached_property
+    def _all_rates(self) -> np.ndarray:
+        return np.add.outer(self.rates.conj(), self.rates).ravel()
+
     def exps(self, times: np.ndarray) -> np.ndarray:
-        """The (T, k^2) rows exp(pair_rates t)."""
-        return np.exp(np.multiply.outer(times, self.pair_rates))
+        """The (T, rows) rows exp(row_rates t), real on a real factorisation."""
+        return np.exp(np.multiply.outer(times, self.row_rates))
+
+    def all_exps(self, times: np.ndarray) -> np.ndarray:
+        """The (T, k^2) complex rows exp((conj(rates_c) + rates_d) t) the occupations read."""
+        return np.exp(np.multiply.outer(times, self._all_rates))
 
     def norms(self, exps: np.ndarray) -> np.ndarray:
         """|zeta_r|^2 (T, terms)."""
@@ -418,9 +554,9 @@ class _Images:
         """conj(zeta_s) . zeta_r (T, P) at the pairs r < s."""
         return _gemm(exps, self._pair_weights)
 
-    def occupations(self, exps: np.ndarray) -> np.ndarray:
+    def occupations(self, all_exps: np.ndarray) -> np.ndarray:
         """The mean occupations (T, n)."""
-        return _gemm(exps, self._occupation_weights).real
+        return _gemm(all_exps, self._occupation_weights).real
 
     def labels(self, times: np.ndarray) -> np.ndarray:
         """zeta (T, terms, n)."""
@@ -434,25 +570,27 @@ class _Images:
 
 
 def _images(at: Callable[[np.ndarray], np.ndarray], beta: np.ndarray, pairs: _Pairs) -> Optional[_Images]:
-    """The stream's _Images when the flow split the labels into k clusters with k^2 <= n.
+    """The stream's _Images when the flow split the labels into images (see label_flow).
 
-    Otherwise (the Taylor fallback or another flow, a generic network with
-    k = n, n = 2), when the weights would not fit the byte budget next to a
-    grid time's pair arrays, or when the images cancel by more than
-    _IMAGE_GROWTH (sum_c |B_c[r]|^2 > _IMAGE_GROWTH |beta_r|^2 for some term;
-    it is 1 for a normal drift), None, and the blocks read their forms from
-    the labels.
+    Otherwise (the eigen-coordinates, the Taylor fallback or another flow),
+    when the weights would not fit the byte budget next to a grid time's pair
+    arrays, or when the images cancel by more than _IMAGE_GROWTH
+    (sum_c |B_c[r]|^2 > _IMAGE_GROWTH |beta_r|^2 for some term; it is 1 for a
+    normal drift), None, and the blocks read their forms from the labels.
     """
     if not isinstance(at, _Sylvester):
         return None
-    k, terms, n = at.images.shape
-    if k * k > n or _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) > _BYTE_BUDGET:
+    rates, images, rows = at
+    k, terms, n = images.shape
+    if _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) > _BYTE_BUDGET:
         return None
-    images, rates = at.images, at.rates
-    norm_weights = np.einsum("cri,dri->cdr", images.conj(), images).reshape(k * k, terms)
-    if np.any(norm_weights[:: k + 1].real.sum(axis=0) > _IMAGE_GROWTH * 2.0 * pairs.half_beta):
+    c, d = rows.T
+    row_rates, norm_weights = rates.conj()[c] + rates[d], np.einsum("cri,dri->cdr", images.conj(), images)[c, d]
+    if len(rows) == k:  # the pairs (c, c) alone: real rates 2 Re rates_c and real weights |B_c[r]|^2
+        row_rates, norm_weights = row_rates.real, norm_weights.real
+    if np.any(norm_weights[:k].real.sum(axis=0) > _IMAGE_GROWTH * 2.0 * pairs.half_beta):
         return None
-    return _Images(rates, np.add.outer(rates.conj(), rates).ravel(), images, norm_weights, beta, pairs)
+    return _Images(rates, rows, row_rates, images, norm_weights, beta, pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,13 +614,16 @@ class Block:
     paths, chosen once per stream (see _images).  On the label path (_images
     None) _zeta holds the flow's labels and each form is a gemm of them,
     terms^2 n work per time.  On the image path the stream's _Images holds the
-    labels' images on k clusters with k^2 <= n and _exps the block's k^2
-    exponential rows; each form is one exponential row times constant weights
+    labels' images on k clusters with k^2 <= n and _exps the block's
+    exponential rows of the inner products (k real ones on a real
+    factorisation); each form is one exponential row times constant weights
     (see _Images), and the labels themselves are formed only when read.  The
     occupations there take the constant m0_rs = c_rs(t) <zeta_s|zeta_r> =
-    N^2 w_r conj(w_s) <beta_s|beta_r> in place of c * G^T, exactly.
-    Block.at evaluates the forms of its one time through gemm (see _gemm),
-    so its numbers are bitwise those of its block's row.
+    N^2 w_r conj(w_s) <beta_s|beta_r> in place of c * G^T, exactly, and read
+    all k^2 complex rows, formed once per block when first read.
+    Block.at evaluates the forms of its one time through gemm (see _gemm)
+    and slices the rows its block formed, so its numbers are bitwise those
+    of its block's row.
     Forming the coefficients checks the trace, the sum of c * G^T, and
     raises NumericalError at the first time it leaves 1 by more than 1e-6;
     as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
@@ -535,7 +676,7 @@ class Block:
             zeta = self.labels
             occ = (zeta * ((coeff * gt_t) @ zeta.conj())).sum(axis=-2).real
         else:
-            occ = self._images.occupations(self._exps)
+            occ = self._images.occupations(self._all_exps)
         low = occ.min(axis=-1)
         ok = low >= -_BOUND_SLACK * np.maximum(1.0, occ.sum(axis=-1))
         _require(ok, self.times, lambda i: f"occupation {low[i]:.3e} is negative")
@@ -560,6 +701,11 @@ class Block:
         _require(ok, self.times, lambda i: f"fidelity {fidelity[i]:.9g} leaves [0, 1]")
         return fidelity
 
+    @cached_property
+    def _all_exps(self) -> np.ndarray:
+        """The k^2 exponential rows the image path's occupations read (see _Images), formed on first read."""
+        return self._images.all_exps(self.times)
+
     @property
     def total_occupation(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
@@ -569,7 +715,10 @@ class Block:
         i = range(self.times.size)[index]
         one = slice(i, i + 1)
         zeta, exps = (None if a is None else a[one] for a in (self._zeta, self._exps))
-        return replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one], _exps=exps)
+        block = replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one], _exps=exps)
+        if "_all_exps" in vars(self):  # rows this block formed are sliced, not formed again
+            vars(block)["_all_exps"] = self._all_exps[one]
+        return block
 
 
 def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:

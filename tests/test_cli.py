@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import resonet
 from resonet import artifacts, config, dfs, evolve, network, oracle, reservoir
@@ -765,6 +766,33 @@ def test_image_weights_over_the_budget_take_the_label_path(tmp_path, monkeypatch
     assert paths == [False, True]
     assert rows[need].shape == (11, 1 + 4 + 3 + 3)  # time, 4 occupations, total, purity, fidelity, 3 pairs
     np.testing.assert_allclose(rows[need - 1], rows[need], rtol=1e-8, atol=1e-12)
+
+
+def test_generic_network_runs_on_eigen_coordinates_past_the_image_budget(tmp_path, monkeypatch):
+    # A generic network has k = n clusters, so flow(beta) forms the eigen-coordinates, terms x n,
+    # not the images' 16 k terms n bytes: with a budget one byte short of those, evolve still exits 0,
+    # and the labels match scipy's expm.
+    paths = _spy_images(monkeypatch)
+    rng = np.random.default_rng(2049)
+    n, terms = 40, 32
+    coupling = np.triu(rng.normal(scale=0.1, size=(n, n)), 1)
+    coupling += coupling.T
+    omega = rng.uniform(10.0, 11.0, size=n)
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 16 * n * terms * n - 1)
+    with pytest.raises(resonet.ModelError, match="bytes of label images"):
+        evolve.check_images(n, terms, n)
+    cfg = _write_scenario(
+        tmp_path / "s.json",
+        network={"omega": omega.tolist(), "coupling": coupling.tolist()},
+        state=_explicit_state(terms, n),
+    )
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert paths == [False]
+    scenario = config.parse_scenario(config.load_config(cfg))
+    drift = network.drift_matrix(scenario.network, reservoir.build_decay_matrix(scenario.reservoir, scenario.network))
+    beta, times = scenario.state.labels, scenario.times
+    want = np.array([beta @ scipy.linalg.expm(t * drift).T for t in times])
+    np.testing.assert_allclose(evolve.label_flow(drift)(beta)(times), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["absent", "present"])

@@ -212,6 +212,92 @@ def test_label_flow_falls_back_to_taylor_on_a_jordan_block(monkeypatch, size):
     np.testing.assert_allclose(_theta(label_flow(d), size, times), want, rtol=0, atol=1e-14)
 
 
+def _commuting_drift(rng, n, link=0.0, gap=0.1):
+    """-i W - Gamma / 2 with [W, Gamma] = 0: W has degenerate clusters of 1 to 3 modes, their frequencies
+    at least gap apart, in a random orthogonal basis Q, and Gamma' = Q^T Gamma Q is a random positive
+    semidefinite block on each.  link > 0 adds Gamma'[i, j] = Gamma'[j, i] = link times the DecayMatrix
+    slack between the first two clusters."""
+    sizes = [3]
+    while sum(sizes) < n:
+        sizes.append(int(rng.integers(1, min(3, n - sum(sizes)) + 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    steps = gap + rng.uniform(0.0, gap, size=len(sizes))
+    freqs = np.repeat(rng.permutation(9.0 + np.cumsum(steps)), sizes)
+    gamma = scipy.linalg.block_diag(*(a @ a.T / s for s in sizes for a in [rng.normal(size=(s, s))]))
+    if link:
+        slack = DecayMatrix(q @ gamma @ q.T).slack
+        gamma[0, 3] = gamma[3, 0] = link * slack
+    w, gamma = q @ np.diag(freqs) @ q.T, q @ gamma @ q.T
+    w, gamma = 0.5 * (w + w.T), 0.5 * (gamma + gamma.T)  # exactly symmetric
+    net = NetworkSpec(omega=np.diagonal(w), coupling=w - np.diag(np.diagonal(w)))
+    return drift_matrix(net, DecayMatrix(gamma))
+
+
+def _assert_matches_expm(drift, rng, atol=1e-12):
+    n = drift.shape[0]
+    beta = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    times = np.linspace(0.0, 3.0, 7)
+    want = np.array([beta @ scipy.linalg.expm(t * drift).T for t in times])
+    np.testing.assert_allclose(label_flow(drift)(beta)(times), want, rtol=0, atol=atol)
+
+
+def test_commuting_drifts_are_factorised_in_real_arithmetic():
+    # Gamma commuting with W: every block of W's eigenbasis is one W cluster, V is real and
+    # orthogonal, V^-1 = V^T, and the labels match scipy's expm.  The shorthand's secular profile
+    # reservoir is asymmetric by rounding (within DecayMatrix.slack) and takes the same route.
+    rng = np.random.default_rng(3131)
+    drifts = [_commuting_drift(rng, n) for n in (3, 4, 6, 9, 12) for _ in range(3)]
+    for n in (2, 5, 8):
+        net = degenerate_network(n, 10.0, 0.5)
+        profile = CouplingProfile(amplitude=1.0, centers=[10.0 + (n - 1) * 0.5], widths=[0.1])
+        for reservoir in (
+            ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=1.0, epsilon=0.5),
+            ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.3),
+            ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=(profile,) * n),
+        ):
+            drifts.append(drift_matrix(net, build_decay_matrix(reservoir, net)))
+    for drift in drifts:
+        basis = evolve._eigenbasis(drift)
+        assert basis.v.dtype == float and np.all(basis.block == -1)
+        assert np.array_equal(basis.v_inv, basis.v.T)
+        np.testing.assert_allclose(basis.v.T @ basis.v, np.eye(drift.shape[0]), rtol=0, atol=1e-13)
+        _assert_matches_expm(drift, rng)
+    # W clusters 1e-3 apart: eigh's subspaces are good to about 1e-15 / 1e-3, so Gamma' holds rounding
+    # near the slack between them.  Entries above it link the clusters; those below it are dropped, and
+    # the labels then stay within 1e-11 (4.4e-12 at most here).
+    for n in (9, 12, 12, 12):
+        _assert_matches_expm(_commuting_drift(rng, n, gap=1e-3), rng, atol=1e-11)
+    # one entry of Gamma' between two W clusters at 10 times the slack links them into a complex block
+    # (with three clusters or more the others stay real blocks)
+    for n in (4, 9, 12):
+        drift = _commuting_drift(rng, n, link=10.0)
+        basis = evolve._eigenbasis(drift)
+        assert basis.v.dtype == complex and np.any(basis.block >= 0) and bool(np.any(basis.block == -1)) == (n > 4)
+        _assert_matches_expm(drift, rng)
+    # the exceptional points still take the Taylor fallback
+    two = NetworkSpec(omega=[10.0, 10.5], coupling=np.zeros((2, 2)))
+    assert evolve._eigenbasis(drift_matrix(two, decay_matrix_common(2, 1.0, 0.5))) is None
+    assert evolve._eigenbasis(_near_exceptional_drift(0.25)) is None
+
+
+def test_eigen_coordinates_hold_terms_times_n():
+    # A generic network has k = n clusters, where images would hold 16 n^2 terms bytes; flow(beta)
+    # forms the eigen-coordinates M = beta V^-T instead, one terms x n array.
+    rng = np.random.default_rng(3132)
+    terms = 8
+    for n in (60, 120):
+        flow = label_flow(_random_drift(rng, n))
+        beta = rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n))
+        tracemalloc.start()
+        try:
+            at = flow(beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(at, evolve._Sylvester)
+        assert peak <= 2 * 16 * terms * n
+
+
 def _cluster_shapes():
     """(drift, number of eigenvalue clusters) for every cluster shape the label flow splits onto, with ids."""
     rng = np.random.default_rng(2028)
@@ -766,20 +852,30 @@ def _image_path_cases(rng):
 def test_image_path_matches_the_label_path(monkeypatch):
     # Drifts with k^2 <= n read the blocks' forms from the label images; the same flow with its
     # images hidden reads them from the labels.  Blocks of 5 times or fewer and single times agree
-    # to 1e-12, and Block.at reads exactly the numbers of its block's row.
+    # to 1e-12, and Block.at reads exactly the numbers of its block's row.  A normal drift (every
+    # shorthand case and the cat, factorised in real arithmetic) keeps the k inner-product rows (c, c)
+    # with real rates; the block drifts and the one near the exceptional point keep all k^2.
     rng = np.random.default_rng(3030)
+    routes = set()
     for state, drift, times in _image_path_cases(rng):
         terms, n = state.labels.shape
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 5 * terms * (n + terms))
+        basis = evolve._eigenbasis(drift)
+        k, normal = np.unique(basis.group).size, basis.v.dtype == float
+        routes.add(normal)
         flow = label_flow(drift)
         blocks = zip(propagate_with(state, times, flow), propagate_with(state, times, _hidden_images(flow)))
         for block, reference in blocks:
             assert block._images is not None and reference._images is None
+            images = block._images
+            assert len(images.rows) == images.norm_weights.shape[0] == (k if normal else k * k)
+            assert (images.row_rates.dtype == float) is normal and block._exps.shape[1] == len(images.rows)
             for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
                 got, want = getattr(block, name), getattr(reference, name)
                 _assert_close(got.reshape(got.shape[0], -1), want.reshape(want.shape[0], -1))
                 for i in range(block.times.size):
                     np.testing.assert_array_equal(getattr(block.at(i), name)[0], got[i], err_msg=name)
+    assert routes == {True, False}
     # A generic network (k = n), the Taylor fallback at the exceptional point, a drift 1e-8 from it
     # (cond(V) 7e3: images that cancel, on which the image path's purity left [0, 1]) and the n = 2 shorthand
     exceptional = _near_exceptional_drift(0.25)
