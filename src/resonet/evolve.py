@@ -11,10 +11,10 @@ coefficient
 multiplying |zeta_r><zeta_s|.  label_flow gives that flow for every network
 and reservoir from one eigendecomposition of D, one exponential per eigenvalue
 cluster (Sylvester's form; Moler & Van Loan, SIAM Review 45, 2003, methods 14 and 3).
-D is factorised in W's eigenbasis, block by block: where Gamma commutes with W,
-as for every reservoir of the paper, in real arithmetic with orthogonal
-eigenvectors (Golub & Van Loan, Matrix Computations, on commuting symmetric
-matrices).
+Where Gamma commutes with W, as for every reservoir of the paper, D is
+factorised in W's eigenbasis in real arithmetic with orthogonal eigenvectors
+(Golub & Van Loan, Matrix Computations, on commuting symmetric matrices);
+other drifts take a complex eig of D.
 
 All observables (occupations, purity, fidelity) are evaluated from bilinear
 forms in the labels, never from a truncated Fock expansion, on one of two
@@ -22,8 +22,8 @@ paths chosen once per stream (see _images).  When label_flow split the labels
 into images on k eigenvalue clusters with k^2 <= n (the shorthand network has
 k = 2 in every reservoir kind), each form is a sum of at most k^2 exponentials
 with constant weights formed once per stream, k^2 work per pair and time
-instead of n; the inner products keep only the cluster pairs whose images are
-not orthogonal, k real exponentials on a real factorisation.  Otherwise
+instead of n; on a real factorisation the images are orthogonal, and the
+inner products read k real exponentials.  Otherwise
 (generic networks with k = n, n = 2 with k = 2, the Taylor fallback, other
 flows, images that cancel) the forms are gemms of the labels themselves.  The
 occupations on the image path read the constant pair matrix
@@ -41,7 +41,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
-from .network import _CLUSTER_RTOL, _components, clusters
+from .network import _CLUSTER_RTOL, clusters
+from .reservoir import rounding_slack
 from .states import SuperpositionState, log_gram_matrix
 
 __all__ = [
@@ -77,6 +78,13 @@ _ROUNDING_UNITS = 32
 # An eigenvector matrix conditioned worse than this loses too many digits to
 # V^-1; label_flow then uses the Taylor expm instead.
 _COND_MAX = 1e4
+
+# The real factorisation (see _eigenbasis) drops Gamma''s entries between W's clusters, which moves
+# exp(t D) by at most the Frobenius norm of Gamma'_ij / |w_i - w_j| at any t, to first order; above this
+# the complex eig is taken.  On the shorthand network (omega 10, lambda 0.5 and -0.3) that norm is at most
+# 1.1e-14: white noise and distinct reservoirs for n = 2 to 2,000, the profile reservoir to n = 64.  On
+# commuting W, Gamma whose W clusters lie 1e-3 apart it reaches 1e-8.
+_DROP_MAX = 1e-13
 
 # The image path's forms sum products of images, so images that cancel in beta = sum_c B_c cost it
 # about sum_c |B_c[r]|^2 / |beta_r|^2 times the labels' rounding: next to an exceptional point (cond(V)
@@ -148,110 +156,73 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 class _Eigenbasis(NamedTuple):
-    """d = V diag(lam) V^-1 (see _eigenbasis).
-
-    group labels each eigenvalue's cluster (network.clusters), block the complex block of W's
-    eigenbasis it comes from (-1 on a real block), and v_inv is v.T when every block is real.
-    """
+    """d = V diag(lam) V^-1 (see _eigenbasis); group labels each eigenvalue's cluster (network.clusters)."""
 
     lam: np.ndarray
     v: np.ndarray
     v_inv: np.ndarray
     group: np.ndarray
-    block: np.ndarray
 
 
 def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
-    """Eigenvalues lam, eigenvectors V, V^-1, cluster and block labels of d, or None if V is unusable.
+    """Eigenvalues lam, eigenvectors V, V^-1 and cluster labels of d, or None if V is unusable.
 
-    d = -i W - Gamma / 2 is factorised in W's eigenbasis Q (eigh).  Entries of Gamma' = Q^T Gamma Q
-    above the slack 1e-12 max(1, |Gamma|_1) (DecayMatrix.slack) link W's clusters (network.clusters)
-    into blocks, on which d is block diagonal.  A block that is one W cluster is -i w I - Gamma'/2
-    there, diagonalised by a real eigh of Gamma'; a larger block goes through a complex eig.  A d
-    whose W or Gamma is asymmetric beyond the slack, whose Gamma' is not finite, or whose blocks join
-    into one that is not a W cluster (a generic network) is one complex block, eig of d itself.
-    Each cluster of eigenvalues (network.clusters) shares its mean value.  In a complex block the
-    cluster's vectors become an orthonormal basis of the null space of the block minus that mean,
-    since the solver's own vectors are nearly dependent on degenerate networks (see _complex_block).
-    When every block is real, V is real and orthogonal, V^-1 = V^T and no SVD is taken.  Eigenvalues
-    that are not finite (a W near the float range) raise LinAlgError.
+    d = -i W - Gamma / 2 is first factorised in W's eigenbasis Q (eigh), in real arithmetic: on each
+    cluster of W's frequencies w (network.clusters) it is -i w I - Gamma'/2 with Gamma' = Q^T Gamma Q,
+    diagonalised by a real eigh, so V is real and orthogonal and V^-1 = V^T.  That drops Gamma''s
+    entries between W's clusters, which vanish when Gamma commutes with W, as for every reservoir of
+    the paper.  To first order the dropped entries move exp(t d) by at most the Frobenius norm of
+    Gamma'_ij / |w_i - w_j| at any t, so the real route is taken only when that is at most
+    _DROP_MAX, and W and Gamma are symmetric within the slack (reservoir.rounding_slack).
+    Otherwise (a generic network, W clusters too close for eigh to tell Gamma' apart from rounding)
+    d is factorised by a complex eig, and each cluster's vectors become an orthonormal basis of the
+    null space of d minus the cluster's mean: on degenerate networks the solver's own vectors are
+    nearly dependent.  That route gives None when a cluster's null space is smaller than the
+    cluster (d is defective there) or cond(V) exceeds _COND_MAX.  On both routes each cluster of
+    eigenvalues (network.clusters) shares its mean value; eigenvalues that are not finite (a W near
+    the float range) raise LinAlgError.
     """
     n = d.shape[0]
     w, g = -d.imag, -2.0 * d.real
-    slack = 1e-12 * max(1.0, float(np.abs(g).sum(axis=0).max()))
-    # (modes, matrix, frequency): a block of d for a complex eig (frequency None), or Gamma' on one W cluster
-    basis, blocks = None, [(np.arange(n), d, None)]
+    slack = rounding_slack(g)
+    v = None
     if np.abs(w - w.T).max() <= slack and np.abs(g - g.T).max() <= slack:
         freq, q = np.linalg.eigh(w)
         gp = q.T @ (0.5 * (g + g.T)) @ q
         wc = clusters(freq)
-        same, strong = wc[:, None] == wc, np.abs(gp) > slack
-        block = _components(strong | same) if np.any(strong & ~same) else wc
-        if np.isfinite(gp).all() and (block.max() > 0 or wc.max() == 0):
-            basis, blocks = q, []
-            for b in np.unique(block):
-                idx = np.flatnonzero(block == b)
-                sub = gp[idx][:, idx]
-                if np.all(wc[idx] == wc[idx[0]]):
-                    blocks.append((idx, sub, freq[idx].mean()))
-                else:
-                    blocks.append((idx, -1j * np.diag(freq[idx]) - 0.5 * sub, None))
-    lam = np.empty(n, dtype=complex)
-    vectors = []
-    for idx, sub, frequency in blocks:
-        if frequency is None:
-            lam[idx], u = np.linalg.eig(sub)
-        else:
-            rates, u = np.linalg.eigh(sub) if idx.size > 1 else (sub[0], np.ones((1, 1)))
-            lam[idx] = -1j * frequency - 0.5 * rates
-        vectors.append(u)
+        gap = np.abs(np.subtract.outer(freq, freq))
+        drop = np.divide(gp, gap, out=np.zeros_like(gp), where=wc[:, None] != wc)
+        if np.isfinite(gp).all() and np.linalg.norm(drop) <= _DROP_MAX:
+            lam, v = np.empty(n, dtype=complex), np.empty((n, n))
+            for c in np.unique(wc):
+                idx = np.flatnonzero(wc == c)
+                rates, u = np.linalg.eigh(gp[np.ix_(idx, idx)]) if idx.size > 1 else (gp[idx, idx], np.ones((1, 1)))
+                lam[idx] = -1j * freq[idx].mean() - 0.5 * rates
+                v[:, idx] = q[:, idx] @ u
+    if v is None:
+        lam, v = np.linalg.eig(d)
     if not np.isfinite(lam).all():
         raise np.linalg.LinAlgError("its eigenvalues are not finite")
     group = clusters(lam)
-    means = np.zeros(n, dtype=complex)
-    np.add.at(means, group, lam)
-    lam = means[group] / np.bincount(group, minlength=n)[group]
-    real = all(frequency is not None for *_, frequency in blocks)
-    v = np.empty((n, n), dtype=float if real else complex)
-    v_inv = v.T if real else np.empty((n, n), dtype=complex)
-    labels = np.full(n, -1)
-    for (idx, sub, frequency), u in zip(blocks, vectors):
-        if frequency is None:
-            labels[idx] = idx[0]
-            inverse = _complex_block(sub, u, lam[idx], group[idx])
-            if inverse is None:
-                return None
-            if basis is None:
-                return _Eigenbasis(lam, u, inverse, group, labels)
-            v[:, idx] = basis[:, idx] @ u
-            v_inv[idx] = inverse @ basis[:, idx].T
-        else:
-            v[:, idx] = basis[:, idx] @ u
-            if not real:
-                v_inv[idx] = v[:, idx].T
-    return _Eigenbasis(lam, v, v_inv, group, labels)
-
-
-def _complex_block(sub: np.ndarray, u: np.ndarray, lam: np.ndarray, group: np.ndarray) -> Optional[np.ndarray]:
-    """The inverse of the eigenvectors u of one complex block sub, or None if they are unusable.
-
-    The vectors of each cluster (labelled by group, lam its shared mean) become, in place, an
-    orthonormal basis of the null space of sub - lam I.  None when that null space is smaller
-    than the cluster (sub is defective there) or cond(u) exceeds _COND_MAX.
-    """
+    real = np.isrealobj(v)
     for h in np.unique(group):
         members = np.flatnonzero(group == h)
         if members.size == 1:
             continue
-        value = lam[members[0]]
-        _, sv, vh = np.linalg.svd(sub - value * np.eye(sub.shape[0]))
-        if sv[-members.size] > _CLUSTER_RTOL * max(sv[0], abs(value)):
+        mean = lam[members].mean()
+        lam[members] = mean
+        if real:
+            continue
+        _, sv, vh = np.linalg.svd(d - mean * np.eye(n))
+        if sv[-members.size] > _CLUSTER_RTOL * max(sv[0], abs(mean)):
             return None
-        u[:, members] = vh[-members.size :].conj().T
-    left, sv, wh = np.linalg.svd(u)
+        v[:, members] = vh[-members.size :].conj().T
+    if real:
+        return _Eigenbasis(lam, v, v.T, group)
+    u, sv, wh = np.linalg.svd(v)
     if sv[0] > _COND_MAX * sv[-1]:
         return None
-    return (wh.conj().T / sv) @ left.conj().T
+    return _Eigenbasis(lam, v, (wh.conj().T / sv) @ u.conj().T, group)
 
 
 def check_images(clusters: int, terms: int, n: int) -> None:
@@ -262,21 +233,6 @@ def check_images(clusters: int, terms: int, n: int) -> None:
             f"{terms} terms on {n} resonators in {clusters} frequency clusters need {_sci(need)} bytes of"
             f" label images, over the {_sci(_BYTE_BUDGET)}-byte budget"
         )
-
-
-def _matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for a stack x (..., K) as one gemm; a real m multiplies x's real and imaginary parts, in real arithmetic.
-
-    numpy would first cast a real m to complex, an n x n copy for V.
-    """
-    rows = x.reshape(-1, x.shape[-1])
-    if np.iscomplexobj(m):
-        out = rows @ m
-    else:
-        out = np.empty((rows.shape[0], m.shape[1]), dtype=complex)
-        np.matmul(rows.real, m, out=out.real)
-        np.matmul(rows.imag, m, out=out.imag)
-    return out.reshape(x.shape[:-1] + m.shape[-1:])
 
 
 def label_flow(drift: np.ndarray) -> LabelFlow:
@@ -290,12 +246,12 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     and returns the map from a 1-D array of T times to the (T, terms, n) labels
     sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per time.  That
     map is a _Sylvester, which also carries the images, their eigenvalues and the cluster pairs whose
-    inner products conj(B_c) . B_d do not vanish, for the blocks' image path (see _images): every
-    (c, c), and (c, d) when both clusters have vectors in one complex block; on a real
-    factorisation the P_c are orthogonal projectors and the pairs c != d vanish.  Otherwise the
-    images would not pay (a generic network has k = n), and flow(beta) forms the eigen-coordinates
-    M = beta V^-T once (= beta V on a real factorisation) and returns t -> (M * exp(lam t)) V^T, the
-    same k terms n work per time in terms n memory.  When the eigenvectors are unusable the map is
+    inner products conj(B_c) . B_d can be nonzero, for the blocks' image path (see _images): on a
+    real factorisation the P_c are orthogonal projectors, so only the k pairs (c, c); otherwise all
+    k^2.  When k^2 > n the images would not pay (a generic network has k = n), and flow(beta) forms
+    the eigen-coordinates M = beta V^-T once (= beta V on a real factorisation) and returns
+    t -> (M * exp(lam t)) V^T, the same k terms n work per time in terms n memory.  When the
+    eigenvectors are unusable the map is
     t -> beta exp(t D)^T with the Taylor expm of the stack t D.  A factorisation that fails, as for a
     drift near the float range, raises NumericalError instead of warning; one that is not finite
     gives non-finite labels, which propagate_with rejects.
@@ -319,28 +275,30 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
             return np.swapaxes(theta, -1, -2)
 
         return lambda beta: lambda t: np.asarray(beta) @ transposed_expm(t)
-    lam, v, v_inv, group, block = basis
+    lam, v, v_inv, group = basis
     heads = np.flatnonzero(group == np.arange(group.size))
     k = heads.size
     if k * k > d.shape[0]:
 
         def coordinates(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            m = _matmul(np.asarray(beta), v_inv.T)
-            return lambda t: _matmul(np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m, v.T)
+            m = np.asarray(beta) @ v_inv.T
+            return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m) @ v.T
 
         return coordinates
     members = [np.flatnonzero(group == h) for h in heads]
-    shared = [set(block[m].tolist()) - {-1} for m in members]
-    rows = [(c, c) for c in range(k)] + [(c, e) for c in range(k) for e in range(k) if c != e and shared[c] & shared[e]]
-    rates, rows = lam[heads], np.array(rows)
+    # the cluster pairs (c, d) whose inner products conj(B_c) . B_d can be nonzero: (c, c) alone on a real
+    # factorisation, whose P_c are orthogonal projectors; all k^2 otherwise
+    c = np.arange(k)
+    rows = np.column_stack((c, c) if np.isrealobj(v) else np.divmod(np.arange(k * k), k))
+    rates = lam[heads]
 
     def flow(beta: np.ndarray) -> _Sylvester:
         terms, n = np.shape(beta)
         check_images(k, terms, n)
-        modes = _matmul(np.asarray(beta), v_inv.T)
+        modes = beta @ v_inv.T
         images = np.empty((k, terms, n), dtype=complex)
         for image, m in zip(images, members):
-            image[...] = _matmul(modes[:, m], v[:, m].T)
+            np.matmul(modes[:, m], v[:, m].T, out=image)
         return _Sylvester(rates, images, rows)
 
     return flow
@@ -351,9 +309,10 @@ class _Sylvester(NamedTuple):
 
     images B_c (k, terms, n) are the labels' images on the drift's eigenvalue
     clusters, rates (k) the clusters' eigenvalues and rows (m, 2) the cluster
-    pairs (c, d) whose inner products conj(B_c) . B_d do not vanish, the k
-    pairs (c, c) first; called with a 1-D array of T times it gives the
-    (T, terms, n) labels sum_c exp(rates_c t) B_c.
+    pairs (c, d) whose inner products conj(B_c) . B_d can be nonzero, the k
+    pairs (c, c) or all k^2 in row-major order (see label_flow); called with
+    a 1-D array of T times it gives the (T, terms, n) labels
+    sum_c exp(rates_c t) B_c.
     """
 
     rates: np.ndarray
@@ -478,7 +437,7 @@ class _Images:
     and each bilinear form a block reads from them are sums of exponentials
     with constant weights, and each read is one exponential row times one
     gemm (see _gemm).  The inner products conj(zeta_s) . zeta_r sum over the
-    cluster pairs rows (c, d) whose conj(B_c[s]) . B_d[r] do not vanish (see
+    cluster pairs rows (c, d) whose conj(B_c[s]) . B_d[r] can be nonzero (see
     label_flow), exps[t, j] = exp(row_rates_j t) with row_rates_j =
     conj(rates_c) + rates_d: on a real factorisation the k rows (c, c) alone,
     with real rates 2 Re rates_c and a real exponential row.  From these:
@@ -588,7 +547,7 @@ def _images(at: Callable[[np.ndarray], np.ndarray], beta: np.ndarray, pairs: _Pa
     row_rates, norm_weights = rates.conj()[c] + rates[d], np.einsum("cri,dri->cdr", images.conj(), images)[c, d]
     if len(rows) == k:  # the pairs (c, c) alone: real rates 2 Re rates_c and real weights |B_c[r]|^2
         row_rates, norm_weights = row_rates.real, norm_weights.real
-    if np.any(norm_weights[:k].real.sum(axis=0) > _IMAGE_GROWTH * 2.0 * pairs.half_beta):
+    if np.any(norm_weights[c == d].real.sum(axis=0) > _IMAGE_GROWTH * 2.0 * pairs.half_beta):
         return None
     return _Images(rates, rows, row_rates, images, norm_weights, beta, pairs)
 
@@ -622,8 +581,9 @@ class Block:
     N^2 w_r conj(w_s) <beta_s|beta_r> in place of c * G^T, exactly, and read
     all k^2 complex rows, formed once per block when first read.
     Block.at evaluates the forms of its one time through gemm (see _gemm)
-    and slices the rows its block formed, so its numbers are bitwise those
-    of its block's row.
+    from its block's exponential rows (the occupations' rows, elementwise
+    exps, it forms for its one time), so its numbers are bitwise those of
+    its block's row.
     Forming the coefficients checks the trace, the sum of c * G^T, and
     raises NumericalError at the first time it leaves 1 by more than 1e-6;
     as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
@@ -715,10 +675,7 @@ class Block:
         i = range(self.times.size)[index]
         one = slice(i, i + 1)
         zeta, exps = (None if a is None else a[one] for a in (self._zeta, self._exps))
-        block = replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one], _exps=exps)
-        if "_all_exps" in vars(self):  # rows this block formed are sliced, not formed again
-            vars(block)["_all_exps"] = self._all_exps[one]
-        return block
+        return replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one], _exps=exps)
 
 
 def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:

@@ -180,24 +180,15 @@ def clusters(values) -> np.ndarray:
     count as one frequency.
     """
     values = np.asarray(values)
+    n = values.shape[0]
     mag = np.abs(values)
     close = np.abs(values[:, None] - values) <= _CLUSTER_RTOL * np.maximum(mag[:, None], mag)
-    np.fill_diagonal(close, True)
-    return _components(close)
-
-
-def _components(linked: np.ndarray) -> np.ndarray:
-    """Component label of each node of a symmetric boolean adjacency matrix with a true diagonal: its smallest index."""
-    n = linked.shape[0]
-    if n == 0:
-        return np.arange(0)
-    group = np.argmax(linked, axis=1)  # each node's first link, already final where components are cliques
-    while True:  # every node takes the smallest label it is linked to, then its label's label
-        new = np.min(np.where(linked, group, n), axis=1, initial=n)
-        new = new[new]
-        if np.array_equal(new, group):
+    group = np.arange(n)
+    while True:  # every value takes the smallest index it is linked to
+        linked = np.min(np.where(close, group, n), axis=1, initial=n)
+        if np.array_equal(linked, group):
             return group
-        group = new
+        group = linked
 
 
 def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:

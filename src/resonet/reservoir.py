@@ -100,6 +100,11 @@ class ReservoirSpec:
                 raise ModelError("collective rates must be nonnegative and finite")
 
 
+def rounding_slack(gamma: np.ndarray) -> float:
+    """Rounding slack 1e-12 * max(1, largest column sum of |gamma|) of a decay matrix gamma."""
+    return 1e-12 * max(1.0, float(np.max(np.sum(np.abs(gamma), axis=0))))
+
+
 @dataclass(frozen=True, eq=False)
 class DecayMatrix:
     """Symmetric positive-semidefinite matrix of decay rates.
@@ -143,8 +148,8 @@ class DecayMatrix:
 
     @property
     def slack(self) -> float:
-        """Rounding slack 1e-12 * max(1, largest column sum of |gamma|): rates within it count as zero."""
-        return 1e-12 * max(1.0, float(np.max(np.sum(np.abs(self.matrix), axis=0))))
+        """Rounding slack of the matrix (see rounding_slack): rates within it count as zero."""
+        return rounding_slack(self.matrix)
 
     @property
     def kernel(self) -> np.ndarray:

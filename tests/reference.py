@@ -58,7 +58,7 @@ def mode_form_flow(drift):
     one) and takes one exponential per mode and a terms * n^2 gemm per time
     where label_flow takes one per eigenvalue cluster on the labels' images.
     """
-    lam, v, v_inv = evolve._eigenbasis(np.asarray(drift))[:3]
+    lam, v, v_inv, _ = evolve._eigenbasis(np.asarray(drift))
 
     def flow(beta):
         modes = np.asarray(beta) @ v_inv.T

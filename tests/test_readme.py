@@ -93,7 +93,7 @@ def test_readme_budget_numbers_match_the_code():
     ]
     (k,) = {np.unique(basis.group).size for basis in bases}
     assert f"has k = {k} clusters" in text and "in all three reservoir kinds" in text
-    assert all(basis.v.dtype == float for basis in bases) and "so every block is real" in text
+    assert all(basis.v.dtype == float for basis in bases) and "V is real and orthogonal, V^-1 = V^T" in text
     assert "The images hold 16 k terms n bytes" in text
     generic = math.isqrt(_BYTE_BUDGET // (16 * 32))
     evolve.check_images(generic, 32, generic)
