@@ -241,7 +241,7 @@ def trajectory_to_csv(blocks: Iterable[evolve.Block], out: TextIO) -> Iterator[e
     spans = None
     for block in blocks:
         if spans is None:
-            _, terms, n = block.labels.shape
+            terms, n = block.coeffs.shape[-1], block.occupations.shape[-1]
             upper = np.triu(np.ones((terms, terms), dtype=bool), 1)
             out.write(_csv_header(terms, n))
             width = n + 4 + terms * (terms - 1) // 2

@@ -18,14 +18,14 @@ other drifts take a complex eig of D.
 
 All observables (occupations, purity, fidelity) are evaluated from bilinear
 forms in the labels, never from a truncated Fock expansion, on one of two
-paths chosen once per stream (see _images).  When label_flow split the labels
-into images on k eigenvalue clusters with k^2 <= n (the shorthand network has
-k = 2 in every reservoir kind), each form is a sum of at most k^2 exponentials
-with constant weights formed once per stream, k^2 work per pair and time
-instead of n; on a real factorisation the images are orthogonal, and the
-inner products read k real exponentials.  Otherwise
-(generic networks with k = n, n = 2 with k = 2, the Taylor fallback, other
-flows, images that cancel) the forms are gemms of the labels themselves.  The
+paths, which label_flow alone chooses, once per stream.  When it split the
+labels into orthogonal images on k eigenvalue clusters (a real factorisation
+with k^2 <= n whose weights fit the byte budget; the shorthand network has
+k = 2 in every reservoir kind), each form is a sum of exponentials with
+constant weights formed once per stream: the inner products read k real
+exponentials per time instead of n products, the occupations k^2.  Otherwise
+(generic networks with k = n, n = 2 with k = 2, a complex factorisation, the
+Taylor fallback, other flows) the forms are gemms of the labels themselves.  The
 occupations on the image path read the constant pair matrix
 m0 = N^2 w conj(w)^T * G_0^T in place of c * G^T; that is exact, since by the
 coefficient above c_rs(t) <zeta_s|zeta_r> = m0_rs at every t.
@@ -85,12 +85,6 @@ _COND_MAX = 1e4
 # 1.1e-14: white noise and distinct reservoirs for n = 2 to 2,000, the profile reservoir to n = 64.  On
 # commuting W, Gamma whose W clusters lie 1e-3 apart it reaches 1e-8.
 _DROP_MAX = 1e-13
-
-# The image path's forms sum products of images, so images that cancel in beta = sum_c B_c cost it
-# about sum_c |B_c[r]|^2 / |beta_r|^2 times the labels' rounding: next to an exceptional point (cond(V)
-# 7e3, that growth 2e7) its purity left [0, 1] at t = 0, while at growth 176 the two paths still
-# agreed to 3.5e-14 relative (n = 4, 4 terms, 41 times).  Above this growth a stream takes the label path.
-_IMAGE_GROWTH = 100.0
 
 # Labels (terms, n), split once -> the map from a 1-D array of T times to the (T, terms, n) labels then.
 LabelFlow = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
@@ -225,36 +219,25 @@ def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
     return _Eigenbasis(lam, v, (wh.conj().T / sv) @ u.conj().T, group)
 
 
-def check_images(clusters: int, terms: int, n: int) -> None:
-    """Reject labels whose images on the drift's eigenvalue clusters (see label_flow) would exceed the byte budget."""
-    need = 16 * clusters * terms * n
-    if need > _BYTE_BUDGET:
-        raise ModelError(
-            f"{terms} terms on {n} resonators in {clusters} frequency clusters need {_sci(need)} bytes of"
-            f" label images, over the {_sci(_BYTE_BUDGET)}-byte budget"
-        )
-
-
 def label_flow(drift: np.ndarray) -> LabelFlow:
     """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift D (see network.drift_matrix).
 
     D = V diag(lam) V^-1 is factorised once in the eigenbasis of W (see _eigenbasis): on the paper's
     networks, where Gamma commutes with W, in real arithmetic with V^-1 = V^T.  Its k eigenvalue
     clusters c give Sylvester's form exp(t D) = sum_c exp(lam_c t) P_c with P_c = V[:, c] V^-1[c, :].
-    When k^2 <= n (the shorthand network has k = 2 in every reservoir kind), flow(beta) splits labels
-    beta (terms, n) once into their images B_c = beta P_c^T (16 k terms n bytes, see check_images)
-    and returns the map from a 1-D array of T times to the (T, terms, n) labels
-    sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per time.  That
-    map is a _Sylvester, which also carries the images, their eigenvalues and the cluster pairs whose
-    inner products conj(B_c) . B_d can be nonzero, for the blocks' image path (see _images): on a
-    real factorisation the P_c are orthogonal projectors, so only the k pairs (c, c); otherwise all
-    k^2.  When k^2 > n the images would not pay (a generic network has k = n), and flow(beta) forms
+    Only here is it decided whether the labels are split into images, the route the blocks read
+    their forms from (see _Images).  flow(beta) splits labels beta (terms, n) into their images
+    B_c = beta P_c^T when all three hold: V is real, so the P_c are orthogonal projectors; k^2 <= n
+    (the shorthand network has k = 2 in every reservoir kind); and the images with their weights
+    (_image_bytes) fit the byte budget next to a grid time's pair arrays.  It then returns a
+    _Sylvester, the map from a 1-D array of T times to the (T, terms, n) labels
+    sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per time.
+    Otherwise (a complex V, a generic network with k = n, images over the budget) flow(beta) forms
     the eigen-coordinates M = beta V^-T once (= beta V on a real factorisation) and returns
     t -> (M * exp(lam t)) V^T, the same k terms n work per time in terms n memory.  When the
-    eigenvectors are unusable the map is
-    t -> beta exp(t D)^T with the Taylor expm of the stack t D.  A factorisation that fails, as for a
-    drift near the float range, raises NumericalError instead of warning; one that is not finite
-    gives non-finite labels, which propagate_with rejects.
+    eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor expm of the stack
+    t D.  A factorisation that fails, as for a drift near the float range, raises NumericalError
+    instead of warning; one that is not finite gives non-finite labels, which propagate_with rejects.
     """
     d = np.asarray(drift)
     with np.errstate(all="ignore"):
@@ -276,30 +259,26 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
 
         return lambda beta: lambda t: np.asarray(beta) @ transposed_expm(t)
     lam, v, v_inv, group = basis
+
+    def coordinates(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        m = np.asarray(beta) @ v_inv.T
+        return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m) @ v.T
+
     heads = np.flatnonzero(group == np.arange(group.size))
     k = heads.size
-    if k * k > d.shape[0]:
-
-        def coordinates(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            m = np.asarray(beta) @ v_inv.T
-            return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m) @ v.T
-
+    if k * k > d.shape[0] or not np.isrealobj(v):
         return coordinates
     members = [np.flatnonzero(group == h) for h in heads]
-    # the cluster pairs (c, d) whose inner products conj(B_c) . B_d can be nonzero: (c, c) alone on a real
-    # factorisation, whose P_c are orthogonal projectors; all k^2 otherwise
-    c = np.arange(k)
-    rows = np.column_stack((c, c) if np.isrealobj(v) else np.divmod(np.arange(k * k), k))
-    rates = lam[heads]
 
-    def flow(beta: np.ndarray) -> _Sylvester:
+    def flow(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         terms, n = np.shape(beta)
-        check_images(k, terms, n)
+        if _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) > _BYTE_BUDGET:
+            return coordinates(beta)
         modes = beta @ v_inv.T
         images = np.empty((k, terms, n), dtype=complex)
         for image, m in zip(images, members):
             np.matmul(modes[:, m], v[:, m].T, out=image)
-        return _Sylvester(rates, images, rows)
+        return _Sylvester(lam[heads], images)
 
     return flow
 
@@ -307,17 +286,14 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
 class _Sylvester(NamedTuple):
     """What label_flow's flow(beta) returns when it splits the labels into images.
 
-    images B_c (k, terms, n) are the labels' images on the drift's eigenvalue
-    clusters, rates (k) the clusters' eigenvalues and rows (m, 2) the cluster
-    pairs (c, d) whose inner products conj(B_c) . B_d can be nonzero, the k
-    pairs (c, c) or all k^2 in row-major order (see label_flow); called with
-    a 1-D array of T times it gives the (T, terms, n) labels
+    images B_c (k, terms, n) are the labels' orthogonal projections on the
+    drift's eigenvalue clusters and rates (k) the clusters' eigenvalues;
+    called with a 1-D array of T times it gives the (T, terms, n) labels
     sum_c exp(rates_c t) B_c.
     """
 
     rates: np.ndarray
     images: np.ndarray
-    rows: np.ndarray
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         k, terms, n = self.images.shape
@@ -425,8 +401,13 @@ def _gemm(exps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _image_bytes(k: int, terms: int, n: int) -> int:
-    """Bytes of a stream's _Images weights for k clusters, at most, with the terms x terms temporary that forms them."""
-    return 16 * (k * k * (terms * (terms - 1) // 2 + n + terms) + (k + 1) * terms * terms)
+    """Bytes a stream on the image path holds on k clusters: the images, the _Images weights and the temporary.
+
+    The images (k x terms n), k rows of norm and pair weights (terms + P), k^2
+    rows of occupation weights (n) and k rows of initial weights (terms^2),
+    with the one terms x terms temporary that forms the pair weights, 16 bytes each.
+    """
+    return 16 * (k * (terms * n + terms + terms * (terms - 1) // 2) + k * k * n + (k + 1) * terms * terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,44 +417,42 @@ class _Images:
     zeta_r(t) = sum_c exp(rates_c t) B_c[r] (see label_flow), so the labels
     and each bilinear form a block reads from them are sums of exponentials
     with constant weights, and each read is one exponential row times one
-    gemm (see _gemm).  The inner products conj(zeta_s) . zeta_r sum over the
-    cluster pairs rows (c, d) whose conj(B_c[s]) . B_d[r] can be nonzero (see
-    label_flow), exps[t, j] = exp(row_rates_j t) with row_rates_j =
-    conj(rates_c) + rates_d: on a real factorisation the k rows (c, c) alone,
-    with real rates 2 Re rates_c and a real exponential row.  From these:
-    - norms: |zeta_r|^2 = Re sum_j exps_j conj(B_c[r]) . B_d[r] (weights
-      rows x terms, formed with the images, since every block's label guard reads them);
-    - pair_cross: conj(zeta_s) . zeta_r = sum_j exps_j conj(B_c[s]) . B_d[r]
-      on the pairs r < s (weights rows x P).
+    gemm (see _gemm).  The B_c are orthogonal projections, so the inner
+    products conj(zeta_s) . zeta_r = sum_c exp(2 Re rates_c t) conj(B_c[s]) . B_c[r]
+    read one real exponential per cluster (exps).  From these:
+    - norms: |zeta_r|^2 (weights |B_c[r]|^2, k x terms, formed on the first
+      read, since every block's label guard reads them);
+    - pair_cross: conj(zeta_s) . zeta_r on the pairs r < s (weights k x P).
     The occupations sum per resonator, where the pairs c != d do not vanish,
-    so they read all k^2 rows (all_exps, complex): Re sum_rs m0_rs zeta_r
-    conj(zeta_s) = Re sum_cd exps_cd Q_cd (weights k^2 x n), with the constant
-    pair matrix m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not
-    an approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
+    so they read all k^2 complex rows exp((conj(rates_c) + rates_d) t)
+    (all_exps): Re sum_rs m0_rs zeta_r conj(zeta_s) = Re sum_cd exps_cd Q_cd
+    (weights k^2 x n), with the constant pair matrix
+    m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not an
+    approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
     so sum_rs (c * G^T)_rs zeta_r conj(zeta_s) needs no coefficient.  The
     labels (the images are their weights) and initial_cross
     zeta_s . conj(beta_r) = sum_c exp(rates_c t) B_c[s] . conj(beta_r)
     (weights k x terms^2) read the k rows exp(rates_c t).
-    The pair, occupation and initial weights are formed on their first read
-    with plain gemms and then kept for the stream; m0 lives only while Q is formed.
+    Every set of weights is formed on its first read with plain gemms and
+    then kept for the stream; m0 lives only while Q is formed.
     """
 
     rates: np.ndarray
-    rows: np.ndarray
-    row_rates: np.ndarray
     images: np.ndarray
-    norm_weights: np.ndarray
     beta: np.ndarray
     pairs: _Pairs
 
     @cached_property
+    def _norm_weights(self) -> np.ndarray:
+        return np.einsum("cri,cri->cr", self.images.conj(), self.images).real
+
+    @cached_property
     def _pair_weights(self) -> np.ndarray:
-        terms = self.images.shape[1]
-        weights = np.empty((len(self.rows), self.pairs.lower.size), dtype=complex)
+        k, terms, _ = self.images.shape
+        weights = np.empty((k, self.pairs.lower.size), dtype=complex)
         full = np.empty((terms, terms), dtype=complex)  # the one terms x terms temporary
-        conj = self.images.conj()
-        for row, (c, d) in zip(weights, self.rows):
-            np.matmul(conj[c], self.images[d].T, out=full)  # conj(B_c[s]) . B_d[r] at (s, r)
+        for row, image in zip(weights, self.images):
+            np.matmul(image.conj(), image.T, out=full)  # conj(B_c[s]) . B_c[r] at (s, r)
             np.take(full, self.pairs.lower, out=row)
         return weights
 
@@ -498,8 +477,8 @@ class _Images:
         return np.add.outer(self.rates.conj(), self.rates).ravel()
 
     def exps(self, times: np.ndarray) -> np.ndarray:
-        """The (T, rows) rows exp(row_rates t), real on a real factorisation."""
-        return np.exp(np.multiply.outer(times, self.row_rates))
+        """The (T, k) real rows exp(2 Re rates_c t) of the inner products."""
+        return np.exp(np.multiply.outer(times, 2.0 * self.rates.real))
 
     def all_exps(self, times: np.ndarray) -> np.ndarray:
         """The (T, k^2) complex rows exp((conj(rates_c) + rates_d) t) the occupations read."""
@@ -507,7 +486,7 @@ class _Images:
 
     def norms(self, exps: np.ndarray) -> np.ndarray:
         """|zeta_r|^2 (T, terms)."""
-        return (exps @ self.norm_weights).real
+        return exps @ self._norm_weights
 
     def pair_cross(self, exps: np.ndarray) -> np.ndarray:
         """conj(zeta_s) . zeta_r (T, P) at the pairs r < s."""
@@ -529,27 +508,8 @@ class _Images:
 
 
 def _images(at: Callable[[np.ndarray], np.ndarray], beta: np.ndarray, pairs: _Pairs) -> Optional[_Images]:
-    """The stream's _Images when the flow split the labels into images (see label_flow).
-
-    Otherwise (the eigen-coordinates, the Taylor fallback or another flow),
-    when the weights would not fit the byte budget next to a grid time's pair
-    arrays, or when the images cancel by more than _IMAGE_GROWTH
-    (sum_c |B_c[r]|^2 > _IMAGE_GROWTH |beta_r|^2 for some term; it is 1 for a
-    normal drift), None, and the blocks read their forms from the labels.
-    """
-    if not isinstance(at, _Sylvester):
-        return None
-    rates, images, rows = at
-    k, terms, n = images.shape
-    if _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) > _BYTE_BUDGET:
-        return None
-    c, d = rows.T
-    row_rates, norm_weights = rates.conj()[c] + rates[d], np.einsum("cri,dri->cdr", images.conj(), images)[c, d]
-    if len(rows) == k:  # the pairs (c, c) alone: real rates 2 Re rates_c and real weights |B_c[r]|^2
-        row_rates, norm_weights = row_rates.real, norm_weights.real
-    if np.any(norm_weights[c == d].real.sum(axis=0) > _IMAGE_GROWTH * 2.0 * pairs.half_beta):
-        return None
-    return _Images(rates, rows, row_rates, images, norm_weights, beta, pairs)
+    """The stream's _Images when label_flow split the labels into images (a _Sylvester), None otherwise."""
+    return _Images(*at, beta, pairs) if isinstance(at, _Sylvester) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,16 +530,16 @@ class Block:
 
     The bilinear forms in the labels (the pairs' cross products, the
     fidelity's zeta_s . conj(beta_r) and the occupations) come from one of two
-    paths, chosen once per stream (see _images).  On the label path (_images
+    paths, chosen once per stream by label_flow.  On the label path (_images
     None) _zeta holds the flow's labels and each form is a gemm of them,
     terms^2 n work per time.  On the image path the stream's _Images holds the
-    labels' images on k clusters with k^2 <= n and _exps the block's
-    exponential rows of the inner products (k real ones on a real
-    factorisation); each form is one exponential row times constant weights
-    (see _Images), and the labels themselves are formed only when read.  The
-    occupations there take the constant m0_rs = c_rs(t) <zeta_s|zeta_r> =
-    N^2 w_r conj(w_s) <beta_s|beta_r> in place of c * G^T, exactly, and read
-    all k^2 complex rows, formed once per block when first read.
+    labels' orthogonal images on k clusters and _exps the block's k real
+    exponential rows of the inner products; each form is one exponential row
+    times constant weights (see _Images), and the labels themselves are
+    formed only when read.  The occupations there take the constant
+    m0_rs = c_rs(t) <zeta_s|zeta_r> = N^2 w_r conj(w_s) <beta_s|beta_r> in
+    place of c * G^T, exactly, and read all k^2 complex rows, formed once
+    per block when first read.
     Block.at evaluates the forms of its one time through gemm (see _gemm)
     from its block's exponential rows (the occupations' rows, elementwise
     exps, it forms for its one time), so its numbers are bitwise those of
@@ -687,8 +647,8 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
     flow is called once with the state's labels, and what it returns once per
     block with a 1-D array of T times, giving the (T, terms, n) stack of evolved
     labels, which are checked and yielded as a Block.  When the flow split the
-    labels into images on k clusters with k^2 <= n (see Block), the block's norms
-    come from the images instead and its labels are formed only when read.  Its pair coefficients and
+    labels into images (see label_flow and Block), the block's norms come
+    from the images instead and its labels are formed only when read.  Its pair coefficients and
     observables are formed only when read (see Block): `evolve`'s CSV and
     `oracle-compare` read every block's coefficients, `sweep` those of its
     final time.  Only the block being worked on is held, so memory does not

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from resonet import evolve
 from resonet.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -29,13 +30,30 @@ scenarios = _load("scenarios")
 checks = _load("checks")
 
 
+def _spy(monkeypatch, name: str) -> list:
+    """What each call of evolve.<name> returned, in call order."""
+    made, function = [], getattr(evolve, name)
+
+    def spied(*args):
+        made.append(function(*args))
+        return made[-1]
+
+    monkeypatch.setattr(evolve, name, spied)
+    return made
+
+
 @pytest.mark.parametrize("name", scenarios.WORKLOADS)
-def test_workload_passes_the_benchmark_checks(tmp_path, name):
+def test_workload_passes_the_benchmark_checks(tmp_path, monkeypatch, name):
+    # Every workload's drift is factorised in real arithmetic, and every label stream reads its forms
+    # from the label images, except oracle_n2's, whose k = 2 clusters on n = 2 resonators have k^2 > n.
+    bases, images = _spy(monkeypatch, "_eigenbasis"), _spy(monkeypatch, "_images")
     workload = scenarios.make_workload(name, 0)
     config, out = tmp_path / "scenario.json", tmp_path / "out"
     workload.write(config)
     out.mkdir()
     assert main(workload.argv(config, out)) == 0
+    assert bases and all(basis.v.dtype == float for basis in bases)
+    assert images and [made is not None for made in images] == [name != "oracle_n2"] * len(images)
     outcome = checks.Outcome()
     checks.check_artifacts(workload, out, outcome)
     checks.compare_reference(workload, out, outcome)

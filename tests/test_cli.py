@@ -310,22 +310,6 @@ def test_protected_pair_reads_an_infinite_numeric_tau_d(tmp_path):
     assert json.loads((out / "classification.json").read_text())["is_dfs"] is True
 
 
-def test_label_images_over_the_byte_budget_exit_1(tmp_path, monkeypatch, capsys):
-    # 2 terms on the two clusters of the n = 12 shorthand need 16 * 2 * 2 * 12
-    # = 768 bytes of images, more than the 712 bytes check_terms asks for.
-    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 767)
-    cfg = _write_scenario(tmp_path / "s.json", network={"n": 12, "omega": 10.0, "lambda": 0.5})
-    out = tmp_path / "out"
-    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: 2 terms on 12 resonators in 2 frequency clusters need 7.68e2 bytes of label images,"
-        " over the 7.67e2-byte budget\n"
-    )
-    assert list(out.iterdir()) == []
-    monkeypatch.setattr(evolve, "_BYTE_BUDGET", 768)
-    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-
-
 @pytest.mark.parametrize(
     "command, extra",
     [("sweep", ["--sweep-param", "epsilon", "--sweep-values", "0,0.5,1"]), ("classify", []), ("modes", [])],
@@ -751,26 +735,31 @@ def test_term_budget_bounds_the_traced_memory_of_evolve(tmp_path, monkeypatch):
 
 
 def test_image_weights_over_the_budget_take_the_label_path(tmp_path, monkeypatch):
-    # 3 terms on the n = 4 shorthand network (k = 2): the images' weights are counted on top of
-    # _TERM_PAIR_BYTES per term pair; a budget one byte short of both runs on the labels, exit 0.
+    # 3 terms on the n = 4 shorthand network (k = 2): the images and their weights are counted on top
+    # of _TERM_PAIR_BYTES per term pair.  A budget one byte short of both, or the smallest one the
+    # terms pass (no room for the images themselves), runs on the labels, exit 0, with the same rows.
     paths = _spy_images(monkeypatch)
-    need = evolve._TERM_PAIR_BYTES * 9 + evolve._image_bytes(2, 3, 4)
+    labels = []  # the image path forms no labels: the CSV reads its columns from the images' weights
+    monkeypatch.setattr(evolve._Images, "labels", lambda images, times: labels.append(times))
+    terms_only = evolve._TERM_PAIR_BYTES * 9
+    need = terms_only + evolve._image_bytes(2, 3, 4)
     network = {"n": 4, "omega": 10.0, "lambda": 0.5}
     cfg = _write_scenario(tmp_path / "s.json", network=network, state=_explicit_state(3, 4))
     rows = {}
-    for budget in (need - 1, need):
+    for budget in (terms_only, need - 1, need):
         monkeypatch.setattr(evolve, "_BYTE_BUDGET", budget)
         out = tmp_path / f"out{budget}"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         rows[budget] = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
-    assert paths == [False, True]
+    assert paths == [False, False, True] and labels == []
     assert rows[need].shape == (11, 1 + 4 + 3 + 3)  # time, 4 occupations, total, purity, fidelity, 3 pairs
-    np.testing.assert_allclose(rows[need - 1], rows[need], rtol=1e-8, atol=1e-12)
+    for budget in (terms_only, need - 1):
+        np.testing.assert_allclose(rows[budget], rows[need], rtol=1e-8, atol=1e-12)
 
 
 def test_generic_network_runs_on_eigen_coordinates_past_the_image_budget(tmp_path, monkeypatch):
     # A generic network has k = n clusters, so flow(beta) forms the eigen-coordinates, terms x n,
-    # not the images' 16 k terms n bytes: with a budget one byte short of those, evolve still exits 0,
+    # not images of 16 k terms n bytes: with a budget one byte short of those, evolve still exits 0,
     # and the labels match scipy's expm.
     paths = _spy_images(monkeypatch)
     rng = np.random.default_rng(2049)
@@ -779,8 +768,6 @@ def test_generic_network_runs_on_eigen_coordinates_past_the_image_budget(tmp_pat
     coupling += coupling.T
     omega = rng.uniform(10.0, 11.0, size=n)
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", 16 * n * terms * n - 1)
-    with pytest.raises(resonet.ModelError, match="bytes of label images"):
-        evolve.check_images(n, terms, n)
     cfg = _write_scenario(
         tmp_path / "s.json",
         network={"omega": omega.tolist(), "coupling": coupling.tolist()},

@@ -34,7 +34,6 @@ from resonet import (
     trajectory_to_csv,
 )
 from resonet import artifacts, evolve
-from resonet.errors import _sci
 from reference import (
     Trajectory,
     collect,
@@ -361,15 +360,21 @@ def test_propagation_on_every_cluster_shape_matches_the_mode_form(drift, k):
 
 
 def test_label_images_are_checked_against_the_byte_budget(monkeypatch):
-    # Images of 3 terms on the two clusters of the n = 6 shorthand: 16 * 2 * 3 * 6 bytes.
+    # 3 terms on the two clusters of the n = 6 shorthand: flow(beta) splits them into images when the
+    # images and their weights fit next to the pair arrays; one byte short of that it forms the
+    # eigen-coordinates instead, with the same labels.
     flow = label_flow(_degenerate_drift(n=6))
-    beta = np.ones((3, 6), dtype=complex)
-    need = 16 * 2 * 3 * 6
-    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
-    with pytest.raises(ModelError, match=f"in 2 frequency clusters need {_sci(need)} bytes of label images"):
-        flow(beta)
+    rng = np.random.default_rng(3232)
+    beta = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+    times = np.linspace(0.0, 3.0, 7)
+    need = evolve._TERM_PAIR_BYTES * 9 + evolve._image_bytes(2, 3, 6)
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", need)
-    np.testing.assert_allclose(flow(beta)(np.zeros(1))[0], beta, rtol=0, atol=1e-14)
+    images = flow(beta)
+    monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
+    coordinates = flow(beta)
+    assert isinstance(images, evolve._Sylvester) and not isinstance(coordinates, evolve._Sylvester)
+    np.testing.assert_allclose(coordinates(times), images(times), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(images(np.zeros(1))[0], beta, rtol=0, atol=1e-14)
 
 
 def test_trajectory_initial_point():
@@ -811,9 +816,10 @@ def _near_exceptional_drift(g):
 
 
 def _image_path_cases(rng):
-    """(state, drift, times) cases whose drift has k = 2 <= sqrt(n) eigenvalue clusters: shorthand
-    networks n = 4 to 8 in each reservoir kind (a profile at omega_+ and a detuned one), each with a
-    random state of 1 to 6 terms and an rs state with eta != 0; a well-separated cat; and block drifts."""
+    """(state, drift, times) cases whose drift is factorised in real arithmetic with k = 2 <= sqrt(n)
+    eigenvalue clusters: shorthand networks n = 4 to 8 in each reservoir kind (a profile at omega_+ and
+    a detuned one), each with a random state of 1 to 6 terms and an rs state with eta != 0, and a
+    well-separated cat."""
     for n in range(4, 9):
         omega, lam = 10.0, float(rng.uniform(0.2, 1.0))
         net = degenerate_network(n, omega, lam)
@@ -843,49 +849,46 @@ def _image_path_cases(rng):
     cat = make_rs_state(RSFamilySpec(n=4, r=2, s=2, alpha=10.0))
     assert gram_matrix(cat.labels)[0, 1] == 0.0  # <beta_1|beta_2> = exp(-800)
     yield cat, _degenerate_drift(4, 1.0, 0.5), np.linspace(0.0, 2.0, 9)
-    for drift in (*(_block_drift(rng) for _ in range(4)), _near_exceptional_drift(0.26)):
-        terms = int(rng.integers(2, 6))
-        labels = rng.normal(size=(terms, 4)) + 1j * rng.normal(size=(terms, 4))
-        state = make_superposition(rng.normal(size=terms) + 1j * rng.normal(size=terms), labels)
-        yield state, drift, np.linspace(0.0, 4.0, 13)
 
 
 def test_image_path_matches_the_label_path(monkeypatch):
-    # Drifts with k^2 <= n read the blocks' forms from the label images; the same flow with its
-    # images hidden reads them from the labels.  Blocks of 5 times or fewer and single times agree
-    # to 1e-12, and Block.at reads exactly the numbers of its block's row.  A normal drift (every
-    # shorthand case and the cat, factorised in real arithmetic) keeps the k inner-product rows (c, c)
-    # with real rates; the block drifts and the one near the exceptional point keep all k^2.
+    # Real factorisations with k^2 <= n read the blocks' forms from the label images, one real
+    # exponential per cluster for the inner products; the same flow with its images hidden reads them
+    # from the labels.  Blocks of 5 times or fewer and single times agree to 1e-12, and Block.at reads
+    # exactly the numbers of its block's row.
     rng = np.random.default_rng(3030)
-    routes = set()
     for state, drift, times in _image_path_cases(rng):
         terms, n = state.labels.shape
         monkeypatch.setattr(evolve, "_BLOCK_ELEMENTS", 5 * terms * (n + terms))
         basis = evolve._eigenbasis(drift)
-        k, normal = np.unique(basis.group).size, basis.v.dtype == float
-        routes.add(normal)
+        assert basis.v.dtype == float
         flow = label_flow(drift)
         blocks = zip(propagate_with(state, times, flow), propagate_with(state, times, _hidden_images(flow)))
         for block, reference in blocks:
             assert block._images is not None and reference._images is None
-            images = block._images
-            assert len(images.rows) == images.norm_weights.shape[0] == (k if normal else k * k)
-            assert (images.row_rates.dtype == float) is normal and block._exps.shape[1] == len(images.rows)
+            assert block._exps.dtype == float and block._exps.shape[1] == np.unique(basis.group).size
             for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
                 got, want = getattr(block, name), getattr(reference, name)
                 _assert_close(got.reshape(got.shape[0], -1), want.reshape(want.shape[0], -1))
                 for i in range(block.times.size):
                     np.testing.assert_array_equal(getattr(block.at(i), name)[0], got[i], err_msg=name)
-    assert routes == {True, False}
-    # A generic network (k = n), the Taylor fallback at the exceptional point, a drift 1e-8 from it
-    # (cond(V) 7e3: images that cancel, on which the image path's purity left [0, 1]) and the n = 2 shorthand
+    # The label path: a generic network (k = n), block drifts (k = 2 with oblique cluster projectors)
+    # and drifts next to the exceptional point (complex factorisations), the Taylor fallback at it, and
+    # the n = 2 shorthand.  The labels match scipy's expm, to 1e-12 but 1e-8 from the exceptional point,
+    # where cond(V) is 7e3 (2.9e-12 there), and the purity stays finite.
     exceptional = _near_exceptional_drift(0.25)
     assert evolve._eigenbasis(exceptional) is None
-    near = _near_exceptional_drift(0.25 + 1e-8)
-    for n, drift in ((4, _random_drift(rng, 4)), (4, exceptional), (4, near), (2, _degenerate_drift(2))):
+    drifts = [(_random_drift(rng, 4), 1e-12), *((_block_drift(rng), 1e-12) for _ in range(4))]
+    drifts += [(exceptional, 1e-12), (_near_exceptional_drift(0.25 + 1e-8), 1e-11)]
+    drifts += [(_near_exceptional_drift(0.26), 1e-12), (_degenerate_drift(2), 1e-12)]
+    times = np.linspace(0.0, 4.0, 13)
+    for drift, atol in drifts:
+        n = drift.shape[0]
         state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
         blocks = list(propagate_with(state, times, label_flow(drift)))
         assert all(block._images is None for block in blocks)
+        want = np.array([state.labels @ scipy.linalg.expm(t * drift).T for t in times])
+        np.testing.assert_allclose(collect(blocks).labels, want, rtol=0, atol=atol)
         assert np.all(np.isfinite(collect(blocks).purity))
 
 
@@ -897,8 +900,8 @@ def test_block_size_does_not_change_the_trajectory(monkeypatch):
     state = make_superposition(weights, labels)
     times = np.linspace(0.0, 3.0, 50)
     per_point = terms * (n + terms)
-    # a generic drift (k = n = 4) reads the forms from the labels, a block drift (k = 2) from the images
-    for drift, images in ((_random_drift(rng, n), False), (_block_drift(rng), True)):
+    # a generic drift (k = n = 4) reads the forms from the labels, the shorthand (k = 2, real) from the images
+    for drift, images in ((_random_drift(rng, n), False), (_degenerate_drift(n), True)):
         flow = label_flow(drift)
         runs = {}
         # one-point blocks, 7-point blocks (the last one holds 1), one block for the whole grid
