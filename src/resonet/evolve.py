@@ -161,7 +161,8 @@ class _Eigenbasis(NamedTuple):
 def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
     """Eigenvalues lam, eigenvectors V, V^-1 and cluster labels of d, or None if V is unusable.
 
-    d = -i W - Gamma / 2 is first factorised in W's eigenbasis Q (eigh), in real arithmetic: on each
+    d = -i W - Gamma / 2 is first factorised in W's eigenbasis Q, in real arithmetic (eigh of W less
+    its mean frequency tr W / n, whose rounding does not grow with the frequencies): on each
     cluster of W's frequencies w (network.clusters) it is -i w I - Gamma'/2 with Gamma' = Q^T Gamma Q,
     diagonalised by a real eigh, so V is real and orthogonal and V^-1 = V^T.  That drops Gamma''s
     entries between W's clusters, which vanish when Gamma commutes with W, as for every reservoir of
@@ -181,7 +182,9 @@ def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
     slack = rounding_slack(g)
     v = None
     if np.abs(w - w.T).max() <= slack and np.abs(g - g.T).max() <= slack:
-        freq, q = np.linalg.eigh(w)
+        mean = np.trace(w) / n
+        freq, q = np.linalg.eigh(w - mean * np.eye(n))
+        freq += mean
         gp = q.T @ (0.5 * (g + g.T)) @ q
         wc = clusters(freq)
         gap = np.abs(np.subtract.outer(freq, freq))
@@ -225,19 +228,18 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     D = V diag(lam) V^-1 is factorised once in the eigenbasis of W (see _eigenbasis): on the paper's
     networks, where Gamma commutes with W, in real arithmetic with V^-1 = V^T.  Its k eigenvalue
     clusters c give Sylvester's form exp(t D) = sum_c exp(lam_c t) P_c with P_c = V[:, c] V^-1[c, :].
-    Only here is it decided whether the labels are split into images, the route the blocks read
-    their forms from (see _Images).  flow(beta) splits labels beta (terms, n) into their images
-    B_c = beta P_c^T when all three hold: V is real, so the P_c are orthogonal projectors; k^2 <= n
-    (the shorthand network has k = 2 in every reservoir kind); and the images with their weights
-    (_image_bytes) fit the byte budget next to a grid time's pair arrays.  It then returns a
-    _Sylvester, the map from a 1-D array of T times to the (T, terms, n) labels
-    sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm, k terms n work per time.
-    Otherwise (a complex V, a generic network with k = n, images over the budget) flow(beta) forms
-    the eigen-coordinates M = beta V^-T once (= beta V on a real factorisation) and returns
-    t -> (M * exp(lam t)) V^T, the same k terms n work per time in terms n memory.  When the
-    eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor expm of the stack
-    t D.  A factorisation that fails, as for a drift near the float range, raises NumericalError
-    instead of warning; one that is not finite gives non-finite labels, which propagate_with rejects.
+    Only here is it decided whether labels beta (terms, n) are split into images B_c = beta P_c^T,
+    which the blocks then read their forms from (see _Images): when V is real (the P_c are
+    orthogonal projectors), k^2 <= n (the shorthand network has k = 2 in every reservoir kind) and
+    the images with their weights (_image_bytes) fit the byte budget next to a grid time's pair
+    arrays.  flow(beta) then returns a _Sylvester, the map from a 1-D array of T times to the
+    (T, terms, n) labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm per block.
+    Otherwise it forms the eigen-coordinates M = beta V^-T once (= beta V on a real factorisation)
+    and returns t -> (M * exp(lam t)) V^T, the same k terms n work per time in terms n memory.
+    When the eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor expm of the
+    stack t D.  A factorisation that fails, as for a drift near the float range, raises
+    NumericalError instead of warning; one that is not finite gives non-finite labels, which
+    propagate_with rejects.
     """
     d = np.asarray(drift)
     with np.errstate(all="ignore"):

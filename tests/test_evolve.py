@@ -232,12 +232,16 @@ def _commuting_drift(rng, n, link=0.0, gap=1.0):
     return drift_matrix(net, DecayMatrix(gamma))
 
 
-def _assert_matches_expm(drift, rng, t_max=3.0):
+def _assert_matches_expm(drift, rng, t_max=3.0, atol=1e-12):
+    """The labels of 3 random terms match scipy's expm on 11 times to t_max, where exp(t D) is taken as
+    exp(t m) expm(t (D - m I)) with m = tr D / n, so that the reference's own rounding stays below atol
+    at large frequencies too (expm of t D alone is off by 3.4e-12 at omega t = 3,000)."""
     n = drift.shape[0]
     beta = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     times = np.linspace(0.0, t_max, 11)
-    want = np.array([beta @ scipy.linalg.expm(t * drift).T for t in times])
-    np.testing.assert_allclose(label_flow(drift)(beta)(times), want, rtol=0, atol=1e-12)
+    m = np.trace(drift) / n
+    want = np.array([np.exp(t * m) * (beta @ scipy.linalg.expm(t * (drift - m * np.eye(n))).T) for t in times])
+    np.testing.assert_allclose(label_flow(drift)(beta)(times), want, rtol=0, atol=atol)
 
 
 def test_commuting_drifts_are_factorised_in_real_arithmetic():
@@ -261,6 +265,18 @@ def test_commuting_drifts_are_factorised_in_real_arithmetic():
         np.testing.assert_allclose(basis.v.T @ basis.v, np.eye(drift.shape[0]), rtol=0, atol=1e-13)
         _assert_matches_expm(drift, rng)
         _assert_matches_expm(drift, rng, t_max=30.0)
+    # The shorthand at omega = 1,000 and 10^4: W's eigenbasis is taken from W - (tr W / n) I, whose
+    # rounding does not grow with omega, so the real route holds, within 1e-15 omega t_max of expm.
+    for omega in (1e3, 1e4):
+        for n in (3, 5, 6, 8, 16):
+            net = degenerate_network(n, omega, 0.5)
+            for reservoir in (
+                ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=1.0, epsilon=0.5),
+                ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.3),
+            ):
+                drift = drift_matrix(net, build_decay_matrix(reservoir, net))
+                assert evolve._eigenbasis(drift).v.dtype == float
+                _assert_matches_expm(drift, rng, atol=1e-15 * omega * 3.0)
     # W clusters 1e-3 apart: eigh's subspaces are good to about 1e-15 / 1e-3, so Gamma' holds rounding
     # up to about 1e-12 between them, which the real route cannot drop without moving the labels by
     # up to 1e-12 / 1e-3 over long times (5e-12 at t = 30 when entries below DecayMatrix.slack were
