@@ -474,17 +474,13 @@ class _Images:
         q = np.transpose(x, (2, 0, 1)) @ np.transpose(self.images, (2, 1, 0))
         return np.transpose(q, (1, 2, 0)).reshape(k * k, n)
 
-    @cached_property
-    def _all_rates(self) -> np.ndarray:
-        return np.add.outer(self.rates.conj(), self.rates).ravel()
-
     def exps(self, times: np.ndarray) -> np.ndarray:
         """The (T, k) real rows exp(2 Re rates_c t) of the inner products."""
         return np.exp(np.multiply.outer(times, 2.0 * self.rates.real))
 
     def all_exps(self, times: np.ndarray) -> np.ndarray:
         """The (T, k^2) complex rows exp((conj(rates_c) + rates_d) t) the occupations read."""
-        return np.exp(np.multiply.outer(times, self._all_rates))
+        return np.exp(np.multiply.outer(times, np.add.outer(self.rates.conj(), self.rates).ravel()))
 
     def norms(self, exps: np.ndarray) -> np.ndarray:
         """|zeta_r|^2 (T, terms)."""
