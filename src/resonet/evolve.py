@@ -21,9 +21,11 @@ forms in the labels, never from a truncated Fock expansion, on one of two
 paths, which label_flow alone chooses, once per stream.  When it split the
 labels into orthogonal images on k eigenvalue clusters (a real factorisation
 with k^2 <= n whose weights fit the byte budget; the shorthand network has
-k = 2 in every reservoir kind), each form is a sum of exponentials with
-constant weights formed once per stream: the inner products read k real
-exponentials per time instead of n products, the occupations k^2.  Otherwise
+k = 2 in every reservoir kind), flow(beta) returns those images as one
+object, _Images, and each form is a sum of exponentials with constant weights
+formed once per stream (the inner products' weights from one Gram per
+cluster): the inner products read k real exponentials per time instead of n
+products, the occupations k^2.  Otherwise
 (generic networks with k = n, n = 2 with k = 2, a complex factorisation, the
 Taylor fallback, other flows) the forms are gemms of the labels themselves.  The
 occupations on the image path read the constant pair matrix
@@ -232,8 +234,8 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
     which the blocks then read their forms from (see _Images): when V is real (the P_c are
     orthogonal projectors), k^2 <= n (the shorthand network has k = 2 in every reservoir kind) and
     the images with their weights (_image_bytes) fit the byte budget next to a grid time's pair
-    arrays.  flow(beta) then returns a _Sylvester, the map from a 1-D array of T times to the
-    (T, terms, n) labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm per block.
+    arrays.  flow(beta) then returns the images as one object, an _Images, which maps a 1-D array of
+    T times to the (T, terms, n) labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm.
     Otherwise it forms the eigen-coordinates M = beta V^-T once (= beta V on a real factorisation)
     and returns t -> (M * exp(lam t)) V^T, the same k terms n work per time in terms n memory.
     When the eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor expm of the
@@ -280,27 +282,9 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
         images = np.empty((k, terms, n), dtype=complex)
         for image, m in zip(images, members):
             np.matmul(modes[:, m], v[:, m].T, out=image)
-        return _Sylvester(lam[heads], images)
+        return _Images(lam[heads], images)
 
     return flow
-
-
-class _Sylvester(NamedTuple):
-    """What label_flow's flow(beta) returns when it splits the labels into images.
-
-    images B_c (k, terms, n) are the labels' orthogonal projections on the
-    drift's eigenvalue clusters and rates (k) the clusters' eigenvalues;
-    called with a 1-D array of T times it gives the (T, terms, n) labels
-    sum_c exp(rates_c t) B_c.
-    """
-
-    rates: np.ndarray
-    images: np.ndarray
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        k, terms, n = self.images.shape
-        exps = np.exp(np.multiply.outer(np.asarray(t, dtype=float), self.rates))
-        return (exps @ self.images.reshape(k, -1)).reshape(-1, terms, n)
 
 
 class _Pairs(NamedTuple):
@@ -403,65 +387,70 @@ def _gemm(exps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _image_bytes(k: int, terms: int, n: int) -> int:
-    """Bytes a stream on the image path holds on k clusters: the images, the _Images weights and the temporary.
+    """Bytes a stream on the image path needs on k clusters: its images and the peak of forming their weights.
 
-    The images (k x terms n), k rows of norm and pair weights (terms + P), k^2
-    rows of occupation weights (n) and k rows of initial weights (terms^2),
-    with the one terms x terms temporary that forms the pair weights, 16 bytes each.
+    16 bytes each: the images, one conj(B) temporary and x = m0 conj(B) (k x terms n
+    each; the Gram's conj(B) and the occupations' are never alive together), the Gram
+    (k x terms^2), the norm and pair rows (k x (terms + P)), m0's row with its
+    exponentials (3P + 1) and its matrix (terms^2), and the (n, k, k) product of the
+    occupation weights with its transposed copy.
     """
-    return 16 * (k * (terms * n + terms + terms * (terms - 1) // 2) + k * k * n + (k + 1) * terms * terms)
+    pairs = terms * (terms - 1) // 2
+    return 16 * (k * terms * (3 * n + terms + 1) + (k + 3) * pairs + 1 + terms * terms + 2 * k * k * n)
 
 
 @dataclass(frozen=True, eq=False)
 class _Images:
     """A stream's labels as images B_c (k, terms, n) on k eigenvalue clusters with eigenvalues rates (k).
 
-    zeta_r(t) = sum_c exp(rates_c t) B_c[r] (see label_flow), so the labels
-    and each bilinear form a block reads from them are sums of exponentials
-    with constant weights, and each read is one exponential row times one
-    gemm (see _gemm).  The B_c are orthogonal projections, so the inner
-    products conj(zeta_s) . zeta_r = sum_c exp(2 Re rates_c t) conj(B_c[s]) . B_c[r]
-    read one real exponential per cluster (exps).  From these:
-    - norms: |zeta_r|^2 (weights |B_c[r]|^2, k x terms, formed on the first
-      read, since every block's label guard reads them);
-    - pair_cross: conj(zeta_s) . zeta_r on the pairs r < s (weights k x P).
+    What flow(beta) returns when label_flow splits the labels: called with a
+    1-D array of T times it gives the (T, terms, n) labels
+    zeta_r(t) = sum_c exp(rates_c t) B_c[r], one exponential row times one
+    gemm (see _gemm).  With the stream's pair data attached (see _images),
+    each bilinear form a block reads is such a sum with constant weights too.
+    The B_c are orthogonal projections, so B_c[s] . conj(B_d[r]) = 0 for
+    c != d, and one Gram per cluster, H_c[s, r] = B_c[s] . conj(B_c[r])
+    (k x terms^2), gives the weights of every inner product:
+    - norms: |zeta_r|^2, H's real diagonal, with the real rows
+      exp(2 Re rates_c t) (exps; formed on the first read, since every
+      block's label guard reads them);
+    - pair_cross: conj(zeta_s) . zeta_r on the pairs r < s, conj(H) there, with exps;
+    - initial_cross: zeta_s . conj(beta_r), H itself (beta_r = sum_d B_d[r]),
+      with the k rows exp(rates_c t).
     The occupations sum per resonator, where the pairs c != d do not vanish,
     so they read all k^2 complex rows exp((conj(rates_c) + rates_d) t)
     (all_exps): Re sum_rs m0_rs zeta_r conj(zeta_s) = Re sum_cd exps_cd Q_cd
     (weights k^2 x n), with the constant pair matrix
     m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not an
     approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
-    so sum_rs (c * G^T)_rs zeta_r conj(zeta_s) needs no coefficient.  The
-    labels (the images are their weights) and initial_cross
-    zeta_s . conj(beta_r) = sum_c exp(rates_c t) B_c[s] . conj(beta_r)
-    (weights k x terms^2) read the k rows exp(rates_c t).
+    so sum_rs (c * G^T)_rs zeta_r conj(zeta_s) needs no coefficient.
     Every set of weights is formed on its first read with plain gemms and
     then kept for the stream; m0 lives only while Q is formed.
     """
 
     rates: np.ndarray
     images: np.ndarray
-    beta: np.ndarray
-    pairs: _Pairs
+    pairs: Optional[_Pairs] = None
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        """The labels zeta (T, terms, n) at a 1-D array of T times."""
+        k, terms, n = self.images.shape
+        exps = np.exp(np.multiply.outer(np.asarray(times, dtype=float), self.rates))
+        return _gemm(exps, self.images.reshape(k, -1)).reshape(-1, terms, n)
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        # H_c[s, r] = B_c[s] . conj(B_c[r]) at s terms + r, (k, terms^2)
+        return (self.images @ np.swapaxes(self.images.conj(), -1, -2)).reshape(len(self.images), -1)
 
     @cached_property
     def _norm_weights(self) -> np.ndarray:
-        return np.einsum("cri,cri->cr", self.images.conj(), self.images).real
+        return np.ascontiguousarray(self._gram[:, :: self.images.shape[1] + 1].real)
 
     @cached_property
     def _pair_weights(self) -> np.ndarray:
-        k, terms, _ = self.images.shape
-        weights = np.empty((k, self.pairs.lower.size), dtype=complex)
-        full = np.empty((terms, terms), dtype=complex)  # the one terms x terms temporary
-        for row, image in zip(weights, self.images):
-            np.matmul(image.conj(), image.T, out=full)  # conj(B_c[s]) . B_c[r] at (s, r)
-            np.take(full, self.pairs.lower, out=row)
-        return weights
-
-    @cached_property
-    def _initial_weights(self) -> np.ndarray:
-        k, _, n = self.images.shape
-        return (self.images.reshape(-1, n) @ self.beta.conj().T).reshape(k, -1)
+        weights = self._gram.take(self.pairs.lower, axis=1)  # a contiguous copy, which _gemm's float view needs
+        return np.conjugate(weights, out=weights)
 
     @cached_property
     def _occupation_weights(self) -> np.ndarray:
@@ -494,20 +483,15 @@ class _Images:
         """The mean occupations (T, n)."""
         return _gemm(all_exps, self._occupation_weights).real
 
-    def labels(self, times: np.ndarray) -> np.ndarray:
-        """zeta (T, terms, n)."""
-        k, terms, n = self.images.shape
-        return _gemm(np.exp(np.multiply.outer(times, self.rates)), self.images.reshape(k, -1)).reshape(-1, terms, n)
-
     def initial_cross(self, times: np.ndarray) -> np.ndarray:
         """zeta_s(t) . conj(beta_r) (T terms, terms) in [t, s] rows."""
         exps = np.exp(np.multiply.outer(times, self.rates))
-        return _gemm(exps, self._initial_weights).reshape(-1, self.images.shape[1])
+        return _gemm(exps, self._gram).reshape(-1, self.images.shape[1])
 
 
-def _images(at: Callable[[np.ndarray], np.ndarray], beta: np.ndarray, pairs: _Pairs) -> Optional[_Images]:
-    """The stream's _Images when label_flow split the labels into images (a _Sylvester), None otherwise."""
-    return _Images(*at, beta, pairs) if isinstance(at, _Sylvester) else None
+def _images(at: Callable[[np.ndarray], np.ndarray], pairs: _Pairs) -> Optional[_Images]:
+    """The flow's _Images with the stream's pair data when label_flow split the labels into images, None otherwise."""
+    return replace(at, pairs=pairs) if isinstance(at, _Images) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,11 +514,13 @@ class Block:
     fidelity's zeta_s . conj(beta_r) and the occupations) come from one of two
     paths, chosen once per stream by label_flow.  On the label path (_images
     None) _zeta holds the flow's labels and each form is a gemm of them,
-    terms^2 n work per time.  On the image path the stream's _Images holds the
-    labels' orthogonal images on k clusters and _exps the block's k real
-    exponential rows of the inner products; each form is one exponential row
-    times constant weights (see _Images), and the labels themselves are
-    formed only when read.  The occupations there take the constant
+    terms^2 n work per time.  On the image path _images is the flow's own
+    _Images with the stream's pair data: it holds the labels' orthogonal
+    images on k clusters, and _exps the block's k real exponential rows of
+    the inner products; each form is one exponential row times constant
+    weights read from one Gram per cluster (see _Images), and the labels
+    themselves are formed only when read, by calling _images.  The
+    occupations there take the constant
     m0_rs = c_rs(t) <zeta_s|zeta_r> = N^2 w_r conj(w_s) <beta_s|beta_r> in
     place of c * G^T, exactly, and read all k^2 complex rows, formed once
     per block when first read.
@@ -563,7 +549,7 @@ class Block:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        return self._zeta if self._images is None else self._images.labels(self.times)
+        return self._zeta if self._images is None else self._images(self.times)
 
     @cached_property
     def _formed(self) -> tuple[np.ndarray, np.ndarray]:
@@ -676,7 +662,7 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
     pairs = _pairs(state, norms)
     with np.errstate(over="ignore", invalid="ignore"):  # an exploding flow overflows; the label guard is the arbiter
         at = flow(beta)
-    images = _images(at, beta, pairs)
+    images = _images(at, pairs)
     zeta = exps = None
     for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]

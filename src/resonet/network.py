@@ -30,11 +30,10 @@ __all__ = [
 # Values closer than this (relative) are linked into one cluster (see clusters).
 _CLUSTER_RTOL = 1e-9
 
-# Bytes a command holds per entry of an n x n network matrix.  Measured with
-# tracemalloc as the slope of the peak traced memory against n^2 of `modes`,
-# `evolve`, `classify` and `sweep` runs on the {n, omega, lambda} shorthand
-# (n = 100 to 400, common white-noise and distinct reservoirs); `sweep`, the
-# largest, holds 176.
+# Bytes a command holds per entry of an n x n network matrix: the slope against n^2 of the peak
+# memory of `modes`, `evolve`, `classify` and `sweep` on the {n, omega, lambda} shorthand (white-noise
+# and distinct reservoirs).  tracemalloc (n = 100 to 400) finds at most 147 (`modes`), but its peak RSS
+# (n = 600 to 1,400) also holds numpy.linalg's untraced LAPACK workspace and reaches 181; 176 stays.
 _NETWORK_ENTRY_BYTES = 176
 
 

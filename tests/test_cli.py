@@ -739,8 +739,16 @@ def test_image_weights_over_the_budget_take_the_label_path(tmp_path, monkeypatch
     # of _TERM_PAIR_BYTES per term pair.  A budget one byte short of both, or the smallest one the
     # terms pass (no room for the images themselves), runs on the labels, exit 0, with the same rows.
     paths = _spy_images(monkeypatch)
-    labels = []  # the image path forms no labels: the CSV reads its columns from the images' weights
-    monkeypatch.setattr(evolve._Images, "labels", lambda images, times: labels.append(times))
+    # The stream's images (those with pair data) form no labels: the CSV reads its columns from their
+    # weights.  The numeric tau_d reads one time of the flow's own images, without pair data.
+    labels, call = [], evolve._Images.__call__
+
+    def spied(images, times):
+        if images.pairs is not None:
+            labels.append(times)
+        return call(images, times)
+
+    monkeypatch.setattr(evolve._Images, "__call__", spied)
     terms_only = evolve._TERM_PAIR_BYTES * 9
     need = terms_only + evolve._image_bytes(2, 3, 4)
     network = {"n": 4, "omega": 10.0, "lambda": 0.5}

@@ -310,7 +310,7 @@ def test_eigen_coordinates_hold_terms_times_n():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not isinstance(at, evolve._Sylvester)
+        assert not isinstance(at, evolve._Images)
         assert peak <= 2 * 16 * terms * n
 
 
@@ -388,9 +388,57 @@ def test_label_images_are_checked_against_the_byte_budget(monkeypatch):
     images = flow(beta)
     monkeypatch.setattr(evolve, "_BYTE_BUDGET", need - 1)
     coordinates = flow(beta)
-    assert isinstance(images, evolve._Sylvester) and not isinstance(coordinates, evolve._Sylvester)
+    assert isinstance(images, evolve._Images) and not isinstance(coordinates, evolve._Images)
     np.testing.assert_allclose(coordinates(times), images(times), rtol=0, atol=1e-14)
     np.testing.assert_allclose(images(np.zeros(1))[0], beta, rtol=0, atol=1e-14)
+
+
+def _real_cluster_shapes():
+    """The cases of _cluster_shapes whose drift is factorised in real arithmetic."""
+    return [shape for shape in _cluster_shapes() if np.isrealobj(evolve._eigenbasis(shape.values[0]).v)]
+
+
+@pytest.mark.parametrize("drift, k", _real_cluster_shapes())
+def test_image_weights_are_read_from_one_gram_per_cluster(drift, k):
+    # Norm, pair and fidelity weights all come from H_c[s, r] = B_c[s] . conj(B_c[r]).  They match their
+    # own formulas: |B_c[r]|^2, conj(B_c[s]) . B_c[r] at the pairs r < s, and B_c[s] . conj(beta_r),
+    # which is H_c[s, r] because B_c[s] . conj(B_d[r]) = 0 for c != d.
+    n = drift.shape[0]
+    lam, v, _, group = evolve._eigenbasis(drift)
+    rng = np.random.default_rng(33 * n + k)
+    state = make_superposition(rng.normal(size=4) + 0j, 0.6 * (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))))
+    beta = np.asarray(state.labels)
+    heads = np.flatnonzero(group == np.arange(n))
+    assert heads.size == k
+    images = np.stack([beta @ v[:, group == h] @ v[:, group == h].T for h in heads])  # B_c = beta P_c^T
+    pairs = evolve._pairs(state, np.sum(np.abs(beta) ** 2, axis=1))
+    made = evolve._Images(lam[heads], images, pairs)
+    np.testing.assert_allclose(made._norm_weights, np.einsum("cri,cri->cr", images.conj(), images).real, rtol=0, atol=1e-14)
+    cross = (images.conj() @ np.swapaxes(images, -1, -2)).reshape(k, -1)  # conj(B_c[s]) . B_c[r] at (s, r)
+    np.testing.assert_allclose(made._pair_weights, cross[:, pairs.lower], rtol=0, atol=1e-14)
+    initial = (images.reshape(-1, n) @ beta.conj().T).reshape(k, -1)
+    np.testing.assert_allclose(made._gram, initial, rtol=0, atol=1e-14)
+
+
+def test_image_bytes_bound_the_peak_of_forming_the_weights():
+    # flow(beta) forms the images; the stream then forms every weight from them.  The images and the
+    # traced peak of forming those weights (the Gram and its conj(B) temporary, the pair and norm rows,
+    # and the occupations' m0, conj(B), x = m0 conj(B) and (n, k, k) product) fit in _image_bytes.
+    for n, terms in ((8, 300), (50, 32), (400, 8)):
+        rng = np.random.default_rng(n)
+        labels = 0.3 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+        state = make_superposition(rng.normal(size=terms) + 0j, labels)
+        at = label_flow(_degenerate_drift(n))(state.labels)
+        pairs = evolve._pairs(state, np.sum(np.abs(state.labels) ** 2, axis=1))
+        tracemalloc.start()
+        try:
+            images = evolve._images(at, pairs)
+            images._norm_weights, images._pair_weights, images._occupation_weights, images._gram
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(images, evolve._Images)
+        assert at.images.nbytes + peak <= evolve._image_bytes(2, terms, n), (n, terms)
 
 
 def test_trajectory_initial_point():
@@ -593,10 +641,11 @@ def test_observables_are_computed_only_when_read(monkeypatch):
         formed.clear()
         for last in propagate_with(state, times, flow):
             pass
-        # draining the stream forms no coefficients, no observables and none of the images' weights
+        # draining the stream forms no coefficients, no observables and of the images' weights only the
+        # label guard's norms, with the Gram they are read from
         assert calls == [] and formed == []
         assert (last._images is None) is (n == 2)
-        assert n == 2 or not {"_pair_weights", "_initial_weights", "_occupation_weights"} & vars(last._images).keys()
+        assert n == 2 or not {"_pair_weights", "_occupation_weights"} & vars(last._images).keys()
         final = observables(last, -1)
         # the final record forms coefficients for its one time only
         assert len(calls) == 1 and formed == [(1, 2, n)]

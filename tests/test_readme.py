@@ -95,12 +95,11 @@ def test_readme_budget_numbers_match_the_code():
     assert f"has k = {k} clusters" in text and "in all three reservoir kinds" in text
     assert all(basis.v.dtype == float for basis in bases) and "V is real and orthogonal, V^-1 = V^T" in text
     assert "The images hold 16 k terms n bytes" in text
-    # the memory paragraph's image bytes: per pair of terms (the second difference in terms, less the
-    # 16-byte temporary) and per resonator
+    # the memory paragraph's image bytes: per pair of terms (the second difference in terms) and per resonator
     image_bytes = evolve._image_bytes
-    assert (image_bytes(k, 4, 6) - 2 * image_bytes(k, 3, 6) + image_bytes(k, 2, 6)) // 2 - 16 == 24 * k == 48
-    assert image_bytes(k, 3, 7) - image_bytes(k, 3, 6) == 16 * (3 + k) * k
-    assert "24 k bytes per pair of terms, 48 at k = 2, and 16 (terms + k) k bytes per resonator" in text
+    assert (image_bytes(k, 4, 6) - 2 * image_bytes(k, 3, 6) + image_bytes(k, 2, 6)) // 2 == 24 * k + 40 == 88
+    assert image_bytes(k, 3, 7) - image_bytes(k, 3, 6) == 16 * (3 * 3 + 2 * k) * k
+    assert "24 k + 40 bytes per pair of terms, 88 at k = 2, and 16 (3 terms + 2 k) k bytes per resonator" in text
     # a generic network (k^2 > n) forms eigen-coordinates instead, so no generic size is rejected
     assert "from n = 2,049 on" not in text and "the same k terms n work per time, in terms n memory" in text
     assert f"within {evolve._ROUNDING_UNITS} n 2^-53 |delta|^2" in text
