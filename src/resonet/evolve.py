@@ -18,19 +18,16 @@ other drifts take a complex eig of D.
 
 All observables (occupations, purity, fidelity) are evaluated from bilinear
 forms in the labels, never from a truncated Fock expansion, on one of two
-paths, which label_flow alone chooses, once per stream.  When it split the
-labels into orthogonal images on k eigenvalue clusters (a real factorisation
-with k^2 <= n whose weights fit the byte budget; the shorthand network has
-k = 2 in every reservoir kind), flow(beta) returns those images as one
-object, _Images, and each form is a sum of exponentials with constant weights
-formed once per stream (the inner products' weights from one Gram per
-cluster): the inner products read k real exponentials per time instead of n
-products, the occupations k^2.  Otherwise
-(generic networks with k = n, n = 2 with k = 2, a complex factorisation, the
-Taylor fallback, other flows) the forms are gemms of the labels themselves.  The
-occupations on the image path read the constant pair matrix
-m0 = N^2 w conj(w)^T * G_0^T in place of c * G^T; that is exact, since by the
-coefficient above c_rs(t) <zeta_s|zeta_r> = m0_rs at every t.
+paths, the route label_flow decides once per label set (its docstring states
+the rule).  When flow(beta) returns the labels' orthogonal images on k
+eigenvalue clusters, an _Images, each form reads the block's times and is a
+sum of exponentials with constant weights formed once per stream (the inner
+products' weights from one Gram per cluster): the inner products read k real
+exponentials per time instead of n products, the occupations k^2.  On every
+other route the forms are gemms of the labels themselves.  The occupations on
+the image path read the constant pair matrix m0 = N^2 w conj(w)^T * G_0^T in
+place of c * G^T; that is exact, since by the coefficient above
+c_rs(t) <zeta_s|zeta_r> = m0_rs at every t.
 """
 
 from __future__ import annotations
@@ -224,24 +221,46 @@ def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
     return _Eigenbasis(lam, v, (wh.conj().T / sv) @ u.conj().T, group)
 
 
+def _taylor_labels(d: np.ndarray, beta: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The labels beta exp(t D)^T (T, terms, n) at a 1-D array of T times, by the Taylor expm of t D.
+
+    The (T, n, n) stack t D is taken _blocks(T, n^2) times at a time, so beside the labels it holds
+    a few hundred KiB or one n x n exponential with its temporaries; each slice takes its own
+    squaring count.  A t D whose 1-norm is past the float range gives NaN labels at that time,
+    which propagate_with rejects.
+    """
+    beta, times = np.asarray(beta), np.asarray(times, dtype=float)
+    labels = np.empty((times.size, *beta.shape), dtype=complex)
+    for block in _blocks(times.size, d.size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            td = d * times[block, None, None]
+            finite = np.isfinite(np.sum(np.abs(td), axis=-2)).all(axis=-1)
+        theta = np.full(td.shape, np.nan, dtype=complex)
+        theta[finite] = expm(td[finite])
+        np.matmul(beta, np.swapaxes(theta, -1, -2), out=labels[block])
+    return labels
+
+
 def label_flow(drift: np.ndarray) -> LabelFlow:
     """The linear flow zeta(t) = exp(t D) beta of coherent labels under a drift D (see network.drift_matrix).
 
     D = V diag(lam) V^-1 is factorised once in the eigenbasis of W (see _eigenbasis): on the paper's
     networks, where Gamma commutes with W, in real arithmetic with V^-1 = V^T.  Its k eigenvalue
     clusters c give Sylvester's form exp(t D) = sum_c exp(lam_c t) P_c with P_c = V[:, c] V^-1[c, :].
-    Only here is it decided whether labels beta (terms, n) are split into images B_c = beta P_c^T,
-    which the blocks then read their forms from (see _Images): when V is real (the P_c are
-    orthogonal projectors), k^2 <= n (the shorthand network has k = 2 in every reservoir kind) and
-    the images with their weights (_image_bytes) fit the byte budget next to a grid time's pair
-    arrays.  flow(beta) then returns the images as one object, an _Images, which maps a 1-D array of
-    T times to the (T, terms, n) labels sum_c exp(lam_c t) B_c: one exp of a (T, k) array and one gemm.
-    Otherwise it forms the eigen-coordinates M = beta V^-T once (= beta V on a real factorisation)
-    and returns t -> (M * exp(lam t)) V^T, the same k terms n work per time in terms n memory.
-    When the eigenvectors are unusable the map is t -> beta exp(t D)^T with the Taylor expm of the
-    stack t D.  A factorisation that fails, as for a drift near the float range, raises
-    NumericalError instead of warning; one that is not finite gives non-finite labels, which
-    propagate_with rejects.
+    Each label set beta (terms, n) takes the route this one rule decides, here alone and once:
+    - When the eigenvectors are unusable the flow is the Taylor map t -> beta exp(t D)^T
+      (see _taylor_labels).
+    - Otherwise flow(beta) forms the eigen-coordinates M = beta V^-T once (= beta V on a real
+      factorisation).  When V is real (the P_c are orthogonal projectors), k^2 <= n (the shorthand
+      network has k = 2 in every reservoir kind) and the images with their weights (_image_bytes)
+      fit the byte budget next to a grid time's pair arrays, M is split into the images
+      B_c = beta P_c^T = M[:, c] V[:, c]^T, returned as one _Images: it maps a 1-D array of T times
+      to the (T, terms, n) labels sum_c exp(lam_c t) B_c, one exp of a (T, k) array and one gemm,
+      and each bilinear form a block reads from it takes the block's times.
+    - Any other label set gets t -> (M * exp(lam t)) V^T, the same k terms n work per time in
+      terms n memory, and its blocks read their forms from the labels.
+    A factorisation that fails, as for a drift near the float range, raises NumericalError instead
+    of warning; one that is not finite gives non-finite labels, which propagate_with rejects.
     """
     d = np.asarray(drift)
     with np.errstate(all="ignore"):
@@ -250,39 +269,20 @@ def label_flow(drift: np.ndarray) -> LabelFlow:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"the drift matrix cannot be factorised: {exc}") from None
     if basis is None:
-
-        def transposed_expm(t: np.ndarray) -> np.ndarray:
-            # A t D whose 1-norm is past the float range gives NaN labels at that time,
-            # which propagate_with rejects.
-            with np.errstate(over="ignore", invalid="ignore"):
-                td = d * np.asarray(t, dtype=float)[:, None, None]
-                finite = np.isfinite(np.sum(np.abs(td), axis=-2)).all(axis=-1)
-            theta = np.full(td.shape, np.nan, dtype=complex)
-            theta[finite] = expm(td[finite])
-            return np.swapaxes(theta, -1, -2)
-
-        return lambda beta: lambda t: np.asarray(beta) @ transposed_expm(t)
+        return lambda beta: lambda t: _taylor_labels(d, beta, t)
     lam, v, v_inv, group = basis
-
-    def coordinates(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        m = np.asarray(beta) @ v_inv.T
-        return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m) @ v.T
-
     heads = np.flatnonzero(group == np.arange(group.size))
     k = heads.size
-    if k * k > d.shape[0] or not np.isrealobj(v):
-        return coordinates
-    members = [np.flatnonzero(group == h) for h in heads]
 
     def flow(beta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         terms, n = np.shape(beta)
-        if _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) > _BYTE_BUDGET:
-            return coordinates(beta)
-        modes = beta @ v_inv.T
-        images = np.empty((k, terms, n), dtype=complex)
-        for image, m in zip(images, members):
-            np.matmul(modes[:, m], v[:, m].T, out=image)
-        return _Images(lam[heads], images)
+        m = np.asarray(beta) @ v_inv.T
+        if np.isrealobj(v) and k * k <= n and _TERM_PAIR_BYTES * terms * terms + _image_bytes(k, terms, n) <= _BYTE_BUDGET:
+            images = np.empty((k, terms, n), dtype=complex)
+            for image, h in zip(images, heads):
+                np.matmul(m[:, group == h], v[:, group == h].T, out=image)
+            return _Images(lam[heads], images)
+        return lambda t: (np.exp(np.multiply.outer(np.asarray(t, dtype=float), lam))[:, None, :] * m) @ v.T
 
     return flow
 
@@ -336,7 +336,7 @@ def _log_pair_overlaps(block: Block) -> np.ndarray:
         zeta = block.labels
         logs = (zeta.conj() @ np.swapaxes(zeta, -1, -2)).reshape(zeta.shape[0], -1).take(pairs.lower, axis=1)
     else:
-        logs = block._images.pair_cross(block._exps)
+        logs = block._images.pair_cross(block.times)
     logs -= half.take(pairs.s, axis=1)
     logs -= half.take(pairs.r, axis=1)
     return logs
@@ -393,7 +393,10 @@ def _image_bytes(k: int, terms: int, n: int) -> int:
     each; the Gram's conj(B) and the occupations' are never alive together), the Gram
     (k x terms^2), the norm and pair rows (k x (terms + P)), m0's row with its
     exponentials (3P + 1) and its matrix (terms^2), and the (n, k, k) product of the
-    occupation weights with its transposed copy.
+    occupation weights with its transposed copy.  flow(beta)'s own n^2 temporaries (the
+    real V cast to complex for M = beta V^-T and the clusters' column copies: 24 to 25
+    bytes per entry with tracemalloc at n = 200 to 800) are network memory, counted in
+    network._NETWORK_ENTRY_BYTES, not here.
     """
     pairs = terms * (terms - 1) // 2
     return 16 * (k * terms * (3 * n + terms + 1) + (k + 3) * pairs + 1 + terms * terms + 2 * k * k * n)
@@ -403,23 +406,26 @@ def _image_bytes(k: int, terms: int, n: int) -> int:
 class _Images:
     """A stream's labels as images B_c (k, terms, n) on k eigenvalue clusters with eigenvalues rates (k).
 
-    What flow(beta) returns when label_flow splits the labels: called with a
-    1-D array of T times it gives the (T, terms, n) labels
-    zeta_r(t) = sum_c exp(rates_c t) B_c[r], one exponential row times one
-    gemm (see _gemm).  With the stream's pair data attached (see _images),
-    each bilinear form a block reads is such a sum with constant weights too.
+    What flow(beta) returns when label_flow's rule splits the labels (see
+    label_flow): called with a 1-D array of T times it gives the (T,
+    terms, n) labels zeta_r(t) = sum_c exp(rates_c t) B_c[r], one
+    exponential row times one gemm (see _gemm).  With the stream's pair data
+    attached (see _images), each bilinear form a block reads is such a sum
+    with constant weights too; each takes the block's times, as the call
+    does, and forms its exponential rows inside.
     The B_c are orthogonal projections, so B_c[s] . conj(B_d[r]) = 0 for
     c != d, and one Gram per cluster, H_c[s, r] = B_c[s] . conj(B_c[r])
     (k x terms^2), gives the weights of every inner product:
     - norms: |zeta_r|^2, H's real diagonal, with the real rows
-      exp(2 Re rates_c t) (exps; formed on the first read, since every
-      block's label guard reads them);
-    - pair_cross: conj(zeta_s) . zeta_r on the pairs r < s, conj(H) there, with exps;
+      exp(2 Re rates_c t) (formed on the first read, since every block's
+      label guard reads them);
+    - pair_cross: conj(zeta_s) . zeta_r on the pairs r < s, conj(H) there,
+      with the same real rows;
     - initial_cross: zeta_s . conj(beta_r), H itself (beta_r = sum_d B_d[r]),
       with the k rows exp(rates_c t).
     The occupations sum per resonator, where the pairs c != d do not vanish,
-    so they read all k^2 complex rows exp((conj(rates_c) + rates_d) t)
-    (all_exps): Re sum_rs m0_rs zeta_r conj(zeta_s) = Re sum_cd exps_cd Q_cd
+    so they read all k^2 complex rows e_cd = exp((conj(rates_c) + rates_d) t):
+    Re sum_rs m0_rs zeta_r conj(zeta_s) = Re sum_cd e_cd Q_cd
     (weights k^2 x n), with the constant pair matrix
     m0_rs = N^2 w_r conj(w_s) <beta_s|beta_r>.  This is exact, not an
     approximation: c_rs(t) <zeta_s|zeta_r> = m0_rs at every t (see Block),
@@ -463,25 +469,18 @@ class _Images:
         q = np.transpose(x, (2, 0, 1)) @ np.transpose(self.images, (2, 1, 0))
         return np.transpose(q, (1, 2, 0)).reshape(k * k, n)
 
-    def exps(self, times: np.ndarray) -> np.ndarray:
-        """The (T, k) real rows exp(2 Re rates_c t) of the inner products."""
-        return np.exp(np.multiply.outer(times, 2.0 * self.rates.real))
+    def norms(self, times: np.ndarray) -> np.ndarray:
+        """|zeta_r|^2 (T, terms) at a 1-D array of T times."""
+        return np.exp(np.multiply.outer(times, 2.0 * self.rates.real)) @ self._norm_weights
 
-    def all_exps(self, times: np.ndarray) -> np.ndarray:
-        """The (T, k^2) complex rows exp((conj(rates_c) + rates_d) t) the occupations read."""
-        return np.exp(np.multiply.outer(times, np.add.outer(self.rates.conj(), self.rates).ravel()))
-
-    def norms(self, exps: np.ndarray) -> np.ndarray:
-        """|zeta_r|^2 (T, terms)."""
-        return exps @ self._norm_weights
-
-    def pair_cross(self, exps: np.ndarray) -> np.ndarray:
+    def pair_cross(self, times: np.ndarray) -> np.ndarray:
         """conj(zeta_s) . zeta_r (T, P) at the pairs r < s."""
-        return _gemm(exps, self._pair_weights)
+        return _gemm(np.exp(np.multiply.outer(times, 2.0 * self.rates.real)), self._pair_weights)
 
-    def occupations(self, all_exps: np.ndarray) -> np.ndarray:
+    def occupations(self, times: np.ndarray) -> np.ndarray:
         """The mean occupations (T, n)."""
-        return _gemm(all_exps, self._occupation_weights).real
+        exps = np.exp(np.multiply.outer(times, np.add.outer(self.rates.conj(), self.rates).ravel()))
+        return _gemm(exps, self._occupation_weights).real
 
     def initial_cross(self, times: np.ndarray) -> np.ndarray:
         """zeta_s(t) . conj(beta_r) (T terms, terms) in [t, s] rows."""
@@ -512,22 +511,19 @@ class Block:
 
     The bilinear forms in the labels (the pairs' cross products, the
     fidelity's zeta_s . conj(beta_r) and the occupations) come from one of two
-    paths, chosen once per stream by label_flow.  On the label path (_images
-    None) _zeta holds the flow's labels and each form is a gemm of them,
-    terms^2 n work per time.  On the image path _images is the flow's own
-    _Images with the stream's pair data: it holds the labels' orthogonal
-    images on k clusters, and _exps the block's k real exponential rows of
-    the inner products; each form is one exponential row times constant
-    weights read from one Gram per cluster (see _Images), and the labels
-    themselves are formed only when read, by calling _images.  The
-    occupations there take the constant
-    m0_rs = c_rs(t) <zeta_s|zeta_r> = N^2 w_r conj(w_s) <beta_s|beta_r> in
-    place of c * G^T, exactly, and read all k^2 complex rows, formed once
-    per block when first read.
-    Block.at evaluates the forms of its one time through gemm (see _gemm)
-    from its block's exponential rows (the occupations' rows, elementwise
-    exps, it forms for its one time), so its numbers are bitwise those of
-    its block's row.
+    paths, the route label_flow decided for the stream (see label_flow).  On
+    the label path (_images None) _zeta holds the flow's labels and each form
+    is a gemm of them, terms^2 n work per time.  On the image path _images is
+    the flow's own _Images with the stream's pair data: each form reads the
+    block's times and is one exponential row times constant weights read
+    from one Gram per cluster (see _Images), and the labels themselves are
+    formed only when read, by calling _images.  The occupations there take
+    the constant m0_rs = c_rs(t) <zeta_s|zeta_r> = N^2 w_r conj(w_s)
+    <beta_s|beta_r> in place of c * G^T, exactly.
+    Block.at slices the times, labels and norms; its forms are evaluated for
+    its one time through gemm (see _gemm) from the same elementwise
+    exponentials of the same time, so its numbers are bitwise those of its
+    block's row.
     Forming the coefficients checks the trace, the sum of c * G^T, and
     raises NumericalError at the first time it leaves 1 by more than 1e-6;
     as that sum equals N^2 w conj(w)^T * G_0^T up to rounding whatever the
@@ -545,7 +541,6 @@ class Block:
     _pairs: _Pairs = field(repr=False)
     _state: SuperpositionState = field(repr=False)
     _images: Optional[_Images] = field(repr=False)
-    _exps: Optional[np.ndarray] = field(repr=False)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -580,7 +575,7 @@ class Block:
             zeta = self.labels
             occ = (zeta * ((coeff * gt_t) @ zeta.conj())).sum(axis=-2).real
         else:
-            occ = self._images.occupations(self._all_exps)
+            occ = self._images.occupations(self.times)
         low = occ.min(axis=-1)
         ok = low >= -_BOUND_SLACK * np.maximum(1.0, occ.sum(axis=-1))
         _require(ok, self.times, lambda i: f"occupation {low[i]:.3e} is negative")
@@ -605,11 +600,6 @@ class Block:
         _require(ok, self.times, lambda i: f"fidelity {fidelity[i]:.9g} leaves [0, 1]")
         return fidelity
 
-    @cached_property
-    def _all_exps(self) -> np.ndarray:
-        """The k^2 exponential rows the image path's occupations read (see _Images), formed on first read."""
-        return self._images.all_exps(self.times)
-
     @property
     def total_occupation(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
@@ -618,8 +608,8 @@ class Block:
         """The one-time Block at times[index]: views of this block's arrays, nothing computed carried over."""
         i = range(self.times.size)[index]
         one = slice(i, i + 1)
-        zeta, exps = (None if a is None else a[one] for a in (self._zeta, self._exps))
-        return replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one], _exps=exps)
+        zeta = None if self._zeta is None else self._zeta[one]
+        return replace(self, times=self.times[one], _zeta=zeta, _norms=self._norms[one])
 
 
 def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterator[Block]:
@@ -630,9 +620,10 @@ def propagate_with(state: SuperpositionState, times, flow: LabelFlow) -> Iterato
     max(1, _BLOCK_ELEMENTS // (terms * (n + terms))) consecutive times: the
     flow is called once with the state's labels, and what it returns once per
     block with a 1-D array of T times, giving the (T, terms, n) stack of evolved
-    labels, which are checked and yielded as a Block.  When the flow split the
-    labels into images (see label_flow and Block), the block's norms come
-    from the images instead and its labels are formed only when read.  Its pair coefficients and
+    labels, which are checked and yielded as a Block.  When the flow's route
+    split the labels into images (see label_flow), the stream hands each
+    block only its norms, read from the images at the block's times, and its
+    labels are formed only when read.  Its pair coefficients and
     observables are formed only when read (see Block): `evolve`'s CSV and
     `oracle-compare` read every block's coefficients, `sweep` those of its
     final time.  Only the block being worked on is held, so memory does not
@@ -663,7 +654,7 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
     with np.errstate(over="ignore", invalid="ignore"):  # an exploding flow overflows; the label guard is the arbiter
         at = flow(beta)
     images = _images(at, pairs)
-    zeta = exps = None
+    zeta = None
     for block in _blocks(times.size, terms * (n + terms)):
         tb = times[block]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -674,15 +665,14 @@ def _stream(state: SuperpositionState, times: np.ndarray, flow: LabelFlow) -> It
                 z = zeta.view(float)
                 norms = np.einsum("tri,tri->tr", z, z)
             else:
-                exps = images.exps(tb)
-                norms = images.norms(exps)
+                norms = images.norms(tb)
         # NaN fails the comparison too, so this also rejects non-finite labels.
         _require(
             (norms <= bound).all(axis=-1),
             tb,
             lambda i: f"labels are non-finite or outgrew |zeta_r|^2 <= |beta_r|^2 (1 + {_TRACE_ABORT:g})",
         )
-        yield Block(tb, zeta, norms, pairs, state, images, exps)
+        yield Block(tb, zeta, norms, pairs, state, images)
 
 
 def decoherence_time_numeric(

@@ -30,11 +30,13 @@ __all__ = [
 # Values closer than this (relative) are linked into one cluster (see clusters).
 _CLUSTER_RTOL = 1e-9
 
-# Bytes a command holds per entry of an n x n network matrix: the slope against n^2 of the peak
-# memory of `modes`, `evolve`, `classify` and `sweep` on the {n, omega, lambda} shorthand (white-noise
-# and distinct reservoirs).  tracemalloc (n = 100 to 400) finds at most 147 (`modes`), but its peak RSS
-# (n = 600 to 1,400) also holds numpy.linalg's untraced LAPACK workspace and reaches 181; 176 stays.
-_NETWORK_ENTRY_BYTES = 176
+# Bytes a command holds per entry of an n x n network matrix: the largest slope against n^2 of the peak
+# RSS of `modes`, `evolve`, `classify` and `sweep` on the {n, omega, lambda} shorthand (white-noise and
+# distinct reservoirs, fresh interpreters, n = 600, 1,000 and 1,400), rounded up.  `modes` reached
+# 198.7; RSS, unlike tracemalloc, also sees numpy.linalg's LAPACK workspace.  This is network memory,
+# and it includes label_flow's flow(beta) temporaries (the real V cast to complex, the clusters'
+# column copies), which evolve._image_bytes does not count.
+_NETWORK_ENTRY_BYTES = 199
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

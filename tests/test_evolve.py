@@ -33,7 +33,7 @@ from resonet import (
     propagate_with,
     trajectory_to_csv,
 )
-from resonet import artifacts, evolve
+from resonet import artifacts, evolve, network
 from reference import (
     Trajectory,
     collect,
@@ -312,6 +312,44 @@ def test_eigen_coordinates_hold_terms_times_n():
             tracemalloc.stop()
         assert not isinstance(at, evolve._Images)
         assert peak <= 2 * 16 * terms * n
+
+
+def test_taylor_stream_holds_a_few_exponentials():
+    # Decoupled 2 x 2 blocks at the exceptional point take the Taylor fallback.  It takes the stack t D
+    # _blocks(T, n^2) times at a time (one time at these n), so whatever the block of labels it fills,
+    # the stream holds fewer than ten complex n x n arrays.
+    rng = np.random.default_rng(3434)
+    times = np.linspace(0.0, 1.0, 3)
+    for n in (200, 400):
+        drift = _near_exceptional_drift(0.25, blocks=n // 2)
+        assert evolve._eigenbasis(drift) is None
+        flow = label_flow(drift)
+        state = make_superposition(rng.normal(size=2) + 0j, 0.1 * (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+        tracemalloc.start()
+        try:
+            blocks = sum(1 for _ in propagate_with(state, times, flow))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == 1 and peak <= 10 * 16 * n * n, (n, peak / n**2)
+
+
+def test_flow_of_labels_holds_network_bytes():
+    # label_flow and flow(beta) on the white-noise shorthand: the factorisation, M = beta V^-T with the
+    # real V cast to complex and the clusters' column copies are network memory, within
+    # _NETWORK_ENTRY_BYTES per entry of an n x n matrix.
+    n, terms = 400, 8
+    rng = np.random.default_rng(3535)
+    drift = _degenerate_drift(n)
+    beta = 0.3 * (rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n)))
+    tracemalloc.start()
+    try:
+        at = label_flow(drift)(beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(at, evolve._Images)
+    assert peak <= network._NETWORK_ENTRY_BYTES * n * n, peak / n**2
 
 
 def _cluster_shapes():
@@ -629,8 +667,8 @@ def _counting_self_gram(monkeypatch):
 def test_observables_are_computed_only_when_read(monkeypatch):
     calls = _counting_cross_gram(monkeypatch)
     formed = _counting_self_gram(monkeypatch)
-    # n = 2 reads the forms from the labels, n = 4 (k = 2 clusters) from the images
-    for n in (2, 4):
+    # n = 2 and 3 read the forms from the labels (k^2 = 4 > n for the k = 2 clusters), n = 4 from the images
+    for n in (2, 3, 4):
         state = make_rs_state(RSFamilySpec(n=n, r=1, s=1, alpha=0.6))
         times = np.linspace(0.0, 1.0, 20)
         flow = label_flow(_degenerate_drift(n))
@@ -644,8 +682,8 @@ def test_observables_are_computed_only_when_read(monkeypatch):
         # draining the stream forms no coefficients, no observables and of the images' weights only the
         # label guard's norms, with the Gram they are read from
         assert calls == [] and formed == []
-        assert (last._images is None) is (n == 2)
-        assert n == 2 or not {"_pair_weights", "_occupation_weights"} & vars(last._images).keys()
+        assert (last._images is None) is (n < 4)
+        assert n < 4 or not {"_pair_weights", "_occupation_weights"} & vars(last._images).keys()
         final = observables(last, -1)
         # the final record forms coefficients for its one time only
         assert len(calls) == 1 and formed == [(1, 2, n)]
@@ -874,10 +912,10 @@ def _block_drift(rng):
     return drift_matrix(net, DecayMatrix(np.kron(np.eye(2), g)))
 
 
-def _near_exceptional_drift(g):
-    """Gamma = diag(1, 0) and coupling g in each of two 2 x 2 blocks (n = 4, k = 2); g = 1/4 is exceptional."""
-    net = NetworkSpec(omega=[10.0] * 4, coupling=np.kron(np.eye(2), [[0.0, g], [g, 0.0]]))
-    return drift_matrix(net, DecayMatrix(np.kron(np.eye(2), np.diag([1.0, 0.0]))))
+def _near_exceptional_drift(g, blocks=2):
+    """Gamma = diag(1, 0) and coupling g in each of `blocks` 2 x 2 blocks (n = 2 blocks, k = 2); g = 1/4 is exceptional."""
+    net = NetworkSpec(omega=[10.0] * (2 * blocks), coupling=np.kron(np.eye(blocks), [[0.0, g], [g, 0.0]]))
+    return drift_matrix(net, DecayMatrix(np.kron(np.eye(blocks), np.diag([1.0, 0.0]))))
 
 
 def _image_path_cases(rng):
@@ -931,7 +969,7 @@ def test_image_path_matches_the_label_path(monkeypatch):
         blocks = zip(propagate_with(state, times, flow), propagate_with(state, times, _hidden_images(flow)))
         for block, reference in blocks:
             assert block._images is not None and reference._images is None
-            assert block._exps.dtype == float and block._exps.shape[1] == np.unique(basis.group).size
+            assert block._images.rates.size == np.unique(basis.group).size
             for name in ("labels", "coeffs", "occupations", "purity", "fidelity"):
                 got, want = getattr(block, name), getattr(reference, name)
                 _assert_close(got.reshape(got.shape[0], -1), want.reshape(want.shape[0], -1))

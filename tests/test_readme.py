@@ -95,6 +95,7 @@ def test_readme_budget_numbers_match_the_code():
     assert f"has k = {k} clusters" in text and "in all three reservoir kinds" in text
     assert all(basis.v.dtype == float for basis in bases) and "V is real and orthogonal, V^-1 = V^T" in text
     assert "The images hold 16 k terms n bytes" in text
+    assert f"max(1, {budget} // n^2) times at a time" in text  # the Taylor fallback's slices
     # the memory paragraph's image bytes: per pair of terms (the second difference in terms) and per resonator
     image_bytes = evolve._image_bytes
     assert (image_bytes(k, 4, 6) - 2 * image_bytes(k, 3, 6) + image_bytes(k, 2, 6)) // 2 == 24 * k + 40 == 88
