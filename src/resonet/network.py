@@ -144,33 +144,28 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
 
 
 def _canonical_cluster_rows(columns: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the span of the given columns.
+    """Deterministic orthonormal basis (k x n rows) of the span of the orthonormal columns C (n x k).
 
-    Seeds modified Gram-Schmidt with the projections of the canonical basis
-    vectors in index order, which makes the result independent of whatever
-    arbitrary intra-cluster mixture the eigensolver produced.  The columns
-    are orthonormal (from eigh), so while fewer than k vectors are chosen
-    the seeds' squared residuals sum to at least 1 and some seed clears the
-    threshold: all k are always found.
+    Gram-Schmidt of the projections P e_j = C C[j] of the canonical basis vectors in index order,
+    keeping each whose residual exceeds 1e-8, makes the result independent of whatever arbitrary
+    intra-cluster mixture the eigensolver produced.  As C is orthonormal, that is C times Gram-Schmidt
+    of the k-dimensional rows C[j]: each is projected out of the basis so far twice, by two gemvs each
+    time ("twice is enough": Giraud, Langou & Rozloznik 2005), O(n k^2) work in all.  While fewer than
+    k rows are kept their squared residuals sum to at least 1, so all k are always found.
     """
-    n, k = columns.shape
-    proj = columns @ columns.T
-    chosen: list[np.ndarray] = []
-    for j in range(n):
-        w = proj[:, j].copy()
-        for u in chosen:
-            w -= (u @ w) * u
-        nw = np.sqrt(w @ w)
-        if nw > 1e-8:
-            chosen.append(w / nw)
-            if len(chosen) == k:
+    k = columns.shape[1]
+    basis = np.empty((k, k))
+    kept = 0
+    for row in columns:
+        row = row - (row @ basis[:kept].T) @ basis[:kept]
+        row = row - (row @ basis[:kept].T) @ basis[:kept]
+        norm = np.sqrt(row @ row)
+        if norm > 1e-8:
+            basis[kept] = row / norm
+            kept += 1
+            if kept == k:
                 break
-    for i in range(k):  # second pass tightens orthogonality
-        w = chosen[i]
-        for u in chosen[:i]:
-            w = w - (u @ w) * u
-        chosen[i] = w / np.sqrt(w @ w)
-    return np.array(chosen)
+    return basis @ columns.T
 
 
 def clusters(values) -> np.ndarray:
@@ -218,8 +213,8 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
         if members.size > 1 and np.ptp(values[members]) <= 1e-12 * scale:
             block = _canonical_cluster_rows(vectors[:, members])
             block = _fix_signs(block)
-            key = sorted(range(block.shape[0]), key=lambda i: tuple(np.round(block[i], 12)))
-            rows[members] = block[key]
+            # rows in lexicographic order of their entries rounded to 12 decimals (lexsort keys last-first)
+            rows[members] = block[np.lexsort(np.round(block, 12).T[::-1])]
 
     rows = _fix_signs(rows)
     c = rows

@@ -165,10 +165,10 @@ class DecayMatrix:
 # coupling profiles
 
 
-def coupling_value(profile: CouplingProfile, freq: float) -> float:
-    """Reservoir coupling strength of one resonator at the given frequency."""
-    s = float(np.sum(np.exp(-profile.widths * (freq - profile.centers) ** 2)))
-    return profile.amplitude * math.sqrt(s)
+def coupling_value(profile: CouplingProfile, freq):
+    """Coupling strength of one resonator at a frequency, or at each of an array of them (the same floats)."""
+    s = np.sum(np.exp(-profile.widths * (np.asarray(freq, dtype=float)[..., None] - profile.centers) ** 2), axis=-1)
+    return profile.amplitude * np.sqrt(s)
 
 
 # ---------------------------------------------------------------------------
@@ -265,5 +265,5 @@ def build_decay_matrix(spec: ReservoirSpec, net: NetworkSpec) -> DecayMatrix:
     if len(profiles) != n:
         raise ModelError(f"expected {n} coupling profiles, got {len(profiles)}")
     decomp = network.normal_modes(net)
-    couplings = np.array([[coupling_value(p, freq) for p in profiles] for freq in decomp.frequencies])
+    couplings = np.column_stack([coupling_value(p, decomp.frequencies) for p in profiles])
     return decay_matrix_from_couplings(decomp, couplings, spec.sigma)

@@ -1,8 +1,9 @@
 """Test support: the paper's closed forms and direct Fock-basis measurements the library is checked
 against (no command reaches these), whole-grid arrays from a label stream, a label flow the
 stream must refuse, the per-mode label flow, a block's pair data and observables formed on the
-full terms x terms matrix, the kernel-shrinking construction of the protected subspace, and the
-oracle's full-matrix trace distance.
+full terms x terms matrix, the canonical cluster basis by modified Gram-Schmidt on the n x n
+projector with its row order by Python's sort, the kernel-shrinking construction of the
+protected subspace, and the oracle's full-matrix trace distance.
 """
 
 import math
@@ -70,6 +71,39 @@ def mode_form_flow(drift):
         return at
 
     return flow
+
+
+def canonical_cluster_rows(columns: np.ndarray) -> np.ndarray:
+    """The canonical basis of network._canonical_cluster_rows, formed in the n-dimensional space.
+
+    Modified Gram-Schmidt seeded with the columns P e_j of the projector
+    P = C C^T onto the span of the orthonormal columns C, in index order,
+    keeping each seed whose residual exceeds 1e-8, then a second pass over the
+    chosen vectors.  Returns the k chosen vectors as rows.
+    """
+    n, k = columns.shape
+    proj = columns @ columns.T
+    chosen: list[np.ndarray] = []
+    for j in range(n):
+        w = proj[:, j].copy()
+        for u in chosen:
+            w -= (u @ w) * u
+        nw = np.sqrt(w @ w)
+        if nw > 1e-8:
+            chosen.append(w / nw)
+            if len(chosen) == k:
+                break
+    for i in range(k):  # second pass tightens orthogonality
+        w = chosen[i]
+        for u in chosen[:i]:
+            w = w - (u @ w) * u
+        chosen[i] = w / np.sqrt(w @ w)
+    return np.array(chosen)
+
+
+def canonical_row_order(block: np.ndarray) -> list[int]:
+    """Lexicographic order of a cluster's rows rounded to 12 decimals, by Python's sort over tuples."""
+    return sorted(range(block.shape[0]), key=lambda i: tuple(np.round(block[i], 12)))
 
 
 def full_matrix_pairs(block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ from resonet import (
     drift_matrix,
     normal_modes,
 )
-from resonet.network import _CLUSTER_RTOL, clusters
-from reference import degenerate_decomposition
+from resonet.network import _CLUSTER_RTOL, _canonical_cluster_rows, _fix_signs, clusters
+from reference import canonical_cluster_rows, canonical_row_order, degenerate_decomposition
 
 
 def test_degenerate_network_matrix():
@@ -88,6 +88,39 @@ def test_normal_modes_sign_convention_on_ties():
             mags = np.abs(row)
             first = int(np.argmax(mags >= mags.max() - 1e-9))
             assert row[first] > 0.0, (n, row)
+
+
+def _cluster_basis_networks():
+    """The shorthand for n = 2 to 50, a resonator isolated ahead of a degenerate triangle at the same frequency
+    (the triangle's cluster has a zero leading row), two degenerate triangles (a nonzero dependent row) and
+    20 identical dimers (every other row dependent), all at frequency 10."""
+    tri = np.full((3, 3), 0.5) - 0.5 * np.eye(3)
+    isolated = np.zeros((4, 4))
+    isolated[1:, 1:] = tri
+    couplings = (isolated, np.kron(np.eye(2), tri), np.kron(np.eye(20), [[0.0, 0.25], [0.25, 0.0]]))
+    return [degenerate_network(n, 10.0, 0.5) for n in range(2, 51)] + [
+        NetworkSpec(omega=np.full(c.shape[0], 10.0), coupling=c) for c in couplings
+    ]
+
+
+def test_canonical_cluster_basis_matches_modified_gram_schmidt():
+    # The walk on the cluster's k-dimensional coordinates gives the basis of modified Gram-Schmidt on the
+    # n x n projector (tests/reference.py) to 1e-13, and normal_modes puts its rows in the order Python's
+    # sort over the rounded rows gives.
+    checked = 0
+    for spec in _cluster_basis_networks():
+        values, vectors = np.linalg.eigh(spec.w_matrix())
+        transform = normal_modes(spec).transform
+        group = clusters(values)
+        for g in np.unique(group):
+            members = np.flatnonzero(group == g)
+            if members.size > 1:
+                want = canonical_cluster_rows(vectors[:, members])
+                np.testing.assert_allclose(_canonical_cluster_rows(vectors[:, members]), want, rtol=0, atol=1e-13)
+                want = _fix_signs(want)
+                np.testing.assert_allclose(transform[members], want[canonical_row_order(want)], rtol=0, atol=1e-13)
+                checked += 1
+    assert checked == 49 + 1 + 1 + 2
 
 
 def test_degenerate_modes_values():

@@ -25,6 +25,7 @@ from resonet import (
     normal_modes,
     renormalized_frequency,
 )
+from resonet import reservoir
 from resonet.network import _CLUSTER_RTOL
 from reference import decoherence_time_formula, degenerate_decomposition
 
@@ -127,6 +128,25 @@ def test_coupling_value_single_gaussian():
     assert abs(coupling_value(p, 2.0) - 0.7) < 1e-15
     expected = 0.7 * math.exp(-0.5 * 50.0 * 0.01)
     assert abs(coupling_value(p, 2.1) - expected) < 1e-12
+    # an array of frequencies gives each frequency's scalar value, bitwise
+    freqs = np.array([2.0, 2.1, 1.9, 2.5, -3.0])
+    assert np.array_equal(coupling_value(p, freqs), [coupling_value(p, f) for f in freqs])
+
+
+def test_profile_decay_matrix_samples_each_profile_once(monkeypatch):
+    # build_decay_matrix asks each resonator's profile for its couplings at all n mode frequencies in one call.
+    calls = []
+
+    def counted(profile, freq):
+        calls.append(np.shape(freq))
+        return coupling_value(profile, freq)
+
+    monkeypatch.setattr(reservoir, "coupling_value", counted)
+    n = 6
+    profile = CouplingProfile(amplitude=1.0, centers=[12.5], widths=[0.1])
+    spec = ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=(profile,) * n)
+    build_decay_matrix(spec, degenerate_network(n, 10.0, 0.5))
+    assert calls == [(n,)] * n
 
 
 def test_correlations_constant_gives_full_cross_decay():
