@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import _BYTE_BUDGET, _TRACE_ABORT, ModelError, NumericalError, _sci
-from .network import _CLUSTER_RTOL, clusters
+from .network import _CLUSTER_RTOL, _centred_eigh, clusters
 from .reservoir import rounding_slack
 from .states import SuperpositionState, log_gram_matrix
 
@@ -160,8 +160,8 @@ class _Eigenbasis(NamedTuple):
 def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
     """Eigenvalues lam, eigenvectors V, V^-1 and cluster labels of d, or None if V is unusable.
 
-    d = -i W - Gamma / 2 is first factorised in W's eigenbasis Q, in real arithmetic (eigh of W less
-    its mean frequency tr W / n, whose rounding does not grow with the frequencies): on each
+    d = -i W - Gamma / 2 is first factorised in W's eigenbasis Q, in real arithmetic (the eigh of
+    network._centred_eigh, whose rounding does not grow with the frequencies): on each
     cluster of W's frequencies w (network.clusters) it is -i w I - Gamma'/2 with Gamma' = Q^T Gamma Q,
     diagonalised by a real eigh, so V is real and orthogonal and V^-1 = V^T.  That drops Gamma''s
     entries between W's clusters, which vanish when Gamma commutes with W, as for every reservoir of
@@ -181,9 +181,7 @@ def _eigenbasis(d: np.ndarray) -> Optional[_Eigenbasis]:
     slack = rounding_slack(g)
     v = None
     if np.abs(w - w.T).max() <= slack and np.abs(g - g.T).max() <= slack:
-        mean = np.trace(w) / n
-        freq, q = np.linalg.eigh(w - mean * np.eye(n))
-        freq += mean
+        freq, q = _centred_eigh(w)
         gp = q.T @ (0.5 * (g + g.T)) @ q
         wc = clusters(freq)
         gap = np.abs(np.subtract.outer(freq, freq))

@@ -143,6 +143,15 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _centred_eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a symmetric W less its mean tr W / n (0 if that overflows): its rounding scales with W's spread."""
+    with np.errstate(over="ignore"):
+        mean = np.trace(w) / w.shape[0]
+    mean = mean if np.isfinite(mean) else 0.0
+    values, vectors = np.linalg.eigh(w - mean * np.eye(w.shape[0]))
+    return values + mean, vectors
+
+
 def _canonical_cluster_rows(columns: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis (k x n rows) of the span of the orthonormal columns C (n x k).
 
@@ -188,7 +197,7 @@ def clusters(values) -> np.ndarray:
 
 
 def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
-    """Diagonalise the network's quadratic form into normal modes.
+    """Diagonalise the network's quadratic form into normal modes (by _centred_eigh).
 
     Frequencies are returned ascending.  Within a degenerate cluster (see
     clusters) the eigenbasis is replaced by a canonical one seeded from the
@@ -197,7 +206,7 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
     output.
     """
     w = spec.w_matrix()
-    values, vectors = np.linalg.eigh(w)
+    values, vectors = _centred_eigh(w)
     n = spec.n
 
     rows = vectors.T.copy()
@@ -211,13 +220,11 @@ def normal_modes(spec: NetworkSpec) -> NormalModeDecomposition:
         # only harmless when their eigenvalues are numerically identical;
         # otherwise the solver's own (already deterministic) basis stays.
         if members.size > 1 and np.ptp(values[members]) <= 1e-12 * scale:
-            block = _canonical_cluster_rows(vectors[:, members])
-            block = _fix_signs(block)
+            block = _fix_signs(_canonical_cluster_rows(vectors[:, members]))
             # rows in lexicographic order of their entries rounded to 12 decimals (lexsort keys last-first)
             rows[members] = block[np.lexsort(np.round(block, 12).T[::-1])]
 
-    rows = _fix_signs(rows)
-    c = rows
+    c = _fix_signs(rows)
     ortho = np.max(np.abs(c.T @ c - np.eye(n)))
     diag = c @ w @ c.T
     offdiag = np.max(np.abs(diag - np.diag(np.diagonal(diag)))) if n > 1 else 0.0

@@ -1148,6 +1148,8 @@ _HUGE_PROFILE = {"amplitude": 1e200, "centers": [10.5], "widths": [0.1]}
     "overrides, command, code, line",
     [
         ({"network": {"n": 3, "omega": 1e200, "lambda": 1e200}}, "modes", 0, None),
+        # the trace of W overflows, so normal_modes takes eigh of W itself
+        ({"network": {"n": 3, "omega": 1e308, "lambda": 0.5}}, "modes", 0, None),
         ({"reservoir": {"kind": "common_white_noise", "Gamma": 1e308, "epsilon": 0.1}}, "evolve", 2,
          "numerical failure: the two-branch decay rate is not finite"),
         ({"reservoir": {"kind": "common_white_noise", "Gamma": 1e308, "epsilon": 0.1}}, "classify", 2,
@@ -1159,7 +1161,7 @@ _HUGE_PROFILE = {"amplitude": 1e200, "centers": [10.5], "widths": [0.1]}
         ({**_EXCEPTIONAL_POINT, "evolution": {"t_max": 1e308, "steps": 10}}, "evolve", 2,
          "numerical failure: labels are non-finite"),
     ],
-    ids=["modes-omega-lambda", "evolve-Gamma", "classify-Gamma", "evolve-alpha", "classify-alpha", "evolve-profile",
+    ids=["modes-omega-lambda", "modes-omega-trace", "evolve-Gamma", "classify-Gamma", "evolve-alpha", "classify-alpha", "evolve-profile",
          "evolve-exceptional-t_max"],
 )
 def test_inputs_near_the_float_range_end_in_one_line(tmp_path, capsys, overrides, command, code, line):

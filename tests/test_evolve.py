@@ -266,13 +266,18 @@ def test_commuting_drifts_are_factorised_in_real_arithmetic():
         _assert_matches_expm(drift, rng)
         _assert_matches_expm(drift, rng, t_max=30.0)
     # The shorthand at omega = 1,000 and 10^4: W's eigenbasis is taken from W - (tr W / n) I, whose
-    # rounding does not grow with omega, so the real route holds, within 1e-15 omega t_max of expm.
+    # rounding does not grow with omega, so the real route holds, within 1e-15 omega t_max of expm.  The
+    # profile reservoir's Gamma is built on normal_modes, which takes the same eigh: on W's eigenbasis
+    # of W itself, its subspaces' rounding (omega 1e-16 over the gap) left entries between W's clusters
+    # that sent omega = 1,000 (n = 3, 5, 6, 8, 16) and 10^4 (n = 3, 4, 5, 6, 16) to the complex route.
     for omega in (1e3, 1e4):
-        for n in (3, 5, 6, 8, 16):
+        for n in (3, 4, 5, 6, 8, 16):
             net = degenerate_network(n, omega, 0.5)
+            profile = CouplingProfile(amplitude=1.0, centers=[omega + (n - 1) * 0.5], widths=[0.1])
             for reservoir in (
                 ReservoirSpec(kind=ReservoirKind.COMMON_WHITE_NOISE, sigma=1.0, epsilon=0.5),
                 ReservoirSpec(kind=ReservoirKind.DISTINCT_STRONG_COUPLING, gamma_plus=2.0, gamma_minus=0.3),
+                ReservoirSpec(kind=ReservoirKind.COMMON_PROFILE, sigma=1.0, profiles=(profile,) * n),
             ):
                 drift = drift_matrix(net, build_decay_matrix(reservoir, net))
                 assert evolve._eigenbasis(drift).v.dtype == float

@@ -14,7 +14,7 @@ from resonet import (
     drift_matrix,
     normal_modes,
 )
-from resonet.network import _CLUSTER_RTOL, _canonical_cluster_rows, _fix_signs, clusters
+from resonet.network import _CLUSTER_RTOL, _canonical_cluster_rows, _centred_eigh, _fix_signs, clusters
 from reference import canonical_cluster_rows, canonical_row_order, degenerate_decomposition
 
 
@@ -109,7 +109,7 @@ def test_canonical_cluster_basis_matches_modified_gram_schmidt():
     # sort over the rounded rows gives.
     checked = 0
     for spec in _cluster_basis_networks():
-        values, vectors = np.linalg.eigh(spec.w_matrix())
+        values, vectors = _centred_eigh(spec.w_matrix())
         transform = normal_modes(spec).transform
         group = clusters(values)
         for g in np.unique(group):
