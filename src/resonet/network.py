@@ -33,9 +33,9 @@ _CLUSTER_RTOL = 1e-9
 # Bytes a command holds per entry of an n x n network matrix: the largest slope against n^2 of the peak
 # RSS of `modes`, `evolve`, `classify` and `sweep` on the {n, omega, lambda} shorthand (white-noise and
 # distinct reservoirs, fresh interpreters, n = 600, 1,000 and 1,400), rounded up.  `modes` reached
-# 198.7; RSS, unlike tracemalloc, also sees numpy.linalg's LAPACK workspace.  This is network memory,
-# and it includes label_flow's flow(beta) temporaries (the real V cast to complex, the clusters'
-# column copies), which evolve._image_bytes does not count.
+# 198.7 (195.7 once its cluster basis held no n x n projector); RSS, unlike tracemalloc, also sees
+# numpy.linalg's LAPACK workspace.  This is network memory, and it includes label_flow's flow(beta)
+# temporaries (the real V cast to complex, the clusters' column copies), which evolve._image_bytes omits.
 _NETWORK_ENTRY_BYTES = 199
 
 

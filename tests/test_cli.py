@@ -1161,8 +1161,8 @@ _HUGE_PROFILE = {"amplitude": 1e200, "centers": [10.5], "widths": [0.1]}
         ({**_EXCEPTIONAL_POINT, "evolution": {"t_max": 1e308, "steps": 10}}, "evolve", 2,
          "numerical failure: labels are non-finite"),
     ],
-    ids=["modes-omega-lambda", "modes-omega-trace", "evolve-Gamma", "classify-Gamma", "evolve-alpha", "classify-alpha", "evolve-profile",
-         "evolve-exceptional-t_max"],
+    ids=["modes-omega-lambda", "modes-omega-trace", "evolve-Gamma", "classify-Gamma", "evolve-alpha", "classify-alpha",
+         "evolve-profile", "evolve-exceptional-t_max"],
 )
 def test_inputs_near_the_float_range_end_in_one_line(tmp_path, capsys, overrides, command, code, line):
     # Each command evaluates its overflowing arithmetic quietly and lets its guard decide: the documented

@@ -267,9 +267,9 @@ def test_commuting_drifts_are_factorised_in_real_arithmetic():
         _assert_matches_expm(drift, rng, t_max=30.0)
     # The shorthand at omega = 1,000 and 10^4: W's eigenbasis is taken from W - (tr W / n) I, whose
     # rounding does not grow with omega, so the real route holds, within 1e-15 omega t_max of expm.  The
-    # profile reservoir's Gamma is built on normal_modes, which takes the same eigh: on W's eigenbasis
-    # of W itself, its subspaces' rounding (omega 1e-16 over the gap) left entries between W's clusters
-    # that sent omega = 1,000 (n = 3, 5, 6, 8, 16) and 10^4 (n = 3, 4, 5, 6, 16) to the complex route.
+    # profile reservoir's Gamma is built on normal_modes, which takes the same eigh: the subspaces of an
+    # eigh of W itself are off by about omega 1e-16 over the gap, which leaves Gamma entries between W's
+    # clusters that send omega = 1,000 (n = 3, 5, 6, 8, 16) and 10^4 (n = 3 to 6, 16) to the complex route.
     for omega in (1e3, 1e4):
         for n in (3, 4, 5, 6, 8, 16):
             net = degenerate_network(n, omega, 0.5)
